@@ -17,8 +17,8 @@
 // cancels instead of biasing whichever mode ran last.
 //
 // PR-4 baseline: set HFL_PR4_BASELINE="logistic=<ms>,mlp=<ms>,cnn=<ms>" to
-// per-round times measured on the pre-batched tree (see EXPERIMENTS.md for
-// the worktree recipe); the JSON then also records speedup_vs_pr4. Without
+// per-round times measured on the pre-batched tree (EXPERIMENTS.md E16 has
+// the recorded values); the JSON then also records the speedups. Without
 // the env var those fields are omitted and the in-build per-worker path is
 // the only baseline — for dense models it is the same code as PR 4, for conv
 // models it is strictly FASTER than PR 4 (the layer now calls the batched

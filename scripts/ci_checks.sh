@@ -4,8 +4,11 @@
 #   1. Release build + full ctest suite (tier-1), which includes the
 #      bench_smoke-labelled bench binaries at 0.1 scale — each asserts its
 #      internal bitwise contract (fused kernel ≡ fma reference, sparse
-#      roster ≡ dense rebuild, batched ≡ per-worker) before timing.
-#   2. ASan+UBSan pass: full suite + telemetry-enabled example in an
+#      roster ≡ dense rebuild, batched ≡ per-worker) before timing — then
+#      the concurrency tests 20 times over.
+#   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the event engine's
+#      golden digests, pinned on this build.
+#   3. ASan+UBSan pass: full suite + telemetry-enabled example in an
 #      instrumented tree (reports are fatal).
 #
 # The TSan pass is NOT run here — its ~10x slowdown puts it over a CI
@@ -13,12 +16,14 @@
 # two-sanitizer sweep before cutting a release.
 #
 # Usage: scripts/ci_checks.sh [release-build-dir] [asan-build-dir]
-#        (defaults: build build-asan)
+#                             [portable-build-dir]
+#        (defaults: build build-asan build-portable)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 ASAN_DIR="${2:-build-asan}"
+PORTABLE_DIR="${3:-build-portable}"
 
 # --- gate 1: Release build + full suite (includes -L bench_smoke) ---------
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
@@ -27,12 +32,28 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # The event-engine contracts gate merges by name (they are part of the full
 # suite above; the explicit invocation keeps a red bisect pointed at them):
-# sync bit-identity to fl::Engine, causal download versioning (no retroactive
-# refresh), and charge-exactly-once comm accounting.
+# golden digests of every semi_async/async setting, causal download
+# versioning (no retroactive refresh), and charge-exactly-once comm
+# accounting. The sync policy needs no gate of its own: it is fl::Engine::run.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R '^(async_engine_test|evt_versioning_test)$'
 
-# --- gate 2: ASan + UBSan -------------------------------------------------
+# Concurrency repeat gate: the TSan list of scripts/run_sanitized_tests.sh,
+# 20 times over on the Release tree, so a 1-in-50 race cannot slip back in.
+# The timeout turns a lost-wakeup hang into a failure.
+ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  --repeat until-fail:20 --timeout 120 -R \
+  '^(thread_pool_test|obs_test|parallel_sync_test|engine_schedule_test|engine_weights_test|integration_test|property_sweep_test|gemm_batched_test|batched_parity_test|pop_test|pop_parity_test|param_plane_test|async_engine_test|evt_versioning_test|compression_test|hieradmo_test)$'
+
+# --- gate 2: portable kernels + golden digests ----------------------------
+# With FMA enabled the compiler's contraction choices move bits between
+# optimization levels, so the digests are authoritative on this build.
+cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
+cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target async_engine_test
+ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^async_engine_test$'
+
+# --- gate 3: ASan + UBSan -------------------------------------------------
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHFL_SANITIZE=address \
@@ -47,4 +68,5 @@ ctest --test-dir "$ASAN_DIR" --output-on-failure
 # algorithm hooks and kernels concurrently.
 (cd "$ASAN_DIR" && ./examples/telemetry_report)
 
-echo "ci checks complete: $BUILD_DIR (Release + full ctest), $ASAN_DIR (ASan+UBSan)"
+echo "ci checks complete: $BUILD_DIR (Release + full ctest)," \
+  "$PORTABLE_DIR (portable digests), $ASAN_DIR (ASan+UBSan)"

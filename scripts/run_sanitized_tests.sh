@@ -13,7 +13,10 @@
 #      over the pool-parallel eval/reduction paths at 4 threads), and the
 #      virtualized-population path (cohort sampling + parallel
 #      spill/restore with absent-policy replay under the 4-thread engine,
-#      pop_test / pop_parity_test / param_plane_test).
+#      pop_test / pop_parity_test / param_plane_test), the compression
+#      path (compression_test: back-to-back pool dispatches around the
+#      serialized stochastic quantizer), and hieradmo_test (a recording
+#      wrapper called from the concurrent edge barrier).
 #      TSan and ASan cannot share a process, hence the
 #      separate tree; the TSan pass runs the thread-touching tests rather
 #      than the full suite to keep its ~10x slowdown in budget.
@@ -53,7 +56,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -R \
-  '^(thread_pool_test|obs_test|parallel_sync_test|engine_schedule_test|engine_weights_test|integration_test|property_sweep_test|gemm_batched_test|batched_parity_test|pop_test|pop_parity_test|param_plane_test|async_engine_test|evt_versioning_test)$'
+  '^(thread_pool_test|obs_test|parallel_sync_test|engine_schedule_test|engine_weights_test|integration_test|property_sweep_test|gemm_batched_test|batched_parity_test|pop_test|pop_parity_test|param_plane_test|async_engine_test|evt_versioning_test|compression_test|hieradmo_test)$'
 
 # Same telemetry-enabled example under TSan: obs recording + engine pools.
 (cd "$TSAN_DIR" && ./examples/telemetry_report)

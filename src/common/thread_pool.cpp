@@ -1,7 +1,6 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -94,15 +93,18 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
 
+  // Lives on this frame: the waiter below may return (and destroy it) as soon
+  // as it observes remaining == 0, so a task touches nothing in it after
+  // releasing done_mutex. Decrement and notify both happen under the lock.
   struct Shared {
-    std::atomic<std::size_t> remaining;
+    std::size_t remaining = 0;  // guarded by done_mutex
     std::mutex done_mutex;
     std::condition_variable done_cv;
     std::exception_ptr error;
     std::mutex error_mutex;
   };
   Shared shared;
-  shared.remaining.store(num_blocks);
+  shared.remaining = num_blocks;
 
   const std::size_t block = (n + num_blocks - 1) / num_blocks;
   for (std::size_t b = 0; b < num_blocks; ++b) {
@@ -115,15 +117,13 @@ void ThreadPool::parallel_for(std::size_t n,
         std::lock_guard<std::mutex> lock(shared.error_mutex);
         if (!shared.error) shared.error = std::current_exception();
       }
-      if (shared.remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(shared.done_mutex);
-        shared.done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(shared.done_mutex);
+      if (--shared.remaining == 0) shared.done_cv.notify_all();
     });
   }
 
   std::unique_lock<std::mutex> lock(shared.done_mutex);
-  shared.done_cv.wait(lock, [&shared] { return shared.remaining.load() == 0; });
+  shared.done_cv.wait(lock, [&shared] { return shared.remaining == 0; });
   if (shared.error) std::rethrow_exception(shared.error);
 }
 

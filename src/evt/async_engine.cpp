@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -25,15 +26,27 @@ namespace {
 // The embedded fl::Engine always carries the sync policy: the requested
 // config is validated FIRST, so policy-specific errors (semi_async without a
 // deadline, async + batched cohort) surface against the user's actual
-// settings, and only then sanitized down to what fl::Engine accepts.
-// Everything the event-driven paths read through Context::cfg (τ, π, the
-// staleness knobs, seeds) is preserved.
+// settings, and only then sanitized down to what fl::Engine accepts (a sync
+// config passes through unchanged). Everything the event-driven paths read
+// through Context::cfg (τ, π, the staleness knobs, seeds) is preserved.
 fl::RunConfig toolbox_config(fl::RunConfig cfg) {
   cfg.validate();
   cfg.policy = fl::ExecPolicy::kSync;
   cfg.semi_async_deadline_s = 0.0;
   cfg.adaptive_deadline = false;
   return cfg;
+}
+
+// Complete the deployment model's auto-filled fields from the run itself.
+net::TimeSimConfig complete_sim(net::TimeSimConfig sim,
+                                const nn::ModelFactory& factory,
+                                const fl::Topology& topo) {
+  if (sim.model_params == 0) sim.model_params = factory()->num_params();
+  if (sim.worker_devices.empty()) {
+    sim.worker_devices = net::default_worker_roster(topo.num_workers());
+  }
+  sim.fault_plan = nullptr;  // plans are per-run; see run()
+  return sim;
 }
 
 // v ← (1−α)·pre + α·v — the damped fold of an asynchronous aggregation: the
@@ -45,6 +58,41 @@ void damp(Vec& v, const Vec& pre, Scalar alpha) {
   if (alpha >= 1.0 || v.size() != pre.size()) return;
   vec::axpby(1.0 - alpha, pre, alpha, v);  // fused (1−α)·pre + α·v
 }
+
+// One tier's aggregation vectors (edge: x⁺, y⁺, y⁻; cloud: x, y; plus the
+// algorithm's extras), copied before a sync so apply() can damp the sync's
+// result back toward them. Extras the sync created have no pre-sync value
+// and are kept as-is.
+class TierDamp {
+ public:
+  explicit TierDamp(fl::EdgeState& es)
+      : TierDamp({&es.x_plus, &es.y_plus, &es.y_minus}, es.extra) {}
+  explicit TierDamp(fl::CloudState& cs) : TierDamp({&cs.x, &cs.y}, cs.extra) {}
+
+  // The tier model (x⁺ or x) as it stood before the sync.
+  const Vec& pre_model() const { return pre_.front(); }
+
+  void apply(Scalar alpha) {
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      damp(*live_[i], pre_[i], alpha);
+    }
+    for (auto& [name, v] : *extra_) {
+      const auto it = pre_extra_.find(name);
+      if (it != pre_extra_.end()) damp(v, it->second, alpha);
+    }
+  }
+
+ private:
+  TierDamp(std::initializer_list<Vec*> vecs, std::map<std::string, Vec>& extra)
+      : live_(vecs), extra_(&extra), pre_extra_(extra) {
+    for (const Vec* v : live_) pre_.push_back(*v);
+  }
+
+  std::vector<Vec*> live_;
+  std::vector<Vec> pre_;
+  std::map<std::string, Vec>* extra_;
+  std::map<std::string, Vec> pre_extra_;
+};
 
 // s(τ) = staleness_decay^τ.
 Scalar staleness_weight(Scalar decay, std::size_t tau) {
@@ -74,7 +122,7 @@ struct UploadSnapshot {
   std::map<std::string, Vec> extra;
 };
 
-// One arrived upload, as the cohort-sync helpers consume it.
+// One arrived upload, as cohort_sync consumes it.
 struct Arrival {
   std::size_t w = 0;
   UploadSnapshot snap;
@@ -184,6 +232,41 @@ DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
   return m;
 }
 
+// One aggregation point of an event-driven run: an edge, or the cloud. Both
+// tiers admit worker cohorts the same way (cohort_sync); the fields marked
+// (edges) stay idle at the cloud.
+struct Aggregator {
+  // Bumped per aggregation and, at an edge, per cloud-driven model refresh:
+  // the staleness base of every upload this aggregator admits.
+  std::size_t version = 0;
+  std::size_t round = 0;        // fault-schedule round counter (edges)
+  std::size_t since_cloud = 0;  // aggregations since the last cloud push (edges)
+  std::size_t cloud_base = 0;   // cloud version at the last cloud contact (edges)
+  std::uint8_t up = 1;          // last observed availability (edges)
+  // Latency stream forked off TimeSimConfig::seed (aggregate / upload /
+  // broadcast draws of this aggregator).
+  Rng rng{0};
+  // Semi-async admission: the round's inbox and armed deadline, plus the
+  // adaptive deadline's EWMA of the observed arrival spread (last − first
+  // arrival of each fired round), seeded so the first armed deadline is
+  // exactly semi_async_deadline_s.
+  std::vector<Arrival> inbox;
+  bool deadline_armed = false;
+  Scalar deadline_ewma = 0, first_arrival = 0, last_arrival = 0;
+};
+
+// Current admission deadline of an aggregator. Fixed at
+// semi_async_deadline_s unless adaptive_deadline tunes it per round:
+// deadline = deadline_margin × EWMA(arrival spread), clamped to
+// [0.25, 4] × the configured base so a degenerate round (single arrival,
+// spread 0) cannot collapse the deadline to zero.
+Scalar admission_deadline(const fl::RunConfig& cfg, const Aggregator& ag) {
+  const Scalar base = cfg.semi_async_deadline_s;
+  if (!cfg.adaptive_deadline) return base;
+  return std::min(4.0 * base,
+                  std::max(0.25 * base, cfg.deadline_margin * ag.deadline_ewma));
+}
+
 }  // namespace
 
 // Mutable state of one event-driven run. The fl::RunState inside must not
@@ -206,9 +289,9 @@ struct EvtRun {
   // only on the seed — no handler ordering can perturb another stream.
   // wrng feeds each worker's compute + upload draws (in that alternating
   // order per interval), wdrng its download-leg draws, so splitting the
-  // monolithic worker event did not reorder any existing stream.
-  std::vector<Rng> wrng, wdrng, erng;
-  Rng crng{0};
+  // monolithic worker event did not reorder any existing stream. The
+  // aggregators carry their own streams.
+  std::vector<Rng> wrng, wdrng;
 
   // Worker progress: completed intervals (quota K), aggregator version of
   // the model the worker currently trains on (the staleness base of its next
@@ -227,24 +310,9 @@ struct EvtRun {
   // In-flight download payloads, indexed by Event::round of kWorkerDownload.
   std::vector<DownloadMsg> dmsgs;
 
-  // Edge aggregator state: version (bumped per aggregation and per
-  // cloud-driven model refresh), fault-schedule round counter, edge
-  // intervals since the last cloud push, cloud version at the last cloud
-  // interaction, semi-async inbox + armed-deadline flag.
-  std::vector<std::size_t> e_version, e_round, e_since_cloud, e_cloud_base;
-  std::vector<std::vector<Arrival>> e_inbox;
-  std::vector<std::uint8_t> e_deadline_armed, e_up;
-
-  std::size_t cloud_version = 0;
-  std::vector<Arrival> c_inbox;  // two-tier semi-async
-  bool c_deadline_armed = false;
-
-  // Adaptive semi-async deadlines: per-aggregator EWMA of the observed
-  // arrival spread (last − first arrival of each fired round) and the
-  // current round's spread trackers. Seeded so the first armed deadline is
-  // exactly semi_async_deadline_s.
-  std::vector<Scalar> e_deadline_ewma, e_first_arrival, e_last_arrival;
-  Scalar c_deadline_ewma = 0, c_first_arrival = 0, c_last_arrival = 0;
+  // Aggregators: edges [0, E), the cloud at index `cloud` (== E).
+  std::vector<Aggregator> aggs;
+  std::size_t cloud = 0;
 
   // Staleness accounting (RunResult + obs).
   std::size_t admitted = 0, stale = 0, dropped = 0, max_tau = 0;
@@ -261,165 +329,32 @@ struct EvtRun {
   std::vector<Scalar> scale;
 };
 
+// Member order matters: sim_ is completed from `factory` and `topo` before
+// engine_ takes ownership of them.
 AsyncEngine::AsyncEngine(nn::ModelFactory factory, const data::TrainTest& data,
                          data::Partition partition, fl::Topology topo,
                          fl::RunConfig cfg, net::TimeSimConfig sim)
     : cfg_(cfg),
-      sim_(std::move(sim)),
+      sim_(complete_sim(std::move(sim), factory, topo)),
       engine_(std::move(factory), data, std::move(partition), std::move(topo),
-              toolbox_config(cfg)) {
-  if (sim_.model_params == 0) {
-    sim_.model_params = engine_.factory_()->num_params();
-  }
-  if (sim_.worker_devices.empty()) {
-    sim_.worker_devices = net::default_worker_roster(engine_.topo_.num_workers());
-  }
-  sim_.fault_plan = nullptr;  // plans are per-run; see run()
-  model_ = std::make_unique<net::LatencyModel>(engine_.topo_, sim_);
-}
+              toolbox_config(cfg)),
+      model_(std::make_unique<net::LatencyModel>(engine_.topology(), sim_)) {}
 
+// Sync policy: fl::Engine's own barrier loop, with every curve point stamped
+// by a net::TimeSimulator replay of the same run (additive: iteration, loss,
+// accuracy and all engine.* counters are untouched).
 fl::RunResult AsyncEngine::run(fl::Algorithm& alg, const sim::FaultPlan* plan) {
-  if (cfg_.policy == fl::ExecPolicy::kSync) return run_sync(alg, plan);
-  return run_event_driven(alg, plan);
-}
-
-// ---------------------------------------------------------------------------
-// Sync policy: the barrier schedule replayed as events.
-//
-// The whole timetable is known up front (logical time = iteration index), so
-// every event is pushed before the first pop and the (time, seq) order of the
-// queue reproduces fl::Engine::run's statement order exactly: local steps,
-// edge barrier, cloud round, evaluation, interval tail. Each handler calls
-// the corresponding private piece of fl::Engine on the shared RunState, which
-// is what makes this policy bit-identical to fl::Engine by construction —
-// same calls, same order, same state. Modeled time is stamped afterwards from
-// a net::TimeSimulator barrier replay (additive: iteration/loss/accuracy and
-// all engine.* counters are untouched).
-// ---------------------------------------------------------------------------
-fl::RunResult AsyncEngine::run_sync(fl::Algorithm& alg,
-                                    const sim::FaultPlan* plan) {
-  const obs::Span run_span("run:" + alg.name(), "evt");
-  const fl::ParticipationSchedule* schedule =
-      plan != nullptr ? &plan->schedule() : nullptr;
-
-  // Virtualized populations ride through the same pieces fl::Engine uses:
-  // replay the dense schedule through the oracle adapter and mirror
-  // begin_virtual_interval at each interval head.
-  const bool virt = engine_.provider_ != nullptr;
-  std::unique_ptr<fl::ScheduleOracle> oracle_storage;
-  const fl::AvailabilityOracle* oracle = nullptr;
-  if (virt && schedule != nullptr && !schedule->is_noop()) {
-    schedule->validate(engine_.topo_, engine_.cfg_);
-    oracle_storage = std::make_unique<fl::ScheduleOracle>(*schedule);
-    oracle = oracle_storage.get();
-  }
-
-  fl::RunState rs;
-  engine_.prepare_run(alg, virt ? nullptr : schedule, oracle, rs);
-  engine_.record_point(rs, 0, rs.cloud.x);
-
-  const fl::RunConfig& cfg = engine_.cfg_;
-  const std::size_t global_period = cfg.tau * cfg.pi;
-
-  // Availability flips, grouped by the interval they take effect in.
-  std::vector<std::vector<sim::FaultTransition>> flips;
-  if (schedule != nullptr && !schedule->is_noop()) {
-    flips.resize(cfg.total_iterations / cfg.tau + 1);
-    for (const sim::FaultTransition& tr : sim::fault_transitions(*schedule)) {
-      if (tr.interval < flips.size()) flips[tr.interval].push_back(tr);
-    }
-  }
-
-  EventQueue q;
-  for (std::size_t t = 1; t <= cfg.total_iterations; ++t) {
-    const Scalar time = static_cast<Scalar>(t);
-    const bool sync_point = t % cfg.tau == 0;
-    const bool cloud_point = t % global_period == 0;
-    if ((t - 1) % cfg.tau == 0) {
-      // Interval k's availability flips land just before its first local
-      // step (the push order IS the tie-break).
-      const std::size_t k = (t - 1) / cfg.tau + 1;
-      if (k < flips.size()) {
-        for (const sim::FaultTransition& tr : flips[k]) {
-          q.push({time, 0, EventType::kFault, tr.id, tr.interval, tr.up,
-                  tr.is_edge});
-        }
-      }
-    }
-    // The barrier collapses the fleet's worker-ready events into one per
-    // iteration: under sync semantics every worker steps at the same instant
-    // and the engine's (deterministically parallel) dispatch IS that event.
-    q.push({time, 0, EventType::kWorkerReady, 0, t, false, false});
-    if (alg.three_tier() && sync_point) {
-      q.push({time, 0, EventType::kEdgeSync, 0, t / cfg.tau, false, false});
-    }
-    if (cloud_point) {
-      q.push({time, 0, EventType::kCloudSync, 0, t / global_period, false,
-              false});
-    }
-    if (sync_point || cloud_point ||
-        (cfg.eval_every != 0 && t % cfg.eval_every == 0)) {
-      q.push({time, 0, EventType::kEval, 0, t, false, false});
-    }
-  }
-
-  obs::Registry& reg = obs::Registry::global();
-  while (!q.empty()) {
-    const Event ev = q.pop();
-    const std::size_t t = ev.round;
-    switch (ev.type) {
-      case EventType::kFault:
-        if (obs::enabled()) reg.counter("evt.fault.transitions").add();
-        break;
-      case EventType::kWorkerReady:
-        rs.ctx.t = t;
-        if ((t - 1) % cfg.tau == 0) {
-          const std::size_t k = (t - 1) / cfg.tau + 1;
-          if (virt) {
-            if (k > 1) {
-              engine_.begin_virtual_interval(alg, rs, k, oracle, false);
-            }
-          } else if (rs.part) {
-            rs.part->begin_interval(k);
-          }
-        }
-        engine_.run_local_steps(alg, rs);
-        break;
-      case EventType::kEdgeSync:
-        engine_.run_edge_syncs(alg, rs, t);
-        if (obs::enabled()) reg.counter("evt.edge_syncs", "policy=sync").add();
-        break;
-      case EventType::kCloudSync:
-        engine_.run_cloud_sync(alg, rs, t);
-        if (obs::enabled()) reg.counter("evt.cloud_syncs", "policy=sync").add();
-        break;
-      case EventType::kEval:
-        if (t % global_period == 0) {
-          engine_.record_point(rs, t, rs.cloud.x);
-        } else if (cfg.eval_every != 0 && t % cfg.eval_every == 0) {
-          fl::aggregate_global(rs.workers, fl::worker_x, rs.avg_scratch,
-                               nullptr, engine_.pool_.get());
-          engine_.record_point(rs, t, rs.avg_scratch);
-        }
-        if (t % cfg.tau == 0) engine_.finish_interval(alg, rs, t / cfg.tau);
-        break;
-      case EventType::kWorkerUpload:
-      case EventType::kWorkerDownload:
-        break;  // event-driven policies only
-    }
-  }
-
-  engine_.finalize_run(alg, rs);
-
-  // Stamp modeled wall-clock time from the barrier replay of this exact run.
+  if (cfg_.policy != fl::ExecPolicy::kSync) return run_event_driven(alg, plan);
+  fl::RunResult result =
+      engine_.run(alg, plan != nullptr ? &plan->schedule() : nullptr);
   net::TimeSimConfig tsim = sim_;
   tsim.fault_plan = plan;
-  const net::TimeSimulator ts(engine_.topo_, cfg, tsim);
-  for (fl::MetricPoint& p : rs.result.curve) {
+  const net::TimeSimulator ts(engine_.topology(), engine_.config(), tsim);
+  for (fl::MetricPoint& p : result.curve) {
     p.sim_time = ts.time_at_iteration(p.iteration);
   }
-  rs.result.sim_seconds = ts.total_time();
-  return rs.result;
+  result.sim_seconds = ts.total_time();
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -434,9 +369,7 @@ fl::RunResult AsyncEngine::run_sync(fl::Algorithm& alg,
 // per-worker progress, not global time. Returns the sampled duration (0 when
 // the quota is exhausted or the interval is an offline re-check), which the
 // caller uses for the comm/compute overlap accounting.
-Scalar AsyncEngine::dispatch_compute(fl::Algorithm& alg, EvtRun& er,
-                                     std::size_t w, Scalar base) {
-  (void)alg;
+Scalar AsyncEngine::dispatch_compute(EvtRun& er, std::size_t w, Scalar base) {
   const std::size_t kw = er.w_interval[w] + 1;
   if (kw > er.K) return 0;  // quota exhausted — worker is done
   bool up = true;
@@ -447,17 +380,17 @@ Scalar AsyncEngine::dispatch_compute(fl::Algorithm& alg, EvtRun& er,
     if (up) slowdown = er.schedule->worker_slowdown(kc, w);
   }
   note_availability(er, /*is_edge=*/false, w, up, base);
+  const std::size_t tau = engine_.config().tau;
   if (!up) {
     // Offline interval: nothing is computed or uploaded; the worker
     // re-checks after a nominal (unstretched) interval of compute time so
     // the outage still occupies modeled time.
-    const Scalar dt = model_->worker_compute(er.wrng[w], w, engine_.cfg_.tau);
+    const Scalar dt = model_->worker_compute(er.wrng[w], w, tau);
     er.q.push({base + dt, 0, EventType::kWorkerReady, w, kw, /*absent=*/true,
                false});
     return 0;
   }
-  const Scalar compute =
-      model_->worker_compute(er.wrng[w], w, engine_.cfg_.tau) * slowdown;
+  const Scalar compute = model_->worker_compute(er.wrng[w], w, tau) * slowdown;
   er.q.push({base + compute, 0, EventType::kWorkerReady, w, kw, false, false});
   return compute;
 }
@@ -466,32 +399,15 @@ Scalar AsyncEngine::dispatch_compute(fl::Algorithm& alg, EvtRun& er,
 // (rosters themselves are resolved at dispatch/admission points).
 void AsyncEngine::note_availability(EvtRun& er, bool is_edge, std::size_t id,
                                     bool up, Scalar time) {
-  std::uint8_t& cur = is_edge ? er.e_up[id] : er.w_up[id];
+  std::uint8_t& cur = is_edge ? er.aggs[id].up : er.w_up[id];
   if ((cur != 0) == up) return;
   cur = up ? 1 : 0;
   er.q.push({time, 0, EventType::kFault, id, 0, up, is_edge});
 }
 
-// A worker misses interval consumption without contributing an update (its
-// own outage): apply the absent-momentum policy, consume the interval and
-// schedule the next one.
-void AsyncEngine::miss_interval(fl::Algorithm& alg, EvtRun& er, std::size_t w,
-                                Scalar tev) {
-  fl::RunState& rs = er.rs;
-  ++er.w_interval[w];
-  rs.ctx.part = er.mpart.get();
-  alg.absent_sync(rs.ctx, rs.workers[w], er.w_interval[w]);
-  rs.ctx.part = nullptr;
-  if (!rs.result.worker_miss_counts.empty()) {
-    ++rs.result.worker_miss_counts[w];
-  }
-  dispatch_compute(alg, er, w, tev);
-}
-
-// A worker's already-uploaded update was refused by a dark aggregator: its
-// interval is already consumed and its next compute already dispatched, so
-// only the sync-miss bookkeeping runs (absent-momentum hook on the live
-// state + the miss count).
+// A worker's update misses its synchronization — its own outage, or an
+// upload refused by a dark aggregator: the absent-momentum hook runs on the
+// live state and the miss is counted.
 void AsyncEngine::miss_sync(fl::Algorithm& alg, EvtRun& er, std::size_t w) {
   fl::RunState& rs = er.rs;
   rs.ctx.part = er.mpart.get();
@@ -569,15 +485,19 @@ void AsyncEngine::worker_arrival(fl::Algorithm& alg, EvtRun& er,
                                  const Event& ev) {
   fl::RunState& rs = er.rs;
   const std::size_t w = ev.entity;
-  if (ev.flag) {  // offline interval (scheduled by dispatch_compute)
-    miss_interval(alg, er, w, ev.time);
+  if (ev.flag) {
+    // Offline interval (scheduled by dispatch_compute): the interval is
+    // consumed without an update and the next one is scheduled.
+    ++er.w_interval[w];
+    miss_sync(alg, er, w);
+    dispatch_compute(er, w, ev.time);
     return;
   }
 
   fl::WorkerState& ws = rs.workers[w];
   {
     const obs::Span span("local_steps", "worker");
-    for (std::size_t s = 0; s < engine_.cfg_.tau; ++s) {
+    for (std::size_t s = 0; s < engine_.config().tau; ++s) {
       rs.ctx.t = ++er.steps_total;
       alg.local_step(rs.ctx, ws);
     }
@@ -602,7 +522,7 @@ void AsyncEngine::worker_arrival(fl::Algorithm& alg, EvtRun& er,
   // Interval boundary: fold in the freshest refresh received in flight, then
   // start the next interval's compute while the upload travels.
   apply_pending_download(er, w);
-  const Scalar next_compute = dispatch_compute(alg, er, w, ev.time);
+  const Scalar next_compute = dispatch_compute(er, w, ev.time);
   if (next_compute > 0) {
     const Scalar overlap =
         std::min(arrive, ev.time + next_compute) - up_start;
@@ -610,8 +530,10 @@ void AsyncEngine::worker_arrival(fl::Algorithm& alg, EvtRun& er,
   }
 }
 
-// A worker's upload lands at its aggregator: charge the uplink bytes (the
-// transfer happened whatever its fate) and route per policy.
+// A worker's upload lands at its aggregator — the edge in three-tier runs,
+// the cloud in two-tier runs: charge the uplink bytes (the transfer happened
+// whatever its fate) and route per policy. Semi-async parks it for the
+// aggregator's deadline; async admits it at once as a cohort of one.
 void AsyncEngine::upload_arrival(fl::Algorithm& alg, EvtRun& er,
                                  const Event& ev) {
   fl::RunState& rs = er.rs;
@@ -629,107 +551,82 @@ void AsyncEngine::upload_arrival(fl::Algorithm& alg, EvtRun& er,
         er.three_tier ? rs.workers[w].edge : w, rs.worker_up_bytes);
   }
 
-  if (er.three_tier) {
-    const std::size_t e = rs.workers[w].edge;
-    if (cfg_.policy == fl::ExecPolicy::kSemiAsync) {
-      // Admission happens when the edge's deadline fires; arm it on the
-      // round's first arrival. A worker that laps the deadline (its next
-      // upload arrives before the round fires) coalesces: the newer
-      // snapshot subsumes the older one — uploads are cumulative states,
-      // so no work is lost.
-      auto& inbox = er.e_inbox[e];
-      bool coalesced = false;
-      for (Arrival& prev : inbox) {
-        if (prev.w == w) {
-          prev.snap = std::move(arr.snap);
-          ++er.uploads_coalesced;
-          coalesced = true;
-          break;
-        }
-      }
-      if (!coalesced) inbox.push_back(std::move(arr));
-      er.e_last_arrival[e] = ev.time;
-      if (!er.e_deadline_armed[e]) {
-        er.e_deadline_armed[e] = 1;
-        er.e_first_arrival[e] = ev.time;
-        er.q.push({ev.time + aggregator_deadline(er, /*edge_tier=*/true, e), 0,
-                   EventType::kEdgeSync, e, 0, false, false});
-      }
-      return;
-    }
-    // Fully async: the arrival IS the aggregation trigger.
-    bool eup = true;
-    if (er.schedule != nullptr) {
-      const std::size_t kc =
-          std::min(er.e_round[e] + 1, er.schedule->num_intervals);
-      eup = er.schedule->edge_available(kc, e);
-    }
-    note_availability(er, /*is_edge=*/true, e, eup, ev.time);
-    if (!eup) {
-      // Refused at a dark edge: the update is lost and the refusal consumes
-      // one edge schedule round — a long outage burns through its scheduled
-      // rounds instead of freezing the subtree forever.
-      ++er.dropped;
-      ++er.e_round[e];
-      miss_sync(alg, er, w);
-      return;
-    }
-    std::vector<Arrival> cohort;
-    cohort.push_back(std::move(arr));
-    edge_cohort_sync(alg, er, e, std::move(cohort), ev.time);
-    return;
-  }
-
-  // Two-tier: workers talk straight to the cloud.
+  const std::size_t a = er.three_tier ? rs.workers[w].edge : er.cloud;
   if (cfg_.policy == fl::ExecPolicy::kSemiAsync) {
-    auto& inbox = er.c_inbox;
-    bool coalesced = false;
-    for (Arrival& prev : inbox) {
-      if (prev.w == w) {
-        prev.snap = std::move(arr.snap);
-        ++er.uploads_coalesced;
-        coalesced = true;
-        break;
-      }
-    }
-    if (!coalesced) inbox.push_back(std::move(arr));
-    er.c_last_arrival = ev.time;
-    if (!er.c_deadline_armed) {
-      er.c_deadline_armed = true;
-      er.c_first_arrival = ev.time;
-      er.q.push({ev.time + aggregator_deadline(er, /*edge_tier=*/false, 0), 0,
-                 EventType::kCloudSync, 0, 0, /*deadline=*/true, false});
-    }
+    enqueue_arrival(er, a, std::move(arr), ev.time);
     return;
   }
   std::vector<Arrival> cohort;
   cohort.push_back(std::move(arr));
-  cloud_cohort_sync(alg, er, std::move(cohort), ev.time);
+  admit_cohort(alg, er, a, std::move(cohort), ev.time);
 }
 
-// Current admission deadline of an aggregator. Fixed at
-// semi_async_deadline_s unless adaptive_deadline tunes it per round:
-// deadline = deadline_margin × EWMA(arrival spread), clamped to
-// [0.25, 4] × the configured base so a degenerate round (single arrival,
-// spread 0) cannot collapse the deadline to zero.
-Scalar AsyncEngine::aggregator_deadline(const EvtRun& er, bool edge_tier,
-                                        std::size_t e) const {
-  const Scalar base = cfg_.semi_async_deadline_s;
-  if (!cfg_.adaptive_deadline) return base;
-  const Scalar ewma = edge_tier ? er.e_deadline_ewma[e] : er.c_deadline_ewma;
-  return std::min(4.0 * base,
-                  std::max(0.25 * base, cfg_.deadline_margin * ewma));
+// Semi-async: park an arrival in aggregator a's inbox and arm the deadline
+// on the round's first arrival. A worker that laps the deadline (its next
+// upload arrives before the round fires) coalesces: the newer snapshot
+// subsumes the older one — uploads are cumulative states, so no work is
+// lost.
+void AsyncEngine::enqueue_arrival(EvtRun& er, std::size_t a, Arrival arr,
+                                  Scalar t) {
+  Aggregator& ag = er.aggs[a];
+  const auto prev = std::find_if(
+      ag.inbox.begin(), ag.inbox.end(),
+      [&arr](const Arrival& p) { return p.w == arr.w; });
+  if (prev != ag.inbox.end()) {
+    prev->snap = std::move(arr.snap);
+    ++er.uploads_coalesced;
+  } else {
+    ag.inbox.push_back(std::move(arr));
+  }
+  ag.last_arrival = t;
+  if (!ag.deadline_armed) {
+    ag.deadline_armed = true;
+    ag.first_arrival = t;
+    const EventType type =
+        a == er.cloud ? EventType::kCloudSync : EventType::kEdgeSync;
+    er.q.push({t + admission_deadline(cfg_, ag), 0, type, a, 0, false, false});
+  }
 }
 
-// Fold a fired round's observed arrival spread into the aggregator's EWMA.
-void AsyncEngine::note_round_spread(EvtRun& er, bool edge_tier,
-                                    std::size_t e) {
-  if (!cfg_.adaptive_deadline) return;
-  Scalar& ewma = edge_tier ? er.e_deadline_ewma[e] : er.c_deadline_ewma;
-  const Scalar spread = edge_tier
-                            ? er.e_last_arrival[e] - er.e_first_arrival[e]
-                            : er.c_last_arrival - er.c_first_arrival;
-  ewma = 0.5 * (ewma + spread);
+// Aggregator a's semi-async deadline fires: admit whatever the inbox holds,
+// and (adaptive deadlines) fold the round's arrival spread into the EWMA.
+void AsyncEngine::fire_deadline(fl::Algorithm& alg, EvtRun& er, std::size_t a,
+                                Scalar t) {
+  Aggregator& ag = er.aggs[a];
+  ag.deadline_armed = false;
+  std::vector<Arrival> cohort = std::move(ag.inbox);
+  ag.inbox.clear();
+  if (cohort.empty()) return;  // flushed elsewhere — nothing to do
+  if (cfg_.adaptive_deadline) {
+    ag.deadline_ewma =
+        0.5 * (ag.deadline_ewma + (ag.last_arrival - ag.first_arrival));
+  }
+  admit_cohort(alg, er, a, std::move(cohort), t);
+}
+
+// Hand an arrived cohort to aggregator a — unless it is an edge the fault
+// schedule has dark for its current round. Then the whole cohort misses:
+// every member's uploaded interval is lost (their own progress continues —
+// compute was already redispatched) and the refusal consumes one edge
+// schedule round, so a long outage burns through its scheduled rounds
+// instead of freezing the subtree forever.
+void AsyncEngine::admit_cohort(fl::Algorithm& alg, EvtRun& er, std::size_t a,
+                               std::vector<Arrival> cohort, Scalar t) {
+  Aggregator& ag = er.aggs[a];
+  if (a != er.cloud && er.schedule != nullptr) {
+    const std::size_t kc = std::min(ag.round + 1, er.schedule->num_intervals);
+    const bool up = er.schedule->edge_available(kc, a);
+    note_availability(er, /*is_edge=*/true, a, up, t);
+    if (!up) {
+      ++ag.round;
+      for (const Arrival& arr : cohort) {
+        ++er.dropped;
+        miss_sync(alg, er, arr.w);
+      }
+      return;
+    }
+  }
+  cohort_sync(alg, er, a, std::move(cohort), t);
 }
 
 // Cloud-driven edge model refresh: the edge's model changed without an edge
@@ -740,9 +637,9 @@ void AsyncEngine::note_round_spread(EvtRun& er, bool edge_tier,
 // (the cloud re-anchor is model-only).
 void AsyncEngine::broadcast_edge_refresh(EvtRun& er, std::size_t e,
                                          Scalar base) {
-  const std::size_t version = ++er.e_version[e];
+  const std::size_t version = ++er.aggs[e].version;
   const fl::EdgeState& es = er.rs.edges[e];
-  for (const std::size_t w : engine_.topo_.workers_of_edge(e)) {
+  for (const std::size_t w : engine_.topology().workers_of_edge(e)) {
     DownloadMsg m;
     m.version = version;
     m.x = es.x_plus;
@@ -750,30 +647,33 @@ void AsyncEngine::broadcast_edge_refresh(EvtRun& er, std::size_t e,
   }
 }
 
-// Edge aggregation over an arrived cohort of upload snapshots. Splits the
-// cohort by the staleness bound (τ measured against each snapshot's
-// download_version), swaps the admitted snapshots in as the worker states
-// Algorithm::edge_sync reads, folds the result with the damped α-mix, then
+// Aggregation at aggregator a (edge: Algorithm::edge_sync, cloud of a
+// two-tier run: Algorithm::cloud_sync) over an arrived cohort of upload
+// snapshots. Splits the cohort by the staleness bound (τ measured against
+// each snapshot's download_version), swaps the admitted snapshots in as the
+// worker states the sync reads, folds the result with the damped α-mix
+// (α over in-edge weights at an edge, global weights at the cloud), then
 // swaps the live states back and ships each cohort member a versioned
-// download (admitted: the damped model + the push-down's changes; discarded:
-// a forced model refresh). The live workers are never touched — they are
-// mid-flight in their next interval.
-void AsyncEngine::edge_cohort_sync(fl::Algorithm& alg, EvtRun& er,
-                                   std::size_t e, std::vector<Arrival> cohort,
-                                   Scalar tev) {
+// download (admitted: the damped model + the push-down's changes;
+// discarded: a forced model refresh). The live workers are never touched —
+// they are mid-flight in their next interval.
+void AsyncEngine::cohort_sync(fl::Algorithm& alg, EvtRun& er, std::size_t a,
+                              std::vector<Arrival> cohort, Scalar tev) {
   fl::RunState& rs = er.rs;
-  fl::EdgeState& es = rs.edges[e];
+  Aggregator& ag = er.aggs[a];
+  const bool at_cloud = a == er.cloud;
+  const Vec& anchor = at_cloud ? rs.cloud.x : rs.edges[a].x_plus;
   std::sort(cohort.begin(), cohort.end(),
-            [](const Arrival& a, const Arrival& b) { return a.w < b.w; });
+            [](const Arrival& x, const Arrival& y) { return x.w < y.w; });
 
   obs::Registry& reg = obs::Registry::global();
   std::vector<std::size_t> admitted, discarded;  // indices into cohort
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     const std::size_t dv = cohort[i].snap.download_version;
-    HFL_CHECK(dv <= er.e_version[e],
-              "upload stamped with a future edge version — download "
+    HFL_CHECK(dv <= ag.version,
+              "upload stamped with a future aggregator version — download "
               "versioning broke monotonicity");
-    const std::size_t tau = er.e_version[e] - dv;
+    const std::size_t tau = ag.version - dv;
     // The histogram profiles every update the aggregator saw, dropped ones
     // included; RunResult's mean/max stay admitted-only.
     if (obs::enabled()) {
@@ -787,19 +687,20 @@ void AsyncEngine::edge_cohort_sync(fl::Algorithm& alg, EvtRun& er,
     }
   }
 
-  const Scalar agg = model_->edge_aggregate(er.erng[e]);
-  std::size_t refresh_version = er.e_version[e];
+  const Scalar done = tev + (at_cloud ? model_->cloud_aggregate(ag.rng)
+                                      : model_->edge_aggregate(ag.rng));
+  std::size_t refresh_version = ag.version;
 
   if (!admitted.empty()) {
-    const std::size_t k_agg = ++er.e_version[e];
-    ++er.e_round[e];
+    const std::size_t k_agg = ++ag.version;
+    ++ag.round;
     refresh_version = k_agg;
 
     // Roster + staleness weights (s multiplies the data-size mass before the
-    // per-edge renormalization inside Participation).
+    // renormalization inside Participation).
     er.roster_w.assign(rs.workers.size(), 0);
-    er.roster_e.assign(rs.edges.size(), 0);
-    er.roster_e[e] = 1;
+    er.roster_e.assign(rs.edges.size(), at_cloud ? 1 : 0);
+    if (!at_cloud) er.roster_e[a] = 1;
     er.scale.assign(rs.workers.size(), 1.0);
     Scalar alpha = 0;
     for (const std::size_t i : admitted) {
@@ -808,7 +709,9 @@ void AsyncEngine::edge_cohort_sync(fl::Algorithm& alg, EvtRun& er,
       const Scalar s = staleness_weight(cfg_.staleness_decay, tau);
       er.roster_w[w] = 1;
       er.scale[w] = s;
-      alpha += rs.workers[w].weight_in_edge * s;
+      alpha += (at_cloud ? rs.workers[w].weight_global
+                         : rs.workers[w].weight_in_edge) *
+               s;
       ++er.admitted;
       er.tau_sum += static_cast<Scalar>(tau);
       er.max_tau = std::max(er.max_tau, tau);
@@ -821,68 +724,73 @@ void AsyncEngine::edge_cohort_sync(fl::Algorithm& alg, EvtRun& er,
     // baseline.
     std::vector<PushBase> bases(admitted.size());
     for (std::size_t j = 0; j < admitted.size(); ++j) {
-      Arrival& a = cohort[admitted[j]];
-      swap_snapshot(rs.workers[a.w], a.snap);
-      const std::size_t tau = k_agg - 1 - a.snap.download_version;
+      Arrival& arr = cohort[admitted[j]];
+      swap_snapshot(rs.workers[arr.w], arr.snap);
+      const std::size_t tau = k_agg - 1 - arr.snap.download_version;
       if (tau > 0) {
         ++er.stale;
-        alg.stale_sync(rs.ctx, rs.workers[a.w], tau);
+        alg.stale_sync(rs.ctx, rs.workers[arr.w], tau);
       }
-      bases[j] = push_baseline(rs.workers[a.w]);
+      bases[j] = push_baseline(rs.workers[arr.w]);
     }
 
-    // Aggregate against the cohort, then α-damp every edge vector back
-    // toward its pre-sync value.
-    const Vec pre_x = es.x_plus;
-    const Vec pre_yp = es.y_plus;
-    const Vec pre_ym = es.y_minus;
-    const std::map<std::string, Vec> pre_extra = es.extra;
-    {
-      const fl::EdgeSyncGuard guard(engine_.edge_sync_entries_,
-                                    alg.edge_sync_reentrant());
-      alg.edge_sync(rs.ctx, es, k_agg);
-    }
-    damp(es.x_plus, pre_x, alpha);
-    damp(es.y_plus, pre_yp, alpha);
-    damp(es.y_minus, pre_ym, alpha);
-    for (auto& [name, v] : es.extra) {
-      const auto it = pre_extra.find(name);
-      if (it != pre_extra.end()) damp(v, it->second, alpha);
+    // Aggregate against the cohort, then α-damp the tier back toward its
+    // pre-sync state.
+    if (at_cloud) {
+      TierDamp tier(rs.cloud);
+      alg.cloud_sync(rs.ctx, k_agg);
+      tier.apply(alpha);
+    } else {
+      TierDamp tier(rs.edges[a]);
+      {
+        const fl::EdgeSyncGuard guard(engine_.edge_sync_entries_,
+                                      alg.edge_sync_reentrant());
+        alg.edge_sync(rs.ctx, rs.edges[a], k_agg);
+      }
+      tier.apply(alpha);
     }
     rs.ctx.part = nullptr;
 
     // Compose each admitted member's download off the post-sync snapshot
     // state (anchored on the damped model), then hand the live state back.
     for (std::size_t j = 0; j < admitted.size(); ++j) {
-      Arrival& a = cohort[admitted[j]];
+      Arrival& arr = cohort[admitted[j]];
       DownloadMsg msg =
-          diff_pushdown(rs.workers[a.w], bases[j], k_agg, es.x_plus);
-      swap_snapshot(rs.workers[a.w], a.snap);
-      schedule_download(er, a.w, std::move(msg), tev + agg);
+          diff_pushdown(rs.workers[arr.w], bases[j], k_agg, anchor);
+      swap_snapshot(rs.workers[arr.w], arr.snap);
+      schedule_download(er, arr.w, std::move(msg), done);
     }
 
     if (obs::enabled()) {
-      reg.counter("evt.edge_syncs", er.policy_label).add();
+      reg.counter(at_cloud ? "evt.cloud_syncs" : "evt.edge_syncs",
+                  er.policy_label)
+          .add();
+    }
+    if (at_cloud) {
+      engine_.record_point(rs, er.steps_total / rs.workers.size(), anchor,
+                           done);
     }
   }
 
   // Discarded updates: the uploaded interval is lost; the worker is forced
-  // back onto the edge's current model (its next upload will be fresh).
+  // back onto the aggregator's current model (its next upload will be
+  // fresh).
   for (const std::size_t i : discarded) {
     ++er.dropped;
     DownloadMsg msg;
     msg.version = refresh_version;
-    msg.x = es.x_plus;
-    schedule_download(er, cohort[i].w, std::move(msg), tev + agg);
+    msg.x = anchor;
+    schedule_download(er, cohort[i].w, std::move(msg), done);
   }
-  er.last_time = std::max(er.last_time, tev + agg);
+  er.last_time = std::max(er.last_time, done);
 
   // Every π-th edge aggregation ships the edge state up to the cloud.
-  if (!admitted.empty() && ++er.e_since_cloud[e] >= engine_.cfg_.pi) {
-    er.e_since_cloud[e] = 0;
-    const Scalar up = model_->edge_upload(er.erng[e]);
-    er.q.push({tev + agg + up, 0, EventType::kCloudSync, e, er.e_cloud_base[e],
-               false, false});
+  if (!at_cloud && !admitted.empty() &&
+      ++ag.since_cloud >= engine_.config().pi) {
+    ag.since_cloud = 0;
+    const Scalar up = model_->edge_upload(ag.rng);
+    er.q.push({done + up, 0, EventType::kCloudSync, a, ag.cloud_base, false,
+               false});
   }
 }
 
@@ -898,7 +806,8 @@ void AsyncEngine::cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er,
                                      Scalar tev, bool broadcast) {
   fl::RunState& rs = er.rs;
   fl::EdgeState& es = rs.edges[e];
-  const std::size_t tau_e = er.cloud_version - base_version;
+  Aggregator& cloud = er.aggs[er.cloud];
+  const std::size_t tau_e = cloud.version - base_version;
   obs::Registry& reg = obs::Registry::global();
   if (obs::enabled()) {
     // The upload's bytes were spent whatever its fate (see below for the
@@ -915,18 +824,18 @@ void AsyncEngine::cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er,
     // versioned refresh.
     ++er.dropped;
     es.x_plus = rs.cloud.x;
-    er.e_cloud_base[e] = er.cloud_version;
+    er.aggs[e].cloud_base = cloud.version;
     if (obs::enabled()) {
       obs::CommAccountant::global().record(obs::Link::kCloudToEdge, e,
                                            rs.edge_down_bytes);
     }
-    const Scalar done = tev + model_->cloud_broadcast(er.crng);
+    const Scalar done = tev + model_->cloud_broadcast(cloud.rng);
     er.last_time = std::max(er.last_time, done);
     if (broadcast) broadcast_edge_refresh(er, e, done);
     return;
   }
 
-  const std::size_t p = ++er.cloud_version;
+  const std::size_t p = ++cloud.version;
   ++er.admitted;
   er.tau_sum += static_cast<Scalar>(tau_e);
   er.max_tau = std::max(er.max_tau, tau_e);
@@ -942,31 +851,13 @@ void AsyncEngine::cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er,
 
   const Scalar alpha =
       es.weight_global * staleness_weight(cfg_.staleness_decay, tau_e);
-  const Vec pre_cx = rs.cloud.x;
-  const Vec pre_cy = rs.cloud.y;
-  const std::map<std::string, Vec> pre_cextra = rs.cloud.extra;
-  const Vec pre_x = es.x_plus;
-  const Vec pre_yp = es.y_plus;
-  const Vec pre_ym = es.y_minus;
-  const std::map<std::string, Vec> pre_extra = es.extra;
-
+  TierDamp cloud_tier(rs.cloud);
+  TierDamp edge_tier(es);
   alg.cloud_sync(rs.ctx, p);
-
-  damp(rs.cloud.x, pre_cx, alpha);
-  damp(rs.cloud.y, pre_cy, alpha);
-  for (auto& [name, v] : rs.cloud.extra) {
-    const auto it = pre_cextra.find(name);
-    if (it != pre_cextra.end()) damp(v, it->second, alpha);
-  }
-  damp(es.x_plus, pre_x, alpha);
-  damp(es.y_plus, pre_yp, alpha);
-  damp(es.y_minus, pre_ym, alpha);
-  for (auto& [name, v] : es.extra) {
-    const auto it = pre_extra.find(name);
-    if (it != pre_extra.end()) damp(v, it->second, alpha);
-  }
+  cloud_tier.apply(alpha);
+  edge_tier.apply(alpha);
   rs.ctx.part = nullptr;
-  er.e_cloud_base[e] = p;
+  er.aggs[e].cloud_base = p;
 
   if (obs::enabled()) {
     obs::CommAccountant::global().record(obs::Link::kCloudToEdge, e,
@@ -974,137 +865,32 @@ void AsyncEngine::cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er,
     reg.counter("evt.cloud_syncs", er.policy_label).add();
   }
 
-  const Scalar done = tev + model_->cloud_aggregate(er.crng) +
-                      model_->cloud_broadcast(er.crng);
+  const Scalar done = tev + model_->cloud_aggregate(cloud.rng) +
+                      model_->cloud_broadcast(cloud.rng);
   er.last_time = std::max(er.last_time, done);
   // The fold moved the edge's model: version it and broadcast, so the
   // subtree converges on the cloud view causally.
-  if (broadcast && es.x_plus != pre_x) {
+  if (broadcast && es.x_plus != edge_tier.pre_model()) {
     broadcast_edge_refresh(er, e, done);
   }
   engine_.record_point(rs, er.steps_total / rs.workers.size(), rs.cloud.x,
                        done);
 }
 
-// Two-tier cloud aggregation over a worker cohort — the cloud-level analog
-// of edge_cohort_sync (single aggregator, α over global weights).
-void AsyncEngine::cloud_cohort_sync(fl::Algorithm& alg, EvtRun& er,
-                                    std::vector<Arrival> cohort, Scalar tev) {
-  fl::RunState& rs = er.rs;
-  std::sort(cohort.begin(), cohort.end(),
-            [](const Arrival& a, const Arrival& b) { return a.w < b.w; });
-
-  obs::Registry& reg = obs::Registry::global();
-  std::vector<std::size_t> admitted, discarded;  // indices into cohort
-  for (std::size_t i = 0; i < cohort.size(); ++i) {
-    const std::size_t dv = cohort[i].snap.download_version;
-    HFL_CHECK(dv <= er.cloud_version,
-              "upload stamped with a future cloud version — download "
-              "versioning broke monotonicity");
-    const std::size_t tau = er.cloud_version - dv;
-    if (obs::enabled()) {
-      reg.histogram("evt.staleness", er.policy_label, staleness_bounds())
-          .observe(static_cast<double>(tau));
-    }
-    if (static_cast<std::int64_t>(tau) > cfg_.max_staleness) {
-      discarded.push_back(i);
-    } else {
-      admitted.push_back(i);
-    }
-  }
-
-  const Scalar agg = model_->cloud_aggregate(er.crng);
-  std::size_t refresh_version = er.cloud_version;
-
-  if (!admitted.empty()) {
-    const std::size_t p = ++er.cloud_version;
-    refresh_version = p;
-
-    er.roster_w.assign(rs.workers.size(), 0);
-    er.roster_e.assign(rs.edges.size(), 1);
-    er.scale.assign(rs.workers.size(), 1.0);
-    Scalar alpha = 0;
-    for (const std::size_t i : admitted) {
-      const std::size_t w = cohort[i].w;
-      const std::size_t tau = p - 1 - cohort[i].snap.download_version;
-      const Scalar s = staleness_weight(cfg_.staleness_decay, tau);
-      er.roster_w[w] = 1;
-      er.scale[w] = s;
-      alpha += rs.workers[w].weight_global * s;
-      ++er.admitted;
-      er.tau_sum += static_cast<Scalar>(tau);
-      er.max_tau = std::max(er.max_tau, tau);
-    }
-    er.mpart->set_roster(er.roster_w, er.roster_e, &er.scale);
-    rs.ctx.part = er.mpart.get();
-
-    std::vector<PushBase> bases(admitted.size());
-    for (std::size_t j = 0; j < admitted.size(); ++j) {
-      Arrival& a = cohort[admitted[j]];
-      swap_snapshot(rs.workers[a.w], a.snap);
-      const std::size_t tau = p - 1 - a.snap.download_version;
-      if (tau > 0) {
-        ++er.stale;
-        alg.stale_sync(rs.ctx, rs.workers[a.w], tau);
-      }
-      bases[j] = push_baseline(rs.workers[a.w]);
-    }
-
-    const Vec pre_cx = rs.cloud.x;
-    const Vec pre_cy = rs.cloud.y;
-    const std::map<std::string, Vec> pre_cextra = rs.cloud.extra;
-
-    alg.cloud_sync(rs.ctx, p);
-
-    damp(rs.cloud.x, pre_cx, alpha);
-    damp(rs.cloud.y, pre_cy, alpha);
-    for (auto& [name, v] : rs.cloud.extra) {
-      const auto it = pre_cextra.find(name);
-      if (it != pre_cextra.end()) damp(v, it->second, alpha);
-    }
-    rs.ctx.part = nullptr;
-
-    for (std::size_t j = 0; j < admitted.size(); ++j) {
-      Arrival& a = cohort[admitted[j]];
-      DownloadMsg msg =
-          diff_pushdown(rs.workers[a.w], bases[j], p, rs.cloud.x);
-      swap_snapshot(rs.workers[a.w], a.snap);
-      schedule_download(er, a.w, std::move(msg), tev + agg);
-    }
-
-    if (obs::enabled()) {
-      reg.counter("evt.cloud_syncs", er.policy_label).add();
-    }
-    engine_.record_point(rs, er.steps_total / rs.workers.size(), rs.cloud.x,
-                         tev + agg);
-  }
-
-  for (const std::size_t i : discarded) {
-    ++er.dropped;
-    DownloadMsg msg;
-    msg.version = refresh_version;
-    msg.x = rs.cloud.x;
-    schedule_download(er, cohort[i].w, std::move(msg), tev + agg);
-  }
-  er.last_time = std::max(er.last_time, tev + agg);
-}
-
 fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
                                             const sim::FaultPlan* plan) {
   const obs::Span run_span("run:" + alg.name(), "evt");
-  HFL_CHECK(engine_.provider_ == nullptr,
-            "virtualized populations support only the sync policy: "
-            "semi-async/async aggregation mutates arbitrary workers between "
-            "cohort boundaries");
+  const fl::Topology& topo = engine_.topology();
+  const fl::RunConfig& cfg = engine_.config();
 
   EvtRun er;
   er.plan = plan;
   if (plan != nullptr && !plan->schedule().is_noop()) {
-    plan->schedule().validate(engine_.topo_, engine_.cfg_);
+    plan->schedule().validate(topo, cfg);
     er.schedule = &plan->schedule();
   }
   er.three_tier = alg.three_tier();
-  er.K = engine_.cfg_.total_iterations / engine_.cfg_.tau;
+  er.K = cfg.total_iterations / cfg.tau;
   er.policy_label = std::string("policy=") + fl::to_string(cfg_.policy);
 
   fl::RunState& rs = er.rs;
@@ -1113,9 +899,9 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   // aggregation/absence windows, where the manual roster is swapped in.
   engine_.prepare_run(alg, nullptr, nullptr, rs);
 
-  const std::size_t W = engine_.topo_.num_workers();
-  const std::size_t E = engine_.topo_.num_edges();
-  er.mpart = std::make_unique<fl::Participation>(engine_.topo_, rs.workers,
+  const std::size_t W = topo.num_workers();
+  const std::size_t E = topo.num_edges();
+  er.mpart = std::make_unique<fl::Participation>(topo, rs.workers,
                                                  er.three_tier);
   if (er.schedule != nullptr) {
     er.mpart->set_absent_policy(er.schedule->absent_policy,
@@ -1126,6 +912,8 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   // Per-entity latency streams. The download streams are separate forks so
   // the split compute/upload/download events leave each worker's historical
   // compute+upload sequence untouched.
+  er.cloud = E;
+  er.aggs.resize(E + 1);
   Rng lroot(sim_.seed);
   er.wrng.reserve(W);
   er.wdrng.reserve(W);
@@ -1135,11 +923,10 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   for (std::size_t w = 0; w < W; ++w) {
     er.wdrng.push_back(lroot.fork(0xD0DD0000u + w));
   }
-  er.erng.reserve(E);
   for (std::size_t e = 0; e < E; ++e) {
-    er.erng.push_back(lroot.fork(0xE5E50000u + e));
+    er.aggs[e].rng = lroot.fork(0xE5E50000u + e);
   }
-  er.crng = lroot.fork(0xC10D);
+  er.aggs[er.cloud].rng = lroot.fork(0xC10D);
 
   er.w_interval.assign(W, 0);
   er.w_version.assign(W, 0);
@@ -1148,24 +935,14 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   er.uplink_free.assign(W, 0.0);
   er.w_pending.resize(W);
   er.w_has_pending.assign(W, 0);
-  er.e_version.assign(E, 0);
-  er.e_round.assign(E, 0);
-  er.e_since_cloud.assign(E, 0);
-  er.e_cloud_base.assign(E, 0);
-  er.e_inbox.resize(E);
-  er.e_deadline_armed.assign(E, 0);
-  er.e_up.assign(E, 1);
   // First adaptive deadline = margin × ewma = the configured base.
   const Scalar ewma0 = cfg_.deadline_margin > 0
                            ? cfg_.semi_async_deadline_s / cfg_.deadline_margin
                            : 0.0;
-  er.e_deadline_ewma.assign(E, ewma0);
-  er.e_first_arrival.assign(E, 0.0);
-  er.e_last_arrival.assign(E, 0.0);
-  er.c_deadline_ewma = ewma0;
+  for (Aggregator& ag : er.aggs) ag.deadline_ewma = ewma0;
 
   engine_.record_point(rs, 0, rs.cloud.x, 0.0);
-  for (std::size_t w = 0; w < W; ++w) dispatch_compute(alg, er, w, 0.0);
+  for (std::size_t w = 0; w < W; ++w) dispatch_compute(er, w, 0.0);
 
   obs::Registry& reg = obs::Registry::global();
   while (!er.q.empty()) {
@@ -1181,55 +958,20 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
       case EventType::kWorkerDownload:
         download_arrival(er, ev);
         break;
-      case EventType::kEdgeSync: {
-        // Semi-async deadline at edge `entity`.
-        const std::size_t e = ev.entity;
-        er.e_deadline_armed[e] = 0;
-        std::vector<Arrival> cohort = std::move(er.e_inbox[e]);
-        er.e_inbox[e].clear();
-        if (cohort.empty()) break;  // flushed elsewhere — nothing to do
-        note_round_spread(er, /*edge_tier=*/true, e);
-        bool eup = true;
-        if (er.schedule != nullptr) {
-          const std::size_t kc =
-              std::min(er.e_round[e] + 1, er.schedule->num_intervals);
-          eup = er.schedule->edge_available(kc, e);
-        }
-        note_availability(er, /*is_edge=*/true, e, eup, ev.time);
-        if (!eup) {
-          // The whole round misses: the outage consumes one schedule round
-          // and every member's uploaded interval is lost (their own
-          // progress continues — compute was already redispatched).
-          ++er.e_round[e];
-          for (const Arrival& a : cohort) {
-            ++er.dropped;
-            miss_sync(alg, er, a.w);
-          }
-          break;
-        }
-        edge_cohort_sync(alg, er, e, std::move(cohort), ev.time);
+      case EventType::kEdgeSync:
+        fire_deadline(alg, er, ev.entity, ev.time);
         break;
-      }
       case EventType::kCloudSync:
         if (er.three_tier) {
           cloud_edge_arrival(alg, er, ev.entity, ev.round, ev.time,
                              /*broadcast=*/true);
         } else {
-          // Two-tier semi-async deadline.
-          er.c_deadline_armed = false;
-          std::vector<Arrival> cohort = std::move(er.c_inbox);
-          er.c_inbox.clear();
-          if (!cohort.empty()) {
-            note_round_spread(er, /*edge_tier=*/false, 0);
-            cloud_cohort_sync(alg, er, std::move(cohort), ev.time);
-          }
+          fire_deadline(alg, er, er.cloud, ev.time);
         }
         break;
       case EventType::kFault:
         if (obs::enabled()) reg.counter("evt.fault.transitions").add();
         break;
-      case EventType::kEval:
-        break;  // unused by the event-driven policies
     }
   }
 
@@ -1238,10 +980,11 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   // the queue is drained, so a download event would never be processed.
   if (er.three_tier) {
     for (std::size_t e = 0; e < E; ++e) {
-      if (er.e_since_cloud[e] > 0 && er.e_version[e] > 0) {
-        er.e_since_cloud[e] = 0;
-        const Scalar up = model_->edge_upload(er.erng[e]);
-        cloud_edge_arrival(alg, er, e, er.e_cloud_base[e], er.last_time + up,
+      Aggregator& ag = er.aggs[e];
+      if (ag.since_cloud > 0 && ag.version > 0) {
+        ag.since_cloud = 0;
+        const Scalar up = model_->edge_upload(ag.rng);
+        cloud_edge_arrival(alg, er, e, ag.cloud_base, er.last_time + up,
                            /*broadcast=*/false);
       }
     }
@@ -1282,10 +1025,12 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
     reg.counter("evt.overlap_modeled_ms", er.policy_label)
         .add(static_cast<std::uint64_t>(er.overlap_s * 1e3));
     if (cfg_.adaptive_deadline) {
-      Scalar mean_ewma = er.c_deadline_ewma;
+      // Mean over the aggregators that ran deadlines: the edges of a
+      // three-tier run, the cloud of a two-tier one.
+      Scalar mean_ewma = er.aggs[er.cloud].deadline_ewma;
       if (er.three_tier && E > 0) {
         mean_ewma = 0;
-        for (std::size_t e = 0; e < E; ++e) mean_ewma += er.e_deadline_ewma[e];
+        for (std::size_t e = 0; e < E; ++e) mean_ewma += er.aggs[e].deadline_ewma;
         mean_ewma /= static_cast<Scalar>(E);
       }
       reg.gauge("evt.deadline.ewma_ms", er.policy_label)

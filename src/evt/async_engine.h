@@ -4,13 +4,10 @@
 //
 // Three execution policies, selected by RunConfig::policy:
 //
-//   * sync — the paper's barrier schedule reproduced as events. Built from
-//     the same per-step pieces as fl::Engine (friend access to its helpers),
-//     so curves, final parameters and engine obs counters are bit-identical
-//     to fl::Engine for every registry algorithm at any thread count — the
-//     degenerate correctness anchor, asserted by tests/async_engine_test.cpp.
-//     On top, every curve point is stamped with the modeled wall-clock time
-//     of the barrier replay (net::TimeSimulator over the same TimeSimConfig).
+//   * sync — the paper's barrier schedule: the run IS fl::Engine::run on the
+//     embedded engine, so it equals fl::Engine by construction. On top,
+//     every curve point is stamped with the modeled wall-clock time of a
+//     barrier replay (net::TimeSimulator over the same TimeSimConfig).
 //
 //   * semi_async — deadline-based cohort admission per aggregator: each edge
 //     (each round of the cloud, for two-tier algorithms) waits
@@ -20,6 +17,9 @@
 //
 //   * async — fully event-ordered: every update arrival triggers its
 //     aggregator immediately with a single-member cohort.
+//
+// The two event-driven policies differ only in when a cohort is admitted;
+// edges and the cloud run the same admission and aggregation code.
 //
 // Staleness contract (semi_async and async): an update trained on the model
 // a worker downloaded at aggregator version v and admitted at version v' has
@@ -94,17 +94,17 @@ class AsyncEngine {
 
   const fl::Topology& topology() const { return engine_.topology(); }
   // The policy actually executed (the embedded fl::Engine always reports
-  // sync — it only serves as the shared toolbox).
+  // sync: it runs sync runs outright and builds, evaluates and finalizes
+  // the event-driven ones).
   const fl::RunConfig& config() const { return cfg_; }
 
  private:
-  fl::RunResult run_sync(fl::Algorithm& alg, const sim::FaultPlan* plan);
   fl::RunResult run_event_driven(fl::Algorithm& alg,
                                  const sim::FaultPlan* plan);
 
-  // Event-mode helpers (see async_engine.cpp).
-  Scalar dispatch_compute(fl::Algorithm& alg, EvtRun& er, std::size_t w,
-                          Scalar base);
+  // Event-mode handlers and helpers (see async_engine.cpp). Aggregators are
+  // addressed by index: edges [0, E), the cloud at E.
+  Scalar dispatch_compute(EvtRun& er, std::size_t w, Scalar base);
   void worker_arrival(fl::Algorithm& alg, EvtRun& er, const Event& ev);
   void upload_arrival(fl::Algorithm& alg, EvtRun& er, const Event& ev);
   void download_arrival(EvtRun& er, const Event& ev);
@@ -112,24 +112,22 @@ class AsyncEngine {
   void schedule_download(EvtRun& er, std::size_t w, DownloadMsg msg,
                          Scalar base);
   void broadcast_edge_refresh(EvtRun& er, std::size_t e, Scalar base);
-  void edge_cohort_sync(fl::Algorithm& alg, EvtRun& er, std::size_t e,
-                        std::vector<Arrival> cohort, Scalar tev);
-  void cloud_cohort_sync(fl::Algorithm& alg, EvtRun& er,
-                         std::vector<Arrival> cohort, Scalar tev);
+  void enqueue_arrival(EvtRun& er, std::size_t a, Arrival arr, Scalar t);
+  void fire_deadline(fl::Algorithm& alg, EvtRun& er, std::size_t a, Scalar t);
+  void admit_cohort(fl::Algorithm& alg, EvtRun& er, std::size_t a,
+                    std::vector<Arrival> cohort, Scalar t);
+  void cohort_sync(fl::Algorithm& alg, EvtRun& er, std::size_t a,
+                   std::vector<Arrival> cohort, Scalar tev);
   void cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er, std::size_t e,
                           std::size_t base_version, Scalar tev,
                           bool broadcast);
-  void miss_interval(fl::Algorithm& alg, EvtRun& er, std::size_t w, Scalar tev);
   void miss_sync(fl::Algorithm& alg, EvtRun& er, std::size_t w);
   void note_availability(EvtRun& er, bool is_edge, std::size_t id, bool up,
                          Scalar time);
-  Scalar aggregator_deadline(const EvtRun& er, bool edge_tier,
-                             std::size_t e) const;
-  void note_round_spread(EvtRun& er, bool edge_tier, std::size_t e);
 
   fl::RunConfig cfg_;       // the requested (validated) configuration
   net::TimeSimConfig sim_;  // completed deployment model
-  fl::Engine engine_;       // shared toolbox; runs with a sanitized config
+  fl::Engine engine_;       // sync runner + toolbox; sanitized config
   std::unique_ptr<net::LatencyModel> model_;
 };
 

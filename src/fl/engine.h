@@ -107,10 +107,9 @@ class CohortProvider {
 
 // Everything one run owns: tier states, participation view, the in-flight
 // result, and the logical comm payload sizes. Bundled so the per-step pieces
-// of Engine::run (local steps, edge barrier, cloud round, interval
-// bookkeeping) are callable one at a time — `evt::AsyncEngine` replays them
-// as event handlers and inherits the engine's determinism contracts.
-// `ctx` holds pointers into the other members: do not move a RunState after
+// of Engine::run share it, and so `evt::AsyncEngine`'s event-driven policies
+// can build, evaluate and finalize their runs on the same state. `ctx`
+// holds pointers into the other members: do not move a RunState after
 // prepare_run.
 struct RunState {
   // Dense runs own every worker's state here; virtualized runs leave it
@@ -182,8 +181,9 @@ class Engine {
   nn::EvalResult evaluate(const Vec& params);
 
  private:
-  // The event-driven engine is built from the same per-step pieces (below)
-  // so its sync policy is bit-identical to Engine::run by construction.
+  // evt::AsyncEngine runs its sync policy through run() and builds its
+  // event-driven runs on prepare_run / record_point / finalize_run, sharing
+  // the edge_sync re-entrancy guard (edge_sync_entries_).
   friend class hfl::evt::AsyncEngine;
 
   void build_states(Algorithm& alg, RunState& rs);
@@ -206,13 +206,17 @@ class Engine {
                               const AvailabilityOracle* oracle,
                               bool first_interval);
 
-  // ---- Per-step pieces of run(), shared with evt::AsyncEngine. ----
+  // ---- Run lifecycle, also used by evt::AsyncEngine. ----
   // Build states, wire ctx, validate the schedule, size the comm payloads.
   void prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
                    const AvailabilityOracle* oracle, RunState& rs);
   // Evaluate `params` and append a curve point at iteration t.
   void record_point(RunState& rs, std::size_t t, const Vec& params,
                     Scalar sim_time = 0);
+  // Mean participation, iteration counter, final accuracy/loss/params.
+  void finalize_run(Algorithm& alg, RunState& rs);
+
+  // ---- Per-step pieces of run_impl's barrier loop. ----
   // The local-step block of iteration ctx.t: fused cohort prefetch (or the
   // fallback counter) + the parallel per-worker local_step dispatch.
   void run_local_steps(Algorithm& alg, RunState& rs);
@@ -225,8 +229,6 @@ class Engine {
   // Interval tail at t = kτ: sync counters, absent_sync for non-participants
   // and the participation trace entry.
   void finish_interval(Algorithm& alg, RunState& rs, std::size_t k);
-  // Mean participation, iteration counter, final accuracy/loss/params.
-  void finalize_run(Algorithm& alg, RunState& rs);
 
   // Fused cohort path: draw every active worker's batch, run one batched
   // forward/backward (src/nn/cohort.h), deposit the gradients so each

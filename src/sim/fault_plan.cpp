@@ -155,26 +155,6 @@ FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
   }
 }
 
-std::vector<FaultTransition> fault_transitions(
-    const fl::ParticipationSchedule& schedule) {
-  std::vector<FaultTransition> out;
-  const std::size_t n = schedule.num_workers;
-  const std::size_t l = schedule.num_edges;
-  for (std::size_t k = 1; k <= schedule.num_intervals; ++k) {
-    for (std::size_t w = 0; w < n; ++w) {
-      const bool up = schedule.worker_available(k, w);
-      const bool prev = k == 1 ? true : schedule.worker_available(k - 1, w);
-      if (up != prev) out.push_back({k, /*is_edge=*/false, w, up});
-    }
-    for (std::size_t e = 0; e < l; ++e) {
-      const bool up = schedule.edge_available(k, e);
-      const bool prev = k == 1 ? true : schedule.edge_available(k - 1, e);
-      if (up != prev) out.push_back({k, /*is_edge=*/true, e, up});
-    }
-  }
-  return out;
-}
-
 Scalar FaultPlan::planned_participation() const {
   if (schedule_.worker_up.empty()) return 1.0;
   std::size_t up = 0;

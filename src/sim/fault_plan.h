@@ -50,23 +50,6 @@ inline constexpr std::uint64_t kEdgeStreamBase = 0xED6E0000;
 inline constexpr std::uint64_t kStragglerAssign = 0x57A60001;
 }  // namespace detail
 
-// One availability flip extracted from a schedule: entity `id` (worker, or
-// edge when `is_edge`) changes to state `up` at the start of edge interval
-// `interval` (1-based). The event-driven engine replays these as
-// fault-transition events; interval 1 entries describe entities that start
-// the run offline.
-struct FaultTransition {
-  std::size_t interval = 0;
-  bool is_edge = false;
-  std::size_t id = 0;
-  bool up = false;
-};
-
-// All transitions of `schedule` in deterministic order: by interval, workers
-// before edges, ascending id. Entities are assumed up before interval 1.
-std::vector<FaultTransition> fault_transitions(
-    const fl::ParticipationSchedule& schedule);
-
 struct DropoutModel {
   Scalar prob = 0.0;  // P(worker misses an interval), i.i.d. per interval
 };

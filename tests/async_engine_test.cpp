@@ -1,20 +1,22 @@
 // Event-driven engine tests (src/evt/), mirroring parallel_sync_test.cpp.
 //
-// The two load-bearing contracts:
-//   1. Sync bit-identity: evt::AsyncEngine with the sync policy reproduces
-//      fl::Engine exactly — curve, final parameters, participation trace and
-//      obs counters — for every registry algorithm, with and without a fault
-//      schedule, at any thread count. The event replay is the correctness
-//      anchor of the whole subsystem.
-//   2. Event-mode determinism: semi_async and async runs are pure functions
+// The load-bearing contracts:
+//   1. Event-mode determinism: semi_async and async runs are pure functions
 //      of the seeds. Identical seeds give identical curves, parameters and
 //      staleness metrics at 1 and 4 threads, with and without faults.
+//   2. Golden digests: every event-driven setting of every registry
+//      algorithm hashes to a committed value, so a refactor of src/evt that
+//      changes a single bit of any run fails here.
+//   3. The sync policy is fl::Engine::run plus a modeled clock.
 //
-// Also covered: the deterministic (time, seq) event queue, fault_transitions
-// extraction, the async RunConfig validation rules, the stale_sync default
-// policy, and Gauge::set_max.
+// Also covered: the deterministic (time, seq) event queue, the async
+// RunConfig validation rules, the stale_sync default policy, and
+// Gauge::set_max.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,42 +68,6 @@ TEST(EventQueueTest, RejectsEventsScheduledInThePast) {
   // Exactly "now" is legal (zero-latency follow-up events).
   q.push({1.0, 0, EventType::kWorkerReady, 0, 0, false, false});
   EXPECT_EQ(q.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// fault_transitions
-// ---------------------------------------------------------------------------
-
-TEST(FaultTransitionsTest, DiffsScheduleInDeterministicOrder) {
-  fl::ParticipationSchedule s;
-  s.num_intervals = 3;
-  s.num_workers = 2;
-  s.num_edges = 1;
-  // Worker 1 starts down, recovers at k=2; worker 0 fails at k=3; the edge
-  // goes dark at k=2 and stays dark.
-  s.worker_up = {1, 0, /*k2*/ 1, 1, /*k3*/ 0, 1};
-  s.edge_up = {1, /*k2*/ 0, /*k3*/ 0};
-  s.slowdown.assign(s.num_intervals * s.num_workers, 1.0);
-
-  const std::vector<sim::FaultTransition> tr = sim::fault_transitions(s);
-  ASSERT_EQ(tr.size(), 4u);
-  // (interval, workers before edges, ascending id); everyone up before k=1.
-  EXPECT_EQ(tr[0].interval, 1u);
-  EXPECT_FALSE(tr[0].is_edge);
-  EXPECT_EQ(tr[0].id, 1u);
-  EXPECT_FALSE(tr[0].up);
-  EXPECT_EQ(tr[1].interval, 2u);
-  EXPECT_FALSE(tr[1].is_edge);
-  EXPECT_EQ(tr[1].id, 1u);
-  EXPECT_TRUE(tr[1].up);
-  EXPECT_EQ(tr[2].interval, 2u);
-  EXPECT_TRUE(tr[2].is_edge);
-  EXPECT_EQ(tr[2].id, 0u);
-  EXPECT_FALSE(tr[2].up);
-  EXPECT_EQ(tr[3].interval, 3u);
-  EXPECT_FALSE(tr[3].is_edge);
-  EXPECT_EQ(tr[3].id, 0u);
-  EXPECT_FALSE(tr[3].up);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,39 +206,19 @@ struct Fixture {
   }
 };
 
-struct ObsSnapshot {
-  std::uint64_t edge_syncs = 0;
-  std::uint64_t cloud_syncs = 0;
-  obs::LinkTotals worker_edge;
-  obs::LinkTotals edge_cloud;
-  obs::LinkTotals worker_cloud;
-};
+// Comm totals of every obs::Link, indexed by the enum.
+using LinkTotalsByLink = std::array<obs::LinkTotals, 6>;
 
-bool operator==(const obs::LinkTotals& a, const obs::LinkTotals& b) {
-  return a.messages == b.messages && a.logical_bytes == b.logical_bytes &&
-         a.saved_bytes == b.saved_bytes;
+LinkTotalsByLink snapshot_links() {
+  LinkTotalsByLink links;
+  for (std::size_t l = 0; l < links.size(); ++l) {
+    links[l] = obs::CommAccountant::global().totals(static_cast<obs::Link>(l));
+  }
+  return links;
 }
 
-void snapshot_obs(ObsSnapshot& snap) {
-  auto& reg = obs::Registry::global();
-  auto& comm = obs::CommAccountant::global();
-  snap.edge_syncs = reg.counter("engine.edge_syncs").value();
-  snap.cloud_syncs = reg.counter("engine.cloud_syncs").value();
-  snap.worker_edge = comm.totals(obs::Link::kWorkerToEdge);
-  snap.edge_cloud = comm.totals(obs::Link::kEdgeToCloud);
-  snap.worker_cloud = comm.totals(obs::Link::kWorkerToCloud);
-}
-
-void expect_identical(const ObsSnapshot& a, const ObsSnapshot& b) {
-  EXPECT_EQ(a.edge_syncs, b.edge_syncs);
-  EXPECT_EQ(a.cloud_syncs, b.cloud_syncs);
-  EXPECT_TRUE(a.worker_edge == b.worker_edge);
-  EXPECT_TRUE(a.edge_cloud == b.edge_cloud);
-  EXPECT_TRUE(a.worker_cloud == b.worker_cloud);
-}
-
-// Bit-identity of the training outcome (the sync contract): everything
-// except sim_time/sim_seconds, which fl::Engine does not fill.
+// Bit-identity of the training outcome: everything except the event-driven
+// fields, which fl::Engine does not fill.
 void expect_identical_training(const fl::RunResult& a, const fl::RunResult& b) {
   ASSERT_EQ(a.curve.size(), b.curve.size());
   for (std::size_t i = 0; i < a.curve.size(); ++i) {
@@ -319,25 +265,10 @@ std::vector<std::string> all_algorithms() {
   return names;
 }
 
-fl::RunResult run_engine(const Fixture& f, fl::Algorithm& alg,
-                         std::size_t threads,
-                         const fl::ParticipationSchedule* schedule,
-                         ObsSnapshot* snap) {
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  obs::CommAccountant::global().reset();
-  fl::RunConfig cfg = f.config_for(alg);
-  cfg.num_threads = threads;
-  fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-  fl::RunResult r = engine.run(alg, schedule);
-  if (snap != nullptr) snapshot_obs(*snap);
-  obs::set_enabled(false);
-  return r;
-}
-
 fl::RunResult run_async(const Fixture& f, fl::Algorithm& alg,
                         fl::RunConfig cfg, std::size_t threads,
-                        const sim::FaultPlan* plan, ObsSnapshot* snap) {
+                        const sim::FaultPlan* plan,
+                        LinkTotalsByLink* links) {
   obs::set_enabled(true);
   obs::Registry::global().reset();
   obs::CommAccountant::global().reset();
@@ -345,74 +276,36 @@ fl::RunResult run_async(const Fixture& f, fl::Algorithm& alg,
   AsyncEngine engine(f.factory, f.dataset, f.partition, f.topo, cfg,
                      f.sim_for(alg));
   fl::RunResult r = engine.run(alg, plan);
-  if (snap != nullptr) snapshot_obs(*snap);
+  if (links != nullptr) *links = snapshot_links();
   obs::set_enabled(false);
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Sync policy: bit-identical to fl::Engine
+// Sync policy: fl::Engine's run plus a modeled clock
 // ---------------------------------------------------------------------------
 
-class AsyncSyncIdentityTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(AsyncSyncIdentityTest, FullParticipationMatchesEngine) {
+TEST(AsyncSyncTest, ForwardsToEngineAndStampsModeledTime) {
   Fixture f;
-  auto ref_alg = algs::make_algorithm(GetParam());
-  auto evt1_alg = algs::make_algorithm(GetParam());
-  auto evt4_alg = algs::make_algorithm(GetParam());
-
-  ObsSnapshot ref_obs, evt1_obs, evt4_obs;
-  const fl::RunResult ref = run_engine(f, *ref_alg, 1, nullptr, &ref_obs);
-  const fl::RunResult evt1 = run_async(f, *evt1_alg, f.config_for(*evt1_alg),
-                                       1, nullptr, &evt1_obs);
-  const fl::RunResult evt4 = run_async(f, *evt4_alg, f.config_for(*evt4_alg),
-                                       4, nullptr, &evt4_obs);
-
-  expect_identical_training(ref, evt1);
-  expect_identical_training(ref, evt4);
-  expect_identical(ref_obs, evt1_obs);
-  expect_identical(ref_obs, evt4_obs);
-
-  // The event replay additionally stamps modeled time on the same curve.
-  EXPECT_GT(evt1.sim_seconds, 0.0);
-  EXPECT_EQ(evt1.sim_seconds, evt4.sim_seconds);
-  for (std::size_t i = 1; i < evt1.curve.size(); ++i) {
-    EXPECT_GT(evt1.curve[i].sim_time, evt1.curve[i - 1].sim_time);
-    EXPECT_EQ(evt1.curve[i].sim_time, evt4.curve[i].sim_time);
+  for (const char* name : {"HierAdMo", "FedAvg"}) {  // three- and two-tier
+    for (const bool faults : {false, true}) {
+      auto ref_alg = algs::make_algorithm(name);
+      auto evt_alg = algs::make_algorithm(name);
+      const sim::FaultPlan plan = f.plan_for(*ref_alg);
+      fl::Engine engine(f.factory, f.dataset, f.partition, f.topo,
+                        f.config_for(*ref_alg));
+      const fl::RunResult ref =
+          engine.run(*ref_alg, faults ? &plan.schedule() : nullptr);
+      const fl::RunResult evt = run_async(f, *evt_alg, f.config_for(*evt_alg),
+                                          1, faults ? &plan : nullptr, nullptr);
+      expect_identical_training(ref, evt);
+      EXPECT_GT(evt.sim_seconds, 0.0);
+      for (std::size_t i = 1; i < evt.curve.size(); ++i) {
+        EXPECT_GT(evt.curve[i].sim_time, evt.curve[i - 1].sim_time);
+      }
+    }
   }
 }
-
-TEST_P(AsyncSyncIdentityTest, FaultScheduleMatchesEngine) {
-  Fixture f;
-  auto ref_alg = algs::make_algorithm(GetParam());
-  auto evt1_alg = algs::make_algorithm(GetParam());
-  auto evt4_alg = algs::make_algorithm(GetParam());
-  const sim::FaultPlan plan = f.plan_for(*ref_alg);
-
-  ObsSnapshot ref_obs, evt1_obs, evt4_obs;
-  const fl::RunResult ref =
-      run_engine(f, *ref_alg, 1, &plan.schedule(), &ref_obs);
-  const fl::RunResult evt1 = run_async(f, *evt1_alg, f.config_for(*evt1_alg),
-                                       1, &plan, &evt1_obs);
-  const fl::RunResult evt4 = run_async(f, *evt4_alg, f.config_for(*evt4_alg),
-                                       4, &plan, &evt4_obs);
-
-  expect_identical_training(ref, evt1);
-  expect_identical_training(ref, evt4);
-  expect_identical(ref_obs, evt1_obs);
-  expect_identical(ref_obs, evt4_obs);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, AsyncSyncIdentityTest, ::testing::ValuesIn(all_algorithms()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
 
 // ---------------------------------------------------------------------------
 // Event-driven policies: seed-deterministic at any thread count
@@ -447,6 +340,218 @@ TEST_P(AsyncDeterminismTest, SeedDeterministicUnderFaults) {
     const fl::RunResult b = run_async(f, *alg4, cfg, 4, &plan, nullptr);
     expect_identical_event_run(a, b);
   }
+}
+
+// 64-bit FNV-1a over the raw bytes of a run's reported outcome.
+class Fnv {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
+  }
+  template <typename T>
+  void add(const T& v) {
+    bytes(&v, sizeof v);
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    add(v.size());
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t event_run_digest(const fl::RunResult& r,
+                               const LinkTotalsByLink& links) {
+  Fnv h;
+  for (const fl::MetricPoint& p : r.curve) {
+    h.add(p.iteration);
+    h.add(p.test_loss);
+    h.add(p.test_accuracy);
+    h.add(p.sim_time);
+  }
+  h.add(r.final_params);
+  h.add(r.worker_miss_counts);
+  h.add(r.sim_seconds);
+  h.add(r.admitted_updates);
+  h.add(r.stale_updates);
+  h.add(r.dropped_updates);
+  h.add(r.mean_staleness);
+  h.add(r.max_staleness_seen);
+  h.add(r.overlap_seconds);
+  h.add(r.downloads_applied);
+  h.add(r.downloads_superseded);
+  for (const obs::LinkTotals& t : links) {
+    h.add(t.messages);
+    h.add(t.logical_bytes);
+    h.add(t.saved_bytes);
+  }
+  return h.value();
+}
+
+// Golden digests of every event-driven setting, per algorithm, in the order
+// {semi_async, semi_async + adaptive_deadline, async} × {fault-free,
+// FaultPlan}. They pin the event path bit for bit: a refactor of src/evt
+// that changes any latency draw, queue push order, fold or comm record
+// moves a digest.
+//
+// The portable table (no FMA: HFL_MARCH_NATIVE=OFF, or a host without FMA)
+// is authoritative; it holds in Release and RelWithDebInfo builds alike,
+// since there is no fused multiply-add to contract into. With FMA enabled
+// the compiler's a·b+c contraction choices change with the optimization
+// level, so the -march=native table holds only at the default Release flags
+// without sanitizers (HFL_GOLDEN_NATIVE_FLAGS, set by tests/CMakeLists.txt)
+// on an AVX2+FMA host with the toolchain it was recorded on; other FMA
+// builds skip. A failing run prints the measured rows.
+using Digests = std::array<std::uint64_t, 6>;
+
+const std::map<std::string, Digests>* golden_digests() {
+#if !defined(__FMA__)
+  static const std::map<std::string, Digests> table{
+      {"HierAdMo",
+       {0x4c1e6f61ae3eb182ULL, 0xcf777be7ababfff6ULL,
+        0x0abd3608aa27369fULL, 0x6ac2770c050360bfULL,
+        0x46ec63177b1b463fULL, 0x68c2cf92ab725785ULL}},
+      {"HierAdMo-R",
+       {0x48f17ca04cc30123ULL, 0x66bbceefb8ecdad5ULL,
+        0x5e4f521cb551da24ULL, 0x1a67e92525db8faeULL,
+        0xf742517a5893f763ULL, 0xcadf6c8a40180868ULL}},
+      {"HierFAVG",
+       {0x9df86772ed01e7dcULL, 0x0c56612529862322ULL,
+        0xbd86a1fd7343cb81ULL, 0x4c72beccc4c589dbULL,
+        0x5af1036fefc77739ULL, 0x828270c971b52f58ULL}},
+      {"CFL",
+       {0xefa2fb7f636af3d8ULL, 0xdaaaccea484fdb89ULL,
+        0xa4b9006419f5b346ULL, 0xcfc6882a515e9829ULL,
+        0x5af1036fefc77739ULL, 0x828270c971b52f58ULL}},
+      {"FastSlowMo",
+       {0x13620c2a747a7308ULL, 0x12898cc5ade8d5fbULL,
+        0x05ad98933ad85221ULL, 0xb33da942d47fc798ULL,
+        0x0626965fbbf53ff1ULL, 0x185354203acf2402ULL}},
+      {"FedADC",
+       {0xfde3e19aba5519efULL, 0xb5a1aa27aff9dec4ULL,
+        0x918f4915f2d32aaaULL, 0x1ffd4363cb794b27ULL,
+        0x68154cac0fe108b3ULL, 0x48a261ba02f4d86cULL}},
+      {"FedMom",
+       {0x9510d80458f8d173ULL, 0x312d4daa5a68f023ULL,
+        0x4b47ecf9b2442746ULL, 0x52e98c84e290b0ecULL,
+        0xfc3b98cb5a1d9e0eULL, 0x4e7c5ab9dcc7abb8ULL}},
+      {"SlowMo",
+       {0xb8a794b6ed9feae5ULL, 0x349006bfba626746ULL,
+        0x13e5690e830121f4ULL, 0x4aa49a29610e97a5ULL,
+        0xb9c9c780d404ca8eULL, 0xdf832f30a8857863ULL}},
+      {"FedNAG",
+       {0x4beeaf78c291893aULL, 0xeefaee5c8b6c6f8fULL,
+        0x2bfae89953739513ULL, 0xeb10796a9fb3aa40ULL,
+        0xc0860e681a982c67ULL, 0x336e3223d72aadb2ULL}},
+      {"Mime",
+       {0x638de856260c587fULL, 0xdbece5593b98d6d0ULL,
+        0xba63e4c87437791eULL, 0x5648ba14b3173c17ULL,
+        0x93423638b0c44775ULL, 0xb78d29ed8c6a7f78ULL}},
+      {"FedAvg",
+       {0xe15ac02b6e1d6e10ULL, 0x5112c3ad77e51c60ULL,
+        0x107b832282163e71ULL, 0xdd57d590ba598b63ULL,
+        0xa74047981daf6fc8ULL, 0x1a733a6ca2b310c8ULL}},
+      {"MimeLite",
+       {0xeee5d522de75494fULL, 0x456435c73643ddd0ULL,
+        0xcfd1e4876230923aULL, 0xda7e74c09ee9a07fULL,
+        0xbba127989ce12118ULL, 0x10a6271a98452fd0ULL}},
+  };
+  return &table;
+#elif defined(HFL_GOLDEN_NATIVE_FLAGS) && defined(__AVX2__)
+  static const std::map<std::string, Digests> table{
+      {"HierAdMo",
+       {0x0cc8931e6e96ed14ULL, 0x219e8f1919161c22ULL,
+        0x99baaac7ffdcbde6ULL, 0xd1a5e4b7420c7830ULL,
+        0xac5e8a3a2edd51c7ULL, 0x3080bff5528c8042ULL}},
+      {"HierAdMo-R",
+       {0xfc4381127512ad88ULL, 0x8ca19026f6b5bdd0ULL,
+        0x2e6cdaa5322be880ULL, 0xa1424284ca208deeULL,
+        0x8b57d43937041128ULL, 0x80cba1b6a4100827ULL}},
+      {"HierFAVG",
+       {0x12e688b408854f53ULL, 0xbecd84cf31e38225ULL,
+        0x9400b08877c0e629ULL, 0xa45401ca9d2ae14eULL,
+        0x38ff768dc9745968ULL, 0xb2a77ebf525757afULL}},
+      {"CFL",
+       {0x461e5f5ff6537257ULL, 0xf82e11f9bce33c94ULL,
+        0xc14c683818a009f5ULL, 0xa6d4a907a9b25a6eULL,
+        0x38ff768dc9745968ULL, 0xb2a77ebf525757afULL}},
+      {"FastSlowMo",
+       {0xd55aab9d42575630ULL, 0x1746db33fb368652ULL,
+        0x134176bb2815c269ULL, 0x5c540d6f1820e3fdULL,
+        0x57fa64c2af952f62ULL, 0x9547e2a279b4ea01ULL}},
+      {"FedADC",
+       {0xe10fda1050a48652ULL, 0x9b6f297902473fe4ULL,
+        0x74ae23f16fd11d53ULL, 0x169515d47ad39487ULL,
+        0x6f4abbb10986fa4bULL, 0xfbbbf3e6e0206bf8ULL}},
+      {"FedMom",
+       {0x59f1425147673df9ULL, 0x091642b5fc39e661ULL,
+        0x81cd3b8d1cfffaacULL, 0xc6e0e52c9c7f10eaULL,
+        0xacbbb4ab9482dcecULL, 0xe72ee7a8e9c2eb7eULL}},
+      {"SlowMo",
+       {0x642d7831826dbae6ULL, 0xd120313e1ccfd7a5ULL,
+        0xfea3b2db5d7274d3ULL, 0xc5ad3864d909b15eULL,
+        0x333f4b6bb6185975ULL, 0x449a584da8c0e1f5ULL}},
+      {"FedNAG",
+       {0x3fa7594b80cd2cd0ULL, 0xa13e6c585a6f226aULL,
+        0xefd2aa77347135e1ULL, 0x2bce70958aad0b91ULL,
+        0x8a4aa469b5cff728ULL, 0xc0fe9af059e68017ULL}},
+      {"Mime",
+       {0x3c9fe50205fcd7fbULL, 0x0afdb591fe15bea8ULL,
+        0xccbb24f8b2a44172ULL, 0xc6706d9bfa4c8c47ULL,
+        0xcea26dbec1955b6dULL, 0xf40fe26c1e926dfdULL}},
+      {"FedAvg",
+       {0x1959917182810fdeULL, 0xd3bc34e8fc2b61afULL,
+        0x0233749a33ce308fULL, 0x8d4e0504fb893440ULL,
+        0xe7e2d6a421dda079ULL, 0x506612cfa054ad6bULL}},
+      {"MimeLite",
+       {0x5a42260050e26e81ULL, 0xd726dff02c6e5781ULL,
+        0x3540c52e5d5d26d4ULL, 0x2430edf551a27e5aULL,
+        0xb6c3e3ab9c5f3d07ULL, 0xb64cb13a9adcd11aULL}},
+  };
+  return &table;
+#else
+  return nullptr;
+#endif
+}
+
+TEST_P(AsyncDeterminismTest, MatchesGoldenDigests) {
+  const std::map<std::string, Digests>* golden = golden_digests();
+  if (golden == nullptr) {
+    GTEST_SKIP() << "FMA build without the default Release flags: digests "
+                    "are pinned on the portable build";
+  }
+  Fixture f;
+  Digests got{};
+  std::size_t i = 0;
+  for (const int setting : {0, 1, 2}) {
+    for (const bool faults : {false, true}) {
+      auto alg = algs::make_algorithm(GetParam());
+      fl::RunConfig cfg = f.event_config(
+          *alg, setting == 2 ? fl::ExecPolicy::kAsync
+                             : fl::ExecPolicy::kSemiAsync);
+      cfg.adaptive_deadline = setting == 1;
+      const sim::FaultPlan plan = f.plan_for(*alg);
+      LinkTotalsByLink links;
+      const fl::RunResult r =
+          run_async(f, *alg, cfg, 1, faults ? &plan : nullptr, &links);
+      got[i++] = event_run_digest(r, links);
+    }
+  }
+  std::string row = "{\"" + GetParam() + "\", {";
+  for (const std::uint64_t d : got) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ",
+                  static_cast<unsigned long long>(d));
+    row += buf;
+  }
+  row += "}},";
+  const auto it = golden->find(GetParam());
+  ASSERT_NE(it, golden->end()) << "no golden row; measured:\n" << row;
+  EXPECT_EQ(it->second, got) << "measured:\n" << row;
 }
 
 INSTANTIATE_TEST_SUITE_P(

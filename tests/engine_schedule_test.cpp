@@ -6,6 +6,7 @@
 #include "src/common/errors.h"
 
 #include <mutex>
+#include <set>
 #include <tuple>
 
 #include "src/algs/registry.h"
@@ -23,6 +24,7 @@ class ScheduleSpy final : public Algorithm {
  public:
   std::vector<std::size_t> edge_sync_iters;   // t at each edge_sync call
   std::vector<std::size_t> edge_sync_ks;      // k passed
+  std::vector<std::size_t> edge_sync_ids;     // edge synchronized
   std::vector<std::size_t> cloud_sync_iters;  // t at each cloud_sync call
   std::vector<std::size_t> cloud_sync_ps;     // p passed
   std::size_t local_steps = 0;
@@ -36,12 +38,16 @@ class ScheduleSpy final : public Algorithm {
     std::lock_guard<std::mutex> lock(mutex);
     ++local_steps;
   }
+  // Edges of one barrier dispatch concurrently (edge_sync_reentrant()
+  // defaults to true), so every recorder takes the lock.
   void edge_sync(Context& ctx, EdgeState& e, std::size_t k) override {
-    (void)e;
+    std::lock_guard<std::mutex> lock(mutex);
     edge_sync_iters.push_back(ctx.t);
     edge_sync_ks.push_back(k);
+    edge_sync_ids.push_back(e.id);
   }
   void cloud_sync(Context& ctx, std::size_t p) override {
+    std::lock_guard<std::mutex> lock(mutex);
     cloud_sync_iters.push_back(ctx.t);
     cloud_sync_ps.push_back(p);
   }
@@ -87,13 +93,19 @@ TEST_P(ScheduleTest, HooksFireAtExactlyTheRightIterations) {
   // Local steps: T iterations × 4 workers.
   EXPECT_EQ(spy.local_steps, cfg.total_iterations * 4);
 
-  // Edge syncs: K = T/τ rounds × 2 edges, at t = kτ with matching k.
+  // Edge syncs: K = T/τ rounds × 2 edges, at t = kτ with matching k. The
+  // barrier completes before the next interval starts, so interval k owns
+  // calls [2(k−1), 2k); within it the edges may run in any order.
   const std::size_t K = cfg.total_iterations / tau;
   ASSERT_EQ(spy.edge_sync_iters.size(), K * 2);
-  for (std::size_t i = 0; i < spy.edge_sync_iters.size(); ++i) {
-    const std::size_t k = i / 2 + 1;
-    EXPECT_EQ(spy.edge_sync_iters[i], k * tau);
-    EXPECT_EQ(spy.edge_sync_ks[i], k);
+  for (std::size_t k = 1; k <= K; ++k) {
+    std::set<std::size_t> edges;
+    for (std::size_t i = 2 * (k - 1); i < 2 * k; ++i) {
+      EXPECT_EQ(spy.edge_sync_iters[i], k * tau);
+      EXPECT_EQ(spy.edge_sync_ks[i], k);
+      edges.insert(spy.edge_sync_ids[i]);
+    }
+    EXPECT_EQ(edges, (std::set<std::size_t>{0, 1}));
   }
 
   // Cloud syncs: P = 3, at t = pτπ.

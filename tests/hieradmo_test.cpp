@@ -4,6 +4,8 @@
 // HierFAVG; one worker with γℓ = 0 recovers FedNAG).
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "src/common/errors.h"
 
 #include "src/algs/registry.h"
@@ -305,6 +307,7 @@ TEST(AdaptiveGammaTest, StaysInClampRangeDuringTraining) {
    public:
     HierAdMo inner;
     std::vector<Scalar> gammas;
+    std::mutex mutex;  // guards gammas: edges sync concurrently
     std::string name() const override { return inner.name(); }
     bool three_tier() const override { return true; }
     void init(fl::Context& ctx) override { inner.init(ctx); }
@@ -314,6 +317,7 @@ TEST(AdaptiveGammaTest, StaysInClampRangeDuringTraining) {
     void edge_sync(fl::Context& ctx, fl::EdgeState& e,
                    std::size_t k) override {
       inner.edge_sync(ctx, e, k);
+      const std::lock_guard<std::mutex> lock(mutex);
       gammas.push_back(e.gamma_edge);
     }
     void cloud_sync(fl::Context& ctx, std::size_t p) override {

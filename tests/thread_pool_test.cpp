@@ -53,6 +53,28 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   }
 }
 
+// Overwrites the stack region a just-returned parallel_for frame occupied,
+// so a task still touching that frame's state sees garbage, not a
+// conveniently re-constructed copy from the next call.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[512];
+  for (auto& b : junk) b = 0xA5;
+}
+
+TEST(ThreadPoolTest, BackToBackTinyCallsNeverOutliveTheirFrame) {
+  // parallel_for keeps its completion state on the caller's stack. Tiny
+  // tasks make the last finisher race the waiter's return; a task that
+  // touched that state after the waiter left would lock a destroyed mutex
+  // (glibc `__owner == 0` abort, EINVAL, or a hang).
+  ThreadPool pool(4);
+  std::atomic<long> total{0};
+  for (int call = 0; call < 20000; ++call) {
+    pool.parallel_for(4, [&](std::size_t) { total.fetch_add(1); });
+    scribble_stack();
+  }
+  EXPECT_EQ(total.load(), 80000L);
+}
+
 TEST(ThreadPoolTest, PropagatesExceptions) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(100,
