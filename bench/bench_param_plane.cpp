@@ -9,11 +9,11 @@
 //      per-element std::fma expression; the composed baseline is the
 //      pre-refactor cost model.
 //
-//   2. roster — Participation::set_cohort_roster (O(cohort + edges)) against
-//      the dense set_roster (O(population)) on a large population with a
-//      small cohort: the per-interval accounting cost of virtualized runs
-//      must not scale with N. Views are checked identical on the cohort
-//      before timing is reported.
+//   2. roster — Participation::set_cohort_roster (O(cohort + edges)) on a
+//      growing population with a fixed small cohort: the per-interval
+//      accounting cost of virtualized runs must not scale with N. The
+//      cohort's weights are checked against their closed form before timing
+//      is reported.
 //
 //   3. turnover — CohortStore spill/restore of a full cohort (the
 //      set_cohort merge) at 1 host thread vs all host threads; serialization
@@ -180,14 +180,13 @@ std::vector<KernelResult> run_kernel_section(std::size_t d, int reps) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: sparse vs dense roster accounting.
+// Section 2: cohort roster accounting.
 // ---------------------------------------------------------------------------
 
 struct RosterResult {
   std::size_t population = 0;
   std::size_t cohort = 0;
   double sparse_us = 0;
-  double dense_us = 0;
 };
 
 RosterResult run_roster_section(std::size_t num_edges,
@@ -196,12 +195,10 @@ RosterResult run_roster_section(std::size_t num_edges,
   const fl::Topology topo = fl::Topology::uniform(num_edges, workers_per_edge);
   const std::size_t N = topo.num_workers();
   std::vector<Scalar> weights(N, 1.0);
-  fl::Participation sparse(topo, nullptr, weights, /*edge_faults=*/true);
-  fl::Participation dense(topo, nullptr, weights, /*edge_faults=*/true);
+  fl::Participation part(topo, weights, /*edge_faults=*/true);
 
   // Deterministic rotating cohort; everyone up, all edges up.
   const std::vector<std::uint8_t> edge_up(topo.num_edges(), 1);
-  std::vector<std::uint8_t> worker_up(N, 0);
   std::vector<fl::WorkerId> cohort(cohort_size);
   std::vector<std::uint8_t> cohort_up(cohort_size, 1);
 
@@ -213,44 +210,38 @@ RosterResult run_roster_section(std::size_t num_edges,
     std::sort(cohort.begin(), cohort.end());
   };
 
-  // Correctness: the two views must agree on the cohort.
+  // Correctness: unit masses make every weight an exact reciprocal of a
+  // member count.
   fill_cohort(0);
-  sparse.set_cohort_roster(cohort, cohort_up, edge_up);
-  std::fill(worker_up.begin(), worker_up.end(), 0);
-  for (const fl::WorkerId w : cohort) worker_up[w] = 1;
-  dense.set_roster(worker_up, edge_up);
-  HFL_CHECK(sparse.num_active() == dense.num_active(),
-            "sparse roster active count diverged");
+  part.set_cohort_roster(cohort, cohort_up, edge_up);
+  HFL_CHECK(part.num_active() == cohort_size,
+            "cohort roster active count diverged");
+  std::vector<std::size_t> per_edge(topo.num_edges(), 0);
+  for (const fl::WorkerId w : cohort) ++per_edge[topo.edge_of_worker(w)];
   for (const fl::WorkerId w : cohort) {
-    HFL_CHECK(sparse.weight_in_edge(w) == dense.weight_in_edge(w) &&
-                  sparse.weight_global(w) == dense.weight_global(w),
-              "sparse roster weights diverged from dense set_roster");
+    const auto members =
+        static_cast<Scalar>(per_edge[topo.edge_of_worker(w)]);
+    HFL_CHECK(part.weight_in_edge(w) == 1.0 / members &&
+                  part.weight_global(w) ==
+                      1.0 / static_cast<Scalar>(cohort_size),
+              "cohort roster weights diverged from their closed form");
   }
 
   const int inner = 8;
-  std::vector<double> ts, td;
+  std::vector<double> ts;
   for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     for (int it = 0; it < inner; ++it) {
       fill_cohort(static_cast<std::size_t>(rep * inner + it + 1));
-      sparse.set_cohort_roster(cohort, cohort_up, edge_up);
+      part.set_cohort_roster(cohort, cohort_up, edge_up);
     }
     ts.push_back(seconds_since(t0));
-    t0 = std::chrono::steady_clock::now();
-    for (int it = 0; it < inner; ++it) {
-      fill_cohort(static_cast<std::size_t>(rep * inner + it + 1));
-      std::fill(worker_up.begin(), worker_up.end(), 0);
-      for (const fl::WorkerId w : cohort) worker_up[w] = 1;
-      dense.set_roster(worker_up, edge_up);
-    }
-    td.push_back(seconds_since(t0));
   }
 
   RosterResult r;
   r.population = N;
   r.cohort = cohort_size;
   r.sparse_us = median(ts) * 1e6 / inner;
-  r.dense_us = median(td) * 1e6 / inner;
   return r;
 }
 
@@ -341,8 +332,8 @@ int main() {
   // --- roster accounting ---------------------------------------------------
   bench::print_heading("per-interval roster accounting (us/call, median)");
   std::fprintf(json, "  \"roster\": [\n");
-  // Cohort fixed at 256 while the population grows 64x: sparse cost must
-  // stay flat, dense cost scales with N. Full scale tops out at N = 1M.
+  // Cohort fixed at 256 while the population grows 64x: the cost must stay
+  // flat. Full scale tops out at N = 1M.
   const std::vector<std::pair<std::size_t, std::size_t>> pops =
       smoke ? std::vector<std::pair<std::size_t, std::size_t>>{{64, 256}}
             : std::vector<std::pair<std::size_t, std::size_t>>{
@@ -350,16 +341,12 @@ int main() {
   first = true;
   for (const auto& [edges, per_edge] : pops) {
     const RosterResult r = run_roster_section(edges, per_edge, 256, reps);
-    std::printf("N=%-9zu cohort=256  sparse %9.1f us  dense %9.1f us  "
-                "(%.1fx)\n",
-                r.population, r.sparse_us, r.dense_us,
-                r.dense_us / r.sparse_us);
+    std::printf("N=%-9zu cohort=256  %9.1f us\n", r.population,
+                r.sparse_us);
     std::fprintf(json,
                  "%s    {\"population\": %zu, \"cohort\": %zu, "
-                 "\"sparse_us\": %.2f, \"dense_us\": %.2f, \"speedup\": "
-                 "%.2f}",
-                 first ? "" : ",\n", r.population, r.cohort, r.sparse_us,
-                 r.dense_us, r.dense_us / r.sparse_us);
+                 "\"sparse_us\": %.2f}",
+                 first ? "" : ",\n", r.population, r.cohort, r.sparse_us);
     first = false;
   }
   std::fprintf(json, "\n  ],\n");

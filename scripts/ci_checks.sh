@@ -3,12 +3,16 @@
 #
 #   1. Release build + full ctest suite (tier-1), which includes the
 #      bench_smoke-labelled bench binaries at 0.1 scale — each asserts its
-#      internal bitwise contract (fused kernel ≡ fma reference, sparse
-#      roster ≡ dense rebuild, batched ≡ per-worker) before timing — then
+#      internal contract (fused kernel ≡ fma reference, cohort roster
+#      weights ≡ closed form, batched ≡ per-worker) before timing — then
 #      the concurrency tests 20 times over.
-#   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the event engine's
-#      golden digests, pinned on this build.
-#   3. ASan+UBSan pass: full suite + telemetry-enabled example in an
+#   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
+#      the event engine and of the fault paths, pinned on this build.
+#   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
+#      hfl_bench self-tests plus every workload at a short horizon, output
+#      checked against BENCHMARK.json. It compiles against the public
+#      headers of src/, so a header change that breaks it fails here.
+#   4. ASan+UBSan pass: full suite + telemetry-enabled example in an
 #      instrumented tree (reports are fatal).
 #
 # The TSan pass is NOT run here — its ~10x slowdown puts it over a CI
@@ -50,10 +54,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # optimization levels, so the digests are authoritative on this build.
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
-cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target async_engine_test
-ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^async_engine_test$'
+cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
+  --target async_engine_test fault_golden_test
+ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
+  -R '^(async_engine_test|fault_golden_test)$'
 
-# --- gate 3: ASan + UBSan -------------------------------------------------
+# --- gate 3: repository benchmark smoke run -------------------------------
+bash benchmark/run.sh --smoke
+
+# --- gate 4: ASan + UBSan -------------------------------------------------
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHFL_SANITIZE=address \
@@ -69,4 +78,4 @@ ctest --test-dir "$ASAN_DIR" --output-on-failure
 (cd "$ASAN_DIR" && ./examples/telemetry_report)
 
 echo "ci checks complete: $BUILD_DIR (Release + full ctest)," \
-  "$PORTABLE_DIR (portable digests), $ASAN_DIR (ASan+UBSan)"
+  "$PORTABLE_DIR (portable digests), benchmark smoke, $ASAN_DIR (ASan+UBSan)"

@@ -275,9 +275,8 @@ Scalar admission_deadline(const fl::RunConfig& cfg, const Aggregator& ag) {
 struct EvtRun {
   fl::RunState rs;
   EventQueue q;
-  std::unique_ptr<fl::Participation> mpart;  // manual-roster view
-  const sim::FaultPlan* plan = nullptr;
-  const fl::ParticipationSchedule* schedule = nullptr;  // null = fault-free
+  std::unique_ptr<fl::Participation> mpart;  // aggregation roster view
+  const sim::FaultPlan* plan = nullptr;      // null = fault-free
   bool three_tier = true;
   std::size_t K = 0;            // edge intervals per worker (T/τ)
   Scalar last_time = 0;         // latest modeled instant touched
@@ -324,9 +323,11 @@ struct EvtRun {
   std::size_t downloads_superseded = 0;
   Scalar overlap_s = 0;
 
-  // Roster scratch reused across aggregations.
-  std::vector<std::uint8_t> roster_w, roster_e;
-  std::vector<Scalar> scale;
+  // Roster scratch reused across aggregations: the admitted cohort
+  // (ascending ids) with its staleness scales, and the edge roster.
+  std::vector<fl::WorkerId> cohort_ids;
+  std::vector<std::uint8_t> cohort_up, roster_e;
+  std::vector<Scalar> cohort_scale;
 };
 
 // Member order matters: sim_ is completed from `factory` and `topo` before
@@ -374,10 +375,10 @@ Scalar AsyncEngine::dispatch_compute(EvtRun& er, std::size_t w, Scalar base) {
   if (kw > er.K) return 0;  // quota exhausted — worker is done
   bool up = true;
   Scalar slowdown = 1.0;
-  if (er.schedule != nullptr) {
-    const std::size_t kc = std::min(kw, er.schedule->num_intervals);
-    up = er.schedule->worker_available(kc, w);
-    if (up) slowdown = er.schedule->worker_slowdown(kc, w);
+  if (er.plan != nullptr) {
+    const std::size_t kc = std::min(kw, er.plan->num_intervals());
+    up = er.plan->worker_available(kc, w);
+    if (up) slowdown = er.plan->worker_slowdown(kc, w);
   }
   note_availability(er, /*is_edge=*/false, w, up, base);
   const std::size_t tau = engine_.config().tau;
@@ -508,9 +509,9 @@ void AsyncEngine::worker_arrival(fl::Algorithm& alg, EvtRun& er,
   // serializes, so a pipelined upload waits for the previous one to clear).
   er.w_upq[w].push_back(snapshot_worker(ws, er.w_version[w]));
   std::size_t attempts = 1;
-  if (er.schedule != nullptr && er.plan != nullptr) {
+  if (er.plan != nullptr) {
     attempts =
-        er.plan->upload_attempts(std::min(kw, er.schedule->num_intervals), w);
+        er.plan->upload_attempts(std::min(kw, er.plan->num_intervals()), w);
   }
   const Scalar up_start = std::max(ev.time, er.uplink_free[w]);
   const Scalar upload = model_->worker_upload(er.wrng[w], w, attempts);
@@ -613,9 +614,9 @@ void AsyncEngine::fire_deadline(fl::Algorithm& alg, EvtRun& er, std::size_t a,
 void AsyncEngine::admit_cohort(fl::Algorithm& alg, EvtRun& er, std::size_t a,
                                std::vector<Arrival> cohort, Scalar t) {
   Aggregator& ag = er.aggs[a];
-  if (a != er.cloud && er.schedule != nullptr) {
-    const std::size_t kc = std::min(ag.round + 1, er.schedule->num_intervals);
-    const bool up = er.schedule->edge_available(kc, a);
+  if (a != er.cloud && er.plan != nullptr) {
+    const std::size_t kc = std::min(ag.round + 1, er.plan->num_intervals());
+    const bool up = er.plan->edge_available(kc, a);
     note_availability(er, /*is_edge=*/true, a, up, t);
     if (!up) {
       ++ag.round;
@@ -697,18 +698,24 @@ void AsyncEngine::cohort_sync(fl::Algorithm& alg, EvtRun& er, std::size_t a,
     refresh_version = k_agg;
 
     // Roster + staleness weights (s multiplies the data-size mass before the
-    // renormalization inside Participation).
-    er.roster_w.assign(rs.workers.size(), 0);
+    // renormalization inside Participation). Two arrivals of one worker
+    // share its roster slot — the later one's weight wins — while alpha
+    // counts each arrival.
+    er.cohort_ids.clear();
+    er.cohort_scale.clear();
     er.roster_e.assign(rs.edges.size(), at_cloud ? 1 : 0);
     if (!at_cloud) er.roster_e[a] = 1;
-    er.scale.assign(rs.workers.size(), 1.0);
     Scalar alpha = 0;
     for (const std::size_t i : admitted) {
       const std::size_t w = cohort[i].w;
       const std::size_t tau = k_agg - 1 - cohort[i].snap.download_version;
       const Scalar s = staleness_weight(cfg_.staleness_decay, tau);
-      er.roster_w[w] = 1;
-      er.scale[w] = s;
+      if (!er.cohort_ids.empty() && er.cohort_ids.back() == w) {
+        er.cohort_scale.back() = s;
+      } else {
+        er.cohort_ids.push_back(static_cast<fl::WorkerId>(w));
+        er.cohort_scale.push_back(s);
+      }
       alpha += (at_cloud ? rs.workers[w].weight_global
                          : rs.workers[w].weight_in_edge) *
                s;
@@ -716,7 +723,9 @@ void AsyncEngine::cohort_sync(fl::Algorithm& alg, EvtRun& er, std::size_t a,
       er.tau_sum += static_cast<Scalar>(tau);
       er.max_tau = std::max(er.max_tau, tau);
     }
-    er.mpart->set_roster(er.roster_w, er.roster_e, &er.scale);
+    er.cohort_up.assign(er.cohort_ids.size(), 1);
+    er.mpart->set_cohort_roster(er.cohort_ids, er.cohort_up, er.roster_e,
+                                &er.cohort_scale);
     rs.ctx.part = er.mpart.get();
 
     // The aggregation reads the uploaded snapshots, not the live in-flight
@@ -884,10 +893,9 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   const fl::RunConfig& cfg = engine_.config();
 
   EvtRun er;
-  er.plan = plan;
-  if (plan != nullptr && !plan->schedule().is_noop()) {
+  if (plan != nullptr && !plan->is_noop()) {
     plan->schedule().validate(topo, cfg);
-    er.schedule = &plan->schedule();
+    er.plan = plan;
   }
   er.three_tier = alg.three_tier();
   er.K = cfg.total_iterations / cfg.tau;
@@ -896,16 +904,16 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   fl::RunState& rs = er.rs;
   // Training state exactly as the barrier engine would build it (same seed →
   // same initial point, same batch streams); ctx.part stays null outside
-  // aggregation/absence windows, where the manual roster is swapped in.
-  engine_.prepare_run(alg, nullptr, nullptr, rs);
+  // aggregation/absence windows, where the roster view is swapped in.
+  engine_.prepare_run(alg, nullptr, rs);
 
   const std::size_t W = topo.num_workers();
   const std::size_t E = topo.num_edges();
-  er.mpart = std::make_unique<fl::Participation>(topo, rs.workers,
+  er.mpart = std::make_unique<fl::Participation>(topo, engine_.base_weights(),
                                                  er.three_tier);
-  if (er.schedule != nullptr) {
-    er.mpart->set_absent_policy(er.schedule->absent_policy,
-                                er.schedule->absent_decay);
+  if (er.plan != nullptr) {
+    er.mpart->set_absent_policy(plan->config().absent_policy,
+                                plan->config().absent_decay);
     rs.result.worker_miss_counts.assign(W, 0);
   }
 

@@ -31,8 +31,8 @@
 // barely moves the tier. Updates with τ > max_staleness are dropped and the
 // sender force-refreshed. Algorithm::stale_sync runs for every admitted
 // stale update before the aggregation. All of this happens at the engine
-// level through the manual roster mode of fl::Participation, so every
-// registry algorithm participates without async-specific code.
+// level through fl::Participation's cohort roster, so every registry
+// algorithm participates without async-specific code.
 //
 // Causal model propagation (semi_async and async): communication is explicit
 // and versioned in both directions. A worker's finished interval is

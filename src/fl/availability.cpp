@@ -45,110 +45,37 @@ void ParticipationSchedule::validate(const Topology& topo,
             "absent_decay must be in [0, 1]");
 }
 
-namespace {
-
-// Shared by the WorkerSet convenience constructors: data-size masses D_i
-// read off a fully-materialized worker set, in id order — bit-identical to
-// the pre-refactor per-worker `num_samples` loop.
-std::vector<Scalar> dense_base_weights(const Topology& topo,
-                                       const WorkerSet& workers) {
-  const std::size_t n = topo.num_workers();
-  HFL_CHECK(workers.size() == n && workers.num_materialized() == n,
-            "worker states do not match the topology");
-  std::vector<Scalar> base(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    base[i] = static_cast<Scalar>(workers[i].num_samples);
-  }
-  return base;
-}
-
-}  // namespace
-
 Participation::Participation(const Topology& topo,
-                             const ParticipationSchedule* schedule,
                              std::vector<Scalar> base_weights,
                              bool edge_faults)
-    : topo_(&topo), schedule_(schedule), edge_faults_(edge_faults) {
+    : topo_(&topo), edge_faults_(edge_faults) {
   const std::size_t n = topo.num_workers();
   const std::size_t l = topo.num_edges();
   HFL_CHECK(base_weights.size() == n,
             "base weights do not match the topology");
   base_weight_ = std::move(base_weights);
   mass_ = base_weight_;
-  active_.assign(n, 1);
-  edge_active_.assign(l, 1);
+  active_.assign(n, 0);
+  edge_active_.assign(l, 0);
   active_of_edge_.resize(l);
   weight_in_edge_.assign(n, 0.0);
   weight_global_.assign(n, 0.0);
   edge_weight_.assign(l, 0.0);
 }
 
-Participation::Participation(const Topology& topo,
-                             const ParticipationSchedule& schedule,
-                             const WorkerSet& workers, bool edge_faults)
-    : Participation(topo, &schedule, dense_base_weights(topo, workers),
-                    edge_faults) {}
-
-Participation::Participation(const Topology& topo, const WorkerSet& workers,
-                             bool edge_faults)
-    : Participation(topo, nullptr, dense_base_weights(topo, workers),
-                    edge_faults) {}
-
-void Participation::begin_interval(std::size_t k) {
-  HFL_CHECK(schedule_ != nullptr,
-            "begin_interval is schedule-backed; a manual-roster Participation "
-            "must use set_roster instead");
-  HFL_CHECK(k >= 1 && k <= schedule_->num_intervals,
-            "interval index out of the schedule's range");
-  k_ = k;
-  sparse_mode_ = false;
-  const std::size_t n = active_.size();
-  const std::size_t l = edge_active_.size();
-
+void Participation::clear_roster() {
+  for (const WorkerId w : roster_ids_) {
+    active_[w] = 0;
+    weight_in_edge_[w] = 0.0;
+    weight_global_[w] = 0.0;
+  }
+  roster_ids_.clear();
+  for (std::size_t e = 0; e < edge_active_.size(); ++e) {
+    active_of_edge_[e].clear();
+    edge_active_[e] = 0;
+    edge_weight_[e] = 0.0;
+  }
   num_active_ = 0;
-  for (std::size_t w = 0; w < n; ++w) {
-    const bool edge_ok =
-        !edge_faults_ || schedule_->edge_available(k, topo_->edge_of_worker(w));
-    active_[w] = (schedule_->worker_available(k, w) && edge_ok) ? 1 : 0;
-    num_active_ += active_[w];
-  }
-  for (std::size_t e = 0; e < l; ++e) {
-    edge_active_[e] = (!edge_faults_ || schedule_->edge_available(k, e)) ? 1 : 0;
-  }
-  for (std::size_t w = 0; w < n; ++w) mass_[w] = base_weight_[w];
-
-  rebuild_weights();
-}
-
-void Participation::set_roster(const std::vector<std::uint8_t>& worker_up,
-                               const std::vector<std::uint8_t>& edge_up,
-                               const std::vector<Scalar>* scale) {
-  const std::size_t n = active_.size();
-  const std::size_t l = edge_active_.size();
-  HFL_CHECK(worker_up.size() == n && edge_up.size() == l,
-            "set_roster arrays do not match the topology (" +
-                std::to_string(worker_up.size()) + " workers / " +
-                std::to_string(edge_up.size()) + " edges given, " +
-                std::to_string(n) + " / " + std::to_string(l) + " expected)");
-  HFL_CHECK(scale == nullptr || scale->size() == n,
-            "set_roster scale vector does not match the worker count");
-  sparse_mode_ = false;
-
-  num_active_ = 0;
-  for (std::size_t w = 0; w < n; ++w) {
-    const bool edge_ok =
-        !edge_faults_ || edge_up[topo_->edge_of_worker(w)] != 0;
-    active_[w] = (worker_up[w] != 0 && edge_ok) ? 1 : 0;
-    num_active_ += active_[w];
-  }
-  for (std::size_t e = 0; e < l; ++e) {
-    edge_active_[e] = (!edge_faults_ || edge_up[e] != 0) ? 1 : 0;
-  }
-  for (std::size_t w = 0; w < n; ++w) {
-    mass_[w] = base_weight_[w] * (scale == nullptr ? 1.0 : (*scale)[w]);
-  }
-
-  rebuild_weights();
 }
 
 void Participation::set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
@@ -157,9 +84,6 @@ void Participation::set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
                                       const std::vector<Scalar>* cohort_scale) {
   const std::size_t n = active_.size();
   const std::size_t l = edge_active_.size();
-  HFL_CHECK(schedule_ == nullptr,
-            "set_cohort_roster is manual-roster only; schedule-backed "
-            "Participation replays intervals via begin_interval");
   HFL_CHECK(cohort_up.size() == cohort_ids.size(),
             "cohort_up must align with cohort_ids");
   HFL_CHECK(edge_up.size() == l,
@@ -167,34 +91,10 @@ void Participation::set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
   HFL_CHECK(cohort_scale == nullptr ||
                 cohort_scale->size() == cohort_ids.size(),
             "cohort scale vector does not match the cohort size");
-
-  if (!sparse_mode_) {
-    // One-time O(population): the constructor (and any interleaved dense
-    // call) leaves everyone marked active with arbitrary weights. Drop to
-    // the all-absent baseline the incremental path maintains between calls.
-    std::fill(active_.begin(), active_.end(), std::uint8_t{0});
-    std::fill(weight_in_edge_.begin(), weight_in_edge_.end(), 0.0);
-    std::fill(weight_global_.begin(), weight_global_.end(), 0.0);
-    sparse_mode_ = true;
-  } else {
-    // Clear only last interval's cohort marks — every other worker already
-    // sits at the baseline.
-    for (const WorkerId w : prev_cohort_ids_) {
-      active_[w] = 0;
-      weight_in_edge_[w] = 0.0;
-      weight_global_[w] = 0.0;
-    }
-  }
-  for (std::size_t e = 0; e < l; ++e) {
-    active_of_edge_[e].clear();
-    edge_active_[e] = 0;
-    edge_weight_[e] = 0.0;
-  }
+  clear_roster();
 
   // Activity bits, effective masses, and per-edge rosters in one ascending
-  // pass. Ascending cohort ids make each per-edge roster the ascending
-  // subsequence the dense rebuild reads off workers_of_edge.
-  num_active_ = 0;
+  // pass.
   for (std::size_t i = 0; i < cohort_ids.size(); ++i) {
     const WorkerId w = cohort_ids[i];
     HFL_CHECK(w < n, "cohort id out of range");
@@ -209,10 +109,8 @@ void Participation::set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
     if (active_[w]) active_of_edge_[e].push_back(w);
   }
 
-  // The same three renormalization sums rebuild_weights computes, restricted
-  // to the cohort and walked in identical order: edges ascending for the
-  // edge/global masses, cohort (= active superset) ascending for the
-  // worker-level mass.
+  // Renormalization: edges ascending for the edge/global masses, cohort
+  // (= active superset) ascending for the worker-level mass.
   Scalar global_mass = 0;
   for (std::size_t e = 0; e < l; ++e) {
     const auto& roster = active_of_edge_[e];
@@ -242,35 +140,24 @@ void Participation::set_cohort_roster(const std::vector<WorkerId>& cohort_ids,
                           : 0.0;
   }
 
-  prev_cohort_ids_ = cohort_ids;
+  roster_ids_ = cohort_ids;
 }
 
 void Participation::set_edge_roster(const std::vector<std::uint8_t>& edge_up) {
-  const std::size_t n = active_.size();
   const std::size_t l = edge_active_.size();
-  HFL_CHECK(schedule_ == nullptr,
-            "set_edge_roster is manual-roster only; schedule-backed "
-            "Participation replays intervals via begin_interval");
   HFL_CHECK(edge_up.size() == l,
             "set_edge_roster edge array does not match the topology");
-  sparse_mode_ = false;
-
-  num_active_ = 0;
-  std::fill(active_.begin(), active_.end(), std::uint8_t{0});
-  std::fill(weight_in_edge_.begin(), weight_in_edge_.end(), 0.0);
-  std::fill(weight_global_.begin(), weight_global_.end(), 0.0);
-  for (std::size_t w = 0; w < n; ++w) mass_[w] = base_weight_[w];
+  clear_roster();
 
   // Edge activity comes straight from edge_up (no surviving-worker
   // requirement); edge weights renormalize the static per-edge masses over
-  // the up edges, ascending — the same member order rebuild_weights uses.
+  // the up edges, ascending.
   Scalar global_mass = 0;
   for (std::size_t e = 0; e < l; ++e) {
-    active_of_edge_[e].clear();
     edge_active_[e] = edge_up[e] != 0 ? 1 : 0;
     Scalar edge_mass = 0;
     for (const WorkerId w : topo_->workers_of_edge(e)) {
-      edge_mass += mass_[w];
+      edge_mass += base_weight_[w];
     }
     edge_weight_[e] = edge_mass;  // provisional; normalized below
     if (edge_active_[e]) global_mass += edge_mass;
@@ -284,55 +171,8 @@ void Participation::set_edge_roster(const std::vector<std::uint8_t>& edge_up) {
 
 void Participation::set_absent_policy(AbsentPolicy policy, Scalar decay) {
   HFL_CHECK(decay >= 0.0 && decay <= 1.0, "absent decay must be in [0, 1]");
-  manual_policy_ = policy;
-  manual_decay_ = decay;
-}
-
-// Shared tail of begin_interval / set_roster: given active_ bits, the
-// edge-online preconditions already stored in edge_active_, and the
-// effective masses in mass_, materialize rosters and renormalized weights.
-// Summation order matches the pre-refactor begin_interval exactly (and
-// mass_ == base_weight_ in schedule mode), so schedule-backed replay stays
-// bit-identical.
-void Participation::rebuild_weights() {
-  const std::size_t n = active_.size();
-  const std::size_t l = edge_active_.size();
-
-  // Per-edge surviving rosters and in-edge weight renormalization.
-  Scalar global_mass = 0;
-  for (std::size_t e = 0; e < l; ++e) {
-    auto& roster = active_of_edge_[e];
-    roster.clear();
-    Scalar edge_mass = 0;
-    for (const WorkerId w : topo_->workers_of_edge(e)) {
-      if (!active_[w]) continue;
-      roster.push_back(w);
-      edge_mass += mass_[w];
-    }
-    edge_active_[e] = edge_active_[e] != 0 && !roster.empty() ? 1 : 0;
-    for (const WorkerId w : roster) {
-      weight_in_edge_[w] = mass_[w] / edge_mass;
-    }
-    if (edge_active_[e]) global_mass += edge_mass;
-  }
-
-  // Global renormalizations (worker-level for two-tier aggregation and the
-  // virtual global model; edge-level for three-tier cloud rounds).
-  Scalar active_mass = 0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (active_[w]) active_mass += mass_[w];
-  }
-  for (std::size_t w = 0; w < n; ++w) {
-    weight_global_[w] =
-        active_[w] && active_mass > 0 ? mass_[w] / active_mass : 0.0;
-  }
-  for (std::size_t e = 0; e < l; ++e) {
-    Scalar edge_mass = 0;
-    for (const WorkerId w : active_of_edge_[e]) edge_mass += mass_[w];
-    edge_weight_[e] = edge_active_[e] && global_mass > 0
-                          ? edge_mass / global_mass
-                          : 0.0;
-  }
+  policy_ = policy;
+  decay_ = decay;
 }
 
 bool is_active(const Participation* part, std::size_t worker) {

@@ -51,11 +51,11 @@ struct RunConfig {
   // gradients through one batched pass instead of per-worker model calls.
   // FP64 results are bit-identical either way; the engine silently falls
   // back per worker for architectures or algorithms the fused path cannot
-  // serve. Env override: HFL_BATCHED=0/1 (read by the engine constructor).
+  // serve.
   bool batched = true;
   // FP32-compute / FP64-accumulate GEMMs inside the fused path (≤1e-6
   // relative error — NOT bit-identical; see src/tensor/gemm_mixed.h).
-  // Requires `batched`. Env override: HFL_MIXED_PRECISION=0/1.
+  // Requires `batched`.
   bool mixed_precision = false;
 
   // ---- Event-driven execution (src/evt/async_engine.h) ----

@@ -22,9 +22,10 @@
 //
 // Partial participation: `run(alg, schedule)` replays a deterministic
 // availability trace (src/fl/availability.h, generated by
-// sim::FaultPlan). Absent workers skip their local steps, surviving workers
-// aggregate with renormalized weights, and workers that miss a
-// synchronization get the schedule's absent-momentum policy via
+// sim::FaultPlan) through the same AvailabilityOracle interface that
+// `run_with_oracle` takes. Absent workers skip their local steps, surviving
+// workers aggregate with renormalized weights, and workers that miss a
+// synchronization get the oracle's absent-momentum policy via
 // Algorithm::absent_sync. A null or no-op schedule takes the exact
 // fault-free code path, so results are bit-identical to a plain `run(alg)`.
 #pragma once
@@ -129,16 +130,13 @@ struct RunState {
   std::uint64_t edge_down_bytes = 0;
   Vec avg_scratch;
   std::chrono::steady_clock::time_point start;
-  // Virtualized-run scratch: the interval's cohort draw and the
-  // population-sized roster handed to Participation::set_roster.
+  // The interval's cohort (ascending ids: the whole population unless a
+  // provider samples) with its multiplicities, and the roster handed to
+  // Participation::set_cohort_roster (cohort_up aligned with cohort_ids).
   std::vector<WorkerId> cohort_ids;
   std::vector<Scalar> cohort_mult;
-  std::vector<std::uint8_t> roster_up;
-  std::vector<std::uint8_t> roster_edge_up;
-  std::vector<Scalar> roster_scale;
-  // Sampled-mode sparse roster (aligned with cohort_ids) — the O(cohort)
-  // replacement for the population-sized arrays above.
   std::vector<std::uint8_t> cohort_up;
+  std::vector<std::uint8_t> edge_up;
   // Per-run participation accounting: miss counts are derived at finalize
   // as (intervals seen) − (intervals participated), so no per-interval
   // O(population) sweep is needed.
@@ -157,7 +155,8 @@ class Engine {
   RunResult run(Algorithm& alg) { return run(alg, nullptr); }
 
   // Fault-aware run. `schedule` may be null (full participation) and must
-  // outlive the call; it is validated against the topology and config.
+  // outlive the call; it is validated against the topology and config, then
+  // queried through a ScheduleOracle.
   RunResult run(Algorithm& alg, const ParticipationSchedule* schedule);
 
   // Virtualized worker populations: attach a provider (pop::CohortStore)
@@ -182,8 +181,9 @@ class Engine {
 
  private:
   // evt::AsyncEngine runs its sync policy through run() and builds its
-  // event-driven runs on prepare_run / record_point / finalize_run, sharing
-  // the edge_sync re-entrancy guard (edge_sync_entries_).
+  // event-driven runs on prepare_run / record_point / finalize_run and
+  // base_weights, sharing the edge_sync re-entrancy guard
+  // (edge_sync_entries_).
   friend class hfl::evt::AsyncEngine;
 
   void build_states(Algorithm& alg, RunState& rs);
@@ -193,23 +193,24 @@ class Engine {
                            const std::vector<std::size_t>& edge_samples,
                            std::size_t total_samples);
 
-  // Shared loop body behind both run() overloads and run_with_oracle().
-  // Exactly one of {schedule, oracle} may be non-null; oracle requires
-  // provider_.
-  RunResult run_impl(Algorithm& alg, const ParticipationSchedule* schedule,
-                     const AvailabilityOracle* oracle);
+  // Shared loop body behind both run() overloads and run_with_oracle();
+  // `oracle` may be null (full availability).
+  RunResult run_impl(Algorithm& alg, const AvailabilityOracle* oracle);
 
-  // Virtualized interval head: sample (or reuse) the cohort, materialize it
-  // through the provider, compose the roster from the oracle, and — on the
-  // first interval — run Algorithm::init plus init_worker on first-timers.
-  void begin_virtual_interval(Algorithm& alg, RunState& rs, std::size_t k,
-                              const AvailabilityOracle* oracle,
-                              bool first_interval);
+  // Interval head: with a provider, sample (or, on the first interval,
+  // materialize) the cohort; compose interval k's roster from the cohort
+  // and the oracle; with a provider, run Algorithm::init (first interval)
+  // and init_worker on first-timers.
+  void begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
+                      const AvailabilityOracle* oracle);
+
+  // Per-worker data masses D_i that Participation renormalizes.
+  std::vector<Scalar> base_weights() const;
 
   // ---- Run lifecycle, also used by evt::AsyncEngine. ----
-  // Build states, wire ctx, validate the schedule, size the comm payloads.
-  void prepare_run(Algorithm& alg, const ParticipationSchedule* schedule,
-                   const AvailabilityOracle* oracle, RunState& rs);
+  // Build states, wire ctx, size the comm payloads, open interval 1.
+  void prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
+                   RunState& rs);
   // Evaluate `params` and append a curve point at iteration t.
   void record_point(RunState& rs, std::size_t t, const Vec& params,
                     Scalar sim_time = 0);

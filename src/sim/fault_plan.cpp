@@ -6,11 +6,12 @@
 
 namespace hfl::sim {
 
-using detail::kEdgeStreamBase;
-using detail::kStragglerAssign;
-using detail::kWorkerStreamBase;
-
 namespace {
+
+// Fork tags of the per-entity fault streams.
+constexpr std::uint64_t kWorkerStreamBase = 0x5EED0000;
+constexpr std::uint64_t kEdgeStreamBase = 0xED6E0000;
+constexpr std::uint64_t kStragglerAssign = 0x57A60001;
 
 bool in_unit(Scalar p) { return p >= 0.0 && p <= 1.0; }
 
@@ -45,6 +46,95 @@ void FaultConfig::validate() const {
             "absent_decay must be in [0, 1]");
 }
 
+namespace detail {
+
+std::vector<std::uint8_t> straggler_roles(const Rng& root,
+                                          const FaultConfig& cfg,
+                                          std::size_t num_workers) {
+  std::vector<std::uint8_t> roles;
+  if (cfg.straggler.fraction <= 0.0) return roles;
+  Rng assign = root.fork_nth(kStragglerAssign, 1);
+  roles.resize(num_workers);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    roles[w] = assign.uniform() < cfg.straggler.fraction ? 1 : 0;
+  }
+  return roles;
+}
+
+WorkerCursor worker_cursor(const Rng& root, const FaultConfig& cfg,
+                           std::size_t worker, bool straggler) {
+  WorkerCursor c;
+  c.rng = root.fork_nth(kWorkerStreamBase + worker, 2 + worker);
+  c.online = c.rng.uniform() >= cfg.churn.p_start_down;
+  c.straggler = straggler;
+  return c;
+}
+
+WorkerStep worker_step(const FaultConfig& cfg, WorkerCursor& c) {
+  const std::size_t k = ++c.k;
+  WorkerStep step;
+
+  // Markov churn state for this interval.
+  if (cfg.churn.p_fail > 0.0 || cfg.churn.p_start_down > 0.0) {
+    if (k > 1) {
+      const Scalar flip = c.rng.uniform();
+      c.online = c.online ? flip >= cfg.churn.p_fail
+                          : flip < cfg.churn.p_recover;
+    }
+  } else {
+    c.online = true;
+  }
+
+  bool up = c.online;
+
+  // i.i.d. dropout on top of churn.
+  if (cfg.dropout.prob > 0.0 && c.rng.uniform() < cfg.dropout.prob) {
+    up = false;
+  }
+
+  // Straggler slowdown (drawn even for absent workers to keep the stream
+  // aligned across configs that only differ in other models).
+  if (c.straggler) {
+    Scalar factor = cfg.straggler.slowdown;
+    if (cfg.straggler.jitter > 0.0) {
+      factor *= std::max(Scalar{0.2}, c.rng.normal(1.0, cfg.straggler.jitter));
+    }
+    step.slowdown = std::max(Scalar{1.0}, factor);
+  }
+
+  // Deadline policy: a straggler over the time budget is dropped at the
+  // barrier.
+  if (cfg.straggler.deadline_slowdown > 0.0 &&
+      step.slowdown > cfg.straggler.deadline_slowdown) {
+    up = false;
+  }
+
+  // Transient link faults: geometric retry count, capped by the retry
+  // budget; exhausting the budget means the upload never lands.
+  if (up && cfg.link.loss_prob > 0.0) {
+    while (c.rng.uniform() < cfg.link.loss_prob) {
+      if (step.attempts == cfg.link.max_retries) {
+        up = false;
+        break;
+      }
+      ++step.attempts;
+    }
+  }
+
+  step.up = up;
+  return step;
+}
+
+Rng edge_stream(const Rng& root, std::size_t num_workers, std::size_t edge) {
+  return root.fork_nth(kEdgeStreamBase + edge, 2 + num_workers + edge);
+}
+
+bool edge_step(const FaultConfig& cfg, Rng& rng) {
+  return !(rng.uniform() < cfg.edge_outage.prob);
+}
+
+}  // namespace detail
+
 FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
                      FaultConfig cfg)
     : cfg_(cfg) {
@@ -65,94 +155,36 @@ FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
   schedule_.absent_decay = cfg_.absent_decay;
   attempts_.assign(intervals * n, 1);
 
-  Rng root(cfg_.seed);
-
-  // Straggler roles are a fleet-level draw (one stream, worker order): the
-  // configured fraction picks which workers are persistently slow.
-  std::vector<std::uint8_t> is_straggler(n, 0);
-  {
-    Rng assign = root.fork(kStragglerAssign);
-    for (std::size_t w = 0; w < n; ++w) {
-      is_straggler[w] = assign.uniform() < cfg_.straggler.fraction ? 1 : 0;
-    }
-  }
-
-  // Per-worker streams: every availability/slowdown/link draw for worker w
-  // comes from fork(kWorkerStreamBase + w), so the trace for one worker is
-  // independent of the fleet size ordering of the loops below.
+  const Rng root(cfg_.seed);
+  const std::vector<std::uint8_t> stragglers =
+      detail::straggler_roles(root, cfg_, n);
   for (std::size_t w = 0; w < n; ++w) {
-    Rng wrng = root.fork(kWorkerStreamBase + w);
-    bool online = wrng.uniform() >= cfg_.churn.p_start_down;
+    detail::WorkerCursor c = detail::worker_cursor(
+        root, cfg_, w, !stragglers.empty() && stragglers[w] != 0);
     for (std::size_t k = 1; k <= intervals; ++k) {
+      const detail::WorkerStep step = detail::worker_step(cfg_, c);
       const std::size_t idx = (k - 1) * n + w;
-
-      // Markov churn state for this interval.
-      if (cfg_.churn.p_fail > 0.0 || cfg_.churn.p_start_down > 0.0) {
-        if (k > 1) {
-          const Scalar flip = wrng.uniform();
-          online = online ? flip >= cfg_.churn.p_fail
-                          : flip < cfg_.churn.p_recover;
-        }
-      } else {
-        online = true;
-      }
-
-      bool up = online;
-
-      // i.i.d. dropout on top of churn.
-      if (cfg_.dropout.prob > 0.0 && wrng.uniform() < cfg_.dropout.prob) {
-        up = false;
-      }
-
-      // Straggler slowdown (drawn even for absent workers to keep the
-      // stream aligned across configs that only differ in other models).
-      Scalar factor = 1.0;
-      if (is_straggler[w]) {
-        factor = cfg_.straggler.slowdown;
-        if (cfg_.straggler.jitter > 0.0) {
-          factor *= std::max(Scalar{0.2},
-                             wrng.normal(1.0, cfg_.straggler.jitter));
-        }
-        factor = std::max(Scalar{1.0}, factor);
-      }
-      schedule_.slowdown[idx] = factor;
-
-      // Deadline policy: a straggler over the time budget is dropped at the
-      // barrier.
-      if (cfg_.straggler.deadline_slowdown > 0.0 &&
-          factor > cfg_.straggler.deadline_slowdown) {
-        up = false;
-      }
-
-      // Transient link faults: geometric retry count, capped by the retry
-      // budget; exhausting the budget means the upload never lands.
-      if (up && cfg_.link.loss_prob > 0.0) {
-        std::size_t attempt = 1;
-        while (wrng.uniform() < cfg_.link.loss_prob) {
-          if (attempt == cfg_.link.max_retries) {
-            up = false;
-            break;
-          }
-          ++attempt;
-        }
-        attempts_[idx] = attempt;
-      }
-
-      schedule_.worker_up[idx] = up ? 1 : 0;
+      schedule_.worker_up[idx] = step.up ? 1 : 0;
+      schedule_.slowdown[idx] = step.slowdown;
+      attempts_[idx] = step.attempts;
     }
   }
 
-  // Per-edge outage streams.
   if (cfg_.edge_outage.prob > 0.0) {
     for (std::size_t e = 0; e < l; ++e) {
-      Rng erng = root.fork(kEdgeStreamBase + e);
+      Rng erng = detail::edge_stream(root, n, e);
       for (std::size_t k = 1; k <= intervals; ++k) {
-        if (erng.uniform() < cfg_.edge_outage.prob) {
-          schedule_.edge_up[(k - 1) * l + e] = 0;
-        }
+        schedule_.edge_up[(k - 1) * l + e] =
+            detail::edge_step(cfg_, erng) ? 1 : 0;
       }
     }
   }
+}
+
+bool FaultPlan::is_noop() const {
+  return schedule_.is_noop() &&
+         std::all_of(attempts_.begin(), attempts_.end(),
+                     [](std::size_t a) { return a == 1; });
 }
 
 Scalar FaultPlan::planned_participation() const {

@@ -29,6 +29,11 @@
 // the same discipline as the engine's batch streams. Two plans built from
 // identical inputs are bit-identical, so every algorithm in a sweep replays
 // the identical fault trace.
+//
+// One draw routine (`detail::worker_step` / `detail::edge_step`) produces
+// every trace: `FaultPlan` runs it over the whole horizon up front,
+// `SparseFaultPlan` (sparse_fault_plan.h) replays it lazily per queried
+// entity. Both therefore answer every (interval, entity) query identically.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +45,6 @@
 #include "src/fl/topology.h"
 
 namespace hfl::sim {
-
-namespace detail {
-// Fork tags of the per-entity fault streams, shared by FaultPlan (eager
-// materialization) and SparseFaultPlan (lazy replay) so both derive
-// bit-identical traces from the same FaultConfig.
-inline constexpr std::uint64_t kWorkerStreamBase = 0x5EED0000;
-inline constexpr std::uint64_t kEdgeStreamBase = 0xED6E0000;
-inline constexpr std::uint64_t kStragglerAssign = 0x57A60001;
-}  // namespace detail
 
 struct DropoutModel {
   Scalar prob = 0.0;  // P(worker misses an interval), i.i.d. per interval
@@ -100,6 +96,43 @@ struct FaultConfig {
   void validate() const;
 };
 
+// The per-entity draw routine behind both plans. Every stream is forked
+// statelessly off the plan root with the fork numbering: fork 1 = straggler
+// roles, fork 2 + w = worker w, fork 2 + n + e = edge e (n workers),
+// whatever models are switched on.
+namespace detail {
+// The fleet-level straggler draw (one stream, worker order): 1 marks a
+// persistently slow worker. Empty when no straggler model is configured.
+std::vector<std::uint8_t> straggler_roles(const Rng& root,
+                                          const FaultConfig& cfg,
+                                          std::size_t num_workers);
+
+// Replay position in one worker's fault stream.
+struct WorkerCursor {
+  Rng rng{0};
+  std::size_t k = 0;       // last replayed interval (0 = before interval 1)
+  bool online = true;      // Markov churn state after interval k
+  bool straggler = false;  // persistent straggler role
+};
+
+// One interval of one worker's trace.
+struct WorkerStep {
+  bool up = true;
+  Scalar slowdown = 1.0;      // compute stretch ≥ 1
+  std::size_t attempts = 1;   // upload attempts (1 = clean)
+};
+
+WorkerCursor worker_cursor(const Rng& root, const FaultConfig& cfg,
+                           std::size_t worker, bool straggler);
+// Draw interval c.k + 1 — churn, dropout, straggler factor, deadline drop,
+// link retries, in that order — and advance the cursor.
+WorkerStep worker_step(const FaultConfig& cfg, WorkerCursor& c);
+
+Rng edge_stream(const Rng& root, std::size_t num_workers, std::size_t edge);
+// Draw the next interval of an edge's outage stream; true = edge up.
+bool edge_step(const FaultConfig& cfg, Rng& rng);
+}  // namespace detail
+
 // A materialized fault trace for one (topology, run) pair.
 class FaultPlan {
  public:
@@ -126,6 +159,11 @@ class FaultPlan {
   bool edge_available(std::size_t k, std::size_t e) const {
     return schedule_.edge_available(k, e);
   }
+
+  // True when the plan changes nothing about a run: its schedule is a no-op
+  // and no upload needs a retry. A retry-only plan drops nobody yet still
+  // stretches modeled upload time, so it is not a no-op.
+  bool is_noop() const;
 
   // Fraction of (interval, worker) slots that are up — a cheap diagnostic
   // of how harsh the configured models are.

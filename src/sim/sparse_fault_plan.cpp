@@ -1,7 +1,5 @@
 #include "src/sim/sparse_fault_plan.h"
 
-#include <algorithm>
-
 #include "src/common/errors.h"
 
 namespace hfl::sim {
@@ -15,75 +13,7 @@ SparseFaultPlan::SparseFaultPlan(std::size_t num_workers,
   cfg_.validate();
   HFL_CHECK(num_workers_ > 0 && num_edges_ > 0,
             "fault plan needs at least one worker and one edge");
-  // The straggler-role bitmap is the one fleet-level draw (FaultPlan takes
-  // it from the root's first fork, in worker order) — O(n) bits, paid once.
-  if (cfg_.straggler.fraction > 0.0) {
-    Rng assign = root_.fork_nth(detail::kStragglerAssign, 1);
-    is_straggler_.resize(num_workers_);
-    for (std::size_t w = 0; w < num_workers_; ++w) {
-      is_straggler_[w] = assign.uniform() < cfg_.straggler.fraction ? 1 : 0;
-    }
-  }
-}
-
-SparseFaultPlan::WorkerCursor SparseFaultPlan::fresh_worker_cursor(
-    std::size_t worker) const {
-  WorkerCursor c;
-  // FaultPlan's fork sequence: fork 1 = straggler assignment, fork 2 + w =
-  // worker w's stream, fork 2 + n + e = edge e's stream.
-  c.rng = root_.fork_nth(detail::kWorkerStreamBase + worker, 2 + worker);
-  c.online = c.rng.uniform() >= cfg_.churn.p_start_down;
-  return c;
-}
-
-// One interval row of FaultPlan's per-worker loop, draw for draw.
-void SparseFaultPlan::advance_worker(std::size_t worker,
-                                     WorkerCursor& c) const {
-  const std::size_t k = c.k + 1;
-
-  if (cfg_.churn.p_fail > 0.0 || cfg_.churn.p_start_down > 0.0) {
-    if (k > 1) {
-      const Scalar flip = c.rng.uniform();
-      c.online = c.online ? flip >= cfg_.churn.p_fail
-                          : flip < cfg_.churn.p_recover;
-    }
-  } else {
-    c.online = true;
-  }
-
-  bool up = c.online;
-
-  if (cfg_.dropout.prob > 0.0 && c.rng.uniform() < cfg_.dropout.prob) {
-    up = false;
-  }
-
-  Scalar factor = 1.0;
-  if (!is_straggler_.empty() && is_straggler_[worker]) {
-    factor = cfg_.straggler.slowdown;
-    if (cfg_.straggler.jitter > 0.0) {
-      factor *= std::max(Scalar{0.2},
-                         c.rng.normal(1.0, cfg_.straggler.jitter));
-    }
-    factor = std::max(Scalar{1.0}, factor);
-  }
-  if (cfg_.straggler.deadline_slowdown > 0.0 &&
-      factor > cfg_.straggler.deadline_slowdown) {
-    up = false;
-  }
-
-  if (up && cfg_.link.loss_prob > 0.0) {
-    std::size_t attempt = 1;
-    while (c.rng.uniform() < cfg_.link.loss_prob) {
-      if (attempt == cfg_.link.max_retries) {
-        up = false;
-        break;
-      }
-      ++attempt;
-    }
-  }
-
-  c.k = k;
-  c.up = up;
+  is_straggler_ = detail::straggler_roles(root_, cfg_, num_workers_);
 }
 
 bool SparseFaultPlan::worker_available(std::size_t k,
@@ -91,25 +21,30 @@ bool SparseFaultPlan::worker_available(std::size_t k,
   HFL_CHECK(k >= 1 && worker < num_workers_,
             "fault-plan query out of range");
   auto [it, inserted] = worker_cursors_.try_emplace(worker);
-  WorkerCursor& c = it->second;
-  if (inserted || k < c.k) c = fresh_worker_cursor(worker);
-  while (c.k < k) advance_worker(worker, c);
-  return c.up;
+  WorkerSlot& slot = it->second;
+  if (inserted || k < slot.cursor.k) {
+    slot.cursor = detail::worker_cursor(
+        root_, cfg_, worker,
+        !is_straggler_.empty() && is_straggler_[worker] != 0);
+  }
+  while (slot.cursor.k < k) {
+    slot.up = detail::worker_step(cfg_, slot.cursor).up;
+  }
+  return slot.up;
 }
 
 bool SparseFaultPlan::edge_available(std::size_t k, std::size_t edge) const {
   HFL_CHECK(k >= 1 && edge < num_edges_, "fault-plan query out of range");
   if (cfg_.edge_outage.prob <= 0.0) return true;
   auto [it, inserted] = edge_cursors_.try_emplace(edge);
-  EdgeCursor& c = it->second;
+  EdgeSlot& c = it->second;
   if (inserted || k < c.k) {
-    c.rng = root_.fork_nth(detail::kEdgeStreamBase + edge,
-                           2 + num_workers_ + edge);
+    c.rng = detail::edge_stream(root_, num_workers_, edge);
     c.k = 0;
     c.up = true;
   }
   while (c.k < k) {
-    c.up = !(c.rng.uniform() < cfg_.edge_outage.prob);
+    c.up = detail::edge_step(cfg_, c.rng);
     ++c.k;
   }
   return c.up;

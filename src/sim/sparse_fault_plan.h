@@ -4,26 +4,23 @@
 // schedule up front — exactly what a million-worker run cannot afford, and
 // wasted work when only the sampled cohort is ever queried.
 // `SparseFaultPlan` answers the same queries through the
-// `fl::AvailabilityOracle` interface by REPLAYING the identical per-entity
-// forked RNG streams on demand:
+// `fl::AvailabilityOracle` interface by replaying the same per-entity
+// streams on demand, through the same draw routine (`detail::worker_step`,
+// `detail::edge_step` in fault_plan.h):
 //
-//   * construction precomputes only the O(n)-bit straggler-role bitmap
-//     (FaultPlan draws it from one fleet-level stream in worker order, so
-//     it cannot be derived per worker);
-//   * the first query for worker w derives its stream statelessly with
-//     Rng::fork_nth — FaultPlan takes worker w's stream as fork 2 + w of
-//     the plan root (fork 1 is the straggler-assignment stream) and edge
-//     e's as fork 2 + n + e — and replays interval rows until it reaches
-//     the asked interval, caching a per-entity cursor;
+//   * construction precomputes only the O(n)-bit straggler-role bitmap (one
+//     fleet-level stream in worker order, so it cannot be derived per
+//     worker), and only when a straggler model is configured;
+//   * the first query for an entity derives its stream statelessly
+//     (Rng::fork_nth, same fork numbering as FaultPlan) and replays interval
+//     rows up to the asked one, caching a per-entity cursor;
 //   * later queries advance the cursor forward, or rewind by replaying
 //     from the stream head (queries going backward are rare: the engine
 //     asks in nondecreasing interval order).
 //
-// The per-interval draw pattern mirrors FaultPlan::FaultPlan line for line
-// (same conditional draws in the same order), so for every (interval,
-// entity) the answer is bit-identical to the dense plan built from the same
-// config — asserted by tests/pop_test.cpp over the full model zoo. Queries
-// are serial-only, per the AvailabilityOracle contract.
+// So for every (interval, entity) the answer equals the FaultPlan built from
+// the same config; tests/fault_golden_test.cpp pins both to recorded trace
+// digests. Queries are serial-only, per the AvailabilityOracle contract.
 #pragma once
 
 #include <cstdint>
@@ -51,20 +48,15 @@ class SparseFaultPlan final : public fl::AvailabilityOracle {
   const FaultConfig& config() const { return cfg_; }
 
  private:
-  struct WorkerCursor {
-    Rng rng{0};
-    std::size_t k = 0;    // last replayed interval (0 = before interval 1)
-    bool online = true;   // Markov churn state after interval k
-    bool up = true;       // availability at interval k
+  struct WorkerSlot {
+    detail::WorkerCursor cursor;
+    bool up = true;  // availability at interval cursor.k
   };
-  struct EdgeCursor {
+  struct EdgeSlot {
     Rng rng{0};
     std::size_t k = 0;
     bool up = true;
   };
-
-  WorkerCursor fresh_worker_cursor(std::size_t worker) const;
-  void advance_worker(std::size_t worker, WorkerCursor& c) const;
 
   FaultConfig cfg_;
   std::size_t num_workers_ = 0;
@@ -73,8 +65,8 @@ class SparseFaultPlan final : public fl::AvailabilityOracle {
   std::vector<std::uint8_t> is_straggler_;
   // Lazy per-entity replay cursors (mutable: queries are logically const
   // and, per the oracle contract, serial).
-  mutable std::unordered_map<std::size_t, WorkerCursor> worker_cursors_;
-  mutable std::unordered_map<std::size_t, EdgeCursor> edge_cursors_;
+  mutable std::unordered_map<std::size_t, WorkerSlot> worker_cursors_;
+  mutable std::unordered_map<std::size_t, EdgeSlot> edge_cursors_;
 };
 
 }  // namespace hfl::sim

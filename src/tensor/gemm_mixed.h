@@ -12,7 +12,7 @@
 // ≤ 1e-6 relative to the FP64 result's magnitude on the library's operand
 // distributions (asserted on randomized shapes, including masked-tail sizes,
 // by tests/gemm_batched_test.cpp). Only the opt-in mixed-precision cohort
-// path (RunConfig::mixed_precision / HFL_MIXED_PRECISION) calls this;
+// path (RunConfig::mixed_precision) calls this;
 // everything else in the library stays on the FP64 kernels.
 #pragma once
 

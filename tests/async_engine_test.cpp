@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,6 +30,7 @@
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
 #include "src/sim/fault_plan.h"
+#include "tests/golden.h"
 
 namespace hfl::evt {
 namespace {
@@ -307,6 +307,34 @@ TEST(AsyncSyncTest, ForwardsToEngineAndStampsModeledTime) {
   }
 }
 
+// A plan whose only effect is link retries drops nobody, so its schedule
+// reads as a no-op — yet every policy must still charge the retried
+// uploads to the modeled clock.
+TEST(AsyncRetryTest, RetryOnlyPlanSlowsEveryPolicy) {
+  Fixture f;
+  sim::FaultConfig fc;
+  fc.seed = 42;
+  fc.link.loss_prob = 0.4;
+  fc.link.max_retries = 1000;
+  for (const fl::ExecPolicy policy :
+       {fl::ExecPolicy::kSync, fl::ExecPolicy::kSemiAsync,
+        fl::ExecPolicy::kAsync}) {
+    auto clean_alg = algs::make_algorithm("HierAdMo");
+    auto retry_alg = algs::make_algorithm("HierAdMo");
+    const fl::RunConfig cfg = policy == fl::ExecPolicy::kSync
+                                  ? f.config_for(*clean_alg)
+                                  : f.event_config(*clean_alg, policy);
+    const sim::FaultPlan plan(f.topo, cfg, fc);
+    ASSERT_TRUE(plan.schedule().is_noop());
+    const fl::RunResult clean =
+        run_async(f, *clean_alg, cfg, 1, nullptr, nullptr);
+    const fl::RunResult retried =
+        run_async(f, *retry_alg, cfg, 1, &plan, nullptr);
+    EXPECT_GT(retried.sim_seconds, clean.sim_seconds)
+        << "policy " << fl::to_string(policy);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Event-driven policies: seed-deterministic at any thread count
 // ---------------------------------------------------------------------------
@@ -342,31 +370,9 @@ TEST_P(AsyncDeterminismTest, SeedDeterministicUnderFaults) {
   }
 }
 
-// 64-bit FNV-1a over the raw bytes of a run's reported outcome.
-class Fnv {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
-  }
-  template <typename T>
-  void add(const T& v) {
-    bytes(&v, sizeof v);
-  }
-  template <typename T>
-  void add(const std::vector<T>& v) {
-    add(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 std::uint64_t event_run_digest(const fl::RunResult& r,
                                const LinkTotalsByLink& links) {
-  Fnv h;
+  golden::Fnv h;
   for (const fl::MetricPoint& p : r.curve) {
     h.add(p.iteration);
     h.add(p.test_loss);
@@ -541,14 +547,7 @@ TEST_P(AsyncDeterminismTest, MatchesGoldenDigests) {
       got[i++] = event_run_digest(r, links);
     }
   }
-  std::string row = "{\"" + GetParam() + "\", {";
-  for (const std::uint64_t d : got) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llxULL, ",
-                  static_cast<unsigned long long>(d));
-    row += buf;
-  }
-  row += "}},";
+  const std::string row = golden::format_row(GetParam(), got);
   const auto it = golden->find(GetParam());
   ASSERT_NE(it, golden->end()) << "no golden row; measured:\n" << row;
   EXPECT_EQ(it->second, got) << "measured:\n" << row;

@@ -10,14 +10,14 @@
 //     (which shifts elements between SIMD body and scalar tail) must not
 //     change a single bit.
 //
-//   * Participation::set_cohort_roster must equal the dense set_roster on
-//     the equivalent population-sized arrays bitwise — every renormalized
-//     weight visits the same members in the same order — including when the
-//     sparse and dense entry points interleave on one object.
+//   * Participation::set_cohort_roster must equal a naive whole-population
+//     renormalization written out in this file, bitwise — every weight
+//     visits the same members in the same order — and an interleaved
+//     edge-only roster must leave the all-absent baseline behind.
 //
 //   * The engine's miss accounting is derived at finalize from per-interval
-//     participation tallies; a dense per-interval Participation sweep over
-//     the same fault-zoo schedule is the oracle it must match exactly.
+//     participation tallies; counting absences straight off the fault
+//     schedule's arrays is the oracle it must match exactly.
 //
 //   * Sampled virtualized runs with kReset/kDecay absent policies replay the
 //     policy per missed interval at restore (src/pop/cohort_store.h); a
@@ -234,43 +234,95 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse roster vs dense set_roster.
+// Cohort roster vs a naive population sweep.
 // ---------------------------------------------------------------------------
 
-void expect_same_view(const Participation& a, const Participation& b,
-                      const Topology& topo) {
-  ASSERT_EQ(a.num_workers(), b.num_workers());
-  EXPECT_EQ(a.num_active(), b.num_active());
-  for (std::size_t w = 0; w < a.num_workers(); ++w) {
-    EXPECT_EQ(a.worker_active(w), b.worker_active(w)) << "worker " << w;
-    // Weights are only defined for active workers: the dense rebuild leaves
-    // stale in-edge weights on workers that went inactive (never read),
-    // while the sparse path restores its all-absent baseline.
-    if (!a.worker_active(w)) continue;
-    EXPECT_EQ(a.weight_in_edge(w), b.weight_in_edge(w)) << "worker " << w;
-    EXPECT_EQ(a.weight_global(w), b.weight_global(w)) << "worker " << w;
+// The renormalization written out over the whole population, one worker at
+// a time in id order: what Participation must reproduce bit for bit while
+// touching only the cohort.
+struct NaiveRoster {
+  std::vector<std::uint8_t> active;
+  std::vector<std::uint8_t> edge_active;
+  std::vector<std::vector<WorkerId>> active_of_edge;
+  std::vector<Scalar> weight_in_edge, weight_global, edge_weight;
+  std::size_t num_active = 0;
+};
+
+NaiveRoster naive_roster(const Topology& topo,
+                         const std::vector<Scalar>& base,
+                         const std::vector<std::uint8_t>& worker_up,
+                         const std::vector<std::uint8_t>& edge_up,
+                         const std::vector<Scalar>& scale) {
+  const std::size_t n = topo.num_workers();
+  const std::size_t l = topo.num_edges();
+  NaiveRoster r;
+  r.active.assign(n, 0);
+  r.edge_active.assign(l, 0);
+  r.active_of_edge.resize(l);
+  r.weight_in_edge.assign(n, 0.0);
+  r.weight_global.assign(n, 0.0);
+  r.edge_weight.assign(l, 0.0);
+  std::vector<Scalar> mass(n), edge_mass(l, 0.0);
+  for (std::size_t w = 0; w < n; ++w) {
+    mass[w] = base[w] * scale[w];
+    r.active[w] = worker_up[w] && edge_up[topo.edge_of_worker(w)] ? 1 : 0;
+    r.num_active += r.active[w];
+  }
+  Scalar global_mass = 0;
+  for (std::size_t e = 0; e < l; ++e) {
+    for (const WorkerId w : topo.workers_of_edge(e)) {
+      if (!r.active[w]) continue;
+      r.active_of_edge[e].push_back(w);
+      edge_mass[e] += mass[w];
+    }
+    r.edge_active[e] = edge_up[e] && !r.active_of_edge[e].empty() ? 1 : 0;
+    for (const WorkerId w : r.active_of_edge[e]) {
+      r.weight_in_edge[w] = mass[w] / edge_mass[e];
+    }
+    if (r.edge_active[e]) global_mass += edge_mass[e];
+  }
+  Scalar active_mass = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    if (r.active[w]) active_mass += mass[w];
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    if (r.active[w]) r.weight_global[w] = mass[w] / active_mass;
+  }
+  for (std::size_t e = 0; e < l; ++e) {
+    if (r.edge_active[e]) r.edge_weight[e] = edge_mass[e] / global_mass;
+  }
+  return r;
+}
+
+void expect_matches(const Participation& p, const NaiveRoster& r,
+                    const Topology& topo) {
+  EXPECT_EQ(p.num_active(), r.num_active);
+  for (std::size_t w = 0; w < topo.num_workers(); ++w) {
+    // Absent workers sit at the all-absent baseline: zero weights.
+    EXPECT_EQ(p.worker_active(w), r.active[w] != 0) << "worker " << w;
+    EXPECT_EQ(p.weight_in_edge(w), r.weight_in_edge[w]) << "worker " << w;
+    EXPECT_EQ(p.weight_global(w), r.weight_global[w]) << "worker " << w;
   }
   for (std::size_t e = 0; e < topo.num_edges(); ++e) {
-    EXPECT_EQ(a.edge_active(e), b.edge_active(e)) << "edge " << e;
-    EXPECT_EQ(a.edge_weight_global(e), b.edge_weight_global(e)) << "edge " << e;
-    EXPECT_EQ(a.active_workers_of_edge(e), b.active_workers_of_edge(e))
+    EXPECT_EQ(p.edge_active(e), r.edge_active[e] != 0) << "edge " << e;
+    EXPECT_EQ(p.edge_weight_global(e), r.edge_weight[e]) << "edge " << e;
+    EXPECT_EQ(p.active_workers_of_edge(e), r.active_of_edge[e])
         << "edge " << e;
   }
 }
 
-TEST(SparseRosterTest, MatchesDenseSetRosterBitwise) {
+TEST(SparseRosterTest, MatchesNaiveReferenceBitwise) {
   const Topology topo = Topology::uniform(4, 16);
   const std::size_t N = topo.num_workers();
   std::vector<Scalar> weights(N);
   Rng rng(77);
   for (Scalar& w : weights) w = 1.0 + 10.0 * rng.uniform();
 
-  Participation sparse(topo, nullptr, weights, /*edge_faults=*/true);
-  Participation dense(topo, nullptr, weights, /*edge_faults=*/true);
+  Participation part(topo, weights, /*edge_faults=*/true);
 
   std::vector<WorkerId> cohort;
   std::vector<std::uint8_t> cohort_up, worker_up(N), edge_up(topo.num_edges());
-  std::vector<Scalar> cohort_scale, dense_scale(N);
+  std::vector<Scalar> cohort_scale, scale(N);
   for (std::size_t round = 0; round < 12; ++round) {
     // Random ascending cohort (~1/4 of the population), random up bits,
     // random with-replacement-style multiplicities, random edge outages.
@@ -278,7 +330,7 @@ TEST(SparseRosterTest, MatchesDenseSetRosterBitwise) {
     cohort_up.clear();
     cohort_scale.clear();
     std::fill(worker_up.begin(), worker_up.end(), 0);
-    std::fill(dense_scale.begin(), dense_scale.end(), 1.0);
+    std::fill(scale.begin(), scale.end(), 1.0);
     for (std::size_t w = 0; w < N; ++w) {
       if (rng.uniform() > 0.25) continue;
       const bool up = rng.uniform() < 0.8;
@@ -287,7 +339,7 @@ TEST(SparseRosterTest, MatchesDenseSetRosterBitwise) {
       cohort_up.push_back(up ? 1 : 0);
       cohort_scale.push_back(mult);
       worker_up[w] = up ? 1 : 0;
-      dense_scale[w] = mult;
+      scale[w] = mult;
     }
     if (cohort.empty()) {
       cohort.push_back(0);
@@ -300,24 +352,42 @@ TEST(SparseRosterTest, MatchesDenseSetRosterBitwise) {
     }
 
     SCOPED_TRACE("round " + std::to_string(round));
-    sparse.set_cohort_roster(cohort, cohort_up, edge_up, &cohort_scale);
-    dense.set_roster(worker_up, edge_up, &dense_scale);
-    expect_same_view(sparse, dense, topo);
+    part.set_cohort_roster(cohort, cohort_up, edge_up, &cohort_scale);
+    expect_matches(part, naive_roster(topo, weights, worker_up, edge_up, scale),
+                   topo);
 
-    // Interleave forms on the SAME object mid-sequence: the sparse state
-    // must rebuild its baseline after a dense call.
+    // An edge-only roster mid-sequence must leave the all-absent worker
+    // baseline the next cohort roster builds on.
     if (round == 5) {
-      sparse.set_roster(worker_up, edge_up, &dense_scale);
-      expect_same_view(sparse, dense, topo);
+      part.set_edge_roster(edge_up);
+      EXPECT_EQ(part.num_active(), 0u);
+      Scalar up_mass = 0;
+      std::vector<Scalar> edge_mass(topo.num_edges(), 0.0);
+      for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+        for (const WorkerId w : topo.workers_of_edge(e)) {
+          edge_mass[e] += weights[w];
+        }
+        if (edge_up[e]) up_mass += edge_mass[e];
+      }
+      for (std::size_t w = 0; w < N; ++w) {
+        EXPECT_FALSE(part.worker_active(w));
+        EXPECT_EQ(part.weight_in_edge(w), 0.0);
+        EXPECT_EQ(part.weight_global(w), 0.0);
+      }
+      for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+        EXPECT_EQ(part.edge_active(e), edge_up[e] != 0);
+        EXPECT_EQ(part.edge_weight_global(e),
+                  edge_up[e] ? edge_mass[e] / up_mass : 0.0);
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Incremental miss accounting vs a dense per-interval sweep.
+// Incremental miss accounting vs the schedule arrays.
 // ---------------------------------------------------------------------------
 
-TEST(MissAccountingTest, MatchesDensePerIntervalSweep) {
+TEST(MissAccountingTest, MatchesScheduleArrays) {
   Fixture f;
   const sim::FaultPlan plan(f.topo, f.cfg, fault_zoo());
   const ParticipationSchedule& schedule = plan.schedule();
@@ -328,16 +398,16 @@ TEST(MissAccountingTest, MatchesDensePerIntervalSweep) {
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   const RunResult r = engine.run(*alg, &schedule);
 
-  // Oracle: replay the schedule through a fresh Participation and count
-  // absences with the per-interval sweep the engine no longer runs.
-  std::vector<Scalar> ones(f.topo.num_workers(), 1.0);
-  Participation sweep(f.topo, &schedule, ones, /*edge_faults=*/true);
+  // A three-tier worker misses interval k when it is down or its edge is.
   std::vector<std::size_t> expected(f.topo.num_workers(), 0);
   const std::size_t intervals = f.cfg.total_iterations / f.cfg.tau;
   for (std::size_t k = 1; k <= intervals; ++k) {
-    sweep.begin_interval(k);
     for (std::size_t w = 0; w < expected.size(); ++w) {
-      if (!sweep.worker_active(w)) ++expected[w];
+      const std::size_t e = f.topo.edge_of_worker(w);
+      if (!schedule.worker_up[(k - 1) * schedule.num_workers + w] ||
+          !schedule.edge_up[(k - 1) * schedule.num_edges + e]) {
+        ++expected[w];
+      }
     }
   }
   EXPECT_EQ(r.worker_miss_counts, expected);

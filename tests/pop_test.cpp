@@ -14,8 +14,9 @@
 //   * Slab round-trips blobs on both backends and keeps honest byte
 //     accounting.
 //   * Population descriptors reproduce the dense engine's weight arithmetic.
-//   * SparseFaultPlan answers every (interval, entity) query bit-identically
-//     to the dense FaultPlan built from the same config, in any query order.
+//   * SparseFaultPlan answers scrambled and backward queries like the
+//     FaultPlan built from the same config (both traces are pinned by
+//     tests/fault_golden_test.cpp).
 //   * CohortStore: deterministic cohort draws, spill → restore round-trips
 //     every mutable field (including batch-stream checkpoints) bit-exactly.
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "src/pop/slab.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/sparse_fault_plan.h"
+#include "tests/golden.h"
 
 namespace hfl {
 namespace {
@@ -297,75 +299,11 @@ TEST(PopulationTest, DescriptorsMatchDenseArithmetic) {
   }
 }
 
-sim::FaultConfig zoo_config(int which) {
-  sim::FaultConfig fc;
-  fc.seed = 100 + which;
-  switch (which) {
-    case 0:
-      fc.dropout.prob = 0.3;
-      break;
-    case 1:
-      fc.churn.p_fail = 0.2;
-      fc.churn.p_recover = 0.6;
-      fc.churn.p_start_down = 0.25;
-      break;
-    case 2:
-      fc.straggler.fraction = 0.4;
-      fc.straggler.slowdown = 2.0;
-      fc.straggler.jitter = 0.5;
-      fc.straggler.deadline_slowdown = 2.5;
-      break;
-    case 3:
-      fc.link.loss_prob = 0.35;
-      fc.link.max_retries = 2;
-      break;
-    case 4:
-      fc.edge_outage.prob = 0.3;
-      break;
-    default:  // everything at once
-      fc.dropout.prob = 0.15;
-      fc.churn.p_fail = 0.1;
-      fc.churn.p_recover = 0.7;
-      fc.churn.p_start_down = 0.1;
-      fc.straggler.fraction = 0.3;
-      fc.straggler.slowdown = 1.8;
-      fc.straggler.jitter = 0.4;
-      fc.straggler.deadline_slowdown = 2.2;
-      fc.link.loss_prob = 0.2;
-      fc.link.max_retries = 3;
-      fc.edge_outage.prob = 0.2;
-      break;
-  }
-  return fc;
-}
-
-TEST(SparseFaultPlanTest, MatchesDensePlanOverModelZoo) {
-  PopFixture f;
-  fl::RunConfig cfg = f.cfg;
-  cfg.total_iterations = 12;  // 6 intervals
-  for (int which = 0; which < 6; ++which) {
-    const sim::FaultConfig fc = zoo_config(which);
-    const sim::FaultPlan dense(f.topo, cfg, fc);
-    const sim::SparseFaultPlan sparse(f.topo.num_workers(),
-                                      f.topo.num_edges(), fc);
-    for (std::size_t k = 1; k <= dense.num_intervals(); ++k) {
-      for (std::size_t w = 0; w < f.topo.num_workers(); ++w) {
-        EXPECT_EQ(sparse.worker_available(k, w), dense.worker_available(k, w))
-            << "zoo " << which << " k=" << k << " w=" << w;
-      }
-      for (std::size_t e = 0; e < f.topo.num_edges(); ++e) {
-        EXPECT_EQ(sparse.edge_available(k, e), dense.edge_available(k, e))
-            << "zoo " << which << " k=" << k << " e=" << e;
-      }
-    }
-  }
-}
-
 TEST(SparseFaultPlanTest, QueryOrderIndependent) {
   PopFixture f;
   fl::RunConfig cfg = f.cfg;
   cfg.total_iterations = 12;
-  const sim::FaultConfig fc = zoo_config(5);
+  const sim::FaultConfig fc = golden::fault_zoo(5);
   const sim::FaultPlan dense(f.topo, cfg, fc);
   const sim::SparseFaultPlan sparse(f.topo.num_workers(), f.topo.num_edges(),
                                     fc);

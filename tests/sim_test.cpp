@@ -111,7 +111,18 @@ TEST(FaultPlanTest, NoopConfigProducesNoopSchedule) {
   EXPECT_TRUE(fc.is_noop());
   const FaultPlan plan(f.topo, f.cfg, fc);
   EXPECT_TRUE(plan.schedule().is_noop());
+  EXPECT_TRUE(plan.is_noop());
   EXPECT_DOUBLE_EQ(plan.planned_participation(), 1.0);
+}
+
+TEST(FaultPlanTest, RetryOnlyPlanIsNotNoop) {
+  SimFixture f;
+  FaultConfig fc;
+  fc.link.loss_prob = 0.4;
+  fc.link.max_retries = 1000;  // retries, but nobody exhausts the budget
+  const FaultPlan plan(f.topo, f.cfg, fc);
+  EXPECT_TRUE(plan.schedule().is_noop());
+  EXPECT_FALSE(plan.is_noop());
 }
 
 TEST(FaultPlanTest, DeadlinePolicyDropsSlowStragglers) {
