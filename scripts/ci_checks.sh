@@ -7,7 +7,9 @@
 #      weights ≡ closed form, batched ≡ per-worker) before timing — then
 #      the concurrency tests 20 times over.
 #   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
-#      the event engine and of the fault paths, pinned on this build.
+#      the event engine and of the fault paths, pinned on this build, and
+#      the population suites (spill-record codec, absent-policy replay,
+#      virtualized ≡ dense parity) on the portable kernels.
 #   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
 #      hfl_bench self-tests plus every workload at a short horizon, output
 #      checked against BENCHMARK.json. It compiles against the public
@@ -51,13 +53,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 # --- gate 2: portable kernels + golden digests ----------------------------
 # With FMA enabled the compiler's contraction choices move bits between
-# optimization levels, so the digests are authoritative on this build.
+# optimization levels, so the digests are authoritative on this build. The
+# population suites run here too: the spill-record codec and the restore
+# replay must hold on both kernel configs.
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
-  --target async_engine_test fault_golden_test
+  --target async_engine_test fault_golden_test pop_test pop_parity_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test)$'
 
 # --- gate 3: repository benchmark smoke run -------------------------------
 bash benchmark/run.sh --smoke

@@ -4,33 +4,32 @@
 
 namespace hfl::data {
 
-Batcher::Batcher(const Dataset& dataset, std::vector<std::size_t> indices,
+Batcher::Batcher(const Dataset& dataset,
+                 const std::vector<std::size_t>& indices,
                  std::size_t batch_size, Rng rng)
-    : dataset_(&dataset),
-      indices_(std::move(indices)),
-      batch_size_(std::min(batch_size, indices_.size())),
-      rng_(std::move(rng)) {
-  HFL_CHECK(!indices_.empty(), "batcher needs at least one sample");
+    : Batcher(dataset, batch_size) {
+  reseed(indices, std::move(rng));
+}
+
+Batcher::Batcher(const Dataset& dataset, std::size_t batch_size)
+    : dataset_(&dataset), requested_batch_(batch_size) {
   HFL_CHECK(batch_size > 0, "batch size must be positive");
-  for (const std::size_t i : indices_) {
-    HFL_CHECK(i < dataset.size(), "batcher index out of dataset range");
-  }
+}
+
+void Batcher::reseed(const std::vector<std::size_t>& indices, Rng rng) {
+  indices_.assign(indices.begin(), indices.end());
+  cursor_ = 0;
+  rng_ = std::move(rng);
+  bind();
   rng_.shuffle(indices_);
 }
 
-Batcher::Batcher(const Dataset& dataset, const BatcherState& state,
-                 std::size_t batch_size)
-    : dataset_(&dataset),
-      indices_(state.indices),
-      batch_size_(std::min(batch_size, indices_.size())),
-      cursor_(state.cursor),
-      rng_(Rng::from_state(state.rng)) {
+void Batcher::bind() {
   HFL_CHECK(!indices_.empty(), "batcher needs at least one sample");
-  HFL_CHECK(batch_size > 0, "batch size must be positive");
-  HFL_CHECK(cursor_ <= indices_.size(), "batcher checkpoint cursor out of range");
   for (const std::size_t i : indices_) {
-    HFL_CHECK(i < dataset.size(), "batcher index out of dataset range");
+    HFL_CHECK(i < dataset_->size(), "batcher index out of dataset range");
   }
+  batch_size_ = std::min(requested_batch_, indices_.size());
 }
 
 void Batcher::next(Tensor& x, std::vector<std::size_t>& y) {

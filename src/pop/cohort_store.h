@@ -12,13 +12,33 @@
 //     fork of the run root (fork 1 is the init-model stream), so the lazy
 //     path derives it statelessly with Rng::fork_nth(1000 + i, 2 + i) —
 //     keep in lockstep with src/fl/engine.cpp.
-//   * spill — a worker leaving the cohort serializes every mutable field
-//     (x, y, v, grad, accumulators, `extra`, both batch-stream
-//     checkpoints) into the slab; the scratch model is dropped (it holds
-//     no cross-batch state) and rebuilt from the factory on restore.
+//   * spill — a worker leaving the cohort encodes every mutable field (x,
+//     y, v, grad, accumulators, `extra`, both batch-stream positions)
+//     straight from its live state into a record in the slab.
 //   * restore — byte-exact resurrection: the worker resumes mid-run as if
 //     it had stayed materialized the whole time (asserted by
 //     tests/pop_test.cpp round-trip and tests/pop_parity_test.cpp).
+//
+// Turnover does no per-worker allocation in steady state. A departed
+// state goes to a spare list once encoded; every arrival, restored or
+// fresh, takes a spare and overwrites it in place — vectors keep their
+// capacity, both batchers are reseeded or loaded in place, and the scratch
+// model (no cross-batch state) is reused as is. The model factory runs
+// only when the materialized pool grows past every state it has held this
+// run.
+//
+// Spill record (host byte order, never outlives the run, so unversioned):
+//   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
+//            element is +0.0 (nothing follows; −0.0 stays raw; only for
+//            n ≤ model dimension, since a tag claims no bytes)
+//   record   vec x, y, v, grad; f64 last_loss; vec sum_grad, sum_y, sum_v;
+//            u64 #extras, then per extra (ascending name) u64 len, name
+//            bytes, vec; batcher main, aux; u64 interval stamp
+//   batcher  u64 cursor, 5 × u64 RNG state, u64 n, n × u32 sample index
+// The interval accumulators are zero whenever a worker spills after an
+// edge sync, so they cost a tag each. The decoder checks every length
+// against the bytes left before it sizes anything: a corrupt record raises
+// hfl::Error.
 //
 // Cohort selection: exact weighted sampling by data mass D_i —
 // without-replacement via the Fenwick sampler, or with-replacement via the
@@ -32,7 +52,7 @@
 // pop.spill_bytes, pop.restore_bytes, pop.slab.bytes, pop.slab.peak_bytes.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -76,10 +96,10 @@ class CohortStore final : public fl::CohortProvider {
   std::vector<fl::WorkerId> set_cohort(
       const std::vector<fl::WorkerId>& ids) override;
   fl::WorkerSet& workers() override { return view_; }
-  // Cohort-turnover parallelism: spill serialization and restore/fresh
-  // state construction fan out per worker on the host pool; slab access,
-  // model-factory calls, and telemetry stay serial. Bit-identical at any
-  // thread count (no cross-worker reductions).
+  // Cohort-turnover parallelism: record encoding and restore/fresh state
+  // construction fan out per worker on the host pool; slab access, pool
+  // growth (the only model-factory calls) and telemetry stay serial.
+  // Bit-identical at any thread count (no cross-worker reductions).
   void attach_pool(ThreadPool* pool) override { host_pool_ = pool; }
   void begin_interval(std::size_t k) override { clock_ = k; }
   // Lazy absent-momentum replay: every spill records the interval clock;
@@ -100,12 +120,12 @@ class CohortStore final : public fl::CohortProvider {
   const Slab& slab() const { return slab_; }
 
  private:
-  void materialize_fresh(fl::WorkerState& w, fl::WorkerId id,
-                         std::unique_ptr<nn::Model> model);
-  void serialize(const fl::WorkerState& w, std::vector<char>& blob) const;
-  void deserialize(fl::WorkerState& w, fl::WorkerId id,
-                   const std::vector<char>& blob,
-                   std::unique_ptr<nn::Model> model) const;
+  // Arrivals overwrite a recycled (or newly grown) state in place.
+  void materialize_fresh(fl::WorkerState& w, fl::WorkerId id) const;
+  void encode(const fl::WorkerState& w, std::vector<char>& record) const;
+  void decode(fl::WorkerState& w, fl::WorkerId id,
+              std::span<const char> record) const;
+  void set_descriptors(fl::WorkerState& w, fl::WorkerId id) const;
   // Run fn(i) for i in [0, n) on the host pool when one is attached, else
   // inline. Tasks must be per-index independent.
   void run_tasks(std::size_t n,
@@ -127,6 +147,8 @@ class CohortStore final : public fl::CohortProvider {
   FenwickSampler fenwick_;
 
   std::vector<fl::WorkerState> pool_;       // cohort states, ascending id
+  std::vector<fl::WorkerState> next_;       // assembly buffer, swapped in
+  std::vector<fl::WorkerState> spares_;     // departed, awaiting reuse
   std::vector<std::uint32_t> slot_of_id_;   // population-sized id → slot
   fl::WorkerSet view_;
   std::size_t peak_materialized_ = 0;
@@ -135,8 +157,12 @@ class CohortStore final : public fl::CohortProvider {
   std::size_t clock_ = 0;                   // current interval (0 = no clock)
   fl::AbsentPolicy replay_policy_ = fl::AbsentPolicy::kHold;
   Scalar replay_decay_ = 1.0;
-  // Per-worker (de)serialization buffers, reused across intervals so steady
-  // state cohort turnover allocates nothing.
+  // Per-interval turnover scratch, reused so steady-state turnover does
+  // no per-worker allocation: departing slots, per-arrival kind and record view,
+  // encode buffers, and the file backend's read buffers.
+  std::vector<std::uint32_t> departing_;
+  std::vector<std::uint8_t> kind_;
+  std::vector<std::span<const char>> records_;
   std::vector<std::vector<char>> spill_bufs_;
   std::vector<std::vector<char>> restore_bufs_;
 };

@@ -1,10 +1,19 @@
 #include "src/pop/slab.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cstring>
 
 #include "src/common/errors.h"
 
 namespace hfl::pop {
+
+namespace {
+
+// kMemory arena chunk. Chunks are allocated uninitialized, so the pages of
+// the newest chunk are touched only as extents fill it.
+constexpr std::uint64_t kChunkBytes = std::uint64_t{4} << 20;
+
+}  // namespace
 
 Slab::Slab(SlabConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.backend == SlabConfig::Backend::kFile) {
@@ -19,54 +28,67 @@ void Slab::open_file() {
   file_.open(cfg_.path, std::ios::binary | std::ios::in | std::ios::out |
                             std::ios::trunc);
   HFL_CHECK(file_.is_open(), "cannot open slab spill file " + cfg_.path);
-  file_end_ = 0;
 }
 
 void Slab::clear() {
   index_.clear();
-  blobs_.clear();
+  chunks_.clear();
+  chunk_used_ = 0;
+  chunk_size_ = 0;
   if (cfg_.backend == SlabConfig::Backend::kFile) open_file();
   bytes_ = 0;
-  peak_bytes_ = 0;
   bytes_written_ = 0;
   bytes_read_ = 0;
 }
 
-void Slab::put(std::uint32_t id, const std::vector<char>& blob) {
-  bytes_written_ += blob.size();
+Slab::Extent Slab::reserve(std::size_t n) {
+  Extent e;
+  e.capacity = n;
   if (cfg_.backend == SlabConfig::Backend::kMemory) {
-    auto& slot = blobs_[id];
-    bytes_ -= slot.size();
-    slot = blob;
-    bytes_ += slot.size();
-    index_[id] = {0, static_cast<std::uint64_t>(blob.size())};
+    if (chunks_.empty() || chunk_size_ - chunk_used_ < n) {
+      chunk_size_ = std::max<std::uint64_t>(kChunkBytes, n);
+      chunks_.push_back(std::make_unique_for_overwrite<char[]>(chunk_size_));
+      chunk_used_ = 0;
+    }
+    e.chunk = static_cast<std::uint32_t>(chunks_.size() - 1);
+    e.offset = chunk_used_;
+    chunk_used_ += n;
   } else {
-    // Append-only: a rewrite abandons the old extent (dead space is the
-    // cost of never seeking backwards on the write path).
-    file_.seekp(static_cast<std::streamoff>(file_end_));
-    file_.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    HFL_CHECK(file_.good(), "slab spill write failed: " + cfg_.path);
-    index_[id] = {file_end_, static_cast<std::uint64_t>(blob.size())};
-    file_end_ += blob.size();
-    bytes_ = file_end_;
+    e.offset = bytes_;  // append at the end of the file
   }
-  if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
+  bytes_ += n;
+  return e;
 }
 
-void Slab::get(std::uint32_t id, std::vector<char>& out) {
+void Slab::put(std::uint32_t id, std::span<const char> record) {
+  bytes_written_ += record.size();
+  auto [it, added] = index_.try_emplace(id);
+  Extent& e = it->second;
+  if (added || e.capacity < record.size()) e = reserve(record.size());
+  e.length = record.size();
+  if (cfg_.backend == SlabConfig::Backend::kMemory) {
+    if (!record.empty()) std::memcpy(at(e), record.data(), record.size());
+  } else {
+    file_.seekp(static_cast<std::streamoff>(e.offset));
+    file_.write(record.data(), static_cast<std::streamsize>(record.size()));
+    HFL_CHECK(file_.good(), "slab spill write failed: " + cfg_.path);
+  }
+}
+
+std::span<const char> Slab::get(std::uint32_t id, std::vector<char>& buf) {
   const auto it = index_.find(id);
   HFL_CHECK(it != index_.end(),
             "worker " + std::to_string(id) + " has no spilled state");
-  out.resize(it->second.length);
-  bytes_read_ += it->second.length;
+  const Extent& e = it->second;
+  bytes_read_ += e.length;
   if (cfg_.backend == SlabConfig::Backend::kMemory) {
-    const auto& blob = blobs_.at(id);
-    out.assign(blob.begin(), blob.end());
-  } else {
-    file_.seekg(static_cast<std::streamoff>(it->second.offset));
-    file_.read(out.data(), static_cast<std::streamsize>(out.size()));
-    HFL_CHECK(file_.good(), "slab spill read failed: " + cfg_.path);
+    return {at(e), static_cast<std::size_t>(e.length)};
   }
+  buf.resize(e.length);
+  file_.seekg(static_cast<std::streamoff>(e.offset));
+  file_.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+  HFL_CHECK(file_.good(), "slab spill read failed: " + cfg_.path);
+  return {buf.data(), buf.size()};
 }
 
 }  // namespace hfl::pop

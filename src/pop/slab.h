@@ -1,26 +1,32 @@
 // Spill storage for evicted worker states.
 //
-// When a sampled cohort rotates, the workers leaving the cohort serialize
-// their mutable state (momentum vectors, interval accumulators, algorithm
-// extras, batch-stream checkpoints) into the slab; a worker re-entering a
-// later cohort restores the exact bytes and resumes bit-identically. Two
+// When a sampled cohort rotates, the workers leaving the cohort encode their
+// mutable state (momentum vectors, algorithm extras, batch-stream
+// positions) into the slab; a worker re-entering a later cohort decodes the
+// exact bytes and resumes bit-identically. One id → extent index serves two
 // backends:
 //
-//   * kMemory — an id-keyed blob map. Fast; bounded by the number of
-//     DISTINCT workers ever sampled (not the population — never-sampled
-//     workers cost nothing).
-//   * kFile   — append-only spill file with an in-memory (id → offset,
-//     length) index. A revisited worker's new spill appends and the index
-//     moves on, so the file grows monotonically; peak_bytes reports the
-//     high-water mark for the memory/telemetry study (EXPERIMENTS.md E18).
+//   * kMemory — extents carved from large arena chunks; get() lends a view
+//     into the chunk instead of copying out.
+//   * kFile   — extents in one spill file; get() reads into a caller buffer.
 //
-// The slab is a dumb byte store: serialization lives in cohort_store.cpp,
-// telemetry (pop.slab.* gauges) is updated by the owner from the byte
-// counters here.
+// A re-spill rewrites the worker's extent in place when the record fits it,
+// which it does whenever the record is no longer than the worker's first
+// one; a longer record moves to a new extent and the old one is dead
+// space. Records of a run keep their length unless a vector that was all
+// zero at one spill is not at the next, so storage is bounded by distinct
+// workers ever sampled × record size, not by the number of spills.
+// bytes() is the storage reserved for extents (the file size, for kFile).
+//
+// The slab is a dumb byte store: the record codec lives in
+// cohort_store.cpp, telemetry (pop.slab.* gauges) is updated by the owner
+// from the byte counters here.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,7 +44,7 @@ class Slab {
  public:
   explicit Slab(SlabConfig cfg);
 
-  // Drop every blob (a new run starts with an empty slab). Byte counters
+  // Drop every record (a new run starts with an empty slab). Byte counters
   // reset; the file backend truncates.
   void clear();
 
@@ -46,36 +52,42 @@ class Slab {
     return index_.find(id) != index_.end();
   }
 
-  // Store `blob` for `id`, replacing any previous spill of the same worker.
-  void put(std::uint32_t id, const std::vector<char>& blob);
+  // Store `record` for `id`, replacing any previous spill of the same
+  // worker (in place when it fits).
+  void put(std::uint32_t id, std::span<const char> record);
 
-  // Fetch `id`'s blob into `out`. The id must be present.
-  void get(std::uint32_t id, std::vector<char>& out);
+  // `id`'s record. kMemory returns a view into slab storage, valid until the
+  // next put or clear; kFile reads into `buf` and returns a view of it. The
+  // id must be present.
+  std::span<const char> get(std::uint32_t id, std::vector<char>& buf);
 
   std::size_t num_entries() const { return index_.size(); }
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t bytes_read() const { return bytes_read_; }
-  // Current live footprint: blob bytes (memory) or file size (file).
   std::uint64_t bytes() const { return bytes_; }
-  std::uint64_t peak_bytes() const { return peak_bytes_; }
+  // Storage never shrinks within a run, so the high-water mark is bytes().
+  std::uint64_t peak_bytes() const { return bytes_; }
 
  private:
   struct Extent {
-    std::uint64_t offset = 0;  // kFile only
-    std::uint64_t length = 0;
+    std::uint32_t chunk = 0;    // kMemory: arena chunk
+    std::uint64_t offset = 0;   // into the chunk (kMemory) or file (kFile)
+    std::uint64_t length = 0;   // current record
+    std::uint64_t capacity = 0;
   };
 
   void open_file();
+  // Reserve a new extent of `n` bytes.
+  Extent reserve(std::size_t n);
+  char* at(const Extent& e) { return chunks_[e.chunk].get() + e.offset; }
 
   SlabConfig cfg_;
   std::unordered_map<std::uint32_t, Extent> index_;
-  // kMemory: one owned blob per spilled worker (replacement frees the old
-  // bytes, so `bytes()` is the live footprint).
-  std::unordered_map<std::uint32_t, std::vector<char>> blobs_;
-  std::fstream file_;  // kFile
-  std::uint64_t file_end_ = 0;
+  std::vector<std::unique_ptr<char[]>> chunks_;  // kMemory
+  std::uint64_t chunk_used_ = 0;   // bytes reserved in chunks_.back()
+  std::uint64_t chunk_size_ = 0;   // size of chunks_.back()
+  std::fstream file_;              // kFile
   std::uint64_t bytes_ = 0;
-  std::uint64_t peak_bytes_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
 };

@@ -410,8 +410,11 @@ std::uint64_t event_run_digest(const fl::RunResult& r,
 // the compiler's a·b+c contraction choices change with the optimization
 // level, so the -march=native table holds only at the default Release flags
 // without sanitizers (HFL_GOLDEN_NATIVE_FLAGS, set by tests/CMakeLists.txt)
-// on an AVX2+FMA host with the toolchain it was recorded on; other FMA
-// builds skip. A failing run prints the measured rows.
+// and is keyed by ISA, like tests/fault_golden_test.cpp: -march=native code
+// differs between AVX-512 and AVX2-only hosts, and HierAdMo's faulted async
+// row moves between them. One table was recorded on an AVX-512 host, the
+// other on an AVX2+FMA host without AVX-512; other FMA builds skip. A
+// failing run prints the measured rows.
 using Digests = std::array<std::uint64_t, 6>;
 
 const std::map<std::string, Digests>* golden_digests() {
@@ -465,6 +468,58 @@ const std::map<std::string, Digests>* golden_digests() {
        {0xeee5d522de75494fULL, 0x456435c73643ddd0ULL,
         0xcfd1e4876230923aULL, 0xda7e74c09ee9a07fULL,
         0xbba127989ce12118ULL, 0x10a6271a98452fd0ULL}},
+  };
+  return &table;
+#elif defined(HFL_GOLDEN_NATIVE_FLAGS) && defined(__AVX512F__)
+  static const std::map<std::string, Digests> table{
+      {"HierAdMo",
+       {0x0cc8931e6e96ed14ULL, 0x219e8f1919161c22ULL,
+        0x99baaac7ffdcbde6ULL, 0xd1a5e4b7420c7830ULL,
+        0xac5e8a3a2edd51c7ULL, 0x0fb1c705a250223aULL}},
+      {"HierAdMo-R",
+       {0xfc4381127512ad88ULL, 0x8ca19026f6b5bdd0ULL,
+        0x2e6cdaa5322be880ULL, 0xa1424284ca208deeULL,
+        0x8b57d43937041128ULL, 0x80cba1b6a4100827ULL}},
+      {"HierFAVG",
+       {0x12e688b408854f53ULL, 0xbecd84cf31e38225ULL,
+        0x9400b08877c0e629ULL, 0xa45401ca9d2ae14eULL,
+        0x38ff768dc9745968ULL, 0xb2a77ebf525757afULL}},
+      {"CFL",
+       {0x461e5f5ff6537257ULL, 0xf82e11f9bce33c94ULL,
+        0xc14c683818a009f5ULL, 0xa6d4a907a9b25a6eULL,
+        0x38ff768dc9745968ULL, 0xb2a77ebf525757afULL}},
+      {"FastSlowMo",
+       {0xd55aab9d42575630ULL, 0x1746db33fb368652ULL,
+        0x134176bb2815c269ULL, 0x5c540d6f1820e3fdULL,
+        0x57fa64c2af952f62ULL, 0x9547e2a279b4ea01ULL}},
+      {"FedADC",
+       {0xe10fda1050a48652ULL, 0x9b6f297902473fe4ULL,
+        0x74ae23f16fd11d53ULL, 0x169515d47ad39487ULL,
+        0x6f4abbb10986fa4bULL, 0xfbbbf3e6e0206bf8ULL}},
+      {"FedMom",
+       {0x59f1425147673df9ULL, 0x091642b5fc39e661ULL,
+        0x81cd3b8d1cfffaacULL, 0xc6e0e52c9c7f10eaULL,
+        0xacbbb4ab9482dcecULL, 0xe72ee7a8e9c2eb7eULL}},
+      {"SlowMo",
+       {0x642d7831826dbae6ULL, 0xd120313e1ccfd7a5ULL,
+        0xfea3b2db5d7274d3ULL, 0xc5ad3864d909b15eULL,
+        0x333f4b6bb6185975ULL, 0x449a584da8c0e1f5ULL}},
+      {"FedNAG",
+       {0x3fa7594b80cd2cd0ULL, 0xa13e6c585a6f226aULL,
+        0xefd2aa77347135e1ULL, 0x2bce70958aad0b91ULL,
+        0x8a4aa469b5cff728ULL, 0xc0fe9af059e68017ULL}},
+      {"Mime",
+       {0x3c9fe50205fcd7fbULL, 0x0afdb591fe15bea8ULL,
+        0xccbb24f8b2a44172ULL, 0xc6706d9bfa4c8c47ULL,
+        0xcea26dbec1955b6dULL, 0xf40fe26c1e926dfdULL}},
+      {"FedAvg",
+       {0x1959917182810fdeULL, 0xd3bc34e8fc2b61afULL,
+        0x0233749a33ce308fULL, 0x8d4e0504fb893440ULL,
+        0xe7e2d6a421dda079ULL, 0x506612cfa054ad6bULL}},
+      {"MimeLite",
+       {0x5a42260050e26e81ULL, 0xd726dff02c6e5781ULL,
+        0x3540c52e5d5d26d4ULL, 0x2430edf551a27e5aULL,
+        0xb6c3e3ab9c5f3d07ULL, 0xb64cb13a9adcd11aULL}},
   };
   return &table;
 #elif defined(HFL_GOLDEN_NATIVE_FLAGS) && defined(__AVX2__)

@@ -11,20 +11,28 @@
 //     tree-order and linear-order prefix sums are bit-equal), restores its
 //     weights after every cohort, and its set frequencies match the exact
 //     enumeration probabilities.
-//   * Slab round-trips blobs on both backends and keeps honest byte
-//     accounting.
+//   * Slab round-trips records on both backends, rewrites extents in place
+//     when a record fits, and keeps honest byte accounting.
 //   * Population descriptors reproduce the dense engine's weight arithmetic.
 //   * SparseFaultPlan answers scrambled and backward queries like the
 //     FaultPlan built from the same config (both traces are pinned by
 //     tests/fault_golden_test.cpp).
 //   * CohortStore: deterministic cohort draws, spill → restore round-trips
-//     every mutable field (including batch-stream checkpoints) bit-exactly.
+//     every mutable field (including batch-stream checkpoints and signed
+//     zeros) bit-exactly; turnover contract — no factory calls once a
+//     same-size rotation runs on recycled states, a slab that stops growing
+//     once every worker of a fixed rotation has spilled, and corrupt record
+//     lengths rejected with hfl::Error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -213,25 +221,36 @@ void slab_round_trip(pop::SlabConfig cfg) {
   pop::Slab slab(cfg);
   const std::vector<char> a = {'a', 'b', 'c'};
   const std::vector<char> b(1000, 'x');
+  std::vector<char> buf;
+  const auto get = [&](std::uint32_t id) {
+    const std::span<const char> rec = slab.get(id, buf);
+    return std::vector<char>(rec.begin(), rec.end());
+  };
   slab.put(7, a);
   slab.put(42, b);
   EXPECT_TRUE(slab.contains(7));
   EXPECT_FALSE(slab.contains(8));
-  std::vector<char> out;
-  slab.get(7, out);
-  EXPECT_EQ(out, a);
-  slab.get(42, out);
-  EXPECT_EQ(out, b);
+  EXPECT_EQ(get(7), a);
+  EXPECT_EQ(get(42), b);
+  EXPECT_EQ(slab.bytes(), a.size() + b.size());
 
   const std::vector<char> a2 = {'z', 'z'};
-  slab.put(7, a2);  // rewrite
-  slab.get(7, out);
-  EXPECT_EQ(out, a2);
+  slab.put(7, a2);  // shorter rewrite: in place
+  EXPECT_EQ(get(7), a2);
+  EXPECT_EQ(get(42), b);
+  EXPECT_EQ(slab.bytes(), a.size() + b.size());
+  const std::vector<char> a3(8, 'q');
+  slab.put(7, a3);  // longer rewrite: moves to a new extent
+  EXPECT_EQ(get(7), a3);
+  EXPECT_EQ(get(42), b);
+  EXPECT_EQ(slab.bytes(), a.size() + b.size() + a3.size());
   EXPECT_EQ(slab.num_entries(), 2u);
-  EXPECT_GE(slab.peak_bytes(), slab.bytes() > 0 ? 1u : 0u);
-  EXPECT_EQ(slab.bytes_written(), a.size() + b.size() + a2.size());
+  EXPECT_EQ(slab.peak_bytes(), slab.bytes());
+  EXPECT_EQ(slab.bytes_written(),
+            a.size() + b.size() + a2.size() + a3.size());
   slab.clear();
   EXPECT_EQ(slab.num_entries(), 0u);
+  EXPECT_EQ(slab.bytes(), 0u);
   EXPECT_FALSE(slab.contains(7));
 }
 
@@ -333,12 +352,36 @@ TEST(SparseFaultPlanTest, ReportsAbsentPolicy) {
 }
 
 pop::CohortStore make_store(const PopFixture& f, std::size_t cohort,
-                            bool with_replacement = false) {
+                            bool with_replacement = false,
+                            pop::SlabConfig slab = {}) {
   pop::VirtConfig vc;
   vc.cohort_size = cohort;
   vc.with_replacement = with_replacement;
+  vc.slab = std::move(slab);
   return pop::CohortStore(f.factory, f.dataset, f.partition, f.topo, f.cfg,
                           vc);
+}
+
+pop::SlabConfig file_slab(const std::string& name) {
+  pop::SlabConfig cfg;
+  cfg.backend = pop::SlabConfig::Backend::kFile;
+  cfg.path = ::testing::TempDir() + name;
+  return cfg;
+}
+
+// Same index order, cursor and shuffle-RNG state.
+bool same_stream(const data::Batcher& a, const data::Batcher& b) {
+  const RngState ra = a.rng_state();
+  const RngState rb = b.rng_state();
+  return a.indices() == b.indices() && a.cursor() == b.cursor() &&
+         std::equal(std::begin(ra.s), std::end(ra.s), std::begin(rb.s)) &&
+         ra.fork_counter == rb.fork_counter;
+}
+
+// Bitwise equality: tells −0.0 from +0.0, unlike Vec's operator==.
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
 }
 
 TEST(CohortStoreTest, CohortDrawsDeterministicPerRound) {
@@ -402,8 +445,14 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
       w.sum_grad[i] = -0.125 * static_cast<Scalar>(i);
     }
     w.last_loss = 0.625;
+    // Signed zeros stay raw and come back with their sign; a partly-zero
+    // accumulator and an all-zero extra come back bit-exactly.
+    w.y[1] = -0.0;
+    std::fill(w.grad.begin(), w.grad.end(), -0.0);
+    w.sum_y[3] = 2.5;
     w.extra["anchor"] = Vec{1.0, 2.0, 3.0};
     w.extra["momentum_aux"] = Vec(5, -0.5);
+    w.extra["zeros"] = Vec(4, 0.0);
   };
   mutate(rotated.workers()[0]);
   mutate(pinned.workers()[0]);
@@ -416,26 +465,27 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
 
   fl::WorkerState& a = rotated.workers()[0];
   fl::WorkerState& b = pinned.workers()[0];
-  EXPECT_EQ(a.x, b.x);
-  EXPECT_EQ(a.y, b.y);
-  EXPECT_EQ(a.v, b.v);
-  EXPECT_EQ(a.grad, b.grad);
+  EXPECT_TRUE(same_bits(a.x, b.x));
+  EXPECT_TRUE(same_bits(a.y, b.y));
+  EXPECT_TRUE(std::signbit(a.y[1]));
+  EXPECT_TRUE(same_bits(a.v, b.v));
+  EXPECT_TRUE(same_bits(a.grad, b.grad));
+  EXPECT_TRUE(std::signbit(a.grad[0]));
   EXPECT_EQ(a.last_loss, b.last_loss);
-  EXPECT_EQ(a.sum_grad, b.sum_grad);
-  EXPECT_EQ(a.sum_y, b.sum_y);
-  EXPECT_EQ(a.sum_v, b.sum_v);
-  EXPECT_EQ(a.extra, b.extra);
+  EXPECT_TRUE(same_bits(a.sum_grad, b.sum_grad));
+  EXPECT_TRUE(same_bits(a.sum_y, b.sum_y));
+  EXPECT_TRUE(same_bits(a.sum_v, b.sum_v));
+  ASSERT_EQ(a.extra.size(), b.extra.size());
+  for (const auto& [name, vec] : b.extra) {
+    ASSERT_EQ(a.extra.count(name), 1u) << name;
+    EXPECT_TRUE(same_bits(a.extra.at(name), vec)) << name;
+  }
   EXPECT_EQ(a.weight_in_edge, b.weight_in_edge);
   EXPECT_EQ(a.weight_global, b.weight_global);
 
   // Batch streams resume exactly where the spilled worker left off.
-  const data::BatcherState sa = a.batcher->save_state();
-  const data::BatcherState sb = b.batcher->save_state();
-  EXPECT_EQ(sa.indices, sb.indices);
-  EXPECT_EQ(sa.cursor, sb.cursor);
-  EXPECT_TRUE(std::equal(std::begin(sa.rng.s), std::end(sa.rng.s),
-                         std::begin(sb.rng.s)));
-  EXPECT_EQ(sa.rng.fork_counter, sb.rng.fork_counter);
+  EXPECT_TRUE(same_stream(*a.batcher, *b.batcher));
+  EXPECT_TRUE(same_stream(*a.aux_batcher, *b.aux_batcher));
   const Tensor *ax = nullptr, *bx = nullptr;
   const std::vector<std::size_t>*ay = nullptr, *by = nullptr;
   for (int d = 0; d < 4; ++d) {
@@ -457,13 +507,110 @@ TEST(CohortStoreTest, FreshMaterializationMatchesAcrossStores) {
   b.set_cohort({3});
   b.set_cohort({1, 3});
   for (const fl::WorkerId id : {1u, 3u}) {
-    const data::BatcherState sa = a.workers()[id].batcher->save_state();
-    const data::BatcherState sb = b.workers()[id].batcher->save_state();
-    EXPECT_EQ(sa.indices, sb.indices) << "worker " << id;
-    EXPECT_TRUE(std::equal(std::begin(sa.rng.s), std::end(sa.rng.s),
-                           std::begin(sb.rng.s)))
+    EXPECT_TRUE(same_stream(*a.workers()[id].batcher,
+                            *b.workers()[id].batcher))
         << "worker " << id;
   }
+}
+
+// Turnover contract: once the first cohort is built, a same-size rotation
+// runs on recycled states — the model factory is not called again.
+TEST(CohortStoreTest, SameSizeRotationNeverCallsTheFactory) {
+  PopFixture f;
+  std::size_t calls = 0;
+  const nn::ModelFactory inner = f.factory;
+  f.factory = [&calls, inner] {
+    ++calls;
+    return inner();
+  };
+  auto store = make_store(f, 2);
+  store.begin_run(Vec(8, 0.25));
+  store.set_cohort({0, 1});
+  EXPECT_EQ(calls, 2u);
+  const std::vector<std::vector<fl::WorkerId>> rotation = {
+      {2, 3}, {1, 4}, {5, 6}, {0, 7}, {0, 1}, {3, 6}, {2, 5}};
+  for (std::size_t k = 0; k < rotation.size(); ++k) {
+    store.begin_interval(k + 1);
+    store.set_cohort(rotation[k]);
+    EXPECT_EQ(calls, 2u) << "interval " << k + 1;
+  }
+  // A fresh run drops the spares and builds its first cohort anew.
+  store.begin_run(Vec(8, 0.25));
+  store.set_cohort({0, 1, 2});
+  EXPECT_EQ(calls, 5u);
+}
+
+// Turnover contract: a re-spill rewrites the worker's extent in place, so
+// once every worker of a fixed rotation has spilled the slab stops growing.
+void slab_stays_flat(pop::SlabConfig slab) {
+  PopFixture f;
+  auto store = make_store(f, 2, false, slab);
+  store.begin_run(Vec(8, 0.25));
+  const std::vector<std::vector<fl::WorkerId>> rotation = {
+      {0, 1}, {2, 3}, {4, 5}, {6, 7}};
+  std::size_t k = 0;
+  const auto cycle = [&] {
+    for (const auto& ids : rotation) {
+      store.begin_interval(++k);
+      store.set_cohort(ids);
+      for (fl::WorkerState& w : store.workers()) {  // mutate between spills
+        const Tensor* bx = nullptr;
+        const std::vector<std::size_t>* by = nullptr;
+        w.draw_batch(bx, by);
+        for (Scalar& x : w.x) x += 0.5;
+      }
+    }
+  };
+  cycle();
+  store.begin_interval(++k);
+  store.set_cohort({0, 1});  // workers 6 and 7 spill: all eight have once
+  const std::uint64_t settled = store.slab().bytes();
+  EXPECT_GT(settled, 0u);
+  for (int c = 0; c < 3; ++c) {
+    cycle();
+    EXPECT_EQ(store.slab().bytes(), settled) << "cycle " << c;
+  }
+  EXPECT_EQ(store.slab().num_entries(), 8u);
+}
+
+TEST(CohortStoreTest, MemorySlabStaysFlatUnderRotation) {
+  slab_stays_flat(pop::SlabConfig{});
+}
+
+TEST(CohortStoreTest, FileSlabStaysFlatUnderRotation) {
+  const pop::SlabConfig slab = file_slab("hfl_pop_flat_test.bin");
+  slab_stays_flat(slab);
+  std::remove(slab.path.c_str());
+}
+
+// A spill record's lengths are checked against the bytes left before
+// anything is sized: a corrupt length raises hfl::Error, not
+// std::length_error or std::bad_alloc.
+void expect_corrupt_length_rejected(std::uint64_t length) {
+  PopFixture f;
+  const pop::SlabConfig slab = file_slab("hfl_pop_corrupt_test.bin");
+  {
+    auto store = make_store(f, 2, false, slab);
+    store.begin_run(Vec(8, 0.25));
+    store.set_cohort({0, 1});
+    store.set_cohort({2});     // worker 0's record opens the file
+    store.set_cohort({1, 2});  // restoring worker 1 flushes the writes
+    {
+      std::fstream file(slab.path,
+                        std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file.is_open());
+      file.seekp(0);
+      file.write(reinterpret_cast<const char*>(&length), sizeof length);
+      ASSERT_TRUE(file.good());
+    }
+    EXPECT_THROW(store.set_cohort({0, 1, 2}), Error) << "length " << length;
+  }
+  std::remove(slab.path.c_str());
+}
+
+TEST(CohortStoreTest, CorruptRecordLengthRaisesError) {
+  expect_corrupt_length_rejected(~std::uint64_t{0});
+  expect_corrupt_length_rejected(std::uint64_t{1} << 48);
 }
 
 }  // namespace
