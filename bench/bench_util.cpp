@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace hfl::bench {
+namespace {
 
 Scalar bench_scale() {
   const char* env = std::getenv("HFL_BENCH_SCALE");
@@ -13,6 +13,8 @@ Scalar bench_scale() {
   const Scalar s = std::atof(env);
   return std::clamp(s, Scalar{0.1}, Scalar{100.0});
 }
+
+}  // namespace
 
 std::size_t scaled_iters(std::size_t base, std::size_t multiple) {
   const auto scaled = static_cast<std::size_t>(

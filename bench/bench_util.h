@@ -19,11 +19,9 @@
 
 namespace hfl::bench {
 
-// HFL_BENCH_SCALE env var (default 1.0, clamped to [0.1, 100]).
-Scalar bench_scale();
-
-// Scales an iteration count by bench_scale() and rounds it UP to a multiple
-// of `multiple` so T = Kτ = Pτπ stays valid.
+// Scales an iteration count by HFL_BENCH_SCALE (default 1.0, clamped to
+// [0.1, 100]) and rounds it UP to a multiple of `multiple` so T = Kτ = Pτπ
+// stays valid.
 std::size_t scaled_iters(std::size_t base, std::size_t multiple);
 
 // Pretty-printers.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # One-command CI gate: the checks a change must pass before merging.
 #
-#   1. Release build + full ctest suite (tier-1), which includes the
-#      bench_smoke-labelled bench binaries at 0.1 scale — each asserts its
-#      internal contract (fused kernel ≡ fma reference, cohort roster
-#      weights ≡ closed form, batched ≡ per-worker) before timing — then
-#      the concurrency tests 20 times over.
+#   1. Release build + full ctest suite (tier-1): unit, parity and golden
+#      tests, among them the fused kernel ≡ fma reference and cohort roster
+#      ≡ closed form (param_plane_test), batched ≡ per-worker
+#      (batched_parity_test) and the pool-parallel reduction ≡ serial
+#      (parallel_sync_test) — then the concurrency tests 20 times over.
 #   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
 #      the event engine and of the fault paths, pinned on this build, and
 #      the population suites (spill-record codec, absent-policy replay,
@@ -31,7 +31,7 @@ BUILD_DIR="${1:-build}"
 ASAN_DIR="${2:-build-asan}"
 PORTABLE_DIR="${3:-build-portable}"
 
-# --- gate 1: Release build + full suite (includes -L bench_smoke) ---------
+# --- gate 1: Release build + full suite ----------------------------------
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -6,7 +6,9 @@
 # Two passes, each in its own build tree:
 #   1. ASan+UBSan — full ctest suite plus one telemetry-enabled example.
 #   2. TSan       — the concurrency surface: thread pool, engine (parallel
-#      local steps, parallel edge barrier, parallel reductions, sweep), the
+#      local steps, parallel edge barrier, sweep), the element-partitioned
+#      reductions (parallel_sync_test drives them at 2^18 elements on a
+#      4-thread pool; the engine tests' models sit below their cutoff), the
 #      obs subsystem that records from pool threads, the batched cohort
 #      path (tile-parallel execution + batched/mixed GEMM drivers with
 #      thread_local scratch), the event-driven engine (serial event loop

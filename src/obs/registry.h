@@ -10,7 +10,7 @@
 //   2. A compiled-in-but-disabled fast path. Instrumentation stays in release
 //      builds; when disabled (the default) every record call reduces to one
 //      relaxed atomic load and a predictable branch — low single-digit
-//      nanoseconds (bench/bench_obs.cpp keeps an eye on it).
+//      nanoseconds; benchmark/ reports the enabled cost as obs.overhead_pct.
 //   3. Pointer stability. Handles returned by `counter()` / `gauge()` /
 //      `histogram()` stay valid for the registry's lifetime; `reset()` zeroes
 //      values but never invalidates handles, so hot call sites may cache

@@ -335,6 +335,35 @@ TEST(AsyncRetryTest, RetryOnlyPlanSlowsEveryPolicy) {
   }
 }
 
+// The claim the event-driven policies exist for: under a straggler-heavy
+// plan (half the fleet 5x slow with jitter, nobody dropped) the sync barrier
+// waits for the slowest straggler every interval, while semi_async lets each
+// worker pay only its own delays. The gap is a sum of per-interval maxima
+// against a maximum of per-worker sums, so it needs a horizon of several
+// edge intervals to show: 16 here.
+TEST(AsyncStragglerTest, SemiAsyncBeatsSyncBarrierInModeledTime) {
+  Fixture f;
+  sim::FaultConfig fc;
+  fc.seed = 11;
+  fc.straggler.fraction = 0.5;
+  fc.straggler.slowdown = 5.0;
+  fc.straggler.jitter = 0.3;
+  auto sync_alg = algs::make_algorithm("HierAdMo");
+  auto semi_alg = algs::make_algorithm("HierAdMo");
+  fl::RunConfig sync_cfg = f.config_for(*sync_alg);
+  sync_cfg.total_iterations = 32;
+  fl::RunConfig semi_cfg =
+      f.event_config(*semi_alg, fl::ExecPolicy::kSemiAsync);
+  semi_cfg.total_iterations = sync_cfg.total_iterations;
+  const sim::FaultPlan plan(f.topo, sync_cfg, fc);
+  const fl::RunResult sync =
+      run_async(f, *sync_alg, sync_cfg, 1, &plan, nullptr);
+  const fl::RunResult semi =
+      run_async(f, *semi_alg, semi_cfg, 1, &plan, nullptr);
+  EXPECT_GT(semi.admitted_updates, 0u);
+  EXPECT_LT(semi.sim_seconds, sync.sim_seconds);
+}
+
 // ---------------------------------------------------------------------------
 // Event-driven policies: seed-deterministic at any thread count
 // ---------------------------------------------------------------------------

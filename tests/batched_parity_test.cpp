@@ -6,10 +6,10 @@
 // registry algorithm (plus both Mime variants), with and without a fault
 // schedule, at 1 and 4 threads, the batched run must reproduce the
 // per-worker run exactly — accuracy/loss curve and final parameters,
-// EXPECT_EQ not NEAR. Also covered: dense+conv architectures, the
-// whole-model fallback for unsupported architectures (mini_resnet's Residual
-// blocks), and a loose-tolerance sanity run of the opt-in mixed-precision
-// mode.
+// EXPECT_EQ not NEAR. Also covered: a dense hidden layer (mlp), dense+conv
+// architectures, the whole-model fallback for unsupported architectures
+// (mini_resnet's Residual blocks), and a loose-tolerance sanity run of the
+// opt-in mixed-precision mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -49,6 +49,8 @@ struct Fixture {
     partition = data::partition_iid(dataset.train, topo.num_workers(), rng);
     if (std::string(model) == "cnn") {
       factory = nn::cnn({1, 8, 8}, 3);
+    } else if (std::string(model) == "mlp") {
+      factory = nn::mlp({1, 8, 8}, 16, 3);
     } else if (std::string(model) == "mini_resnet") {
       factory = nn::mini_resnet({1, 8, 8}, 3);
     } else {
@@ -142,16 +144,22 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Conv + pool + dense architecture through the batched conv spans.
-TEST(BatchedParityConvTest, CnnBitIdentical) {
-  Fixture f("cnn");
-  for (const char* name : {"HierAdMo", "FedAvg"}) {
-    auto ref_alg = algs::make_algorithm(name);
-    auto fused_alg = algs::make_algorithm(name);
-    const RunResult ref = run_once(f, *ref_alg, /*batched=*/false, 4, nullptr);
-    const RunResult fused =
-        run_once(f, *fused_alg, /*batched=*/true, 4, nullptr);
-    expect_identical(ref, fused);
+// Architectures beyond one dense layer: a dense hidden layer + activation
+// (mlp) and conv + pool + dense through the batched conv spans (cnn).
+TEST(BatchedParityModelTest, MlpAndCnnBitIdentical) {
+  for (const char* model : {"mlp", "cnn"}) {
+    SCOPED_TRACE(model);
+    Fixture f(model);
+    ASSERT_NE(nn::CohortModel::create(f.factory), nullptr);
+    for (const char* name : {"HierAdMo", "FedAvg"}) {
+      auto ref_alg = algs::make_algorithm(name);
+      auto fused_alg = algs::make_algorithm(name);
+      const RunResult ref =
+          run_once(f, *ref_alg, /*batched=*/false, 4, nullptr);
+      const RunResult fused =
+          run_once(f, *fused_alg, /*batched=*/true, 4, nullptr);
+      expect_identical(ref, fused);
+    }
   }
 }
 

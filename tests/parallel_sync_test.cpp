@@ -1,12 +1,18 @@
 // Serial vs parallel bit-identity for the engine's sync tier.
 //
-// The engine dispatches edge_sync concurrently and routes cloud/eval
-// reductions through the element-partitioned parallel path; the contract
-// (engine.h) is that nothing observable may depend on the thread count. For
-// every registry algorithm (plus MimeLite) on a 3-edge / 9-worker topology,
-// with and without a fault schedule, a num_threads == 4 run must reproduce
-// the num_threads == 1 run exactly: accuracy/loss curve, final parameters,
-// participation trace, and obs counters (sync counts, per-link comm bytes).
+// The engine dispatches edge_sync concurrently and hands its pool to the
+// cloud/eval reductions; the contract (engine.h) is that nothing observable
+// may depend on the thread count. For every registry algorithm (plus
+// MimeLite) on a 3-edge / 9-worker topology, with and without a fault
+// schedule, a num_threads == 4 run must reproduce the num_threads == 1 run
+// exactly: accuracy/loss curve, final parameters, participation trace, and
+// obs counters (sync counts, per-link comm bytes).
+//
+// The fixture's 30-parameter model sits below the reductions' parallel
+// cutoff (1 << 14 elements), so those runs take the serial reduction.
+// ParallelReductionTest drives aggregate_global / aggregate_edges directly
+// at 2^18 elements on a 4-thread pool, where the element-partitioned path
+// runs, and compares it bitwise with the serial path.
 //
 // Also covered: the non-re-entrant escape hatch (an algorithm holding a
 // stateful compressor is serialized but still matches its own serial run),
@@ -20,6 +26,7 @@
 
 #include "src/algs/registry.h"
 #include "src/common/errors.h"
+#include "src/common/thread_pool.h"
 #include "src/core/hieradmo.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
@@ -206,6 +213,56 @@ TEST(EdgeSyncGuardTest, ConcurrentEntryOfSerialOnlySyncFails) {
   EXPECT_EQ(entries.load(), 2);
 }
 #endif
+
+// Submits observed by ThreadPool (histogram bounds as it registers them):
+// a non-zero count after a call proves the call went through the pool.
+std::uint64_t pool_submits() {
+  return obs::Registry::global()
+      .histogram("pool.queue_depth", "", {1, 2, 4, 8, 16, 32, 64, 128})
+      .count();
+}
+
+TEST(ParallelReductionTest, PoolPathBitIdenticalToSerial) {
+  constexpr std::size_t kDim = 1 << 18;
+  Rng rng(11);
+  const auto random_vec = [&rng] {
+    Vec v(kDim);
+    for (Scalar& e : v) e = rng.normal();
+    return v;
+  };
+  // Unequal weights so every product and partial sum is rounded.
+  std::vector<WorkerState> workers(8);
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    workers[i].id = i;
+    workers[i].weight_global = 0.05 + 0.2 * rng.uniform();
+    workers[i].x = random_vec();
+  }
+  std::vector<EdgeState> edges(4);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    edges[e].id = e;
+    edges[e].weight_global = 0.1 + 0.3 * rng.uniform();
+    edges[e].x_plus = random_vec();
+  }
+  const WorkerSet worker_set(&workers);
+  ThreadPool pool(4);
+
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  Vec serial, parallel;
+  aggregate_global(worker_set, worker_x, serial, nullptr, nullptr);
+  EXPECT_EQ(pool_submits(), 0u);
+  aggregate_global(worker_set, worker_x, parallel, nullptr, &pool);
+  const std::uint64_t global_submits = pool_submits();
+  EXPECT_GT(global_submits, 0u);
+  EXPECT_EQ(serial, parallel);
+
+  Vec edge_serial, edge_parallel;
+  aggregate_edges(edges, edge_x_plus, edge_serial, nullptr, nullptr);
+  aggregate_edges(edges, edge_x_plus, edge_parallel, nullptr, &pool);
+  EXPECT_GT(pool_submits(), global_submits);
+  EXPECT_EQ(edge_serial, edge_parallel);
+  obs::set_enabled(false);
+}
 
 TEST(RunSweepTest, MatchesSerialLoopJobForJob) {
   Fixture f;

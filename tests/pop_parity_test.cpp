@@ -377,10 +377,17 @@ TEST(SampledDeterminismTest, MaterializationStaysCohortBounded) {
                          virt);
   engine.set_cohort_provider(&store);
   auto alg = algs::make_algorithm("HierAdMo");
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
   engine.run(*alg);
+  const double gauge_peak =
+      obs::Registry::global().gauge("pop.materialized_peak").value();
+  obs::set_enabled(false);
   EXPECT_LE(store.num_materialized(), virt.cohort_size);
   EXPECT_LE(store.peak_materialized(), virt.cohort_size);
   EXPECT_GT(store.slab().num_entries(), 0u);  // rotation actually spilled
+  // The telemetry gauge reports the store's own peak.
+  EXPECT_EQ(gauge_peak, static_cast<double>(store.peak_materialized()));
 }
 
 TEST(SampledModeGuardsTest, RejectsMisalignedEvalAndMissingProvider) {
