@@ -9,7 +9,8 @@
 #   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
 #      the event engine and of the fault paths, pinned on this build, and
 #      the population suites (spill-record codec, absent-policy replay,
-#      virtualized ≡ dense parity) on the portable kernels.
+#      attached store ≡ the engine's own store, sampled ≡ full cohort on the
+#      induced schedule) on the portable kernels.
 #   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
 #      hfl_bench self-tests plus every workload at a short horizon, output
 #      checked against BENCHMARK.json. It compiles against the public
@@ -82,4 +83,5 @@ ctest --test-dir "$ASAN_DIR" --output-on-failure
 (cd "$ASAN_DIR" && ./examples/telemetry_report)
 
 echo "ci checks complete: $BUILD_DIR (Release + full ctest)," \
-  "$PORTABLE_DIR (portable digests), benchmark smoke, $ASAN_DIR (ASan+UBSan)"
+  "$PORTABLE_DIR (portable digests), benchmark smoke, $ASAN_DIR (ASan+UBSan);" \
+  "src/ lines: $(git ls-files src | xargs cat | wc -l)"

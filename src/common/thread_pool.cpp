@@ -11,7 +11,7 @@ namespace {
 
 // Set while a pool worker executes tasks; lets parallel_for detect re-entrant
 // use from inside one of its own tasks.
-thread_local const ThreadPool* tl_worker_pool = nullptr;
+thread_local const ThreadPool* tl_owning_pool = nullptr;
 
 }  // namespace
 
@@ -50,7 +50,7 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
-  tl_worker_pool = this;
+  tl_owning_pool = this;
   // Fetched once per worker; the registry keeps handles stable across
   // reset(), so the reference stays valid for the pool's lifetime.
   obs::Counter& busy_ns = obs::Registry::global().counter(
@@ -83,7 +83,7 @@ void ThreadPool::parallel_for(std::size_t n,
   // Re-entrant call from one of this pool's own workers: run inline. Queuing
   // and blocking here would deadlock once every worker waits on sub-tasks
   // that only the waiting workers could drain.
-  if (tl_worker_pool == this) {
+  if (tl_owning_pool == this) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

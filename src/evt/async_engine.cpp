@@ -909,8 +909,8 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
 
   const std::size_t W = topo.num_workers();
   const std::size_t E = topo.num_edges();
-  er.mpart = std::make_unique<fl::Participation>(topo, engine_.base_weights(),
-                                                 er.three_tier);
+  er.mpart = std::make_unique<fl::Participation>(
+      topo, engine_.provider().base_weights(), er.three_tier);
   if (er.plan != nullptr) {
     er.mpart->set_absent_policy(plan->config().absent_policy,
                                 plan->config().absent_decay);

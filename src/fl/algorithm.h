@@ -57,20 +57,21 @@ class Algorithm {
   // cfg.pi == 1 (enforced by the engine) so that their global period is τ.
   virtual bool three_tier() const = 0;
 
-  // Called once before the first iteration (all states are already sized and
-  // x/y initialized to the common starting point). Population-level setup
-  // only — per-worker setup belongs in init_worker, because the virtualized
-  // engine (src/pop/) materializes workers lazily: under cohort sampling
-  // `ctx.workers` holds just the first interval's cohort here.
+  // Called once before the first iteration, after the first cohort is
+  // materialized (x/y initialized to the common starting point).
+  // Population-level setup only — per-worker setup belongs in init_worker,
+  // because workers are materialized lazily (src/pop/cohort_store.h): under
+  // cohort sampling `ctx.workers` holds just the first interval's cohort
+  // here, in a full-cohort run every worker.
   virtual void init(Context& ctx) { (void)ctx; }
 
-  // Per-worker setup hook. The dense engine calls it once per worker in
-  // ascending id order right after init(); the virtualized engine calls it
-  // when a worker is materialized for the first time (its state is exactly
-  // the dense post-init state: x = y = x0, zero accumulators, fresh
-  // streams). Must derive everything from the worker's own state/streams and
-  // population-level values — never from which other workers exist — so both
-  // call schedules produce bit-identical worker state.
+  // Per-worker setup hook, called right after init() for the first cohort
+  // and later whenever a worker is materialized for the first time, in
+  // ascending id order within each cohort (its state is then x = y = x0,
+  // zero accumulators, fresh streams). Must derive everything from the
+  // worker's own state/streams and population-level values — never from
+  // which other workers exist — so a worker's state does not depend on the
+  // cohort schedule that first materialized it.
   virtual void init_worker(Context& ctx, WorkerState& w) {
     (void)ctx;
     (void)w;

@@ -127,9 +127,9 @@ class ScheduleOracle final : public AvailabilityOracle {
 //
 // One roster mode: the caller names the interval's cohort (ascending ids)
 // with an up bit and optional mass scale per member, plus the edges that are
-// online; everyone outside the cohort is absent. Dense runs pass the whole
-// population as the cohort, sampled runs the drawn cohort, the event engine
-// the admitted arrivals — all through set_cohort_roster.
+// online; everyone outside the cohort is absent. Full-cohort runs pass the
+// whole population as the cohort, sampled runs the drawn cohort, the event
+// engine the admitted arrivals — all through set_cohort_roster.
 class Participation {
  public:
   // `base_weights` supplies each worker's data-size mass D_i to

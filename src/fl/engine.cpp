@@ -9,6 +9,7 @@
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
+#include "src/pop/cohort_store.h"
 
 namespace hfl::fl {
 
@@ -39,6 +40,18 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
     // path for the whole run.
     cohort_ = nn::CohortModel::create(factory_);
   }
+}
+
+Engine::~Engine() = default;
+
+CohortProvider& Engine::provider() {
+  if (provider_ != nullptr) return *provider_;
+  if (own_store_ == nullptr) {
+    own_store_ = std::make_unique<pop::CohortStore>(
+        factory_, *data_, partition_, topo_, cfg_, pop::VirtConfig{});
+    own_store_->attach_pool(pool_.get());
+  }
+  return *own_store_;
 }
 
 void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
@@ -85,7 +98,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   }
 }
 
-void Engine::build_states(Algorithm& alg, RunState& rs) {
+void Engine::build_states(RunState& rs) {
   Rng root(cfg_.seed);
   Rng init_rng = root.fork(0x1217);
 
@@ -94,25 +107,20 @@ void Engine::build_states(Algorithm& alg, RunState& rs) {
   init_model->init_params(init_rng);
   const Vec x0 = init_model->get_params();
 
+  // The provider owns worker-state lifetime; the engine keeps only the
+  // id-addressed view (its internal pointers track the provider's
+  // containers across cohort changes). Algorithm::init and init_worker run
+  // in begin_interval, once the first cohort is materialized.
+  CohortProvider& cohort = provider();
+  cohort.begin_run(x0);
+  rs.workers = cohort.workers();
+
   // Data-size weights.
   std::size_t total_samples = 0;
   std::vector<std::size_t> edge_samples(topo_.num_edges(), 0);
   for (std::size_t w = 0; w < topo_.num_workers(); ++w) {
     total_samples += partition_[w].size();
     edge_samples[topo_.edge_of_worker(w)] += partition_[w].size();
-  }
-
-  if (provider_ != nullptr) {
-    // Virtualized run: the provider owns worker-state lifetime; the engine
-    // keeps only the id-addressed view (its internal pointers track the
-    // provider's containers across cohort changes). Algorithm::init and
-    // init_worker are deferred to begin_interval — they need the
-    // first cohort materialized.
-    provider_->begin_run(x0);
-    rs.worker_pool.clear();
-    rs.workers = provider_->workers();
-  } else {
-    build_dense_workers(rs, x0, edge_samples, total_samples);
   }
 
   std::vector<EdgeState>& edges = rs.edges;
@@ -132,52 +140,6 @@ void Engine::build_states(Algorithm& alg, RunState& rs) {
   rs.cloud.x = x0;
   rs.cloud.y = x0;
   rs.cloud.extra.clear();
-
-  if (provider_ == nullptr) {
-    Context ctx{&cfg_, &topo_, &rs.workers, &rs.edges, &rs.cloud, 0, nullptr,
-                pool_.get()};
-    alg.init(ctx);
-    for (WorkerState& w : rs.worker_pool) alg.init_worker(ctx, w);
-  }
-}
-
-void Engine::build_dense_workers(RunState& rs, const Vec& x0,
-                                 const std::vector<std::size_t>& edge_samples,
-                                 std::size_t total_samples) {
-  const std::size_t n = x0.size();
-  Rng root(cfg_.seed);
-  root.fork(0x1217);  // skip the init-model stream: workers are forks 2+i
-
-  std::vector<WorkerState>& workers = rs.worker_pool;
-  workers.clear();
-  workers.resize(topo_.num_workers());
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    WorkerState& w = workers[i];
-    w.id = static_cast<WorkerId>(i);
-    w.edge = topo_.edge_of_worker(i);
-    w.num_samples = partition_[i].size();
-    w.weight_in_edge = static_cast<Scalar>(w.num_samples) /
-                       static_cast<Scalar>(edge_samples[w.edge]);
-    w.weight_global = static_cast<Scalar>(w.num_samples) /
-                      static_cast<Scalar>(total_samples);
-    w.x = x0;
-    w.y = x0;
-    w.v.assign(n, 0.0);
-    w.grad.assign(n, 0.0);
-    w.sum_grad.assign(n, 0.0);
-    w.sum_y.assign(n, 0.0);
-    w.sum_v.assign(n, 0.0);
-    w.model = factory_();
-    // The lazy materializer (src/pop/cohort_store.cpp) reproduces this exact
-    // stream derivation via fork_nth: worker i's fork is the (2+i)-th taken
-    // from root (fork 1 is the init-model stream). Keep the two in lockstep.
-    Rng wrng = root.fork(1000 + i);
-    w.batcher = std::make_unique<data::Batcher>(
-        data_->train, partition_[i], cfg_.batch_size, wrng.fork(1));
-    w.aux_batcher = std::make_unique<data::Batcher>(
-        data_->train, partition_[i], cfg_.batch_size, wrng.fork(2));
-  }
-  rs.workers = WorkerSet(&rs.worker_pool);
 }
 
 nn::EvalResult Engine::evaluate(const Vec& params) {
@@ -244,15 +206,6 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
   return total;
 }
 
-std::vector<Scalar> Engine::base_weights() const {
-  if (provider_ != nullptr) return provider_->base_weights();
-  std::vector<Scalar> base(partition_.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i] = static_cast<Scalar>(partition_[i].size());
-  }
-  return base;
-}
-
 void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
                          RunState& rs) {
   if (!alg.three_tier()) {
@@ -262,7 +215,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   }
   rs.start = std::chrono::steady_clock::now();
 
-  build_states(alg, rs);
+  build_states(rs);
 
   // Logical synchronization payloads (obs/comm.h). Everything recorded from
   // these is derived from state the simulation already computed; telemetry
@@ -279,7 +232,8 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   rs.edge_up_bytes = payload(comm_profile.edge_upload_vectors);
   rs.edge_down_bytes = payload(comm_profile.edge_download_vectors);
 
-  const bool sampling = provider_ != nullptr && provider_->sampling();
+  CohortProvider& cohort = provider();
+  const bool sampling = cohort.sampling();
   if (sampling) {
     const std::size_t global_period = cfg_.tau * cfg_.pi;
     HFL_CHECK(cfg_.eval_every == 0 || cfg_.eval_every % global_period == 0,
@@ -299,19 +253,18 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
     std::iota(rs.cohort_ids.begin(), rs.cohort_ids.end(), WorkerId{0});
     rs.cohort_mult.assign(topo_.num_workers(), 1.0);
   }
-  if (provider_ != nullptr && oracle != nullptr) {
+  if (oracle != nullptr) {
     // Unmaterialized workers receive the policy lazily: the provider
     // stamps each spill with the interval clock and replays the policy
     // once per missed interval at restore (bit-identical to a
     // materialized worker receiving absent_sync every interval).
-    provider_->set_absent_replay(oracle->absent_policy(),
-                                 oracle->absent_decay());
+    cohort.set_absent_replay(oracle->absent_policy(), oracle->absent_decay());
   }
   // Sampling and oracle faults both flow through one Participation over the
   // whole population; neither active → part stays null and the run is the
   // exact full-participation path.
   if (sampling || oracle != nullptr) {
-    rs.part = std::make_unique<Participation>(topo_, base_weights(),
+    rs.part = std::make_unique<Participation>(topo_, cohort.base_weights(),
                                               /*edge_faults=*/alg.three_tier());
     if (oracle != nullptr) {
       rs.part->set_absent_policy(oracle->absent_policy(),
@@ -335,17 +288,16 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
 void Engine::begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
                             const AvailabilityOracle* oracle) {
   const bool first_interval = k == 1;
+  CohortProvider& cohort = provider();
   std::vector<WorkerId> fresh;
-  if (provider_ != nullptr) {
-    provider_->begin_interval(k);
-    if (provider_->sampling()) {
-      provider_->sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
-      fresh = provider_->set_cohort(rs.cohort_ids);
-    } else if (first_interval) {
-      // Full-cohort mode: materialize everyone once; later intervals reuse
-      // the pool untouched.
-      fresh = provider_->set_cohort(rs.cohort_ids);
-    }
+  cohort.begin_interval(k);
+  if (cohort.sampling()) {
+    cohort.sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
+    fresh = cohort.set_cohort(rs.cohort_ids);
+  } else if (first_interval) {
+    // Full cohort: materialize everyone once; later intervals reuse the
+    // pool untouched.
+    fresh = cohort.set_cohort(rs.cohort_ids);
   }
 
   if (rs.part != nullptr) {
@@ -371,16 +323,13 @@ void Engine::begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
                                scaled ? &rs.cohort_mult : nullptr);
   }
 
-  if (provider_ != nullptr) {
-    // Algorithm init runs against a participation-free context — exactly
-    // the context dense build_states hands to init/init_worker (Mime's
-    // anchor probe must see the full materialized cohort, not the interval
-    // roster).
-    Context init_ctx = rs.ctx;
-    init_ctx.part = nullptr;
-    if (first_interval) alg.init(init_ctx);
-    for (const WorkerId id : fresh) alg.init_worker(init_ctx, rs.workers[id]);
-  }
+  // Algorithm init runs against a participation-free context (Mime's
+  // anchor probe must see the full materialized cohort, not the interval
+  // roster).
+  Context init_ctx = rs.ctx;
+  init_ctx.part = nullptr;
+  if (first_interval) alg.init(init_ctx);
+  for (const WorkerId id : fresh) alg.init_worker(init_ctx, rs.workers[id]);
 }
 
 void Engine::record_point(RunState& rs, std::size_t t, const Vec& params,
@@ -400,9 +349,8 @@ void Engine::run_local_steps(Algorithm& alg, RunState& rs) {
     const std::size_t active = part ? part->num_active() : rs.workers.size();
     obs::Registry::global().counter("engine.cohort.fallback_grads").add(active);
   }
-  // Dispatch over the materialized pool (== every worker in dense runs, the
-  // sampled cohort in virtualized ones); slot order is ascending-id order,
-  // so the dense dispatch is the exact pre-refactor schedule.
+  // Dispatch over the materialized pool (every worker in a full-cohort run,
+  // the sampled cohort otherwise); slot order is ascending-id order.
   pool_->parallel_for(rs.workers.num_materialized(), [&](std::size_t s) {
     WorkerState& w = rs.workers.slot(s);
     // A worker that will miss this interval's synchronization is offline:
@@ -503,10 +451,9 @@ void Engine::finish_interval(Algorithm& alg, RunState& rs, std::size_t k) {
     for (const EdgeState& e : rs.edges) {
       if (part->edge_active(e.id)) ++active_edges;
     }
-    // absent_sync visits materialized absent workers (== every absent worker
-    // in dense runs). Unmaterialized workers hold their spilled state, which
-    // is exactly the kHold policy — prepare_run rejects other policies for
-    // sampled runs.
+    // absent_sync visits materialized absent workers (every absent worker in
+    // a full-cohort run). Unmaterialized workers get the policy replayed at
+    // restore (CohortProvider::set_absent_replay).
     for (WorkerState& w : rs.workers) {
       if (part->worker_active(w.id)) continue;
       alg.absent_sync(rs.ctx, w, k);
@@ -572,21 +519,16 @@ void Engine::set_cohort_provider(CohortProvider* provider) {
 RunResult Engine::run(Algorithm& alg, const ParticipationSchedule* schedule) {
   // A null or no-op schedule takes the pre-fault code path, byte for byte:
   // `part` stays null and every helper reduces to the full roster.
-  if (schedule == nullptr || schedule->is_noop()) return run_impl(alg, nullptr);
+  if (schedule == nullptr || schedule->is_noop()) {
+    return run_with_oracle(alg, nullptr);
+  }
   schedule->validate(topo_, cfg_);
   const ScheduleOracle oracle(*schedule);
-  return run_impl(alg, &oracle);
+  return run_with_oracle(alg, &oracle);
 }
 
 RunResult Engine::run_with_oracle(Algorithm& alg,
                                   const AvailabilityOracle* oracle) {
-  HFL_CHECK(provider_ != nullptr,
-            "run_with_oracle requires an attached cohort provider "
-            "(set_cohort_provider)");
-  return run_impl(alg, oracle);
-}
-
-RunResult Engine::run_impl(Algorithm& alg, const AvailabilityOracle* oracle) {
   const obs::Span run_span("run:" + alg.name(), "engine");
 
   RunState rs;

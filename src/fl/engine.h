@@ -20,6 +20,11 @@
 // model and identical batch streams. That is exactly the experimental setup
 // of the paper's Table II (all algorithms from one initialization).
 //
+// Worker state: every run reads its workers through a CohortProvider. An
+// attached provider (a sampled pop::CohortStore) materializes each interval's
+// cohort; without one the engine builds its own full-cohort store at the
+// start of its first run, which materializes every worker once per run.
+//
 // Partial participation: `run(alg, schedule)` replays a deterministic
 // availability trace (src/fl/availability.h, generated by
 // sim::FaultPlan) through the same AvailabilityOracle interface that
@@ -43,15 +48,18 @@
 namespace hfl::evt {
 class AsyncEngine;
 }
+namespace hfl::pop {
+class CohortStore;
+}
 
 namespace hfl::fl {
 
-// Virtualized worker populations (implemented by pop::CohortStore,
-// src/pop/cohort_store.h). The dense engine owns every worker's state for
-// the whole run; with a provider attached it owns only the shared tiers and
-// delegates worker-state lifetime to the provider, which materializes just
-// each interval's sampled cohort and spills/restores revisited workers
-// bit-identically. The engine drives the provider strictly serially.
+// Owner of worker-state lifetime (implemented by pop::CohortStore,
+// src/pop/cohort_store.h). The engine owns only the shared tiers; the
+// provider materializes the workers it is asked for — the whole population
+// once for a full cohort, or each interval's sampled cohort, spilling and
+// restoring revisited workers bit-identically. The engine drives the
+// provider strictly serially.
 class CohortProvider {
  public:
   virtual ~CohortProvider() = default;
@@ -61,8 +69,7 @@ class CohortProvider {
   // then requires evaluation points to be cloud-aligned — a mid-interval
   // virtual-global-model eval would need every worker materialized).
   virtual bool sampling() const = 0;
-  // Per-worker data masses D_i for Participation renormalization;
-  // bit-identical to reading num_samples off dense states.
+  // Per-worker data masses D_i for Participation renormalization.
   virtual std::vector<Scalar> base_weights() const = 0;
 
   // Reset per-run state; `x0` is the run's shared initial point.
@@ -113,10 +120,7 @@ class CohortProvider {
 // holds pointers into the other members: do not move a RunState after
 // prepare_run.
 struct RunState {
-  // Dense runs own every worker's state here; virtualized runs leave it
-  // empty (the cohort store owns the materialized pool) — either way
-  // `workers` is the id-addressed view the rest of the engine reads.
-  std::vector<WorkerState> worker_pool;
+  // Id-addressed view over the provider's materialized pool.
   WorkerSet workers;
   std::vector<EdgeState> edges;
   CloudState cloud;
@@ -130,7 +134,7 @@ struct RunState {
   std::uint64_t edge_down_bytes = 0;
   Vec avg_scratch;
   std::chrono::steady_clock::time_point start;
-  // The interval's cohort (ascending ids: the whole population unless a
+  // The interval's cohort (ascending ids: the whole population unless the
   // provider samples) with its multiplicities, and the roster handed to
   // Participation::set_cohort_roster (cohort_up aligned with cohort_ids).
   std::vector<WorkerId> cohort_ids;
@@ -151,6 +155,7 @@ class Engine {
   // topo.num_workers().
   Engine(nn::ModelFactory factory, const data::TrainTest& data,
          data::Partition partition, Topology topo, RunConfig cfg);
+  ~Engine();
 
   RunResult run(Algorithm& alg) { return run(alg, nullptr); }
 
@@ -159,17 +164,17 @@ class Engine {
   // queried through a ScheduleOracle.
   RunResult run(Algorithm& alg, const ParticipationSchedule* schedule);
 
-  // Virtualized worker populations: attach a provider (pop::CohortStore)
-  // and every subsequent run materializes only each interval's cohort
-  // instead of the whole fleet. Pass nullptr to detach. The provider must
-  // outlive the engine and describe the engine's own topology/partition.
+  // Attach a provider (a sampled pop::CohortStore) and every subsequent
+  // run reads its workers from it, materializing only each interval's
+  // cohort. Pass nullptr to fall back to the engine's own full-cohort
+  // store. The provider must outlive the engine and describe the engine's
+  // own topology/partition.
   void set_cohort_provider(CohortProvider* provider);
 
-  // Virtualized fault-aware run: availability comes from a lazily-evaluated
-  // oracle (sim::SparseFaultPlan) instead of a dense schedule, so fault
-  // state is only ever computed for sampled workers. `oracle` may be null
-  // (full availability) and must outlive the call. Requires an attached
-  // provider.
+  // Fault-aware run on an availability oracle — the loop behind both run()
+  // overloads. A lazily-evaluated oracle (sim::SparseFaultPlan) computes
+  // fault state only for sampled workers. `oracle` may be null (full
+  // availability) and must outlive the call.
   RunResult run_with_oracle(Algorithm& alg, const AvailabilityOracle* oracle);
 
   const Topology& topology() const { return topo_; }
@@ -182,30 +187,23 @@ class Engine {
  private:
   // evt::AsyncEngine runs its sync policy through run() and builds its
   // event-driven runs on prepare_run / record_point / finalize_run and
-  // base_weights, sharing the edge_sync re-entrancy guard
+  // provider, sharing the edge_sync re-entrancy guard
   // (edge_sync_entries_).
   friend class hfl::evt::AsyncEngine;
 
-  void build_states(Algorithm& alg, RunState& rs);
-  // Dense-mode half of build_states: fill worker_pool with every worker's
-  // state and point the view at it.
-  void build_dense_workers(RunState& rs, const Vec& x0,
-                           const std::vector<std::size_t>& edge_samples,
-                           std::size_t total_samples);
+  // The attached provider, else the engine's own full-cohort store (built
+  // on first use, so an engine whose runs all use an attached provider
+  // never pays for it).
+  CohortProvider& provider();
 
-  // Shared loop body behind both run() overloads and run_with_oracle();
-  // `oracle` may be null (full availability).
-  RunResult run_impl(Algorithm& alg, const AvailabilityOracle* oracle);
+  void build_states(RunState& rs);
 
-  // Interval head: with a provider, sample (or, on the first interval,
+  // Interval head: sample (or, on the first interval of a full-cohort run,
   // materialize) the cohort; compose interval k's roster from the cohort
-  // and the oracle; with a provider, run Algorithm::init (first interval)
-  // and init_worker on first-timers.
+  // and the oracle; run Algorithm::init (first interval) and init_worker on
+  // first-timers.
   void begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
                       const AvailabilityOracle* oracle);
-
-  // Per-worker data masses D_i that Participation renormalizes.
-  std::vector<Scalar> base_weights() const;
 
   // ---- Run lifecycle, also used by evt::AsyncEngine. ----
   // Build states, wire ctx, size the comm payloads, open interval 1.
@@ -217,7 +215,7 @@ class Engine {
   // Mean participation, iteration counter, final accuracy/loss/params.
   void finalize_run(Algorithm& alg, RunState& rs);
 
-  // ---- Per-step pieces of run_impl's barrier loop. ----
+  // ---- Per-step pieces of run_with_oracle's barrier loop. ----
   // The local-step block of iteration ctx.t: fused cohort prefetch (or the
   // fallback counter) + the parallel per-worker local_step dispatch.
   void run_local_steps(Algorithm& alg, RunState& rs);
@@ -240,7 +238,7 @@ class Engine {
                                  WorkerSet& workers);
 
   nn::ModelFactory factory_;
-  CohortProvider* provider_ = nullptr;
+  CohortProvider* provider_ = nullptr;  // attached; null = own_store_
   const data::TrainTest* data_;
   data::Partition partition_;
   Topology topo_;
@@ -253,6 +251,9 @@ class Engine {
   std::vector<nn::CohortItem> cohort_items_;
   std::vector<std::size_t> cohort_ids_;
   std::atomic<int> edge_sync_entries_{0};  // debug re-entrancy guard state
+  // Last, so it is destroyed first: it points into partition_, topo_ and
+  // pool_.
+  std::unique_ptr<pop::CohortStore> own_store_;
 };
 
 }  // namespace hfl::fl

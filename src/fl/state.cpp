@@ -172,10 +172,10 @@ void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
   if (part != nullptr) {
     HFL_CHECK(part->num_active() > 0, "no participating workers this round");
   }
-  // Iterates the materialized states only (ascending id, the dense engine's
-  // exact order): with a roster every active worker is materialized, so the
-  // gather — and therefore the FP summation order — is identical across the
-  // dense and virtualized layouts.
+  // Iterates the materialized states only, in ascending-id order: with a
+  // roster every active worker is materialized, so the gather — and
+  // therefore the FP summation order — is the same for full and sampled
+  // cohorts.
   tl_agg_vecs.clear();
   tl_agg_weights.clear();
   for (const WorkerState& w : workers) {

@@ -124,38 +124,31 @@ struct CloudState {
   std::map<std::string, Vec> extra;
 };
 
-// Index-based view over the materialized WorkerStates of a run. The classic
-// dense engine materializes every worker, so pool slot i holds worker id i;
-// the virtualized engine (src/pop/cohort_store.h) materializes only the
-// sampled cohort and supplies a population-sized id → slot table. Algorithms
-// address workers by GLOBAL id (operator[]) or iterate the materialized
-// states in ascending-id order (begin/end); both patterns behave identically
-// across the two layouts, which is what keeps the dense and virtualized
-// paths bit-identical (tests/pop_parity_test.cpp). Addressing a worker that
-// is not materialized fails loudly — it means engine-side roster logic and
-// the cohort store disagree.
+// Id-addressed view over the materialized WorkerStates of a run. The
+// states live in a cohort provider's pool (src/pop/cohort_store.h) in
+// ascending-id order — every worker for a full cohort, just the sampled
+// cohort otherwise — and a population-sized id → slot table locates them.
+// Algorithms address workers by GLOBAL id (operator[]) or iterate the
+// materialized states in ascending-id order (begin/end). Addressing a
+// worker that is not materialized fails loudly — it means engine-side
+// roster logic and the cohort store disagree.
 class WorkerSet {
  public:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   WorkerSet() = default;
-  // Dense view: pool slot i holds worker id i. The pool must outlive the
-  // view (the view tracks the vector object, not its buffer).
-  explicit WorkerSet(std::vector<WorkerState>* pool) : pool_(pool) {}
-  // Sparse view over an ascending-id cohort. `slot_of_id` has one entry per
-  // population id (kNoSlot = not materialized) and must outlive the view.
-  WorkerSet(std::vector<WorkerState>* pool, std::size_t population,
+  // `slot_of_id` has one entry per population id (kNoSlot = not
+  // materialized). Both must outlive the view, which tracks the vector
+  // objects, not their buffers.
+  WorkerSet(std::vector<WorkerState>* pool,
             const std::vector<std::uint32_t>* slot_of_id)
-      : pool_(pool), population_(population), slot_of_id_(slot_of_id) {}
+      : pool_(pool), slot_of_id_(slot_of_id) {}
 
-  // Population size (== materialized count for dense views).
-  std::size_t size() const {
-    return slot_of_id_ != nullptr ? population_ : pool_->size();
-  }
+  // Population size.
+  std::size_t size() const { return slot_of_id_->size(); }
   std::size_t num_materialized() const { return pool_->size(); }
   bool is_materialized(std::size_t id) const {
-    return slot_of_id_ == nullptr ? id < pool_->size()
-                                  : (*slot_of_id_)[id] != kNoSlot;
+    return (*slot_of_id_)[id] != kNoSlot;
   }
 
   WorkerState& operator[](std::size_t id) {
@@ -179,7 +172,6 @@ class WorkerSet {
 
  private:
   std::size_t slot_of(std::size_t id) const {
-    if (slot_of_id_ == nullptr) return id;
     const std::uint32_t s = (*slot_of_id_)[id];
     HFL_CHECK(s != kNoSlot,
               "worker " + std::to_string(id) +
@@ -188,8 +180,7 @@ class WorkerSet {
   }
 
   std::vector<WorkerState>* pool_ = nullptr;
-  std::size_t population_ = 0;
-  const std::vector<std::uint32_t>* slot_of_id_ = nullptr;  // null = dense
+  const std::vector<std::uint32_t>* slot_of_id_ = nullptr;
 };
 
 // Weighted aggregation helpers. The accessor receives a worker/edge and
@@ -204,8 +195,7 @@ class Participation;  // src/fl/availability.h
 void aggregate_edge(const Topology& topo, std::size_t edge,
                     const WorkerSet& workers, WorkerVecAccessor acc, Vec& out);
 
-// out = Σ_i (D_{i,ℓ}/D) · acc(worker_i) over all materialized workers
-// (== all workers in the dense engine).
+// out = Σ_i (D_{i,ℓ}/D) · acc(worker_i) over all materialized workers.
 void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
                       Vec& out);
 

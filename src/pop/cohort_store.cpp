@@ -139,14 +139,19 @@ CohortStore::CohortStore(nn::ModelFactory factory, const data::TrainTest& data,
       pop_(topo, partition),
       root_(run.seed),
       slab_(cfg_.slab),
-      alias_(pop_.base_weights()),
-      fenwick_(pop_.base_weights()),
-      view_(&pool_, pop_.num_workers(), &slot_of_id_) {
+      view_(&pool_, &slot_of_id_) {
   HFL_CHECK(cfg_.cohort_size <= pop_.num_workers(),
             "cohort size exceeds the population");
+  HFL_CHECK(!cfg_.with_replacement || cfg_.cohort_size > 0,
+            "with-replacement sampling needs a cohort size (cohort_size > 0)");
   HFL_CHECK(data.train.size() <= std::numeric_limits<std::uint32_t>::max(),
             "spill records store sample indices as u32; dataset too large");
   slot_of_id_.assign(pop_.num_workers(), fl::WorkerSet::kNoSlot);
+  if (cfg_.with_replacement) {
+    alias_.emplace(pop_.base_weights());
+  } else if (sampling()) {
+    fenwick_.emplace(pop_.base_weights());
+  }
 }
 
 void CohortStore::begin_run(const Vec& x0) {
@@ -183,7 +188,7 @@ void CohortStore::sample_cohort(std::size_t k, std::vector<fl::WorkerId>& ids,
     // aggregation (the roster scale), keeping the estimator unbiased.
     std::vector<fl::WorkerId> draws(cfg_.cohort_size);
     for (fl::WorkerId& d : draws) {
-      d = static_cast<fl::WorkerId>(alias_.draw(round));
+      d = static_cast<fl::WorkerId>(alias_->draw(round));
     }
     std::sort(draws.begin(), draws.end());
     for (std::size_t i = 0; i < draws.size();) {
@@ -194,7 +199,8 @@ void CohortStore::sample_cohort(std::size_t k, std::vector<fl::WorkerId>& ids,
       i = j;
     }
   } else {
-    std::vector<std::uint32_t> draws = fenwick_.sample(cfg_.cohort_size, round);
+    std::vector<std::uint32_t> draws =
+        fenwick_->sample(cfg_.cohort_size, round);
     std::sort(draws.begin(), draws.end());
     ids.assign(draws.begin(), draws.end());
     multiplicity.assign(ids.size(), 1.0);
@@ -336,9 +342,8 @@ void CohortStore::materialize_fresh(fl::WorkerState& w,
   w.sum_y.assign(n, 0.0);
   w.sum_v.assign(n, 0.0);
   w.extra.clear();
-  // Stream lockstep with the dense engine: worker i's stream is the
-  // (2 + i)-th fork of the run root (fork 1 is the init-model stream) —
-  // see Engine::build_states.
+  // Worker i's stream is the (2 + i)-th fork of the run root (fork 1 is the
+  // engine's init-model stream, Engine::build_states).
   Rng wrng = root_.fork_nth(1000 + i, 2 + i);
   w.batcher->reseed((*partition_)[i], wrng.fork(1));
   w.aux_batcher->reseed((*partition_)[i], wrng.fork(2));
@@ -409,10 +414,10 @@ void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
   HFL_CHECK(in.p == in.end, "worker spill record has trailing bytes");
 
   // Absent-policy replay: the worker missed every interval from its spill
-  // stamp up to (not including) the current one. A dense run applies the
-  // policy (fl::apply_absent_policy) once at the end of each missed
-  // interval, and nothing else touches an absent worker's state in
-  // between, so replaying the exact per-interval sequence here is
+  // stamp up to (not including) the current one. A materialized absent
+  // worker gets the policy (fl::apply_absent_policy) once at the end of
+  // each missed interval, and nothing else touches an absent worker's state
+  // in between, so replaying the exact per-interval sequence here is
   // bit-identical (kDecay's repeated y ← x + d(y − x) does NOT fold into a
   // single d^m application in floating point — the loop is the contract).
   // kReset is idempotent and applied once; kHold holds, which spilled

@@ -1,23 +1,25 @@
 // Lazy cohort materialization over a virtualized worker population.
 //
-// `CohortStore` is the pop-side implementation of `fl::CohortProvider`: the
-// engine keeps addressing workers by global id through an `fl::WorkerSet`,
-// but only the current cohort is backed by real `fl::WorkerState`s. Three
-// lifecycle paths, all bit-identical to the dense engine:
+// `CohortStore` is the one implementation of `fl::CohortProvider` and the
+// one place worker state is built: the engine addresses workers by global
+// id through an `fl::WorkerSet`, and only the current cohort is backed by
+// real `fl::WorkerState`s. An engine with no attached provider builds a
+// full-cohort store (`VirtConfig{}`) of its own, which materializes every
+// worker once per run. Three lifecycle paths:
 //
-//   * first materialization — rebuilds exactly the state dense
-//     Engine::build_states would have given the worker: same descriptor
-//     weights (src/pop/population.h), same x0, and the same RNG stream
-//     derivation. The dense loop takes worker i's stream as the (2+i)-th
-//     fork of the run root (fork 1 is the init-model stream), so the lazy
-//     path derives it statelessly with Rng::fork_nth(1000 + i, 2 + i) —
-//     keep in lockstep with src/fl/engine.cpp.
+//   * first materialization — Algorithm 1's shared start: descriptor
+//     weights (src/pop/population.h), x = y = x0, zero momentum and
+//     accumulators, and worker i's batch streams forked statelessly off the
+//     run root with Rng::fork_nth(1000 + i, 2 + i) (fork 1 is the engine's
+//     init-model stream), so a worker's streams do not depend on which
+//     workers were materialized before it.
 //   * spill — a worker leaving the cohort encodes every mutable field (x,
 //     y, v, grad, accumulators, `extra`, both batch-stream positions)
 //     straight from its live state into a record in the slab.
 //   * restore — byte-exact resurrection: the worker resumes mid-run as if
-//     it had stayed materialized the whole time (asserted by
-//     tests/pop_test.cpp round-trip and tests/pop_parity_test.cpp).
+//     it had stayed materialized the whole time (asserted by the
+//     tests/pop_test.cpp round-trip; tests/pop_parity_test.cpp checks a
+//     sampled run against a full-cohort run on the induced schedule).
 //
 // Turnover does no per-worker allocation in steady state. A departed
 // state goes to a spare list once encoded; every arrival, restored or
@@ -43,15 +45,17 @@
 // Cohort selection: exact weighted sampling by data mass D_i —
 // without-replacement via the Fenwick sampler, or with-replacement via the
 // alias table, in which case a worker drawn m times carries multiplicity m
-// into the engine's roster scale. Every round forks its own child stream
-// from the run seed (fork_nth keyed on the round), so cohorts are
-// deterministic at any thread count.
+// into the engine's roster scale. A store builds only the sampler it draws
+// from, and a full-cohort store builds neither. Every round forks its own
+// child stream from the run seed (fork_nth keyed on the round), so cohorts
+// are deterministic at any thread count.
 //
 // Telemetry (obs gauges/counters): pop.population, pop.cohort_size,
 // pop.materialized_workers, pop.materialized_peak, pop.spills, pop.restores,
 // pop.spill_bytes, pop.restore_bytes, pop.slab.bytes, pop.slab.peak_bytes.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -65,11 +69,13 @@
 namespace hfl::pop {
 
 struct VirtConfig {
-  // Workers per cohort. 0 = materialize the full population (virtualized
-  // bookkeeping, dense coverage — the parity-test configuration).
+  // Workers per cohort. 0 = materialize the full population (the store an
+  // engine builds for itself when no provider is attached).
   std::size_t cohort_size = 0;
   // With-replacement (alias-table) draws instead of the default exact
-  // without-replacement sampling.
+  // without-replacement sampling: cohort_size draws every round, so it
+  // samples even when cohort_size equals the population. Requires
+  // cohort_size > 0.
   bool with_replacement = false;
   SlabConfig slab;
 };
@@ -85,7 +91,8 @@ class CohortStore final : public fl::CohortProvider {
   // fl::CohortProvider ------------------------------------------------------
   std::size_t population() const override { return pop_.num_workers(); }
   bool sampling() const override {
-    return cfg_.cohort_size > 0 && cfg_.cohort_size < pop_.num_workers();
+    return cfg_.cohort_size > 0 &&
+           (cfg_.with_replacement || cfg_.cohort_size < pop_.num_workers());
   }
   std::vector<Scalar> base_weights() const override {
     return pop_.base_weights();
@@ -143,8 +150,8 @@ class CohortStore final : public fl::CohortProvider {
   Rng root_;       // Rng(run.seed): fork_nth source for worker streams
   Vec x0_;         // shared initial point of the current run
   Slab slab_;
-  AliasSampler alias_;
-  FenwickSampler fenwick_;
+  std::optional<AliasSampler> alias_;      // with-replacement stores only
+  std::optional<FenwickSampler> fenwick_;  // without-replacement sampling only
 
   std::vector<fl::WorkerState> pool_;       // cohort states, ascending id
   std::vector<fl::WorkerState> next_;       // assembly buffer, swapped in

@@ -1,20 +1,16 @@
-// Compact worker descriptors for virtualized populations.
+// Compact worker descriptors for a worker population.
 //
-// The dense engine materializes one `fl::WorkerState` per worker — model
-// instance, momentum vectors, batch streams — which caps a single box at a
-// few thousand workers. A `Population` keeps only what cohort selection and
-// weight renormalization actually need, in flat arrays indexed by the
-// 32-bit worker id: the per-worker sample count D_{i,ℓ} (the paper's data
-// mass), the edge assignment, and the per-edge/total sample sums the
-// aggregation weights are derived from. Everything heavier lives in
-// `CohortStore`, which materializes full states only for the round's
-// sampled cohort.
+// A full `fl::WorkerState` — model instance, momentum vectors, batch
+// streams — per worker caps a single box at a few thousand workers. A
+// `Population` keeps only what cohort selection and weight renormalization
+// actually need, in flat arrays indexed by the 32-bit worker id: the
+// per-worker sample count D_{i,ℓ} (the paper's data mass), the edge
+// assignment, and the per-edge/total sample sums the aggregation weights
+// are derived from. Everything heavier lives in `CohortStore`, which
+// materializes full states only for the workers of the current cohort.
 //
-// Weight derivations reproduce the dense engine's arithmetic exactly
-// (integer sample counts cast to Scalar, divided in the same order), so a
-// worker materialized through this path carries bit-identical
-// weight_in_edge / weight_global to its dense twin — one of the invariants
-// behind tests/pop_parity_test.cpp.
+// The weights are the paper's D-ratios: integer sample counts cast to
+// Scalar, then divided.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +38,7 @@ class Population {
     return num_samples_[worker];
   }
 
-  // The dense engine's weight formulas, value for value.
+  // D_{i,ℓ}/D_ℓ and D_{i,ℓ}/D.
   Scalar weight_in_edge(std::size_t worker) const {
     return static_cast<Scalar>(num_samples_[worker]) /
            static_cast<Scalar>(edge_samples_[edge_of_worker_[worker]]);
@@ -58,8 +54,7 @@ class Population {
   }
 
   // Per-worker data masses D_i as Scalars — the sampler weights, and the
-  // base weights `fl::Participation` renormalizes (bit-identical to the
-  // dense path's num_samples reads).
+  // base weights `fl::Participation` renormalizes.
   std::vector<Scalar> base_weights() const;
 
  private:

@@ -16,7 +16,8 @@ struct TwoEdgeSetup {
   fl::Topology topo{std::vector<std::size_t>{1, 1}};
   fl::RunConfig cfg;
   std::vector<fl::WorkerState> workers;
-  fl::WorkerSet worker_set{&workers};
+  std::vector<std::uint32_t> slots{0, 1};  // slot i holds worker i
+  fl::WorkerSet worker_set{&workers, &slots};
   std::vector<fl::EdgeState> edges;
   fl::CloudState cloud;
 
@@ -87,7 +88,8 @@ TEST(HierFavgTest, EdgeSyncAveragesWithinEdgeOnly) {
   edges[0].x_plus = {0, 0};
   edges[1].x_plus = {7, 7};
   fl::CloudState cloud;
-  fl::WorkerSet worker_set{&workers};
+  const std::vector<std::uint32_t> slots{0, 1, 2};
+  fl::WorkerSet worker_set{&workers, &slots};
   fl::Context ctx{&cfg, &topo, &worker_set, &edges, &cloud, 0};
 
   auto alg = make_algorithm("HierFAVG");
@@ -145,7 +147,8 @@ TEST(CflTest, FullParticipationMatchesHierFavgAlgebra) {
   edges[0].id = 0;
   edges[0].x_plus = {0, 0};
   fl::CloudState cloud;
-  fl::WorkerSet worker_set{&workers};
+  const std::vector<std::uint32_t> slots{0, 1};
+  fl::WorkerSet worker_set{&workers, &slots};
   fl::Context ctx{&cfg, &topo, &worker_set, &edges, &cloud, 0};
 
   Cfl alg(1.0);
@@ -175,7 +178,8 @@ TEST(CflTest, PartialParticipationLeavesStragglersAlone) {
   edges[0].id = 0;
   edges[0].x_plus = {0, 0};
   fl::CloudState cloud;
-  fl::WorkerSet worker_set{&workers};
+  const std::vector<std::uint32_t> slots{0, 1};
+  fl::WorkerSet worker_set{&workers, &slots};
   fl::Context ctx{&cfg, &topo, &worker_set, &edges, &cloud, 0};
 
   Cfl alg(1e-9);

@@ -6,11 +6,13 @@
 //      committed availability digest. Both plans are pinned to the recorded
 //      trace, not to each other.
 //   2. fl::Engine fault-path runs: every registry algorithm under the hold,
-//      reset and decay absent policies on three engines — dense with a
-//      FaultPlan schedule, a full-cohort pop::CohortStore driven through a
-//      ScheduleOracle, and a sampled CohortStore driven by a
-//      SparseFaultPlan — hashes curve, final parameters, miss counts,
-//      participation trace and per-link comm totals.
+//      reset and decay absent policies on three settings — the engine's own
+//      full-cohort store with a FaultPlan schedule, an attached full-cohort
+//      pop::CohortStore driven through a ScheduleOracle, and a sampled
+//      CohortStore driven by a SparseFaultPlan — hashes curve, final
+//      parameters, miss counts, participation trace and per-link comm
+//      totals. The first two run the same store configuration, so they
+//      share their digests.
 //
 // Digests are authoritative on the portable build (no FMA). With FMA the
 // compiler's a·b+c contraction moves bits between optimization levels (the
@@ -227,7 +229,7 @@ sim::FaultConfig run_faults(fl::AbsentPolicy policy) {
   return fc;
 }
 
-enum class EngineKind { kDense, kFullCohort, kSampled };
+enum class EngineKind { kOwnStore, kFullCohort, kSampled };
 constexpr std::size_t kSampledCohort = 24;  // of 64
 
 std::uint64_t run_digest(const fl::RunResult& r) {
@@ -274,7 +276,7 @@ std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
     cfg.mime_cohort_stats = alg->probes_population();
   }
   fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-  if (kind != EngineKind::kDense) {
+  if (kind != EngineKind::kOwnStore) {
     pop::VirtConfig virt;
     virt.cohort_size = kind == EngineKind::kSampled ? kSampledCohort : 0;
     store = std::make_unique<pop::CohortStore>(f.factory, f.dataset,
@@ -282,7 +284,7 @@ std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
     engine.set_cohort_provider(store.get());
   }
   fl::RunResult r;
-  if (kind == EngineKind::kDense) {
+  if (kind == EngineKind::kOwnStore) {
     r = engine.run(*alg, &plan.schedule());
   } else if (kind == EngineKind::kFullCohort) {
     const fl::ScheduleOracle oracle(plan.schedule());
@@ -297,7 +299,7 @@ std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
   return digest;
 }
 
-// {dense, full cohort, sampled} × {kHold, kReset, kDecay}.
+// {own store, attached full cohort, sampled} × {kHold, kReset, kDecay}.
 using RunDigests = std::array<std::uint64_t, 9>;
 
 const std::map<std::string, RunDigests>* golden_runs() {
@@ -427,8 +429,8 @@ TEST_P(FaultRunGoldenTest, MatchesGoldenDigests) {
   Fixture f;
   RunDigests got{};
   std::size_t i = 0;
-  for (const EngineKind kind :
-       {EngineKind::kDense, EngineKind::kFullCohort, EngineKind::kSampled}) {
+  for (const EngineKind kind : {EngineKind::kOwnStore, EngineKind::kFullCohort,
+                                EngineKind::kSampled}) {
     for (const fl::AbsentPolicy policy :
          {fl::AbsentPolicy::kHold, fl::AbsentPolicy::kReset,
           fl::AbsentPolicy::kDecay}) {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -243,7 +244,9 @@ TEST(ParallelReductionTest, PoolPathBitIdenticalToSerial) {
     edges[e].weight_global = 0.1 + 0.3 * rng.uniform();
     edges[e].x_plus = random_vec();
   }
-  const WorkerSet worker_set(&workers);
+  std::vector<std::uint32_t> slots(workers.size());
+  std::iota(slots.begin(), slots.end(), 0u);
+  const WorkerSet worker_set(&workers, &slots);
   ThreadPool pool(4);
 
   obs::set_enabled(true);

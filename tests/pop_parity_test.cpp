@@ -1,16 +1,22 @@
-// Dense vs virtualized engine parity on a 64-worker population.
+// Cohort-provider parity on a 64-worker population.
 //
-// The virtualization contract (src/fl/engine.h, src/pop/cohort_store.h) is
-// that moving worker-state lifetime into a CohortProvider changes NOTHING
-// observable:
+// Every fl::Engine run reads its workers through a CohortProvider: an
+// attached pop::CohortStore, or the full-cohort store the engine builds for
+// itself (src/fl/engine.h, src/pop/cohort_store.h). Which store serves a run
+// changes NOTHING observable:
 //
-//   * Full-cohort mode (cohort_size = 0) must reproduce the dense engine
-//     bit for bit — curve, final parameters, participation trace, miss
-//     counts, obs sync counters and per-link comm bytes — for every
-//     registry algorithm (plus MimeLite), with and without a fault
-//     schedule, at 1 and 4 threads.
+//   * An attached full-cohort store (cohort_size = 0) reproduces the
+//     engine's own store bit for bit — curve, final parameters,
+//     participation trace, miss counts, obs sync counters and per-link comm
+//     bytes — for every registry algorithm (plus MimeLite), with and
+//     without a fault schedule, at 1 and 4 threads.
 //
-//   * Sampled mode must equal a DENSE run driven by the induced
+//   * The provider lifecycle: detaching a provider (set_cohort_provider
+//     with nullptr) falls back to the engine's own store and reproduces a
+//     never-attached run, and run_with_oracle on a bare engine equals run
+//     on the same schedule.
+//
+//   * Sampled mode must equal a FULL-COHORT run driven by the induced
 //     participation schedule (absent = outside the cohort, or failed by the
 //     fault oracle; kHold absent policy): per-worker RNG streams are derived
 //     statelessly and spill/restore is byte-exact, so materializing only the
@@ -90,8 +96,9 @@ bool operator==(const obs::LinkTotals& a, const obs::LinkTotals& b) {
          a.saved_bytes == b.saved_bytes;
 }
 
-// One run; `store` non-null attaches the virtualized population, `oracle`
-// non-null supplies fault availability (virtualized path only).
+// One run; `virt` non-null attaches a store built from it (null runs on the
+// engine's own full-cohort store), `oracle` non-null supplies fault
+// availability through run_with_oracle.
 RunResult run_once(const Fixture& f, Algorithm& alg, std::size_t threads,
                    const ParticipationSchedule* schedule,
                    pop::VirtConfig* virt, const AvailabilityOracle* oracle,
@@ -188,7 +195,7 @@ class FullCohortParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FullCohortParityTest, MatchesDenseEngine) {
   Fixture f;
-  pop::VirtConfig virt;  // cohort_size = 0: full population, lazy plumbing
+  pop::VirtConfig virt;  // cohort_size = 0: the engine's own configuration
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     auto dense_alg = algs::make_algorithm(GetParam());
     auto virt_alg = algs::make_algorithm(GetParam());
@@ -212,8 +219,8 @@ TEST_P(FullCohortParityTest, MatchesDenseEngineUnderFaults) {
   ObsSnapshot dense_obs, virt_obs;
   const RunResult dense = run_once(f, *dense_alg, 4, &plan.schedule(),
                                    nullptr, nullptr, &dense_obs);
-  // The virtualized engine replays the same dense schedule through its
-  // oracle adapter (Engine::run wraps it in a ScheduleOracle).
+  // Both runs replay the same dense schedule through its oracle adapter
+  // (Engine::run wraps it in a ScheduleOracle).
   const RunResult virtualized = run_once(f, *virt_alg, 4, &plan.schedule(),
                                          &virt, nullptr, &virt_obs);
   expect_identical(dense, virtualized);
@@ -230,8 +237,8 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The participation schedule a sampled virtualized run induces on the dense
-// engine: absent = outside interval k's cohort, or failed by `oracle`.
+// The participation schedule a sampled run induces on a full-cohort run:
+// absent = outside interval k's cohort, or failed by `oracle`.
 ParticipationSchedule induced_schedule(const Fixture& f, const RunConfig& cfg,
                                        std::size_t cohort_size,
                                        const AvailabilityOracle* oracle) {
@@ -390,13 +397,45 @@ TEST(SampledDeterminismTest, MaterializationStaysCohortBounded) {
   EXPECT_EQ(gauge_peak, static_cast<double>(store.peak_materialized()));
 }
 
-TEST(SampledModeGuardsTest, RejectsMisalignedEvalAndMissingProvider) {
+TEST(ProviderLifecycleTest, BareRunWithOracleMatchesScheduledRun) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  const sim::FaultPlan plan(f.topo, cfg, fault_config());
+  const ScheduleOracle oracle(plan.schedule());
+  Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+  auto a = algs::make_algorithm("HierAdMo");
+  auto b = algs::make_algorithm("HierAdMo");
+  const RunResult scheduled = engine.run(*a, &plan.schedule());
+  const RunResult with_oracle = engine.run_with_oracle(*b, &oracle);
+  expect_identical(scheduled, with_oracle);
+}
+
+TEST(ProviderLifecycleTest, DetachFallsBackToOwnStore) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.num_threads = 4;
+  Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+  pop::VirtConfig virt;
+  virt.cohort_size = 16;
+  pop::CohortStore store(f.factory, f.dataset, f.partition, f.topo, cfg,
+                         virt);
+  auto a = algs::make_algorithm("HierAdMo");
+  auto b = algs::make_algorithm("HierAdMo");
+  auto c = algs::make_algorithm("HierAdMo");
+  const RunResult own = engine.run(*a);
+  engine.set_cohort_provider(&store);
+  const RunResult sampled = engine.run(*b);
+  engine.set_cohort_provider(nullptr);
+  const RunResult detached = engine.run(*c);
+  EXPECT_NE(sampled.final_params, own.final_params);  // the store was used
+  expect_identical(own, detached);
+}
+
+TEST(SampledModeGuardsTest, RejectsMisalignedEval) {
   Fixture f;
   auto alg = algs::make_algorithm("HierAdMo");
   RunConfig cfg = f.cfg3;
-  Engine bare(f.factory, f.dataset, f.partition, f.topo, cfg);
-  EXPECT_THROW(bare.run_with_oracle(*alg, nullptr), Error);
-
   cfg.eval_every = 3;  // not a multiple of tau*pi = 4
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   pop::VirtConfig virt;

@@ -17,12 +17,13 @@
 //   * SparseFaultPlan answers scrambled and backward queries like the
 //     FaultPlan built from the same config (both traces are pinned by
 //     tests/fault_golden_test.cpp).
-//   * CohortStore: deterministic cohort draws, spill → restore round-trips
-//     every mutable field (including batch-stream checkpoints and signed
-//     zeros) bit-exactly; turnover contract — no factory calls once a
-//     same-size rotation runs on recycled states, a slab that stops growing
-//     once every worker of a fixed rotation has spilled, and corrupt record
-//     lengths rejected with hfl::Error.
+//   * CohortStore: deterministic cohort draws; with-replacement stores
+//     sample even at cohort_size == N and reject cohort_size == 0; spill →
+//     restore round-trips every mutable field (including batch-stream
+//     checkpoints and signed zeros) bit-exactly; turnover contract — no
+//     factory calls once a same-size rotation runs on recycled states, a
+//     slab that stops growing once every worker of a fixed rotation has
+//     spilled, and corrupt record lengths rejected with hfl::Error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -421,6 +422,29 @@ TEST(CohortStoreTest, WithReplacementMultiplicitiesSumToCohortSize) {
     }
     EXPECT_EQ(total, 6.0);
   }
+}
+
+TEST(CohortStoreTest, WithReplacementSamplesAtPopulationSize) {
+  PopFixture f;
+  const std::size_t n = f.topo.num_workers();
+  auto store = make_store(f, n, /*with_replacement=*/true);
+  EXPECT_TRUE(store.sampling());
+  std::vector<fl::WorkerId> ids;
+  std::vector<Scalar> mult;
+  bool repeated = false;
+  for (std::size_t k = 1; k <= 5; ++k) {
+    store.sample_cohort(k, ids, mult);
+    EXPECT_EQ(std::accumulate(mult.begin(), mult.end(), 0.0),
+              static_cast<Scalar>(n));
+    repeated = repeated || ids.size() < n;
+  }
+  // N i.i.d. draws over N workers, not the deterministic full cohort.
+  EXPECT_TRUE(repeated);
+}
+
+TEST(CohortStoreTest, WithReplacementRequiresCohortSize) {
+  PopFixture f;
+  EXPECT_THROW(make_store(f, 0, /*with_replacement=*/true), Error);
 }
 
 TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
