@@ -3,14 +3,19 @@
 #
 #   1. Release build + full ctest suite (tier-1): unit, parity and golden
 #      tests, among them the fused kernel ≡ fma reference and cohort roster
-#      ≡ closed form (param_plane_test), batched ≡ per-worker
+#      ≡ closed form (param_plane_test), compiled plan ≡ per-model path
 #      (batched_parity_test) and the pool-parallel reduction ≡ serial
-#      (parallel_sync_test) — then the concurrency tests 20 times over.
+#      (parallel_sync_test) — then the concurrency tests 20 times over
+#      (batched_parity_test among them: unbatched local steps and eval
+#      blocks share the plan's scratch across pool threads).
 #   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
-#      the event engine and of the fault paths, pinned on this build, and
-#      the population suites (spill-record codec, absent-policy replay,
+#      the event engine and of the fault paths, pinned on this build, the
+#      population suites (spill-record codec, absent-policy replay,
 #      attached store ≡ the engine's own store, sampled ≡ full cohort on the
-#      induced schedule) on the portable kernels.
+#      induced schedule) and the compiled-plan parity suite (plan ≡ model
+#      gradients and predictions, Engine::evaluate ≡ per-batch
+#      Model::evaluate) on the portable kernels and their contraction
+#      choices.
 #   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
 #      hfl_bench self-tests plus every workload at a short horizon, output
 #      checked against BENCHMARK.json. It compiles against the public
@@ -56,13 +61,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # With FMA enabled the compiler's contraction choices move bits between
 # optimization levels, so the digests are authoritative on this build. The
 # population suites run here too: the spill-record codec and the restore
-# replay must hold on both kernel configs.
+# replay must hold on both kernel configs. So does plan ≡ model
+# bit-identity (batched_parity_test): the plan's native stages and the
+# layers must agree under this build's contraction choices as well.
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
-  --target async_engine_test fault_golden_test pop_test pop_parity_test
+  --target async_engine_test fault_golden_test pop_test pop_parity_test \
+  batched_parity_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test)$'
 
 # --- gate 3: repository benchmark smoke run -------------------------------
 bash benchmark/run.sh --smoke

@@ -9,9 +9,11 @@
 #      local steps, parallel edge barrier, sweep), the element-partitioned
 #      reductions (parallel_sync_test drives them at 2^18 elements on a
 #      4-thread pool; the engine tests' models sit below their cutoff), the
-#      obs subsystem that records from pool threads, the batched cohort
-#      path (tile-parallel execution + batched/mixed GEMM drivers with
-#      thread_local scratch), the event-driven engine (serial event loop
+#      obs subsystem that records from pool threads, the compiled cohort
+#      plan (tile-parallel execution, and unbatched local steps and eval
+#      blocks checking per-thread scratch out of one shared plan, +
+#      batched/mixed GEMM drivers with thread_local scratch), the
+#      event-driven engine (serial event loop
 #      over the pool-parallel eval/reduction paths at 4 threads), and the
 #      virtualized-population path (cohort sampling + parallel
 #      spill/restore with absent-policy replay under the 4-thread engine,

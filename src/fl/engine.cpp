@@ -31,14 +31,20 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
     HFL_CHECK(!p.empty(), "every worker needs at least one sample");
   }
   pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
-  eval_models_.reserve(pool_->size());
-  for (std::size_t i = 0; i < pool_->size(); ++i) {
-    eval_models_.push_back(factory_());
-  }
-  if (cfg_.batched) {
-    // nullptr (unsupported architecture/loss) simply keeps the per-worker
-    // path for the whole run.
-    cohort_ = nn::CohortModel::create(factory_);
+  // One compiled plan serves the batched prefetch, every unbatched worker
+  // gradient and evaluation. nullptr (unsupported architecture/loss) keeps
+  // the per-model path for the whole engine: per-worker models built by the
+  // store and one eval model per thread.
+  plan_ = nn::CohortModel::create(factory_);
+  if (plan_ != nullptr) {
+    HFL_CHECK(data_->train.sample_size() == plan_->sample_elems() &&
+                  data_->test.sample_size() == plan_->sample_elems(),
+              "dataset sample size does not match the model input");
+  } else {
+    eval_models_.reserve(pool_->size());
+    for (std::size_t i = 0; i < pool_->size(); ++i) {
+      eval_models_.push_back(factory_());
+    }
   }
 }
 
@@ -63,7 +69,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   // tensor, the GEMMs read dataset rows directly. Bit-identical to the
   // gathered path (same draws, same products — see nn::CohortModel).
   const bool row_gather =
-      cohort_->supports_row_gather() && !cfg_.mixed_precision;
+      plan_->supports_row_gather() && !cfg_.mixed_precision;
   for (WorkerState& w : workers) {
     if (ctx.part && !ctx.part->worker_active(w.id)) continue;
     nn::CohortItem item;
@@ -73,7 +79,9 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
     if (row_gather) {
       w.draw_batch_rows(item.x_rows, item.y);
     } else {
-      w.draw_batch(item.x, item.y);
+      const Tensor* x = nullptr;
+      w.draw_batch(x, item.y);
+      item.x = x->raw();
     }
     item.params = alg.local_gradient_point(w).data();
     item.grad = w.grad.data();
@@ -82,7 +90,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   }
   if (cohort_items_.empty()) return;
 
-  cohort_->run(cohort_items_, pool_.get(), cfg_.mixed_precision);
+  plan_->run(cohort_items_, pool_.get(), cfg_.mixed_precision);
 
   for (std::size_t i = 0; i < cohort_items_.size(); ++i) {
     WorkerState& w = workers[cohort_ids_[i]];
@@ -112,6 +120,7 @@ void Engine::build_states(RunState& rs) {
   // containers across cohort changes). Algorithm::init and init_worker run
   // in begin_interval, once the first cohort is materialized.
   CohortProvider& cohort = provider();
+  cohort.attach_plan(plan_.get());
   cohort.begin_run(x0);
   rs.workers = cohort.workers();
 
@@ -156,22 +165,29 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
   std::vector<Scalar> correct(num_batches, 0.0);
   std::vector<std::size_t> counts(num_batches, 0);
 
-  // One contiguous batch range per per-thread eval model, accumulated into
+  // One contiguous batch range per pool thread, accumulated into
   // block-local buffers and written back once per block: threads never
   // interleave stores into the shared arrays mid-loop (the earlier
   // round-robin layout had every thread bouncing the same cache lines on
   // each batch — false sharing on the eval hot path). The final merge below
   // walks batches in index order, so the totals are bit-identical for every
   // thread count and block shape.
-  const std::size_t num_blocks = std::min(num_batches, eval_models_.size());
+  const std::size_t num_blocks = std::min(num_batches, pool_->size());
   const std::size_t batches_per_block =
       (num_batches + num_blocks - 1) / num_blocks;
   pool_->parallel_for(num_blocks, [&](std::size_t blk) {
     const std::size_t blo = blk * batches_per_block;
     const std::size_t bhi = std::min(num_batches, blo + batches_per_block);
     if (blo >= bhi) return;
-    nn::Model& model = *eval_models_[blk];
-    model.set_params(params);
+    // Plan path: the forward pass reads each batch's test rows in place (no
+    // set_params, no gather) and the model's own loss scores the logits;
+    // the per-thread eval model serves only architectures the plan rejects.
+    nn::LossPtr loss;
+    if (plan_ != nullptr) {
+      loss = plan_->loss_fn().clone();
+    } else {
+      eval_models_[blk]->set_params(params);
+    }
     Tensor x;
     std::vector<std::size_t> y;
     std::vector<std::size_t> idx;
@@ -180,10 +196,21 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
     for (std::size_t b = blo; b < bhi; ++b) {
       const std::size_t lo = b * kEvalBatch;
       const std::size_t hi = std::min(n, lo + kEvalBatch);
-      idx.resize(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) idx[i - lo] = i;
-      test.gather(idx, x, y);
-      const nn::EvalResult r = model.evaluate(x, y);
+      nn::EvalResult r;
+      if (plan_ != nullptr) {
+        plan_->predict(params.data(), test.features(lo).data(), hi - lo, x);
+        y.resize(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) y[i - lo] = test.label(i);
+        r = nn::evaluate_predictions(*loss, x, y);
+      } else {
+        idx.resize(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) idx[i - lo] = i;
+        test.gather(idx, x, y);
+        r = eval_models_[blk]->evaluate(x, y);
+      }
+      // Partials are stored, then merged below: fusing the scale into the
+      // merge (total += r.loss * n) would let the compiler contract it into
+      // an FMA and move the last bit of the curve.
       local_loss[b - blo] = r.loss * static_cast<Scalar>(hi - lo);
       local_correct[b - blo] = r.accuracy * static_cast<Scalar>(hi - lo);
       local_count[b - blo] = hi - lo;
@@ -342,12 +369,8 @@ void Engine::record_point(RunState& rs, std::size_t t, const Vec& params,
 void Engine::run_local_steps(Algorithm& alg, RunState& rs) {
   const Participation* part = rs.ctx.part;
   const obs::Span span("local_steps", "worker");
-  const bool fused = cohort_ != nullptr && alg.local_gradient_prefetchable();
-  if (fused) {
+  if (cfg_.batched && plan_ != nullptr && alg.local_gradient_prefetchable()) {
     prefetch_cohort_gradients(alg, rs.ctx, rs.workers);
-  } else if (obs::enabled()) {
-    const std::size_t active = part ? part->num_active() : rs.workers.size();
-    obs::Registry::global().counter("engine.cohort.fallback_grads").add(active);
   }
   // Dispatch over the materialized pool (every worker in a full-cohort run,
   // the sampled cohort otherwise); slot order is ascending-id order.

@@ -2,7 +2,7 @@
 //
 // The engine owns the simulation clock. Per iteration it runs every worker's
 // local_step on the thread pool (workers are data-parallel: each owns its
-// model instance, RNG and batch stream, so the run is bit-reproducible for a
+// parameters, RNG and batch streams, so the run is bit-reproducible for a
 // given seed regardless of scheduling), then fires edge synchronizations at
 // t = kτ (three-tier algorithms only) and cloud synchronizations at t = pτπ.
 //
@@ -19,6 +19,13 @@
 // same or different algorithms — always starts from the identical initial
 // model and identical batch streams. That is exactly the experimental setup
 // of the paper's Table II (all algorithms from one initialization).
+//
+// Execution: each engine compiles one nn::CohortModel plan for its
+// architecture (src/nn/cohort.h). It runs the batched gradient prefetch
+// (RunConfig::batched), every unbatched worker gradient (WorkerState binds
+// the plan through the cohort store) and every evaluation. Only
+// architectures the plan rejects (Residual) fall back to per-worker models
+// and one eval model per thread.
 //
 // Worker state: every run reads its workers through a CohortProvider. An
 // attached provider (a sampled pop::CohortStore) materializes each interval's
@@ -106,6 +113,11 @@ class CohortProvider {
   // a materialized worker receiving absent_sync each interval. The default
   // rejects everything but kHold (holding spilled state IS kHold), so a
   // provider without replay support cannot silently drop kReset/kDecay.
+  // Gradient plan of the engine's architecture, announced before every
+  // begin_run (null when the architecture has none). A provider that binds
+  // it (WorkerState::plan) need not build per-worker models; the default
+  // ignores it and its states keep computing through their own models.
+  virtual void attach_plan(nn::CohortModel* /*plan*/) {}
   virtual void set_absent_replay(AbsentPolicy policy, Scalar /*decay*/) {
     HFL_CHECK(policy == AbsentPolicy::kHold,
               "this cohort provider supports only the kHold absent policy "
@@ -181,7 +193,11 @@ class Engine {
   const RunConfig& config() const { return cfg_; }
   const data::Partition& partition() const { return partition_; }
 
-  // Evaluate arbitrary parameters on the test set (parallel over batches).
+  // Evaluate arbitrary parameters on the test set: 128-sample batches,
+  // parallel over contiguous batch blocks, forward passes through the plan
+  // (the per-thread eval models without one), per-batch partials merged in
+  // batch-index order — bit-identical to per-batch Model::evaluate calls at
+  // any thread count.
   nn::EvalResult evaluate(const Vec& params);
 
  private:
@@ -216,8 +232,9 @@ class Engine {
   void finalize_run(Algorithm& alg, RunState& rs);
 
   // ---- Per-step pieces of run_with_oracle's barrier loop. ----
-  // The local-step block of iteration ctx.t: fused cohort prefetch (or the
-  // fallback counter) + the parallel per-worker local_step dispatch.
+  // The local-step block of iteration ctx.t: fused cohort prefetch (when
+  // batched and the algorithm allows it) + the parallel per-worker
+  // local_step dispatch.
   void run_local_steps(Algorithm& alg, RunState& rs);
   // The edge barrier at t = kτ: serial comm/counter pre-pass, then edge_sync
   // dispatched concurrently (or serially for non-re-entrant algorithms).
@@ -232,8 +249,8 @@ class Engine {
   // Fused cohort path: draw every active worker's batch, run one batched
   // forward/backward (src/nn/cohort.h), deposit the gradients so each
   // worker's first compute_gradient call consumes its precomputed result.
-  // Only called when cohort_ is set and the algorithm honours the prefetch
-  // contract (Algorithm::local_gradient_prefetchable).
+  // Only called when cfg_.batched, plan_ is set and the algorithm honours
+  // the prefetch contract (Algorithm::local_gradient_prefetchable).
   void prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
                                  WorkerSet& workers);
 
@@ -244,10 +261,11 @@ class Engine {
   Topology topo_;
   RunConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<nn::Model>> eval_models_;  // one per thread
-  // Non-null when cfg_.batched and the architecture compiles to a cohort
-  // plan; per-iteration scratch rides along to avoid reallocation.
-  std::unique_ptr<nn::CohortModel> cohort_;
+  // The compiled plan; null when the architecture has none, and only then
+  // are the per-thread eval models built.
+  std::unique_ptr<nn::CohortModel> plan_;
+  std::vector<std::unique_ptr<nn::Model>> eval_models_;
+  // Prefetch scratch, reused across iterations.
   std::vector<nn::CohortItem> cohort_items_;
   std::vector<std::size_t> cohort_ids_;
   std::atomic<int> edge_sync_entries_{0};  // debug re-entrancy guard state

@@ -4,11 +4,12 @@
 
 #include "src/common/thread_pool.h"
 #include "src/fl/availability.h"
+#include "src/nn/cohort.h"
+#include "src/obs/registry.h"
 
 namespace hfl::fl {
 
 Scalar WorkerState::compute_gradient(const Vec& at) {
-  HFL_CHECK(model && batcher, "worker state not initialized");
   if (pending_grad_at_ != nullptr) {
     // The engine prefetched this iteration's gradient through the cohort
     // executor; `grad`/`last_loss` already hold the result and the batch was
@@ -19,14 +20,16 @@ Scalar WorkerState::compute_gradient(const Vec& at) {
     pending_grad_at_ = nullptr;
     return last_loss;
   }
-  batcher->next(batch_x_, batch_y_);
-  last_loss = model->loss_and_gradient(at, batch_x_, batch_y_, grad);
+  HFL_CHECK(batcher, "worker state not initialized");
+  const Vec* points[] = {&at};
+  Vec* outs[] = {&grad};
+  last_loss = gradients_on_draw(*batcher, points, outs, 1);
   return last_loss;
 }
 
 void WorkerState::draw_batch(const Tensor*& x,
                              const std::vector<std::size_t>*& y) {
-  HFL_CHECK(model && batcher, "worker state not initialized");
+  HFL_CHECK(batcher, "worker state not initialized");
   HFL_CHECK(pending_grad_at_ == nullptr,
             "draw_batch with an unconsumed prefetched gradient");
   batcher->next(batch_x_, batch_y_);
@@ -36,7 +39,7 @@ void WorkerState::draw_batch(const Tensor*& x,
 
 void WorkerState::draw_batch_rows(const Scalar* const*& rows,
                                   const std::vector<std::size_t>*& y) {
-  HFL_CHECK(model && batcher, "worker state not initialized");
+  HFL_CHECK(batcher, "worker state not initialized");
   HFL_CHECK(pending_grad_at_ == nullptr,
             "draw_batch with an unconsumed prefetched gradient");
   batcher->next_rows(batch_rows_, batch_y_);
@@ -50,21 +53,70 @@ void WorkerState::deposit_gradient(const Vec& at) {
 
 Scalar WorkerState::compute_gradient_pair(const Vec& at, const Vec& anchor,
                                           Vec& grad_anchor) {
-  HFL_CHECK(model && batcher, "worker state not initialized");
+  HFL_CHECK(batcher, "worker state not initialized");
   HFL_CHECK(pending_grad_at_ == nullptr,
             "paired gradient evaluation with a pending prefetched gradient — "
             "the algorithm must report local_gradient_prefetchable() == "
             "false");
-  batcher->next(batch_x_, batch_y_);
-  model->loss_and_gradient(anchor, batch_x_, batch_y_, grad_anchor);
-  last_loss = model->loss_and_gradient(at, batch_x_, batch_y_, grad);
+  const Vec* points[] = {&anchor, &at};
+  Vec* outs[] = {&grad_anchor, &grad};
+  last_loss = gradients_on_draw(*batcher, points, outs, 2);
   return last_loss;
 }
 
 Scalar WorkerState::probe_gradient(const Vec& at, Vec& out) {
-  HFL_CHECK(model && aux_batcher, "worker state not initialized");
-  aux_batcher->next(batch_x_, batch_y_);
-  return model->loss_and_gradient(at, batch_x_, batch_y_, out);
+  HFL_CHECK(aux_batcher, "worker state not initialized");
+  const Vec* points[] = {&at};
+  Vec* outs[] = {&out};
+  return gradients_on_draw(*aux_batcher, points, outs, 1);
+}
+
+Scalar WorkerState::gradients_on_draw(data::Batcher& stream,
+                                      const Vec* const* points,
+                                      Vec* const* outs, std::size_t n) {
+  if (plan == nullptr) {
+    HFL_CHECK(model, "worker state has neither a plan nor a model");
+    stream.next(batch_x_, batch_y_);
+    Scalar loss = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      loss = model->loss_and_gradient(*points[i], batch_x_, batch_y_, *outs[i]);
+    }
+    if (obs::enabled()) {
+      static obs::Counter& fallback =
+          obs::Registry::global().counter("engine.cohort.fallback_grads");
+      fallback.add(n);
+    }
+    return loss;
+  }
+
+  HFL_CHECK(n <= 2, "at most two gradients per draw");
+  const bool rows = plan->supports_row_gather();
+  if (rows) {
+    stream.next_rows(batch_rows_, batch_y_);
+  } else {
+    stream.next(batch_x_, batch_y_);
+  }
+  nn::CohortItem items[2];
+  for (std::size_t i = 0; i < n; ++i) {
+    HFL_CHECK(points[i]->size() == plan->num_params(),
+              "gradient point size does not match the model");
+    outs[i]->resize(plan->num_params());
+    items[i].params = points[i]->data();
+    items[i].grad = outs[i]->data();
+    items[i].y = &batch_y_;
+    if (rows) {
+      items[i].x_rows = batch_rows_.data();
+    } else {
+      items[i].x = batch_x_.raw();
+    }
+  }
+  plan->gradient({items, n});
+  if (obs::enabled()) {
+    static obs::Counter& fused =
+        obs::Registry::global().counter("engine.cohort.fused_grads");
+    fused.add(n);
+  }
+  return items[n - 1].loss;
 }
 
 void WorkerState::reset_interval_accumulators() {

@@ -3,8 +3,10 @@
 // WorkerState mirrors the paper's worker {i, ℓ}: model parameters x, momentum
 // parameter y, velocity v = y_t − y_{t−1}, the interval accumulators that
 // Algorithm 1 line 9 uploads (Σ∇F_i and Σy_i, plus Σv_i for the velocity
-// interpretation of eq. (6) — see core/hieradmo.h), the worker's data stream,
-// and a scratch model instance used to evaluate gradients. EdgeState carries
+// interpretation of eq. (6) — see core/hieradmo.h), the worker's data
+// streams, and what evaluates its gradients: the engine's compiled cohort
+// plan (shared by every worker, src/nn/cohort.h) or, for architectures the
+// plan rejects and for hand-built states, a per-worker model. EdgeState carries
 // the post-aggregation values y_{ℓ−}, y_{ℓ+}, x_{ℓ+} and the currently
 // adapted γℓ. CloudState carries the cloud model and the cloud-aggregated
 // worker momentum.
@@ -30,6 +32,12 @@ class ThreadPool;  // src/common/thread_pool.h
 
 }  // namespace hfl
 
+namespace hfl::nn {
+
+class CohortModel;  // src/nn/cohort.h
+
+}  // namespace hfl::nn
+
 namespace hfl::fl {
 
 struct WorkerState {
@@ -50,6 +58,10 @@ struct WorkerState {
   Vec sum_y;     // Σ_t y^t_i
   Vec sum_v;     // Σ_t v^t_i
 
+  // Gradient evaluation: `plan` when set (the engine's plan, bound by the
+  // cohort store — counted under engine.cohort.fused_grads), else `model`
+  // (Model::loss_and_gradient — counted under engine.cohort.fallback_grads).
+  nn::CohortModel* plan = nullptr;
   std::unique_ptr<nn::Model> model;
   std::unique_ptr<data::Batcher> batcher;
   std::unique_ptr<data::Batcher> aux_batcher;  // for gradient probes (Mime)
@@ -58,7 +70,10 @@ struct WorkerState {
   std::map<std::string, Vec> extra;
 
   // Draw the next mini-batch and compute the gradient of the local loss at
-  // `at`; stores it in `grad` and returns the batch loss.
+  // `at`; stores it in `grad` and returns the batch loss. Through the plan
+  // the draw is zero-copy when the plan reads dataset rows in place
+  // (CohortModel::supports_row_gather) — the same stream advancement either
+  // way.
   //
   // Fused-path interplay: if the engine has prefetched this iteration's batch
   // and deposited its gradient (draw_batch + deposit_gradient below), the
@@ -96,6 +111,12 @@ struct WorkerState {
   void reset_interval_accumulators();
 
  private:
+  // Draws one mini-batch from `stream` and evaluates the gradient at each
+  // of points[0..n) on it into outs[0..n) — one plan call, or one
+  // loss_and_gradient per point. Returns the loss at points[n − 1].
+  Scalar gradients_on_draw(data::Batcher& stream, const Vec* const* points,
+                           Vec* const* outs, std::size_t n);
+
   Tensor batch_x_;
   std::vector<std::size_t> batch_y_;
   std::vector<const Scalar*> batch_rows_;  // draw_batch_rows scratch

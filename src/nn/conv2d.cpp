@@ -30,16 +30,15 @@ std::size_t samples_per_chunk(const Conv2d::Spec& s, std::size_t cols) {
                                                        1, per_sample));
 }
 
-// im2col over the sample chunk [b0, b0+bn): col(r, c) with r indexing
-// (ic, kh, kw) and c indexing (b − b0, oh, ow). Feeding the GEMM a
+// im2col over the bn-sample chunk whose first (in_ch, h, w) sample starts at
+// x0: col(r, c) with r indexing (ic, kh, kw) and c indexing (b, oh, ow). Feeding the GEMM a
 // multi-sample chunk is what lets the blocked kernel run at panel width
 // instead of B separate OH·OW-wide products; chunking (rather than the whole
 // minibatch) keeps the expansion cache-resident. Every element is written —
 // padding gaps are zeroed explicitly — so no full-buffer clear is needed.
-void im2col(const Conv2d::Spec& s, const Tensor& x, std::size_t b0,
-            std::size_t bn, std::size_t oh_count, std::size_t ow_count,
-            Vec& col) {
-  const std::size_t h = x.dim(2), w = x.dim(3);
+void im2col(const Conv2d::Spec& s, std::size_t h, std::size_t w,
+            const Scalar* x0, std::size_t bn, std::size_t oh_count,
+            std::size_t ow_count, Vec& col) {
   const std::size_t cols = oh_count * ow_count;
   const std::size_t total = bn * cols;
   col.resize(s.kk() * total);
@@ -71,8 +70,7 @@ void im2col(const Conv2d::Spec& s, const Tensor& x, std::size_t b0,
                                 ? std::min(oh_count, h + s.pad - kh)
                                 : std::size_t{0});
         for (std::size_t b = 0; b < bn; ++b) {
-          const Scalar* xplane =
-              x.raw() + ((b0 + b) * s.in_ch + ic) * h * w;
+          const Scalar* xplane = x0 + (b * s.in_ch + ic) * h * w;
           Scalar* crow = col.data() + r * total + b * cols;
           std::fill(crow, crow + oh_lo * ow_count, 0.0);
           std::fill(crow + oh_hi * ow_count, crow + oh_count * ow_count, 0.0);
@@ -152,10 +150,10 @@ void Conv2d::init_params(Rng& rng) {
   bias_.fill(0.0);
 }
 
-void Conv2d::forward_span(const Spec& s, const Scalar* weight,
-                          const Scalar* bias, const Tensor& x, std::size_t b0,
-                          std::size_t bn, Scalar* out0, bool mixed) {
-  const std::size_t H = x.dim(2), W = x.dim(3);
+void Conv2d::forward_span(const Spec& s, std::size_t H, std::size_t W,
+                          const Scalar* weight, const Scalar* bias,
+                          const Scalar* x0, std::size_t bn, Scalar* out0,
+                          bool mixed) {
   const std::size_t OH = H + 2 * s.pad - s.k + 1;
   const std::size_t OW = W + 2 * s.pad - s.k + 1;
   const std::size_t cols = OH * OW;
@@ -163,10 +161,20 @@ void Conv2d::forward_span(const Spec& s, const Scalar* weight,
   const std::size_t chunk = samples_per_chunk(s, cols);
   const auto gemmb = mixed ? ops::gemm_batched_mixed : ops::gemm_batched;
 
-  for (std::size_t c0 = b0; c0 < b0 + bn; c0 += chunk) {
-    const std::size_t cn = std::min(chunk, b0 + bn - c0);
+  if (obs::enabled()) {
+    static obs::Counter& calls =
+        obs::Registry::global().counter("conv.fwd_calls");
+    static obs::Counter& bytes =
+        obs::Registry::global().counter("conv.im2col_bytes");
+    calls.add();
+    // One im2col expansion per forward: kk rows × bn·cols columns written.
+    bytes.add(static_cast<std::uint64_t>(kk * bn * cols) * sizeof(Scalar));
+  }
+
+  for (std::size_t c0 = 0; c0 < bn; c0 += chunk) {
+    const std::size_t cn = std::min(chunk, bn - c0);
     const std::size_t total = cn * cols;
-    im2col(s, x, c0, cn, OH, OW, tl_col);
+    im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, OH, OW, tl_col);
 
     // Each sample's output plane already has the GEMM's (oc, oh·ow) layout,
     // so the products land directly in the output tensor: pre-fill with the
@@ -175,22 +183,22 @@ void Conv2d::forward_span(const Spec& s, const Scalar* weight,
     // stride `total`), and the weight operand is declared shared
     // (stride_a = 0) so its panels pack once per cache tile, not per sample.
     for (std::size_t b = 0; b < cn; ++b) {
-      Scalar* oplane = out0 + (c0 - b0 + b) * s.out_ch * cols;
+      Scalar* oplane = out0 + (c0 + b) * s.out_ch * cols;
       for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
         std::fill(oplane + oc * cols, oplane + (oc + 1) * cols, bias[oc]);
       }
     }
     gemmb(false, false, s.out_ch, cols, kk, cn, weight, kk, 0, tl_col.data(),
-          total, cols, 1.0, out0 + (c0 - b0) * s.out_ch * cols, cols,
+          total, cols, 1.0, out0 + c0 * s.out_ch * cols, cols,
           s.out_ch * cols);
   }
 }
 
-void Conv2d::backward_span(const Spec& s, const Scalar* weight,
-                           const Tensor& x, std::size_t b0, std::size_t bn,
-                           const Scalar* gout0, Scalar* grad_weight,
-                           Scalar* grad_bias, Scalar* grad_in0, bool mixed) {
-  const std::size_t H = x.dim(2), W = x.dim(3);
+void Conv2d::backward_span(const Spec& s, std::size_t H, std::size_t W,
+                           const Scalar* weight, const Scalar* x0,
+                           std::size_t bn, const Scalar* gout0,
+                           Scalar* grad_weight, Scalar* grad_bias,
+                           Scalar* grad_in0, bool mixed) {
   const std::size_t OH = H + 2 * s.pad - s.k + 1;
   const std::size_t OW = W + 2 * s.pad - s.k + 1;
   const std::size_t cols = OH * OW;
@@ -198,15 +206,28 @@ void Conv2d::backward_span(const Spec& s, const Scalar* weight,
   const std::size_t chunk = samples_per_chunk(s, cols);
   const auto gemmb = mixed ? ops::gemm_batched_mixed : ops::gemm_batched;
 
-  for (std::size_t c0 = b0; c0 < b0 + bn; c0 += chunk) {
-    const std::size_t cn = std::min(chunk, b0 + bn - c0);
+  if (obs::enabled()) {
+    static obs::Counter& calls =
+        obs::Registry::global().counter("conv.bwd_calls");
+    static obs::Counter& bytes =
+        obs::Registry::global().counter("conv.im2col_bytes");
+    calls.add();
+    // The backward pass rebuilds the im2col chunk and, unless dX is
+    // skipped, writes dCol of the same volume: kk × bn·cols scalars each.
+    bytes.add(static_cast<std::uint64_t>((grad_in0 != nullptr ? 2 : 1) * kk *
+                                         bn * cols) *
+              sizeof(Scalar));
+  }
+
+  for (std::size_t c0 = 0; c0 < bn; c0 += chunk) {
+    const std::size_t cn = std::min(chunk, bn - c0);
     const std::size_t total = cn * cols;
 
     // Rebuild the im2col chunk from the input (cheaper than keeping the
     // expansion live across the whole forward pass of a deep model).
-    im2col(s, x, c0, cn, OH, OW, tl_col);
+    im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, OH, OW, tl_col);
 
-    const Scalar* gchunk = gout0 + (c0 - b0) * s.out_ch * cols;
+    const Scalar* gchunk = gout0 + c0 * s.out_ch * cols;
 
     // db += per-plane sums, walked in (sample, channel) order.
     for (std::size_t b = 0; b < cn; ++b) {
@@ -237,7 +258,7 @@ void Conv2d::backward_span(const Spec& s, const Scalar* weight,
     // col2im: scatter-add dCol back onto the padded input geometry.
     for (std::size_t b = 0; b < cn; ++b) {
       const Scalar* dsample = tl_dcol.data() + b * kk * cols;
-      Scalar* gisample = grad_in0 + (c0 - b0 + b) * s.in_ch * H * W;
+      Scalar* gisample = grad_in0 + (c0 + b) * s.in_ch * H * W;
       std::size_t r = 0;
       for (std::size_t ic = 0; ic < s.in_ch; ++ic) {
         Scalar* giplane = gisample + ic * H * W;
@@ -279,20 +300,9 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const std::size_t OH = H + 2 * pad_ - k_ + 1;
   const std::size_t OW = W + 2 * pad_ - k_ + 1;
 
-  if (obs::enabled()) {
-    static obs::Counter& calls =
-        obs::Registry::global().counter("conv.fwd_calls");
-    static obs::Counter& bytes =
-        obs::Registry::global().counter("conv.im2col_bytes");
-    calls.add();
-    // One im2col expansion per forward: kk rows × B·cols columns written.
-    bytes.add(static_cast<std::uint64_t>(in_ch_ * k_ * k_ * B * OH * OW) *
-              sizeof(Scalar));
-  }
-
   Tensor out({B, out_ch_, OH, OW});
-  forward_span(spec(), weight_.raw(), bias_.raw(), x, 0, B, out.raw(),
-               /*mixed=*/false);
+  forward_span(spec(), H, W, weight_.raw(), bias_.raw(), x.raw(), B,
+               out.raw(), /*mixed=*/false);
   return out;
 }
 
@@ -305,20 +315,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 grad_out.dim(3) == OW,
             "conv2d backward shape mismatch");
 
-  if (obs::enabled()) {
-    static obs::Counter& calls =
-        obs::Registry::global().counter("conv.bwd_calls");
-    static obs::Counter& bytes =
-        obs::Registry::global().counter("conv.im2col_bytes");
-    calls.add();
-    // The backward pass rebuilds the im2col chunk and writes dCol of the
-    // same volume: 2 × kk × B·cols scalars.
-    bytes.add(static_cast<std::uint64_t>(2 * in_ch_ * k_ * k_ * B * OH * OW) *
-              sizeof(Scalar));
-  }
-
   Tensor grad_in(input_.shape());
-  backward_span(spec(), weight_.raw(), input_, 0, B, grad_out.raw(),
+  backward_span(spec(), H, W, weight_.raw(), input_.raw(), B, grad_out.raw(),
                 grad_weight_.raw(), grad_bias_.raw(), grad_in.raw(),
                 /*mixed=*/false);
   return grad_in;

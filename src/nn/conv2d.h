@@ -52,27 +52,33 @@ class Conv2d final : public Layer {
   std::size_t kernel() const { return k_; }
   std::size_t padding() const { return pad_; }
 
-  // Forward for samples [b0, b0+bn) of `x` (NCHW tensor). `out0` points at
-  // the (out_ch, OH·OW) output plane of sample b0; consecutive samples'
-  // planes follow contiguously (the cohort executor passes an offset into a
-  // concatenated tensor whose batch indexing differs from x's). `weight` is
+  // Forward for `bn` consecutive (in_ch, H, W) samples starting at `x0`.
+  // `out0` points at the first sample's (out_ch, OH·OW) output plane;
+  // consecutive samples' planes follow contiguously (the cohort executor
+  // passes offsets into its concatenated activation buffers). `weight` is
   // (out_ch, in_ch·k²) row-major, `bias` is (out_ch).
-  static void forward_span(const Spec& s, const Scalar* weight,
-                           const Scalar* bias, const Tensor& x, std::size_t b0,
-                           std::size_t bn, Scalar* out0, bool mixed);
+  //
+  // Both spans bump the conv telemetry (conv.fwd_calls / conv.bwd_calls /
+  // conv.im2col_bytes), so the layer methods and the cohort plan are
+  // counted alike.
+  static void forward_span(const Spec& s, std::size_t H, std::size_t W,
+                           const Scalar* weight, const Scalar* bias,
+                           const Scalar* x0, std::size_t bn, Scalar* out0,
+                           bool mixed);
 
-  // Backward for samples [b0, b0+bn): accumulates into grad_weight /
-  // grad_bias (in sample-index order — callers pass zeroed or partially
-  // accumulated buffers) and scatter-adds dX into `grad_in0`, which points at
-  // sample b0's pre-zeroed (in_ch, H·W) input-gradient plane. `gout0` points
-  // at sample b0's upstream-gradient plane. Pass grad_in0 == nullptr to skip
-  // the dX computation entirely (dCol product + col2im) — the cohort
-  // executor does this for the model's first parametric layer, whose input
-  // gradient has no consumer.
-  static void backward_span(const Spec& s, const Scalar* weight,
-                            const Tensor& x, std::size_t b0, std::size_t bn,
-                            const Scalar* gout0, Scalar* grad_weight,
-                            Scalar* grad_bias, Scalar* grad_in0, bool mixed);
+  // Backward for the same `bn` samples: accumulates into grad_weight /
+  // grad_bias (in sample order — callers pass zeroed or partially
+  // accumulated buffers) and scatter-adds dX into `grad_in0`, the first
+  // sample's pre-zeroed (in_ch, H·W) input-gradient plane. `gout0` points
+  // at the first sample's upstream-gradient plane. Pass grad_in0 == nullptr
+  // to skip the dX computation entirely (dCol product + col2im) — the
+  // cohort executor does this for the model's first parametric layer,
+  // whose input gradient has no consumer.
+  static void backward_span(const Spec& s, std::size_t H, std::size_t W,
+                            const Scalar* weight, const Scalar* x0,
+                            std::size_t bn, const Scalar* gout0,
+                            Scalar* grad_weight, Scalar* grad_bias,
+                            Scalar* grad_in0, bool mixed);
 
  private:
   Spec spec() const { return {in_ch_, out_ch_, k_, pad_}; }

@@ -26,6 +26,9 @@ class Loss {
                          const std::vector<std::size_t>& labels) = 0;
   // Gradient of the mean loss with respect to `pred`.
   virtual Tensor backward() = 0;
+  // A new instance of the same loss with no cached state (one per thread
+  // when several threads score predictions concurrently).
+  virtual std::unique_ptr<Loss> clone() const = 0;
 };
 
 using LossPtr = std::unique_ptr<Loss>;
@@ -36,6 +39,9 @@ class SoftmaxCrossEntropy final : public Loss {
   Scalar forward(const Tensor& pred,
                  const std::vector<std::size_t>& labels) override;
   Tensor backward() override;
+  std::unique_ptr<Loss> clone() const override {
+    return std::make_unique<SoftmaxCrossEntropy>();
+  }
 
  private:
   Tensor probs_;
@@ -48,6 +54,9 @@ class MseOnOneHot final : public Loss {
   Scalar forward(const Tensor& pred,
                  const std::vector<std::size_t>& labels) override;
   Tensor backward() override;
+  std::unique_ptr<Loss> clone() const override {
+    return std::make_unique<MseOnOneHot>();
+  }
 
  private:
   Tensor pred_;

@@ -86,9 +86,13 @@ Tensor Model::predict(const Tensor& x) {
 
 EvalResult Model::evaluate(const Tensor& x,
                            const std::vector<std::size_t>& labels) {
-  Tensor pred = predict(x);
+  return evaluate_predictions(*loss_, predict(x), labels);
+}
+
+EvalResult evaluate_predictions(Loss& loss, const Tensor& pred,
+                                const std::vector<std::size_t>& labels) {
   EvalResult result;
-  result.loss = loss_->forward(pred, labels);
+  result.loss = loss.forward(pred, labels);
   std::vector<std::size_t> argmax;
   ops::argmax_rows(pred, argmax);
   std::size_t correct = 0;

@@ -73,6 +73,14 @@ class Model {
   std::size_t total_params_ = 0;
 };
 
+// Model::evaluate's tail: the mean loss of the (B, K) predictions `pred`
+// through `loss` (whose forward caches state, so concurrent callers each
+// bring their own) and the top-1 accuracy read off by row argmax.
+// fl::Engine::evaluate runs the forward pass through the cohort plan
+// (src/nn/cohort.h) and finishes with this same tail.
+EvalResult evaluate_predictions(Loss& loss, const Tensor& pred,
+                                const std::vector<std::size_t>& labels);
+
 // Builds a fresh, independently-owned model instance (identical architecture,
 // parameters initialized by the caller). Factories live in models.h.
 using ModelFactory = std::function<std::unique_ptr<Model>()>;

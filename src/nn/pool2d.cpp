@@ -15,37 +15,40 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
   HFL_CHECK(window_ > 0, "pool window must be positive");
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
-  check_poolable(x, window_);
-  const std::size_t B = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  const std::size_t OH = H / window_, OW = W / window_;
-  Tensor out({B, C, OH, OW});
-  in_shape_ = x.shape();
-  argmax_.resize(out.size());
-
-  const Scalar* px = x.raw();
-  Scalar* po = out.raw();
+void MaxPool2d::forward_planes(std::size_t window, std::size_t planes,
+                               std::size_t H, std::size_t W, const Scalar* x,
+                               Scalar* out, std::size_t* argmax) {
+  const std::size_t OH = H / window, OW = W / window;
   std::size_t o = 0;
-  for (std::size_t bc = 0; bc < B * C; ++bc) {
-    const Scalar* plane = px + bc * H * W;
+  for (std::size_t bc = 0; bc < planes; ++bc) {
+    const Scalar* plane = x + bc * H * W;
     for (std::size_t oh = 0; oh < OH; ++oh) {
       for (std::size_t ow = 0; ow < OW; ++ow, ++o) {
-        std::size_t best_idx = (oh * window_) * W + ow * window_;
+        std::size_t best_idx = (oh * window) * W + ow * window;
         Scalar best = plane[best_idx];
-        for (std::size_t kh = 0; kh < window_; ++kh) {
-          for (std::size_t kw = 0; kw < window_; ++kw) {
-            const std::size_t idx = (oh * window_ + kh) * W + ow * window_ + kw;
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            const std::size_t idx = (oh * window + kh) * W + ow * window + kw;
             if (plane[idx] > best) {
               best = plane[idx];
               best_idx = idx;
             }
           }
         }
-        po[o] = best;
-        argmax_[o] = bc * H * W + best_idx;
+        out[o] = best;
+        if (argmax != nullptr) argmax[o] = bc * H * W + best_idx;
       }
     }
   }
+}
+
+Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/) {
+  check_poolable(x, window_);
+  const std::size_t B = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
+  Tensor out({B, C, H / window_, W / window_});
+  in_shape_ = x.shape();
+  argmax_.resize(out.size());
+  forward_planes(window_, B * C, H, W, x.raw(), out.raw(), argmax_.data());
   return out;
 }
 

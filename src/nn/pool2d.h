@@ -13,6 +13,15 @@ class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);
 
+  std::size_t window() const { return window_; }
+
+  // Window maxima of `planes` consecutive (H, W) planes at `x` into `out`;
+  // with `argmax` non-null, each winner's flat index into `x` as well. The
+  // layer and the cohort plan (src/nn/cohort.cpp) share this loop.
+  static void forward_planes(std::size_t window, std::size_t planes,
+                             std::size_t H, std::size_t W, const Scalar* x,
+                             Scalar* out, std::size_t* argmax);
+
   std::string kind() const override { return "maxpool2d"; }
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;

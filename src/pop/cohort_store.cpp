@@ -284,7 +284,7 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
     } else {
       fl::WorkerState& w = next_[i];
       w = fl::WorkerState{};
-      w.model = factory_();
+      if (plan_ == nullptr) w.model = factory_();
       w.batcher =
           std::make_unique<data::Batcher>(data_->train, run_.batch_size);
       w.aux_batcher =
@@ -322,6 +322,7 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
 void CohortStore::set_descriptors(fl::WorkerState& w, fl::WorkerId id) const {
   const std::size_t i = id;
   w.id = id;
+  w.plan = plan_;
   w.edge = pop_.edge_of(i);
   w.num_samples = pop_.num_samples(i);
   w.weight_in_edge = pop_.weight_in_edge(i);
@@ -376,9 +377,9 @@ void CohortStore::encode(const fl::WorkerState& w,
 
 void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
                          std::span<const char> record) const {
-  // Descriptor fields are rebuilt and the recycled scratch model is kept
-  // (it holds no cross-batch state); everything mutable comes back byte for
-  // byte, decoded into the recycled storage.
+  // Descriptor fields (and the plan binding) are rebuilt and a recycled
+  // scratch model is kept (it holds no cross-batch state); everything
+  // mutable comes back byte for byte, decoded into the recycled storage.
   set_descriptors(w, id);
   Reader in{record.data(), record.data() + record.size(), x0_.size()};
   in.vec(w.x);

@@ -27,7 +27,8 @@
 // capacity, both batchers are reseeded or loaded in place, and the scratch
 // model (no cross-batch state) is reused as is. The model factory runs
 // only when the materialized pool grows past every state it has held this
-// run.
+// run — and never once an engine has attached its compiled gradient plan
+// (attach_plan): every state then binds the plan and carries no model.
 //
 // Spill record (host byte order, never outlives the run, so unversioned):
 //   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
@@ -109,6 +110,8 @@ class CohortStore final : public fl::CohortProvider {
   // Bit-identical at any thread count (no cross-worker reductions).
   void attach_pool(ThreadPool* pool) override { host_pool_ = pool; }
   void begin_interval(std::size_t k) override { clock_ = k; }
+  // Takes effect at the next begin_run (which rebuilds every state).
+  void attach_plan(nn::CohortModel* plan) override { plan_ = plan; }
   // Lazy absent-momentum replay: every spill records the interval clock;
   // a restore at clock m replays the policy (m − stamp) times — the exact
   // per-interval sequence a materialized absent worker would have received
@@ -161,6 +164,7 @@ class CohortStore final : public fl::CohortProvider {
   std::size_t peak_materialized_ = 0;
 
   ThreadPool* host_pool_ = nullptr;         // engine-attached, may be null
+  nn::CohortModel* plan_ = nullptr;         // engine-attached, may be null
   std::size_t clock_ = 0;                   // current interval (0 = no clock)
   fl::AbsentPolicy replay_policy_ = fl::AbsentPolicy::kHold;
   Scalar replay_decay_ = 1.0;
