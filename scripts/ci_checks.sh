@@ -12,10 +12,11 @@
 #      the event engine and of the fault paths, pinned on this build, the
 #      population suites (spill-record codec, absent-policy replay,
 #      attached store ≡ the engine's own store, sampled ≡ full cohort on the
-#      induced schedule) and the compiled-plan parity suite (plan ≡ model
+#      induced schedule), the compiled-plan parity suite (plan ≡ model
 #      gradients and predictions, Engine::evaluate ≡ per-batch
-#      Model::evaluate) on the portable kernels and their contraction
-#      choices.
+#      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
+#      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on
+#      the portable kernels and their contraction choices.
 #   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
 #      hfl_bench self-tests plus every workload at a short horizon, output
 #      checked against BENCHMARK.json. It compiles against the public
@@ -63,14 +64,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # population suites run here too: the spill-record codec and the restore
 # replay must hold on both kernel configs. So does plan ≡ model
 # bit-identity (batched_parity_test): the plan's native stages and the
-# layers must agree under this build's contraction choices as well.
+# layers must agree under this build's contraction choices as well. So must
+# HierAdMo's tile-swept edge and cloud rounds and the one-pass cosine
+# (hieradmo_test, param_plane_test) on the scalar kernel path.
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
   --target async_engine_test fault_golden_test pop_test pop_parity_test \
-  batched_parity_test
+  batched_parity_test hieradmo_test param_plane_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test)$'
 
 # --- gate 3: repository benchmark smoke run -------------------------------
 bash benchmark/run.sh --smoke

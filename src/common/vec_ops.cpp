@@ -47,29 +47,115 @@ Scalar distance(std::span<const Scalar> x, std::span<const Scalar> y) {
   return std::sqrt(acc);
 }
 
-Scalar cosine(std::span<const Scalar> x, std::span<const Scalar> y) {
-  const Scalar nx = norm(x);
-  const Scalar ny = norm(y);
+namespace {
+
+// x·y / (‖x‖‖y‖) from one pass's sums, or 0 for a (near-)zero norm.
+Scalar cosine_from(Scalar xx, Scalar yy, Scalar xy, bool negate) {
+  const Scalar nx = std::sqrt(xx);
+  const Scalar ny = std::sqrt(yy);
   constexpr Scalar kEps = 1e-12;
   if (nx < kEps || ny < kEps) return 0.0;
-  const Scalar c = dot(x, y) / (nx * ny);
-  return std::clamp(c, Scalar{-1}, Scalar{1});
+  const Scalar c = xy / (nx * ny);
+  return std::clamp(negate ? -c : c, Scalar{-1}, Scalar{1});
+}
+
+}  // namespace
+
+void cosines(std::span<const Scalar* const> xs,
+             std::span<const Scalar* const> ys, std::size_t n, bool negate,
+             std::span<Scalar> out) {
+  HFL_CHECK(xs.size() == ys.size() && xs.size() == out.size(),
+            "cosines needs one x, one y and one output per pair");
+  // Each sum runs in index order with dot's exact per-element expression,
+  // so it has dot's bits. Two pairs share a pass: their six independent
+  // dependency chains overlap instead of running one serial chain at a time.
+  std::size_t k = 0;
+  for (; k + 2 <= xs.size(); k += 2) {
+    const Scalar *x0 = xs[k], *y0 = ys[k], *x1 = xs[k + 1], *y1 = ys[k + 1];
+    Scalar xx0 = 0, yy0 = 0, xy0 = 0, xx1 = 0, yy1 = 0, xy1 = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      xx0 += x0[i] * x0[i];
+      yy0 += y0[i] * y0[i];
+      xy0 += x0[i] * y0[i];
+      xx1 += x1[i] * x1[i];
+      yy1 += y1[i] * y1[i];
+      xy1 += x1[i] * y1[i];
+    }
+    out[k] = cosine_from(xx0, yy0, xy0, negate);
+    out[k + 1] = cosine_from(xx1, yy1, xy1, negate);
+  }
+  if (k < xs.size()) {
+    const Scalar *x = xs[k], *y = ys[k];
+    Scalar xx = 0, yy = 0, xy = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      xx += x[i] * x[i];
+      yy += y[i] * y[i];
+      xy += x[i] * y[i];
+    }
+    out[k] = cosine_from(xx, yy, xy, negate);
+  }
 }
 
 namespace {
 
-// Fused single-pass weighted sum: each output tile stays cache-resident
-// while every input vector streams through it, instead of one full memory
-// pass over `out` per input (which is what an axpy-per-worker loop costs at
-// fleet scale). Four inputs fold per pass, quartering the read-modify-write
-// traffic on the output tile.
+Scalar one_cosine(std::span<const Scalar> x, std::span<const Scalar> y,
+                  bool negate) {
+  HFL_CHECK(x.size() == y.size(), "cosine size mismatch");
+  const Scalar* xs[] = {x.data()};
+  const Scalar* ys[] = {y.data()};
+  Scalar c = 0;
+  cosines(xs, ys, x.size(), negate, {&c, 1});
+  return c;
+}
+
+}  // namespace
+
+Scalar cosine(std::span<const Scalar> x, std::span<const Scalar> y) {
+  return one_cosine(x, y, /*negate=*/false);
+}
+
+Scalar cosine_neg(std::span<const Scalar> x, std::span<const Scalar> y) {
+  return one_cosine(x, y, /*negate=*/true);
+}
+
+namespace {
+
 constexpr std::size_t kSumTile = 4096;
 
-// The per-element accumulation below visits inputs in index order with a
-// fixed 4-way grouping that depends only on `count`, so any [range_lo,
-// range_hi) partition of the output — including the full range — yields
-// bit-identical element values. weighted_sum_range relies on this to make
-// the engine's parallel reductions independent of thread count.
+// One output tile of the fused weighted sum: out[j] = Σ_v w[v]·at(v)[lo + j]
+// for j ∈ [0, len). Each element is accumulated over the inputs in index
+// order with a fixed 4-way grouping that depends only on `count`, so every
+// tiling of [0, n) — any tile width, any range split — yields bit-identical
+// element values. Four inputs fold per pass, quartering the
+// read-modify-write traffic on the cache-resident output tile. This is the
+// one copy of the per-element code: weighted_sum*, weighted_sum_range and
+// weighted_sum_tile all run it.
+template <class RowAt>
+void sum_tile(std::size_t count, const Scalar* w, RowAt&& at, std::size_t lo,
+              std::size_t len, Scalar* out) {
+  std::fill(out, out + len, 0.0);
+  std::size_t v = 0;
+  for (; v + 4 <= count; v += 4) {
+    const Scalar w0 = w[v], w1 = w[v + 1], w2 = w[v + 2], w3 = w[v + 3];
+    const Scalar* x0 = at(v) + lo;
+    const Scalar* x1 = at(v + 1) + lo;
+    const Scalar* x2 = at(v + 2) + lo;
+    const Scalar* x3 = at(v + 3) + lo;
+    for (std::size_t j = 0; j < len; ++j) {
+      out[j] += w0 * x0[j] + w1 * x1[j] + w2 * x2[j] + w3 * x3[j];
+    }
+  }
+  for (; v < count; ++v) {
+    const Scalar wv = w[v];
+    const Scalar* x = at(v) + lo;
+    for (std::size_t j = 0; j < len; ++j) out[j] += wv * x[j];
+  }
+}
+
+// Fused single-pass weighted sum over out[range_lo, range_hi): each output
+// tile stays cache-resident while every input vector streams through it,
+// instead of one full memory pass over `out` per input (which is what an
+// axpy-per-worker loop costs at fleet scale).
 template <class VecAt>
 void weighted_sum_tiled(std::size_t count, std::span<const Scalar> weights,
                         Vec& out, std::size_t range_lo, std::size_t range_hi,
@@ -83,28 +169,10 @@ void weighted_sum_tiled(std::size_t count, std::span<const Scalar> weights,
   HFL_CHECK(out.size() == n, "weighted_sum output size mismatch");
   HFL_CHECK(range_lo <= range_hi && range_hi <= n,
             "weighted_sum range out of bounds");
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(range_lo),
-            out.begin() + static_cast<std::ptrdiff_t>(range_hi), 0.0);
-  Scalar* o = out.data();
+  const auto at = [&](std::size_t v) { return vec_at(v).data(); };
   for (std::size_t lo = range_lo; lo < range_hi; lo += kSumTile) {
-    const std::size_t hi = std::min(range_hi, lo + kSumTile);
-    std::size_t v = 0;
-    for (; v + 4 <= count; v += 4) {
-      const Scalar w0 = weights[v], w1 = weights[v + 1];
-      const Scalar w2 = weights[v + 2], w3 = weights[v + 3];
-      const Scalar* x0 = vec_at(v).data();
-      const Scalar* x1 = vec_at(v + 1).data();
-      const Scalar* x2 = vec_at(v + 2).data();
-      const Scalar* x3 = vec_at(v + 3).data();
-      for (std::size_t i = lo; i < hi; ++i) {
-        o[i] += w0 * x0[i] + w1 * x1[i] + w2 * x2[i] + w3 * x3[i];
-      }
-    }
-    for (; v < count; ++v) {
-      const Scalar wv = weights[v];
-      const Scalar* x = vec_at(v).data();
-      for (std::size_t i = lo; i < hi; ++i) o[i] += wv * x[i];
-    }
+    const std::size_t len = std::min(range_hi - lo, kSumTile);
+    sum_tile(count, weights.data(), at, lo, len, out.data() + lo);
   }
 }
 
@@ -132,6 +200,16 @@ void weighted_sum_range(std::span<const Vec* const> vecs,
                         std::size_t lo, std::size_t hi) {
   weighted_sum_tiled(vecs.size(), weights, out, lo, hi,
                      [&](std::size_t v) -> const Vec& { return *vecs[v]; });
+}
+
+void weighted_sum_tile(std::span<const Scalar* const> rows,
+                       std::span<const Scalar> weights, std::size_t lo,
+                       std::span<Scalar> out) {
+  HFL_CHECK(!rows.empty() && rows.size() == weights.size(),
+            "weighted_sum_tile needs one weight per input row");
+  sum_tile(rows.size(), weights.data(),
+           [&](std::size_t v) { return rows[v]; }, lo, out.size(),
+           out.data());
 }
 
 void fill(std::span<Scalar> x, Scalar value) {
@@ -430,15 +508,6 @@ void adc_server_update(std::span<Scalar> x, std::span<const Scalar> agg,
     u[i] = std::fma(beta, u[i], keep * pseudo);
     x[i] = agg[i];
   }
-}
-
-Scalar cosine_neg(std::span<const Scalar> x, std::span<const Scalar> y) {
-  const Scalar nx = norm(x);
-  const Scalar ny = norm(y);
-  constexpr Scalar kEps = 1e-12;
-  if (nx < kEps || ny < kEps) return 0.0;
-  const Scalar c = -(dot(x, y) / (nx * ny));
-  return std::clamp(c, Scalar{-1}, Scalar{1});
 }
 
 }  // namespace hfl::vec

@@ -5,6 +5,15 @@
 // the adaptive-momentum angle of HierAdMo (paper eq. (6)) is a cosine between
 // two accumulated vectors. These helpers are the shared vocabulary for all of
 // that. All binary operations require equal sizes (checked).
+//
+// Two entry points serve callers that sweep many vectors per round and want
+// each vector read once: the cosines sum ‖x‖², ‖y‖² and x·y in one pass
+// (each sum in dot's order), and weighted_sum_tile computes one output tile
+// of the fused weighted sum, so a caller can aggregate, update and write
+// back a tile before reading the next (HierAdMo's edge and cloud rounds,
+// src/core/hieradmo.cpp). Neither moves a bit relative to the multi-pass
+// form. Both take raw row pointers with a stated length; their sizes are
+// the caller's contract.
 #pragma once
 
 #include <span>
@@ -36,6 +45,21 @@ Scalar distance(std::span<const Scalar> x, std::span<const Scalar> y);
 // where cosθ ≤ 0 maps to momentum weight 0.
 Scalar cosine(std::span<const Scalar> x, std::span<const Scalar> y);
 
+// cosine(-x, y) without materializing the negated vector. Bit-identical to
+// negating x first: IEEE multiplication and addition are sign-symmetric, so
+// dot(-x, y) == -dot(x, y) and norm(-x) == norm(x) exactly.
+Scalar cosine_neg(std::span<const Scalar> x, std::span<const Scalar> y);
+
+// Batched cosines over pairs of length-n rows: out[k] = cosine(xs[k], ys[k])
+// — cosine_neg when `negate`. Every cosine reads its two rows once: ‖x‖²,
+// ‖y‖² and x·y are summed in one pass, each in dot's index order, so out[k]
+// has the bits of three separate dot calls (cosine and cosine_neg are this
+// kernel on one pair). Two pairs share each pass, overlapping their serial
+// summation chains.
+void cosines(std::span<const Scalar* const> xs,
+             std::span<const Scalar* const> ys, std::size_t n, bool negate,
+             std::span<Scalar> out);
+
 // out = Σ_i weights[i] * vecs[i]. Weights need not sum to one (callers that
 // want a weighted mean pass normalized weights). All vectors must share the
 // output's size, and vecs.size() == weights.size() >= 1. Fused single pass:
@@ -59,6 +83,16 @@ void weighted_sum(const std::vector<Vec>& vecs,
 void weighted_sum_range(std::span<const Vec* const> vecs,
                         std::span<const Scalar> weights, Vec& out,
                         std::size_t lo, std::size_t hi);
+
+// One output tile over raw input rows: out[j] = Σ_v weights[v]·rows[v][lo + j]
+// for j ∈ [0, out.size()). It runs weighted_sum_range's per-element code
+// (same input order, same 4-way grouping, same tail), so a caller sweeping
+// [0, n) tile by tile — at any tile width — gets weighted_sum's bits while
+// it does other work on each tile before moving on. `rows` holds each
+// input's base pointer; `out` must not overlap any input.
+void weighted_sum_tile(std::span<const Scalar* const> rows,
+                       std::span<const Scalar> weights, std::size_t lo,
+                       std::span<Scalar> out);
 
 // Fill with a constant.
 void fill(std::span<Scalar> x, Scalar value);
@@ -144,10 +178,5 @@ void descent_svrg(std::span<Scalar> x, std::span<const Scalar> gb,
 //   u = beta*u + (1-beta)*((x - agg)*inv_step);  x = agg.
 void adc_server_update(std::span<Scalar> x, std::span<const Scalar> agg,
                        std::span<Scalar> u, Scalar beta, Scalar inv_step);
-
-// cosine(-x, y) without materializing the negated vector. Bit-identical to
-// negating x first: IEEE multiplication and addition are sign-symmetric, so
-// dot(-x, y) == -dot(x, y) and norm(-x) == norm(x) exactly.
-Scalar cosine_neg(std::span<const Scalar> x, std::span<const Scalar> y);
 
 }  // namespace hfl::vec

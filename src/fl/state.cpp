@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/thread_pool.h"
 #include "src/fl/availability.h"
 #include "src/nn/cohort.h"
 #include "src/obs/registry.h"
@@ -120,9 +119,9 @@ Scalar WorkerState::gradients_on_draw(data::Batcher& stream,
 }
 
 void WorkerState::reset_interval_accumulators() {
-  vec::fill(sum_grad, 0.0);
-  vec::fill(sum_y, 0.0);
-  vec::fill(sum_v, 0.0);
+  std::fill(sum_grad.begin(), sum_grad.end(), 0.0);
+  std::fill(sum_y.begin(), sum_y.end(), 0.0);
+  std::fill(sum_v.begin(), sum_v.end(), 0.0);
 }
 
 namespace {
@@ -137,28 +136,15 @@ namespace {
 thread_local std::vector<const Vec*> tl_agg_vecs;
 thread_local Vec tl_agg_weights;
 
-// Dispatches the fused weighted sum either serially or as an element-range
-// parallel reduction. Both paths produce bit-identical output for any thread
-// count: each out[j] is accumulated over the inputs in fixed input-index
-// order (see vec::weighted_sum_range), so the partition shape never shows up
-// in the FP result. The cutoff below only picks serial vs parallel dispatch
-// — never the numbers.
+// Serial or element-range parallel fused weighted sum; the split never
+// shows up in the bits (see for_each_range).
 void weighted_sum_dispatch(std::span<const Vec* const> vecs,
                            std::span<const Scalar> weights, Vec& out,
                            ThreadPool* pool) {
   const std::size_t n = vecs.empty() ? 0 : vecs[0]->size();
-  constexpr std::size_t kMinParallelElems = 1 << 14;
-  if (pool == nullptr || pool->size() <= 1 || n < kMinParallelElems) {
-    vec::weighted_sum(vecs, weights, out);
-    return;
-  }
   out.resize(n);
-  const std::size_t chunks = pool->size();
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  pool->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    if (lo < hi) vec::weighted_sum_range(vecs, weights, out, lo, hi);
+  for_each_range(pool, n, [&](std::size_t lo, std::size_t hi) {
+    vec::weighted_sum_range(vecs, weights, out, lo, hi);
   });
 }
 

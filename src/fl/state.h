@@ -15,22 +15,18 @@
 // their server momenta without widening this struct per algorithm.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "src/common/errors.h"
+#include "src/common/thread_pool.h"
 #include "src/common/vec_ops.h"
 #include "src/data/batcher.h"
 #include "src/fl/topology.h"
 #include "src/nn/model.h"
-
-namespace hfl {
-
-class ThreadPool;  // src/common/thread_pool.h
-
-}  // namespace hfl
 
 namespace hfl::nn {
 
@@ -239,6 +235,28 @@ void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
 // either way. Algorithms reach the pool through `Context::pool`.
 void aggregate_global(const WorkerSet& workers, WorkerVecAccessor acc,
                       Vec& out, const Participation* part, ThreadPool* pool);
+
+// The element-range split of the deterministic parallel reductions: calls
+// body(lo, hi) over a partition of [0, n) — once with the whole range when
+// `pool` is null or single-threaded or n is small, else one contiguous
+// chunk per pool thread, concurrently. A body whose element values depend
+// only on their own index (elementwise kernels, vec::weighted_sum_range and
+// vec::weighted_sum_tile) yields the same bits under either split.
+template <class Body>
+void for_each_range(ThreadPool* pool, std::size_t n, Body&& body) {
+  constexpr std::size_t kMinParallelElems = 1 << 14;
+  if (pool == nullptr || pool->size() <= 1 || n < kMinParallelElems) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  const std::size_t chunks = pool->size();
+  const std::size_t chunk = (n + chunks - 1) / chunks;
+  pool->parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t lo = c * chunk;
+    const std::size_t hi = std::min(n, lo + chunk);
+    if (lo < hi) body(lo, hi);
+  });
+}
 
 // Cloud-tier edge aggregation: out = Σ_{reachable edges ℓ} w_ℓ · acc(edge_ℓ)
 // with the weights renormalized over the survivors (full roster when `part`

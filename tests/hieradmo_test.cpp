@@ -1,10 +1,18 @@
 // Tests for the core HierAdMo algorithm (Algorithm 1): the γℓ clamp of
 // eq. (7), the cosine aggregation of eq. (6), the edge/cloud update algebra,
-// redistribution invariants, and reduction properties (γ = γℓ = 0 recovers
-// HierFAVG; one worker with γℓ = 0 recovers FedNAG).
+// redistribution invariants, the tile-swept edge and cloud rounds against
+// the same rounds composed from whole-vector passes (bitwise) and across
+// thread counts, and reduction properties (γ = γℓ = 0 recovers HierFAVG;
+// one worker with γℓ = 0 recovers FedNAG).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <tuple>
 
 #include "src/common/errors.h"
 
@@ -12,6 +20,8 @@
 #include "src/core/hieradmo.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/fl/availability.h"
+#include "src/fl/compression.h"
 #include "src/fl/engine.h"
 #include "src/nn/models.h"
 
@@ -197,6 +207,327 @@ TEST(CloudSyncTest, AggregatesAndRedistributesEverything) {
   for (const auto& w : s.workers) {
     EXPECT_EQ(w.y, s.cloud.y);
     EXPECT_EQ(w.x, s.cloud.x);
+  }
+}
+
+// ------------------ fused rounds vs the composed passes ------------------
+//
+// edge_sync and cloud_sync sweep tiles of every vector once. The reference
+// is the same round composed from standalone whole-vector passes: eq. (6)
+// from three-pass cosines, fl::aggregate_edge(s), vec::extrapolate_update,
+// copy-assignment and reset_interval_accumulators. Both run on identically
+// built states whose vectors span several tiles; every vector must agree
+// bit for bit.
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
+}
+
+bool same_bits(Scalar a, Scalar b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+Scalar three_pass_cosine(const Vec& x, const Vec& y) {
+  const Scalar nx = std::sqrt(vec::dot(x, x));
+  const Scalar ny = std::sqrt(vec::dot(y, y));
+  if (nx < 1e-12 || ny < 1e-12) return 0.0;
+  return std::clamp(vec::dot(x, y) / (nx * ny), Scalar{-1}, Scalar{1});
+}
+
+// Eq. (6) from whole-vector passes.
+Scalar reference_cos_theta(const HierAdMoOptions& opt, const fl::Context& ctx,
+                           const fl::EdgeState& e) {
+  const auto& ids = fl::active_workers(ctx.part, *ctx.topo, e.id);
+  const fl::WorkerSet& workers = *ctx.workers;
+  Vec aggregated;
+  if (opt.signal == HierAdMoOptions::Signal::kCrossWorker) {
+    aggregated.assign(workers[ids.front()].sum_grad.size(), 0.0);
+    for (const std::size_t id : ids) {
+      vec::axpy(fl::active_weight_in_edge(ctx.part, workers[id]),
+                workers[id].sum_grad, aggregated);
+    }
+  }
+  Scalar cos_theta = 0;
+  for (const std::size_t id : ids) {
+    const fl::WorkerState& w = workers[id];
+    Scalar c = 0;
+    if (opt.signal == HierAdMoOptions::Signal::kCrossWorker) {
+      c = three_pass_cosine(w.sum_grad, aggregated);
+    } else {
+      Vec descent = w.sum_grad;
+      vec::scale(descent, -1.0);
+      c = three_pass_cosine(descent,
+                            opt.signal == HierAdMoOptions::Signal::kVelocity
+                                ? w.sum_v
+                                : w.sum_y);
+    }
+    cos_theta += fl::active_weight_in_edge(ctx.part, w) * c;
+  }
+  return cos_theta;
+}
+
+void reference_edge_sync(const HierAdMo& alg, fl::Context& ctx,
+                         fl::EdgeState& e) {
+  const HierAdMoOptions& opt = alg.options();
+  fl::WorkerSet& workers = *ctx.workers;
+  const auto& ids = fl::active_workers(ctx.part, *ctx.topo, e.id);
+  if (opt.upload_compressor) {
+    for (const std::size_t id : ids) {
+      fl::WorkerState& w = workers[id];
+      opt.upload_compressor->compress(w.x);
+      opt.upload_compressor->compress(w.y);
+      opt.upload_compressor->compress(w.sum_grad);
+      opt.upload_compressor->compress(w.sum_y);
+    }
+  }
+  if (opt.adaptive) {
+    e.last_cos_theta = reference_cos_theta(opt, ctx, e);
+    e.gamma_edge = alg.clamp_gamma(e.last_cos_theta);
+  } else {
+    e.gamma_edge = ctx.cfg->gamma_edge;
+  }
+  Vec y_plus;
+  fl::aggregate_edge(*ctx.topo, e.id, workers, fl::worker_y, e.y_minus,
+                     ctx.part);
+  fl::aggregate_edge(*ctx.topo, e.id, workers, fl::worker_x, y_plus,
+                     ctx.part);
+  e.x_plus.resize(y_plus.size());
+  vec::extrapolate_update(y_plus, e.y_plus, e.gamma_edge, e.x_plus);
+  for (const std::size_t id : ids) {
+    fl::WorkerState& w = workers[id];
+    w.y = e.y_minus;
+    w.x = e.x_plus;
+    w.reset_interval_accumulators();
+  }
+}
+
+void reference_cloud_sync(fl::Context& ctx) {
+  fl::aggregate_edges(*ctx.edges, fl::edge_y_minus, ctx.cloud->y, ctx.part);
+  fl::aggregate_edges(*ctx.edges, fl::edge_x_plus, ctx.cloud->x, ctx.part);
+  for (fl::EdgeState& e : *ctx.edges) {
+    if (!fl::is_edge_active(ctx.part, e.id)) continue;
+    e.y_minus = ctx.cloud->y;
+    e.x_plus = ctx.cloud->x;
+  }
+  for (fl::WorkerState& w : *ctx.workers) {
+    if (!fl::is_active(ctx.part, w.id)) continue;
+    w.y = ctx.cloud->y;
+    w.x = ctx.cloud->x;
+  }
+}
+
+// Seven edges of 1–6 workers (the last edge has 2) with random multi-tile
+// state and uneven data masses. With participation, workers 4, 19 and 20
+// drop and edge 6 is down, so the live edges keep 1, 2, 2, 4, 5 and 4
+// workers: between the two rosters every active count in 1–6 occurs.
+struct SweepFixture {
+  static constexpr std::size_t kN = 2 * 4096 + 1024 + 13;
+  fl::Topology topo{std::vector<std::size_t>{1, 2, 3, 4, 5, 6, 2}};
+  fl::RunConfig cfg;
+  std::vector<fl::WorkerState> workers;
+  std::vector<std::uint32_t> slots;
+  fl::WorkerSet worker_set{&workers, &slots};
+  std::vector<fl::EdgeState> edges;
+  fl::CloudState cloud;
+  std::unique_ptr<fl::Participation> part;
+
+  explicit SweepFixture(bool with_participation) {
+    cfg.gamma_edge = 0.3;
+    const std::size_t num_workers = topo.num_workers();
+    Rng rng(77);
+    const auto random_vec = [&] {
+      Vec v(kN);
+      for (Scalar& x : v) x = 2.0 * rng.uniform() - 1.0;
+      return v;
+    };
+    std::vector<Scalar> mass(num_workers);
+    Scalar total = 0;
+    for (std::size_t i = 0; i < num_workers; ++i) {
+      mass[i] = 1.0 + static_cast<Scalar>((7 * i) % 5);
+      total += mass[i];
+    }
+    std::vector<Scalar> edge_mass(topo.num_edges(), 0.0);
+    edges.resize(topo.num_edges());
+    for (std::size_t l = 0; l < topo.num_edges(); ++l) {
+      fl::EdgeState& e = edges[l];
+      e.id = l;
+      for (const fl::WorkerId id : topo.workers_of_edge(l)) {
+        edge_mass[l] += mass[id];
+      }
+      e.weight_global = edge_mass[l] / total;
+      e.x_plus = random_vec();
+      e.y_plus = random_vec();
+      e.y_minus = random_vec();
+    }
+    workers.resize(num_workers);
+    for (std::size_t i = 0; i < num_workers; ++i) {
+      fl::WorkerState& w = workers[i];
+      w.id = i;
+      w.edge = topo.edge_of_worker(i);
+      w.weight_in_edge = mass[i] / edge_mass[w.edge];
+      w.weight_global = mass[i] / total;
+      w.x = random_vec();
+      w.y = random_vec();
+      w.v = random_vec();
+      w.sum_grad = random_vec();
+      w.sum_v = random_vec();
+      // Σy leans against Σ∇F on even workers so the adaptive γℓ lands
+      // inside (0, 0.99) rather than at a clamp.
+      w.sum_y = random_vec();
+      if (i % 2 == 0) vec::axpy(-0.5, w.sum_grad, w.sum_y);
+      slots.push_back(static_cast<std::uint32_t>(i));
+    }
+    cloud.x = random_vec();
+    cloud.y = random_vec();
+    if (with_participation) {
+      part = std::make_unique<fl::Participation>(topo, mass,
+                                                 /*edge_faults=*/true);
+      std::vector<fl::WorkerId> cohort(num_workers);
+      std::vector<std::uint8_t> up(num_workers, 1);
+      for (std::size_t i = 0; i < num_workers; ++i) {
+        cohort[i] = static_cast<fl::WorkerId>(i);
+      }
+      up[4] = up[19] = up[20] = 0;
+      std::vector<std::uint8_t> edge_up(topo.num_edges(), 1);
+      edge_up[6] = 0;
+      part->set_cohort_roster(cohort, up, edge_up);
+    }
+  }
+
+  fl::Context context() {
+    fl::Context ctx{&cfg, &topo, &worker_set, &edges, &cloud, 0};
+    ctx.part = part.get();
+    return ctx;
+  }
+};
+
+void expect_same_state(const SweepFixture& a, const SweepFixture& b) {
+  for (std::size_t i = 0; i < a.workers.size(); ++i) {
+    SCOPED_TRACE("worker " + std::to_string(i));
+    const fl::WorkerState& wa = a.workers[i];
+    const fl::WorkerState& wb = b.workers[i];
+    EXPECT_TRUE(same_bits(wa.x, wb.x));
+    EXPECT_TRUE(same_bits(wa.y, wb.y));
+    EXPECT_TRUE(same_bits(wa.v, wb.v));
+    EXPECT_TRUE(same_bits(wa.sum_grad, wb.sum_grad));
+    EXPECT_TRUE(same_bits(wa.sum_y, wb.sum_y));
+    EXPECT_TRUE(same_bits(wa.sum_v, wb.sum_v));
+  }
+  for (std::size_t l = 0; l < a.edges.size(); ++l) {
+    SCOPED_TRACE("edge " + std::to_string(l));
+    const fl::EdgeState& ea = a.edges[l];
+    const fl::EdgeState& eb = b.edges[l];
+    EXPECT_TRUE(same_bits(ea.x_plus, eb.x_plus));
+    EXPECT_TRUE(same_bits(ea.y_plus, eb.y_plus));
+    EXPECT_TRUE(same_bits(ea.y_minus, eb.y_minus));
+    EXPECT_TRUE(same_bits(ea.gamma_edge, eb.gamma_edge));
+    EXPECT_TRUE(same_bits(ea.last_cos_theta, eb.last_cos_theta));
+  }
+  EXPECT_TRUE(same_bits(a.cloud.x, b.cloud.x));
+  EXPECT_TRUE(same_bits(a.cloud.y, b.cloud.y));
+}
+
+// (participation, signal or fixed γ, top-k upload compressor).
+using SweepCase = std::tuple<bool, int, bool>;
+
+class FusedRoundTest : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(FusedRoundTest, MatchesComposedPassesBitwise) {
+  const auto [with_part, mode, compress] = GetParam();
+  HierAdMoOptions opt;
+  opt.adaptive = mode < 3;
+  if (opt.adaptive) opt.signal = static_cast<HierAdMoOptions::Signal>(mode);
+  if (compress) {
+    opt.upload_compressor = std::make_shared<fl::TopKCompressor>(0.25);
+  }
+  const HierAdMo alg(opt);
+  HierAdMo fused(opt);
+
+  SweepFixture ref(with_part), got(with_part);
+  fl::Context ref_ctx = ref.context();
+  fl::Context got_ctx = got.context();
+  std::size_t synced = 0;
+  for (std::size_t l = 0; l < ref.edges.size(); ++l) {
+    if (fl::active_workers(ref_ctx.part, ref.topo, l).empty()) continue;
+    reference_edge_sync(alg, ref_ctx, ref.edges[l]);
+    fused.edge_sync(got_ctx, got.edges[l], 1);
+    ++synced;
+  }
+  EXPECT_EQ(synced, with_part ? 6u : 7u);
+  {
+    SCOPED_TRACE("after the edge rounds");
+    expect_same_state(ref, got);
+  }
+  if (opt.adaptive) {
+    // The γℓ path is exercised away from both clamps somewhere.
+    bool interior = false;
+    for (const fl::EdgeState& e : got.edges) {
+      interior |= e.gamma_edge > 0 && e.gamma_edge < opt.clamp_max;
+    }
+    EXPECT_TRUE(interior);
+  }
+
+  reference_cloud_sync(ref_ctx);
+  fused.cloud_sync(got_ctx, 1);
+  SCOPED_TRACE("after the cloud round");
+  expect_same_state(ref, got);
+}
+
+std::string sweep_case_name(const ::testing::TestParamInfo<SweepCase>& info) {
+  static const char* const kModes[] = {"MomentumValue", "Velocity",
+                                       "CrossWorker", "FixedGamma"};
+  const auto [with_part, mode, compress] = info.param;
+  return std::string(with_part ? "Roster" : "Full") + kModes[mode] +
+         (compress ? "TopK" : "Lossless");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRounds, FusedRoundTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0, 1, 2, 3),
+                       ::testing::Bool()),
+    sweep_case_name);
+
+TEST(FusedRoundEngineTest, HierAdMoRunIsThreadCountInvariant) {
+  // An mlp of 19,210 parameters: above the pool's element-range cutoff, so
+  // at 4 threads the cloud round splits its tiles across the pool while the
+  // edge rounds run concurrently across edges.
+  Rng rng(11);
+  data::SyntheticSpec spec;
+  spec.sample_shape = {1, 8, 8};
+  spec.num_classes = 10;
+  spec.train_size = 240;
+  spec.test_size = 60;
+  const data::TrainTest dataset = data::make_synthetic(rng, spec);
+  const fl::Topology topo({2, 3, 1});
+  const data::Partition partition =
+      data::partition_iid(dataset.train, topo.num_workers(), rng);
+  const nn::ModelFactory factory = nn::mlp({1, 8, 8}, 256, 10);
+
+  fl::RunConfig cfg;
+  cfg.total_iterations = 12;
+  cfg.tau = 2;
+  cfg.pi = 2;
+  cfg.eta = 0.05;
+  cfg.gamma = 0.5;
+  cfg.batch_size = 8;
+  cfg.seed = 3;
+  std::vector<fl::RunResult> results;
+  for (const std::size_t threads : {1, 4}) {
+    cfg.num_threads = threads;
+    fl::Engine engine(factory, dataset, partition, topo, cfg);
+    HierAdMo alg;
+    results.push_back(engine.run(alg));
+  }
+  const fl::RunResult& serial = results[0];
+  const fl::RunResult& parallel = results[1];
+  ASSERT_GE(serial.final_params.size(), std::size_t{1} << 14);
+  EXPECT_TRUE(same_bits(serial.final_params, parallel.final_params));
+  ASSERT_EQ(serial.curve.size(), parallel.curve.size());
+  for (std::size_t i = 0; i < serial.curve.size(); ++i) {
+    EXPECT_TRUE(same_bits(serial.curve[i].test_loss,
+                          parallel.curve[i].test_loss));
+    EXPECT_EQ(serial.curve[i].test_accuracy, parallel.curve[i].test_accuracy);
   }
 }
 

@@ -8,7 +8,8 @@
 //     references written directly as the documented per-element std::fma
 //     expressions must match, and splitting the index range into subspans
 //     (which shifts elements between SIMD body and scalar tail) must not
-//     change a single bit.
+//     change a single bit. The one-pass cosine must equal the three-pass
+//     dot/sqrt reference, and a tile-by-tile weighted sum the one-call sum.
 //
 //   * Participation::set_cohort_roster must equal a naive whole-population
 //     renormalization written out in this file, bitwise — every weight
@@ -25,8 +26,10 @@
 //     is the bit-identity oracle, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -121,6 +124,104 @@ TEST(FusedKernelTest, CosineNegMatchesNegatedCopy) {
   Vec neg = x;
   vec::scale(neg, -1.0);
   EXPECT_EQ(vec::cosine_neg(x, y), vec::cosine(neg, y));
+}
+
+// Bitwise equality that tells +0 from −0 (EXPECT_EQ on doubles does not).
+bool same_bits(Scalar a, Scalar b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The three-pass cosine, written out here as the one-pass kernel's reference:
+// dot(x,y) / (sqrt(dot(x,x))·sqrt(dot(y,y))), 0 for a (near-)zero norm,
+// clamped to [−1, 1]; `negate` gives cosine(−x, y).
+Scalar three_pass_cosine(std::span<const Scalar> x, std::span<const Scalar> y,
+                         bool negate) {
+  const Scalar nx = std::sqrt(vec::dot(x, x));
+  const Scalar ny = std::sqrt(vec::dot(y, y));
+  if (nx < 1e-12 || ny < 1e-12) return 0.0;
+  const Scalar c = vec::dot(x, y) / (nx * ny);
+  return std::clamp(negate ? -c : c, Scalar{-1}, Scalar{1});
+}
+
+TEST(FusedKernelTest, OnePassCosineMatchesThreePassReference) {
+  // Lengths around the 4-wide body, the 4096 summation tile, and a
+  // multi-tile odd length; cases with zero norms, norms below the 1e-12
+  // cutoff, mixed signs and magnitudes, and (anti)parallel pairs that hit
+  // the clamp.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{4}, std::size_t{5},
+                              std::size_t{4095}, std::size_t{4096},
+                              std::size_t{4097}, std::size_t{3 * 4096 + 13}}) {
+    const Vec a = test_vec(n, 70 + n), b = test_vec(n, 71 + n);
+    const Vec zero(n, 0.0);
+    Vec tiny = a, big = b, neg = a, mixed = a;
+    vec::scale(tiny, 1e-14);
+    vec::scale(big, 1e6);
+    vec::scale(neg, -1.0);
+    for (std::size_t i = 0; i < n; i += 2) mixed[i] *= -3e3;
+    const std::vector<std::pair<const Vec*, const Vec*>> pairs = {
+        {&a, &b},    {&b, &a},    {&a, &zero}, {&zero, &b},  {&zero, &zero},
+        {&tiny, &b}, {&a, &big},  {&a, &a},    {&a, &neg},   {&mixed, &b},
+        {&mixed, &neg}};
+    std::vector<const Scalar*> xs, ys;
+    for (const auto& [x, y] : pairs) {
+      SCOPED_TRACE("n " + std::to_string(n) + " pair " +
+                   std::to_string(xs.size()));
+      EXPECT_TRUE(
+          same_bits(vec::cosine(*x, *y), three_pass_cosine(*x, *y, false)));
+      EXPECT_TRUE(same_bits(vec::cosine_neg(*x, *y),
+                            three_pass_cosine(*x, *y, true)));
+      xs.push_back(x->data());
+      ys.push_back(y->data());
+    }
+    // The batched kernel (two pairs per pass, odd count leaves a single)
+    // gives every pair the single call's bits.
+    for (const bool negate : {false, true}) {
+      Vec out(pairs.size());
+      vec::cosines(xs, ys, n, negate, out);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        SCOPED_TRACE("batched n " + std::to_string(n) + " pair " +
+                     std::to_string(k));
+        EXPECT_TRUE(same_bits(
+            out[k], three_pass_cosine(*pairs[k].first, *pairs[k].second,
+                                      negate)));
+      }
+    }
+  }
+}
+
+TEST(FusedKernelTest, WeightedSumTilesMatchOneCall) {
+  // Any tile width over [0, n) — including ones that straddle the internal
+  // 4096-element tile — and any input count (through the 4-way groups and
+  // their tail) give weighted_sum's bits.
+  constexpr std::size_t n = 2 * 4096 + 77;
+  std::vector<Vec> inputs;
+  for (std::size_t v = 0; v < 6; ++v) inputs.push_back(test_vec(n, 80 + v));
+  const Vec weights = test_vec(6, 90);
+  for (std::size_t count = 1; count <= inputs.size(); ++count) {
+    std::vector<const Vec*> vecs;
+    std::vector<const Scalar*> rows;
+    for (std::size_t v = 0; v < count; ++v) {
+      vecs.push_back(&inputs[v]);
+      rows.push_back(inputs[v].data());
+    }
+    const std::span<const Scalar> w(weights.data(), count);
+    Vec whole;
+    vec::weighted_sum(vecs, w, whole);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{1000}, std::size_t{5000}}) {
+      SCOPED_TRACE("count " + std::to_string(count) + " width " +
+                   std::to_string(width));
+      Vec tiled(n, -1.0);
+      for (std::size_t lo = 0; lo < n; lo += width) {
+        const std::size_t len = std::min(width, n - lo);
+        vec::weighted_sum_tile(rows, w, lo,
+                               std::span(tiled).subspan(lo, len));
+      }
+      EXPECT_EQ(std::memcmp(tiled.data(), whole.data(), n * sizeof(Scalar)),
+                0);
+    }
+  }
 }
 
 TEST(FusedKernelTest, SubrangeCallsAreBitIdentical) {
