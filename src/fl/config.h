@@ -48,10 +48,10 @@ struct RunConfig {
   std::size_t num_threads = 0;  // 0 = hardware concurrency
 
   // Fused cohort execution (src/nn/cohort.h): compute the cohort's local
-  // gradients through one batched pass instead of per-worker model calls.
-  // FP64 results are bit-identical either way; the engine silently falls
-  // back per worker for architectures or algorithms the fused path cannot
-  // serve.
+  // gradients through one batched pass of the compiled plan instead of one
+  // plan call per worker. FP64 results are bit-identical either way;
+  // algorithms that opt out of the prefetch
+  // (Algorithm::local_gradient_prefetchable) keep the per-worker calls.
   bool batched = true;
   // FP32-compute / FP64-accumulate GEMMs inside the fused path (≤1e-6
   // relative error — NOT bit-identical; see src/tensor/gemm_mixed.h).

@@ -32,20 +32,11 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
   }
   pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
   // One compiled plan serves the batched prefetch, every unbatched worker
-  // gradient and evaluation. nullptr (unsupported architecture/loss) keeps
-  // the per-model path for the whole engine: per-worker models built by the
-  // store and one eval model per thread.
+  // gradient and evaluation.
   plan_ = nn::CohortModel::create(factory_);
-  if (plan_ != nullptr) {
-    HFL_CHECK(data_->train.sample_size() == plan_->sample_elems() &&
-                  data_->test.sample_size() == plan_->sample_elems(),
-              "dataset sample size does not match the model input");
-  } else {
-    eval_models_.reserve(pool_->size());
-    for (std::size_t i = 0; i < pool_->size(); ++i) {
-      eval_models_.push_back(factory_());
-    }
-  }
+  HFL_CHECK(data_->train.sample_size() == plan_->sample_elems() &&
+                data_->test.sample_size() == plan_->sample_elems(),
+            "dataset sample size does not match the model input");
 }
 
 Engine::~Engine() = default;
@@ -120,7 +111,6 @@ void Engine::build_states(RunState& rs) {
   // containers across cohort changes). Algorithm::init and init_worker run
   // in begin_interval, once the first cohort is materialized.
   CohortProvider& cohort = provider();
-  cohort.attach_plan(plan_.get());
   cohort.begin_run(x0);
   rs.workers = cohort.workers();
 
@@ -179,35 +169,20 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
     const std::size_t blo = blk * batches_per_block;
     const std::size_t bhi = std::min(num_batches, blo + batches_per_block);
     if (blo >= bhi) return;
-    // Plan path: the forward pass reads each batch's test rows in place (no
-    // set_params, no gather) and the model's own loss scores the logits;
-    // the per-thread eval model serves only architectures the plan rejects.
-    nn::LossPtr loss;
-    if (plan_ != nullptr) {
-      loss = plan_->loss_fn().clone();
-    } else {
-      eval_models_[blk]->set_params(params);
-    }
+    // The forward pass reads each batch's test rows in place (no
+    // set_params, no gather) and the model's own loss scores the logits.
+    const nn::LossPtr loss = plan_->loss_fn().clone();
     Tensor x;
     std::vector<std::size_t> y;
-    std::vector<std::size_t> idx;
     std::vector<Scalar> local_loss(bhi - blo), local_correct(bhi - blo);
     std::vector<std::size_t> local_count(bhi - blo);
     for (std::size_t b = blo; b < bhi; ++b) {
       const std::size_t lo = b * kEvalBatch;
       const std::size_t hi = std::min(n, lo + kEvalBatch);
-      nn::EvalResult r;
-      if (plan_ != nullptr) {
-        plan_->predict(params.data(), test.features(lo).data(), hi - lo, x);
-        y.resize(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) y[i - lo] = test.label(i);
-        r = nn::evaluate_predictions(*loss, x, y);
-      } else {
-        idx.resize(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) idx[i - lo] = i;
-        test.gather(idx, x, y);
-        r = eval_models_[blk]->evaluate(x, y);
-      }
+      plan_->predict(params.data(), test.features(lo).data(), hi - lo, x);
+      y.resize(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) y[i - lo] = test.label(i);
+      const nn::EvalResult r = nn::evaluate_predictions(*loss, x, y);
       // Partials are stored, then merged below: fusing the scale into the
       // merge (total += r.loss * n) would let the compiler contract it into
       // an FMA and move the last bit of the curve.
@@ -318,13 +293,16 @@ void Engine::begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
   CohortProvider& cohort = provider();
   std::vector<WorkerId> fresh;
   cohort.begin_interval(k);
-  if (cohort.sampling()) {
-    cohort.sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
+  // A full cohort is materialized once; later intervals reuse the pool
+  // untouched.
+  if (cohort.sampling() || first_interval) {
+    if (cohort.sampling()) {
+      cohort.sample_cohort(k, rs.cohort_ids, rs.cohort_mult);
+    }
     fresh = cohort.set_cohort(rs.cohort_ids);
-  } else if (first_interval) {
-    // Full cohort: materialize everyone once; later intervals reuse the
-    // pool untouched.
-    fresh = cohort.set_cohort(rs.cohort_ids);
+    // Every gradient runs through the plan: bind it onto the cohort's
+    // states, restored and recycled ones included (O(cohort)).
+    for (WorkerState& w : rs.workers) w.plan = plan_.get();
   }
 
   if (rs.part != nullptr) {
@@ -369,7 +347,7 @@ void Engine::record_point(RunState& rs, std::size_t t, const Vec& params,
 void Engine::run_local_steps(Algorithm& alg, RunState& rs) {
   const Participation* part = rs.ctx.part;
   const obs::Span span("local_steps", "worker");
-  if (cfg_.batched && plan_ != nullptr && alg.local_gradient_prefetchable()) {
+  if (cfg_.batched && alg.local_gradient_prefetchable()) {
     prefetch_cohort_gradients(alg, rs.ctx, rs.workers);
   }
   // Dispatch over the materialized pool (every worker in a full-cohort run,

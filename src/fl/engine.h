@@ -21,11 +21,11 @@
 // of the paper's Table II (all algorithms from one initialization).
 //
 // Execution: each engine compiles one nn::CohortModel plan for its
-// architecture (src/nn/cohort.h). It runs the batched gradient prefetch
-// (RunConfig::batched), every unbatched worker gradient (WorkerState binds
-// the plan through the cohort store) and every evaluation. Only
-// architectures the plan rejects (Residual) fall back to per-worker models
-// and one eval model per thread.
+// architecture (src/nn/cohort.h; an architecture it cannot compile fails
+// the constructor). It runs the batched gradient prefetch
+// (RunConfig::batched), every unbatched worker gradient (the engine binds
+// the plan onto each state the cohort provider materializes) and every
+// evaluation.
 //
 // Worker state: every run reads its workers through a CohortProvider. An
 // attached provider (a sampled pop::CohortStore) materializes each interval's
@@ -113,11 +113,6 @@ class CohortProvider {
   // a materialized worker receiving absent_sync each interval. The default
   // rejects everything but kHold (holding spilled state IS kHold), so a
   // provider without replay support cannot silently drop kReset/kDecay.
-  // Gradient plan of the engine's architecture, announced before every
-  // begin_run (null when the architecture has none). A provider that binds
-  // it (WorkerState::plan) need not build per-worker models; the default
-  // ignores it and its states keep computing through their own models.
-  virtual void attach_plan(nn::CohortModel* /*plan*/) {}
   virtual void set_absent_replay(AbsentPolicy policy, Scalar /*decay*/) {
     HFL_CHECK(policy == AbsentPolicy::kHold,
               "this cohort provider supports only the kHold absent policy "
@@ -194,10 +189,9 @@ class Engine {
   const data::Partition& partition() const { return partition_; }
 
   // Evaluate arbitrary parameters on the test set: 128-sample batches,
-  // parallel over contiguous batch blocks, forward passes through the plan
-  // (the per-thread eval models without one), per-batch partials merged in
-  // batch-index order — bit-identical to per-batch Model::evaluate calls at
-  // any thread count.
+  // parallel over contiguous batch blocks, forward passes through the plan,
+  // per-batch partials merged in batch-index order — bit-identical to
+  // per-batch Model::evaluate calls at any thread count.
   nn::EvalResult evaluate(const Vec& params);
 
  private:
@@ -215,9 +209,9 @@ class Engine {
   void build_states(RunState& rs);
 
   // Interval head: sample (or, on the first interval of a full-cohort run,
-  // materialize) the cohort; compose interval k's roster from the cohort
-  // and the oracle; run Algorithm::init (first interval) and init_worker on
-  // first-timers.
+  // materialize) the cohort and bind the plan onto its states; compose
+  // interval k's roster from the cohort and the oracle; run Algorithm::init
+  // (first interval) and init_worker on first-timers.
   void begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
                       const AvailabilityOracle* oracle);
 
@@ -249,8 +243,8 @@ class Engine {
   // Fused cohort path: draw every active worker's batch, run one batched
   // forward/backward (src/nn/cohort.h), deposit the gradients so each
   // worker's first compute_gradient call consumes its precomputed result.
-  // Only called when cfg_.batched, plan_ is set and the algorithm honours
-  // the prefetch contract (Algorithm::local_gradient_prefetchable).
+  // Only called when cfg_.batched and the algorithm honours the prefetch
+  // contract (Algorithm::local_gradient_prefetchable).
   void prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
                                  WorkerSet& workers);
 
@@ -261,10 +255,7 @@ class Engine {
   Topology topo_;
   RunConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
-  // The compiled plan; null when the architecture has none, and only then
-  // are the per-thread eval models built.
-  std::unique_ptr<nn::CohortModel> plan_;
-  std::vector<std::unique_ptr<nn::Model>> eval_models_;
+  std::unique_ptr<nn::CohortModel> plan_;  // the compiled plan
   // Prefetch scratch, reused across iterations.
   std::vector<nn::CohortItem> cohort_items_;
   std::vector<std::size_t> cohort_ids_;

@@ -73,21 +73,7 @@ Scalar WorkerState::probe_gradient(const Vec& at, Vec& out) {
 Scalar WorkerState::gradients_on_draw(data::Batcher& stream,
                                       const Vec* const* points,
                                       Vec* const* outs, std::size_t n) {
-  if (plan == nullptr) {
-    HFL_CHECK(model, "worker state has neither a plan nor a model");
-    stream.next(batch_x_, batch_y_);
-    Scalar loss = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      loss = model->loss_and_gradient(*points[i], batch_x_, batch_y_, *outs[i]);
-    }
-    if (obs::enabled()) {
-      static obs::Counter& fallback =
-          obs::Registry::global().counter("engine.cohort.fallback_grads");
-      fallback.add(n);
-    }
-    return loss;
-  }
-
+  HFL_CHECK(plan != nullptr, "worker state has no gradient plan bound");
   HFL_CHECK(n <= 2, "at most two gradients per draw");
   const bool rows = plan->supports_row_gather();
   if (rows) {

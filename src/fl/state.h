@@ -4,9 +4,8 @@
 // parameter y, velocity v = y_t − y_{t−1}, the interval accumulators that
 // Algorithm 1 line 9 uploads (Σ∇F_i and Σy_i, plus Σv_i for the velocity
 // interpretation of eq. (6) — see core/hieradmo.h), the worker's data
-// streams, and what evaluates its gradients: the engine's compiled cohort
-// plan (shared by every worker, src/nn/cohort.h) or, for architectures the
-// plan rejects and for hand-built states, a per-worker model. EdgeState carries
+// streams, and the compiled cohort plan that evaluates its gradients (the
+// engine's, shared by every worker, src/nn/cohort.h). EdgeState carries
 // the post-aggregation values y_{ℓ−}, y_{ℓ+}, x_{ℓ+} and the currently
 // adapted γℓ. CloudState carries the cloud model and the cloud-aggregated
 // worker momentum.
@@ -26,7 +25,7 @@
 #include "src/common/vec_ops.h"
 #include "src/data/batcher.h"
 #include "src/fl/topology.h"
-#include "src/nn/model.h"
+#include "src/tensor/tensor.h"
 
 namespace hfl::nn {
 
@@ -54,11 +53,9 @@ struct WorkerState {
   Vec sum_y;     // Σ_t y^t_i
   Vec sum_v;     // Σ_t v^t_i
 
-  // Gradient evaluation: `plan` when set (the engine's plan, bound by the
-  // cohort store — counted under engine.cohort.fused_grads), else `model`
-  // (Model::loss_and_gradient — counted under engine.cohort.fallback_grads).
+  // Gradient evaluation: the engine binds its plan onto every state the
+  // cohort provider materializes (counted under engine.cohort.fused_grads).
   nn::CohortModel* plan = nullptr;
-  std::unique_ptr<nn::Model> model;
   std::unique_ptr<data::Batcher> batcher;
   std::unique_ptr<data::Batcher> aux_batcher;  // for gradient probes (Mime)
 
@@ -108,8 +105,8 @@ struct WorkerState {
 
  private:
   // Draws one mini-batch from `stream` and evaluates the gradient at each
-  // of points[0..n) on it into outs[0..n) — one plan call, or one
-  // loss_and_gradient per point. Returns the loss at points[n − 1].
+  // of points[0..n) on it into outs[0..n) in one plan call. Returns the loss
+  // at points[n − 1].
   Scalar gradients_on_draw(data::Batcher& stream, const Vec* const* points,
                            Vec* const* outs, std::size_t n);
 

@@ -1,5 +1,5 @@
-// Cohort executor: the one compiled execution path for every architecture it
-// supports — worker gradients, batched or one at a time, and evaluation.
+// Cohort executor: the one compiled execution path for every architecture —
+// worker gradients, batched or one at a time, and evaluation.
 //
 // The generic path evaluates a gradient through a Model instance: set_params
 // copies the flat vector into layer tensors, zero_grads clears them,
@@ -38,12 +38,19 @@
 // reused activation and gradient buffers: ReLU runs in place and masks its
 // backward by its own output (out ≤ 0 ⇔ in ≤ 0, NaN passing both ways, so
 // the mask is the layer's); MaxPool records its argmax only when training;
-// Flatten is a reshape that moves no data. Tanh, Sigmoid and AvgPool2d are
-// fallback stages that call the layer's own forward/backward on a copy of the
-// tile's rows. Everything else (Residual, nested Sequential, unknown layer
-// kinds or losses) makes `create` return nullptr, and the caller keeps the
-// per-model path (fl::Engine then builds per-worker models and per-thread
-// eval models).
+// Flatten is a reshape that moves no data. A Residual block is one native
+// stage holding two compiled stage lists, the inner branch and the shortcut
+// (empty for the identity), with its parameters laid out as
+// Residual::params() does: inner, then shortcut. Forward runs both lists on
+// the block input and writes branch + skip into a fresh slot; backward feeds
+// the incoming gradient down both lists (the skip path on the block's own
+// buffer pair) and sums grad_branch + grad_skip, Residual::backward's order.
+// No stage writes a block's input slot in place, since its skip path still
+// reads it: a ReLU there gets a fresh slot. Nested Sequentials are flattened
+// into the list that holds them. Tanh, Sigmoid and AvgPool2d are fallback
+// stages that call the layer's own forward/backward on a copy of the tile's
+// rows. Any other layer kind or loss makes `create` throw hfl::Error naming
+// it.
 //
 // The plan also skips work the generic layer chain cannot see:
 //   * Dead input gradients — backward stops at the model's FIRST parametric
@@ -69,7 +76,8 @@
 // sample row (predict), every product's per-element accumulation order is
 // independent of its row count, and the native stages run the layers'
 // arithmetic in the layers' order. ReLU, MaxPool and Flatten only compare
-// and move values, and the loss stage repeats loss.cpp expression for
+// and move values, a residual sum is one addition per element (and addition
+// commutes exactly), and the loss stage repeats loss.cpp expression for
 // expression, so the compiler's FMA contraction treats plan and layer code
 // alike: the identity holds on the native (FMA) and the portable build
 // (scripts/ci_checks.sh runs tests/batched_parity_test.cpp on both).
@@ -112,8 +120,8 @@ struct CohortItem {
 
 class CohortModel {
  public:
-  // Compiles an execution plan for the factory's architecture, or returns
-  // nullptr if any layer/loss is unsupported (caller keeps the model path).
+  // Compiles an execution plan for the factory's architecture. Throws
+  // hfl::Error naming the first unsupported layer or loss.
   static std::unique_ptr<CohortModel> create(const ModelFactory& factory);
 
   ~CohortModel();
@@ -144,8 +152,10 @@ class CohortModel {
 
  private:
   struct Stage;
+  struct Tile;      // the items of one call and their row offsets
   struct Scratch;
-  class Lease;  // checks a scratch out of free_scratch_ for one call
+  struct Compiler;  // builds the stage list in `create`
+  class Lease;      // checks a scratch out of free_scratch_ for one call
   CohortModel();
 
   std::unique_ptr<Scratch> acquire();
@@ -156,36 +166,32 @@ class CohortModel {
   void index_items(std::span<const CohortItem> items, bool mixed,
                    std::vector<std::size_t>& row_off) const;
 
-  // Forward pass of items [ilo, ihi) (rows row_off[ilo]..row_off[ihi]);
-  // returns the tile's logits. `train` records what backward needs.
-  const Scalar* forward(Scratch& sc, const std::size_t* row_off,
-                        std::span<CohortItem> items, std::size_t ilo,
-                        std::size_t ihi, bool mixed, bool train);
-  // Full forward+backward for items [ilo, ihi) on one thread.
-  void run_tile(Scratch& sc, const std::size_t* row_off,
-                std::span<CohortItem> items, std::size_t ilo,
-                std::size_t ihi, bool mixed);
+  // Forward pass of a tile; returns its logits. `train` records what
+  // backward needs.
+  const Scalar* forward(Scratch& sc, const Tile& t, bool train);
+  // Full forward+backward of a tile on one thread.
+  void run_tile(Scratch& sc, const Tile& t);
+  // One stage of either pass. `direct` reads the items' inputs in place;
+  // `dead` skips the input gradient. On entry *g holds the gradient w.r.t.
+  // the stage output, on return w.r.t. its input (a stage that writes the
+  // other buffer swaps the two).
+  void forward_stage(Scratch& sc, const Stage& st, const Tile& t, bool direct,
+                     bool train);
+  void backward_stage(Scratch& sc, const Stage& st, const Tile& t,
+                      bool direct, bool dead, Vec*& g, Vec*& gin);
 
   // Stage helpers. `in == nullptr` selects direct-input mode (read each
   // item's own mini-batch in place); `gin == nullptr` skips the dead input
   // gradient of the first parametric stage.
   void dense_forward(const Stage& st, const Scalar* in, Scalar* out,
-                     std::span<CohortItem> items, const std::size_t* row_off,
-                     std::size_t ilo, std::size_t ihi, bool mixed) const;
+                     const Tile& t) const;
   void dense_backward(Scratch& sc, const Stage& st, const Scalar* in,
-                      const Scalar* gout, Scalar* gin,
-                      std::span<CohortItem> items, const std::size_t* row_off,
-                      std::size_t ilo, std::size_t ihi, bool mixed) const;
+                      const Scalar* gout, Scalar* gin, const Tile& t) const;
   void conv_forward(const Stage& st, const Scalar* in, Scalar* out,
-                    std::span<CohortItem> items, const std::size_t* row_off,
-                    std::size_t ilo, std::size_t ihi, bool mixed) const;
+                    const Tile& t) const;
   void conv_backward(const Stage& st, const Scalar* in, const Scalar* gout,
-                     Scalar* gin, std::span<CohortItem> items,
-                     const std::size_t* row_off, std::size_t ilo,
-                     std::size_t ihi, bool mixed) const;
-  void loss_stage(const Scalar* logits, Scalar* grad,
-                  std::span<CohortItem> items, const std::size_t* row_off,
-                  std::size_t ilo, std::size_t ihi) const;
+                     Scalar* gin, const Tile& t) const;
+  void loss_stage(const Scalar* logits, Scalar* grad, const Tile& t) const;
 
   ModelFactory factory_;  // builds fallback-stage layer instances
   LossPtr loss_;
@@ -193,6 +199,7 @@ class CohortModel {
   std::size_t num_params_ = 0;
   std::size_t num_slots_ = 1;      // activation buffers (slot 0 = input)
   std::size_t num_pools_ = 0;      // MaxPool argmax buffers
+  std::size_t num_blocks_ = 0;     // Residual blocks (skip-path buffers)
   bool has_layer_stages_ = false;  // any fallback stage
   bool softmax_loss_ = false;
   std::size_t first_param_ = 0;    // backward stops here (dead dX above)

@@ -24,6 +24,11 @@ class Residual final : public Layer {
   std::vector<Tensor*> grads() override;
   void init_params(Rng& rng) override;
 
+  // Structural access for the cohort executor (src/nn/cohort.cpp), which
+  // compiles both paths into its execution plan.
+  Layer& inner() { return *inner_; }
+  Layer* shortcut() { return shortcut_.get(); }  // nullptr => identity
+
  private:
   LayerPtr inner_;
   LayerPtr shortcut_;  // nullptr => identity

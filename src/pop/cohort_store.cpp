@@ -126,12 +126,12 @@ struct Reader {
 
 }  // namespace
 
-CohortStore::CohortStore(nn::ModelFactory factory, const data::TrainTest& data,
+CohortStore::CohortStore(nn::ModelFactory /*factory*/,
+                         const data::TrainTest& data,
                          const data::Partition& partition,
                          const fl::Topology& topo, const fl::RunConfig& run,
                          VirtConfig cfg)
-    : factory_(std::move(factory)),
-      data_(&data),
+    : data_(&data),
       partition_(&partition),
       topo_(&topo),
       run_(run),
@@ -284,7 +284,6 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
     } else {
       fl::WorkerState& w = next_[i];
       w = fl::WorkerState{};
-      if (plan_ == nullptr) w.model = factory_();
       w.batcher =
           std::make_unique<data::Batcher>(data_->train, run_.batch_size);
       w.aux_batcher =
@@ -322,7 +321,6 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
 void CohortStore::set_descriptors(fl::WorkerState& w, fl::WorkerId id) const {
   const std::size_t i = id;
   w.id = id;
-  w.plan = plan_;
   w.edge = pop_.edge_of(i);
   w.num_samples = pop_.num_samples(i);
   w.weight_in_edge = pop_.weight_in_edge(i);
@@ -377,9 +375,8 @@ void CohortStore::encode(const fl::WorkerState& w,
 
 void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
                          std::span<const char> record) const {
-  // Descriptor fields (and the plan binding) are rebuilt and a recycled
-  // scratch model is kept (it holds no cross-batch state); everything
-  // mutable comes back byte for byte, decoded into the recycled storage.
+  // Descriptor fields are rebuilt; everything mutable comes back byte for
+  // byte, decoded into the recycled storage.
   set_descriptors(w, id);
   Reader in{record.data(), record.data() + record.size(), x0_.size()};
   in.vec(w.x);

@@ -24,11 +24,9 @@
 // Turnover does no per-worker allocation in steady state. A departed
 // state goes to a spare list once encoded; every arrival, restored or
 // fresh, takes a spare and overwrites it in place — vectors keep their
-// capacity, both batchers are reseeded or loaded in place, and the scratch
-// model (no cross-batch state) is reused as is. The model factory runs
-// only when the materialized pool grows past every state it has held this
-// run — and never once an engine has attached its compiled gradient plan
-// (attach_plan): every state then binds the plan and carries no model.
+// capacity and both batchers are reseeded or loaded in place. States carry
+// no model: the engine binds its compiled gradient plan
+// (WorkerState::plan) onto the cohort after every set_cohort.
 //
 // Spill record (host byte order, never outlives the run, so unversioned):
 //   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
@@ -85,6 +83,8 @@ class CohortStore final : public fl::CohortProvider {
  public:
   // `data` and `partition` must outlive the store (pass the same objects
   // the engine was built from — the store replays their batch streams).
+  // The model factory is unused (states carry no model) and kept only so
+  // existing callers keep compiling.
   CohortStore(nn::ModelFactory factory, const data::TrainTest& data,
               const data::Partition& partition, const fl::Topology& topo,
               const fl::RunConfig& run, VirtConfig cfg);
@@ -106,12 +106,10 @@ class CohortStore final : public fl::CohortProvider {
   fl::WorkerSet& workers() override { return view_; }
   // Cohort-turnover parallelism: record encoding and restore/fresh state
   // construction fan out per worker on the host pool; slab access, pool
-  // growth (the only model-factory calls) and telemetry stay serial.
+  // growth and telemetry stay serial.
   // Bit-identical at any thread count (no cross-worker reductions).
   void attach_pool(ThreadPool* pool) override { host_pool_ = pool; }
   void begin_interval(std::size_t k) override { clock_ = k; }
-  // Takes effect at the next begin_run (which rebuilds every state).
-  void attach_plan(nn::CohortModel* plan) override { plan_ = plan; }
   // Lazy absent-momentum replay: every spill records the interval clock;
   // a restore at clock m replays the policy (m − stamp) times — the exact
   // per-interval sequence a materialized absent worker would have received
@@ -142,7 +140,6 @@ class CohortStore final : public fl::CohortProvider {
                  const std::function<void(std::size_t)>& fn) const;
   void publish_gauges();
 
-  nn::ModelFactory factory_;
   const data::TrainTest* data_;
   const data::Partition* partition_;
   const fl::Topology* topo_;
@@ -164,7 +161,6 @@ class CohortStore final : public fl::CohortProvider {
   std::size_t peak_materialized_ = 0;
 
   ThreadPool* host_pool_ = nullptr;         // engine-attached, may be null
-  nn::CohortModel* plan_ = nullptr;         // engine-attached, may be null
   std::size_t clock_ = 0;                   // current interval (0 = no clock)
   fl::AbsentPolicy replay_policy_ = fl::AbsentPolicy::kHold;
   Scalar replay_decay_ = 1.0;

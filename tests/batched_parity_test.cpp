@@ -11,12 +11,11 @@
 //     EXPECT_EQ not NEAR), and Engine::evaluate equals per-batch
 //     Model::evaluate merged in batch order;
 //   * plan level — gradient/run ≡ Model::loss_and_gradient and predict ≡
-//     Model::predict bit for bit, for every plan-supported registry
-//     architecture and for hand-built chains of native and fallback stages.
-// Also covered: the per-model path of unsupported architectures
-// (mini_resnet's Residual blocks), the fused/fallback and conv telemetry
-// counters, and a loose-tolerance sanity run of the opt-in mixed-precision
-// mode.
+//     Model::predict bit for bit, for every registry architecture and for
+//     hand-built chains of native, fallback and residual stages.
+// Also covered: an unsupported layer failing plan compilation and engine
+// construction loudly, the fused-gradient and conv telemetry counters, and
+// a loose-tolerance sanity run of the opt-in mixed-precision mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,9 +33,11 @@
 #include "src/nn/cohort.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/dropout.h"
 #include "src/nn/flatten.h"
 #include "src/nn/models.h"
 #include "src/nn/pool2d.h"
+#include "src/nn/residual.h"
 #include "src/obs/registry.h"
 #include "src/sim/fault_plan.h"
 
@@ -164,7 +165,6 @@ TEST(BatchedParityModelTest, MlpAndCnnBitIdentical) {
   for (const char* model : {"mlp", "cnn"}) {
     SCOPED_TRACE(model);
     Fixture f(model);
-    ASSERT_NE(nn::CohortModel::create(f.factory), nullptr);
     for (const char* name : {"HierAdMo", "FedAvg"}) {
       auto ref_alg = algs::make_algorithm(name);
       auto fused_alg = algs::make_algorithm(name);
@@ -177,32 +177,56 @@ TEST(BatchedParityModelTest, MlpAndCnnBitIdentical) {
   }
 }
 
-// mini_resnet's Residual blocks are outside the cohort plan: create() must
-// decline, every gradient must take the per-worker model path (observable
-// via the obs fused/fallback counters), and the run must match
-// batched=false exactly.
-TEST(BatchedParityFallbackTest, ResidualArchitectureFallsBack) {
+// mini_resnet's Residual blocks compile into the plan like every other
+// architecture: every gradient of both runs goes through it (8 iterations ×
+// 9 workers each), and the batched run matches the unbatched one exactly.
+TEST(BatchedParityModelTest, ResidualBitIdentical) {
   Fixture f("mini_resnet");
-  EXPECT_EQ(nn::CohortModel::create(f.factory), nullptr);
-
   obs::set_enabled(true);
   obs::Registry::global().reset();
   auto ref_alg = algs::make_algorithm("HierAdMo");
   auto fused_alg = algs::make_algorithm("HierAdMo");
-  const RunResult ref = run_once(f, *ref_alg, /*batched=*/false, 1, nullptr);
-  const RunResult fused = run_once(f, *fused_alg, /*batched=*/true, 1, nullptr);
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.counter("engine.cohort.fused_grads").value(), 0u);
-  // Both runs: 8 iterations × 9 workers of Model::loss_and_gradient each.
-  EXPECT_EQ(reg.counter("engine.cohort.fallback_grads").value(), 2u * 8 * 9);
+  const RunResult ref = run_once(f, *ref_alg, /*batched=*/false, 4, nullptr);
+  const RunResult fused = run_once(f, *fused_alg, /*batched=*/true, 4, nullptr);
+  EXPECT_EQ(obs::Registry::global().counter("engine.cohort.fused_grads").value(),
+            2u * 8 * 9);
   obs::set_enabled(false);
   expect_identical(ref, fused);
 }
 
-// Gradients are counted where they are computed: an unbatched run of a
-// plan-supported architecture computes every gradient through the plan
-// (singleton draws; Mime's SVRG pairs count two each), so fallback_grads
-// stays 0 — the same split the batched prefetch reports.
+nn::ModelFactory dropout_net() {
+  return [] {
+    auto net = std::make_unique<nn::Sequential>();
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dense>(64, 3, nn::InitScheme::kXavier);
+    net->emplace<nn::Dropout>(0.5);
+    return std::make_unique<nn::Model>(
+        std::move(net), std::make_unique<nn::SoftmaxCrossEntropy>(),
+        std::vector<std::size_t>{1, 8, 8});
+  };
+}
+
+// A layer the plan cannot compile fails loudly, naming the layer.
+TEST(CohortPlanCompileTest, UnsupportedLayerThrowsNamingIt) {
+  try {
+    nn::CohortModel::create(dropout_net());
+    ADD_FAILURE() << "create accepted a Dropout layer";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'dropout'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ...and so does an engine built on that architecture, before it runs.
+TEST(CohortPlanCompileTest, EngineRejectsUnsupportedArchitecture) {
+  Fixture f;
+  EXPECT_THROW(Engine(dropout_net(), f.dataset, f.partition, f.topo, f.cfg3),
+               Error);
+}
+
+// Gradients are counted where they are computed: an unbatched run computes
+// every gradient through the plan (singleton draws; Mime's SVRG pairs count
+// two each), counted like the batched prefetch's.
 TEST(BatchedParityFallbackTest, UnbatchedGradientsCountAsPlanGradients) {
   Fixture f;
   for (const char* name : {"HierAdMo", "Mime"}) {
@@ -213,7 +237,6 @@ TEST(BatchedParityFallbackTest, UnbatchedGradientsCountAsPlanGradients) {
     run_once(f, *alg, /*batched=*/false, 4, nullptr);
     auto& reg = obs::Registry::global();
     EXPECT_GE(reg.counter("engine.cohort.fused_grads").value(), 8u * 9);
-    EXPECT_EQ(reg.counter("engine.cohort.fallback_grads").value(), 0u);
     obs::set_enabled(false);
   }
 }
@@ -328,7 +351,6 @@ void expect_plan_matches_model(const nn::ModelFactory& factory,
                                const std::vector<std::size_t>& sample_shape,
                                std::uint64_t seed) {
   auto plan = nn::CohortModel::create(factory);
-  ASSERT_NE(plan, nullptr);
   auto model = factory();
   Rng rng(seed);
   const Vec p0 = random_params(factory, rng);
@@ -402,7 +424,8 @@ const std::vector<std::size_t> kImage = {1, 8, 8};
 TEST(CohortPlanParityTest, RegistryArchitectures) {
   for (const nn::ModelKind kind :
        {nn::ModelKind::kLinearRegression, nn::ModelKind::kLogisticRegression,
-        nn::ModelKind::kMlp, nn::ModelKind::kCnn, nn::ModelKind::kMiniVgg}) {
+        nn::ModelKind::kMlp, nn::ModelKind::kCnn, nn::ModelKind::kMiniVgg,
+        nn::ModelKind::kMiniResNet}) {
     SCOPED_TRACE(nn::to_string(kind));
     expect_plan_matches_model(nn::make_model_factory(kind, kImage, kClasses),
                               kImage, 11 + static_cast<std::uint64_t>(kind));
@@ -412,7 +435,13 @@ TEST(CohortPlanParityTest, RegistryArchitectures) {
 // Stage chains no registry model has, where in-place buffers alias: ReLU
 // behind MaxPool and behind ReLU, a ReLU → Flatten → Dense run, an input-side
 // ReLU on the plan's own input copy, all around the fallback stages (Tanh,
-// Sigmoid, AvgPool2d) that call the layers themselves.
+// Sigmoid, AvgPool2d) that call the layers themselves. The residual chains
+// open and close a block's inner branch with a ReLU (the first must not
+// overwrite the block input the skip path reads, the last masks its
+// backward by its own output, which the block sum must not overwrite), add
+// a projection block, follow a block with ReLU, MaxPool and AvgPool, and —
+// at the model input — nest a parameter-free block inside a block that is
+// the first parametric stage.
 TEST(CohortPlanParityTest, HandBuiltStageChains) {
   const std::vector<std::size_t> shape = {2, 8, 8};
   const nn::ModelFactory conv_chain = [shape] {
@@ -443,15 +472,63 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
     return std::make_unique<nn::Model>(
         std::move(net), std::make_unique<nn::MseOnOneHot>(), shape);
   };
+  const nn::ModelFactory residual_chain = [shape] {
+    auto net = std::make_unique<nn::Sequential>();
+    net->emplace<nn::Conv2d>(2, 4, 3, 1);
+    {
+      auto inner = std::make_unique<nn::Sequential>();
+      inner->emplace<nn::ReLU>();
+      inner->emplace<nn::Conv2d>(4, 4, 3, 1);
+      inner->emplace<nn::ReLU>();
+      net->add(std::make_unique<nn::Residual>(std::move(inner)));
+    }
+    {
+      auto inner = std::make_unique<nn::Sequential>();
+      inner->emplace<nn::Conv2d>(4, 6, 3, 1);
+      inner->emplace<nn::Tanh>();
+      inner->emplace<nn::Conv2d>(6, 6, 3, 1);
+      net->add(std::make_unique<nn::Residual>(
+          std::move(inner), std::make_unique<nn::Conv2d>(4, 6, 1, 0)));
+    }
+    net->emplace<nn::ReLU>();
+    net->emplace<nn::MaxPool2d>(2);
+    net->emplace<nn::AvgPool2d>(2);
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dense>(6 * 2 * 2, kClasses, nn::InitScheme::kXavier);
+    return std::make_unique<nn::Model>(
+        std::move(net), std::make_unique<nn::SoftmaxCrossEntropy>(), shape);
+  };
+  const nn::ModelFactory input_residual = [shape] {
+    auto nested = std::make_unique<nn::Sequential>();
+    nested->emplace<nn::ReLU>();
+    nested->emplace<nn::Sigmoid>();
+    auto inner = std::make_unique<nn::Sequential>();
+    inner->emplace<nn::ReLU>();
+    inner->emplace<nn::Conv2d>(2, 2, 3, 1);
+    inner->add(std::make_unique<nn::Residual>(std::move(nested)));
+    auto net = std::make_unique<nn::Sequential>();
+    net->add(std::make_unique<nn::Residual>(std::move(inner)));
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dense>(2 * 8 * 8, kClasses, nn::InitScheme::kXavier);
+    return std::make_unique<nn::Model>(
+        std::move(net), std::make_unique<nn::MseOnOneHot>(), shape);
+  };
   {
     SCOPED_TRACE("conv chain");
     expect_plan_matches_model(conv_chain, shape, 21);
   }
   {
+    SCOPED_TRACE("residual chain");
+    expect_plan_matches_model(residual_chain, shape, 23);
+  }
+  {
+    SCOPED_TRACE("input-side residual");
+    EXPECT_FALSE(nn::CohortModel::create(input_residual)->supports_row_gather());
+    expect_plan_matches_model(input_residual, shape, 24);
+  }
+  {
     SCOPED_TRACE("input-side relu");
-    auto plan = nn::CohortModel::create(input_relu);
-    ASSERT_NE(plan, nullptr);
-    EXPECT_FALSE(plan->supports_row_gather());
+    EXPECT_FALSE(nn::CohortModel::create(input_relu)->supports_row_gather());
     expect_plan_matches_model(input_relu, shape, 22);
   }
 }
@@ -461,7 +538,6 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
 TEST(CohortPlanParityTest, ConvCountersSeePlanConvs) {
   const nn::ModelFactory factory = nn::cnn(kImage, kClasses);
   auto plan = nn::CohortModel::create(factory);
-  ASSERT_NE(plan, nullptr);
   Rng rng(31);
   const Vec params = random_params(factory, rng);
   const Batch batch = random_batch(kImage, 4, rng);

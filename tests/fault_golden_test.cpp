@@ -13,6 +13,10 @@
 //      parameters, miss counts, participation trace and per-link comm
 //      totals. The first two run the same store configuration, so they
 //      share their digests.
+//   3. A MiniResNet engine run: HierAdMo on 2×2 workers with 8×8 images,
+//      unbatched and batched, hashes curve and final parameters. It pins
+//      the Residual architecture's gradients and evaluations to their
+//      recorded bits, whichever execution path computes them.
 //
 // Digests are authoritative on the portable build (no FMA). With FMA the
 // compiler's a·b+c contraction moves bits between optimization levels (the
@@ -452,6 +456,71 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// MiniResNet engine run
+// ---------------------------------------------------------------------------
+
+// {unbatched, batched}: the two must agree, and both must match the table.
+using ResNetDigests = std::array<std::uint64_t, 2>;
+
+const ResNetDigests* golden_resnet() {
+#if !defined(__FMA__)
+  static const ResNetDigests digests{0xeb88ce7e16384124ULL,
+                                     0xeb88ce7e16384124ULL};
+  return &digests;
+#elif defined(HFL_GOLDEN_NATIVE_FLAGS) && defined(__AVX512F__)
+  static const ResNetDigests digests{0xc96d63f009915063ULL,
+                                     0xc96d63f009915063ULL};
+  return &digests;
+#else
+  return nullptr;
+#endif
+}
+
+TEST(ResNetRunGoldenTest, MatchesGoldenDigests) {
+  const ResNetDigests* golden = golden_resnet();
+  if (golden == nullptr) {
+    GTEST_SKIP() << "FMA build without the default Release flags: digests "
+                    "are pinned on the portable build";
+  }
+  Rng rng(3);
+  data::SyntheticSpec spec;
+  spec.sample_shape = {1, 8, 8};
+  spec.num_classes = 3;
+  spec.train_size = 48;
+  spec.test_size = 30;
+  const data::TrainTest dataset = data::make_synthetic(rng, spec);
+  const fl::Topology topo = fl::Topology::uniform(2, 2);
+  const data::Partition partition =
+      data::partition_iid(dataset.train, topo.num_workers(), rng);
+  const nn::ModelFactory factory = nn::mini_resnet({1, 8, 8}, 3);
+
+  fl::RunConfig cfg;
+  cfg.total_iterations = 12;  // three cloud rounds
+  cfg.tau = 2;
+  cfg.pi = 2;
+  cfg.batch_size = 4;
+  cfg.seed = 5;
+  cfg.num_threads = 1;
+  ResNetDigests got{};
+  for (const bool batched : {false, true}) {
+    cfg.batched = batched;
+    fl::Engine engine(factory, dataset, partition, topo, cfg);
+    auto alg = algs::make_algorithm("HierAdMo");
+    const fl::RunResult r = engine.run(*alg);
+    golden::Fnv h;
+    for (const fl::MetricPoint& p : r.curve) {
+      h.add(p.iteration);
+      h.add(p.test_loss);
+      h.add(p.test_accuracy);
+    }
+    h.add(r.final_params);
+    got[batched ? 1 : 0] = h.value();
+  }
+  EXPECT_EQ(*golden, got) << "measured:\n"
+                          << golden::format_row("MiniResNet", got);
+}
 
 }  // namespace
 }  // namespace hfl

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/data/synthetic.h"
+#include "src/nn/cohort.h"
 #include "src/nn/models.h"
 
 namespace hfl::core {
@@ -15,6 +16,7 @@ namespace {
 // function of the parameters and the update can be checked by hand.
 struct FixedWorker {
   data::TrainTest data;
+  std::unique_ptr<nn::CohortModel> plan;
   fl::WorkerState w;
   std::unique_ptr<nn::Model> reference;
 
@@ -28,10 +30,12 @@ struct FixedWorker {
     data = data::make_synthetic(rng, spec);
 
     auto factory = nn::logistic_regression({1, 2, 2}, 2);
-    w.model = factory();
+    plan = nn::CohortModel::create(factory);
+    w.plan = plan.get();
+    reference = factory();
     Rng init(5);
-    w.model->init_params(init);
-    const Vec x0 = w.model->get_params();
+    reference->init_params(init);
+    const Vec x0 = reference->get_params();
     const std::size_t n = x0.size();
     w.x = x0;
     w.y = x0;
@@ -44,8 +48,6 @@ struct FixedWorker {
         data.train, std::vector<std::size_t>{0}, 1, Rng(7));
     w.aux_batcher = std::make_unique<data::Batcher>(
         data.train, std::vector<std::size_t>{0}, 1, Rng(8));
-
-    reference = factory();
   }
 
   // Gradient of the (single-sample) local loss at arbitrary params.

@@ -20,8 +20,9 @@
 //   * CohortStore: deterministic cohort draws; with-replacement stores
 //     sample even at cohort_size == N and reject cohort_size == 0; spill →
 //     restore round-trips every mutable field (including batch-stream
-//     checkpoints and signed zeros) bit-exactly; turnover contract — no
-//     factory calls once a same-size rotation runs on recycled states, a
+//     checkpoints and signed zeros) bit-exactly; turnover contract — a
+//     same-size rotation runs on recycled states and no state builds a
+//     model, a
 //     slab that stops growing once every worker of a fixed rotation has
 //     spilled, and corrupt record lengths rejected with hfl::Error.
 #include <gtest/gtest.h>
@@ -538,7 +539,8 @@ TEST(CohortStoreTest, FreshMaterializationMatchesAcrossStores) {
 }
 
 // Turnover contract: once the first cohort is built, a same-size rotation
-// runs on recycled states — the model factory is not called again.
+// runs on recycled states — the cohort keeps the first cohort's batchers —
+// and no state ever builds a model: the factory is never called.
 TEST(CohortStoreTest, SameSizeRotationNeverCallsTheFactory) {
   PopFixture f;
   std::size_t calls = 0;
@@ -548,20 +550,29 @@ TEST(CohortStoreTest, SameSizeRotationNeverCallsTheFactory) {
     return inner();
   };
   auto store = make_store(f, 2);
+  const auto batchers = [&store] {
+    std::vector<const data::Batcher*> out;
+    for (const fl::WorkerState& w : store.workers()) {
+      out.push_back(w.batcher.get());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
   store.begin_run(Vec(8, 0.25));
   store.set_cohort({0, 1});
-  EXPECT_EQ(calls, 2u);
+  const std::vector<const data::Batcher*> first = batchers();
   const std::vector<std::vector<fl::WorkerId>> rotation = {
       {2, 3}, {1, 4}, {5, 6}, {0, 7}, {0, 1}, {3, 6}, {2, 5}};
   for (std::size_t k = 0; k < rotation.size(); ++k) {
     store.begin_interval(k + 1);
     store.set_cohort(rotation[k]);
-    EXPECT_EQ(calls, 2u) << "interval " << k + 1;
+    EXPECT_EQ(batchers(), first) << "interval " << k + 1;
   }
   // A fresh run drops the spares and builds its first cohort anew.
   store.begin_run(Vec(8, 0.25));
   store.set_cohort({0, 1, 2});
-  EXPECT_EQ(calls, 5u);
+  EXPECT_EQ(store.num_materialized(), 3u);
+  EXPECT_EQ(calls, 0u);
 }
 
 // Turnover contract: a re-spill rewrites the worker's extent in place, so
