@@ -2,9 +2,11 @@
 # One-command CI gate: the checks a change must pass before merging.
 #
 #   1. Release build + full ctest suite (tier-1): unit, parity and golden
-#      tests, among them the fused kernel ≡ fma reference and cohort roster
-#      ≡ closed form (param_plane_test), compiled plan ≡ per-model path
-#      (batched_parity_test) and the pool-parallel reduction ≡ serial
+#      tests, among them every GEMM entry point ≡ the per-element FMA chain
+#      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
+#      roster ≡ closed form (param_plane_test), compiled plan ≡ the
+#      nn::Model layers (batched_parity_test) and the pool-parallel
+#      reduction ≡ serial
 #      (parallel_sync_test) — then the concurrency tests 20 times over
 #      (batched_parity_test among them: unbatched local steps and eval
 #      blocks share the plan's scratch across pool threads).
@@ -16,12 +18,18 @@
 #      gradients and predictions, Engine::evaluate ≡ per-batch
 #      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
 #      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on
-#      the portable kernels and their contraction choices.
-#   3. Repository benchmark smoke run (benchmark/run.sh --smoke): the
+#      the portable kernels and their contraction choices, and the GEMM
+#      contract on the portable 4×8 scalar tile.
+#   3. AVX2-only build (-mavx2 -mfma, no -march=native): the GEMM suites,
+#      the compiled-plan parity suite and the event engine's AVX2 golden
+#      digests on the 6×8 ymm tile. On an AVX-512 host gate 1 runs only the
+#      8×16 zmm tile, so without this gate the ymm instantiation would go
+#      untested.
+#   4. Repository benchmark smoke run (benchmark/run.sh --smoke): the
 #      hfl_bench self-tests plus every workload at a short horizon, output
 #      checked against BENCHMARK.json. It compiles against the public
 #      headers of src/, so a header change that breaks it fails here.
-#   4. ASan+UBSan pass: full suite + telemetry-enabled example in an
+#   5. ASan+UBSan pass: full suite + telemetry-enabled example in an
 #      instrumented tree (reports are fatal).
 #
 # The TSan pass is NOT run here — its ~10x slowdown puts it over a CI
@@ -29,14 +37,15 @@
 # two-sanitizer sweep before cutting a release.
 #
 # Usage: scripts/ci_checks.sh [release-build-dir] [asan-build-dir]
-#                             [portable-build-dir]
-#        (defaults: build build-asan build-portable)
+#                             [portable-build-dir] [avx2-build-dir]
+#        (defaults: build build-asan build-portable build-avx2)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 ASAN_DIR="${2:-build-asan}"
 PORTABLE_DIR="${3:-build-portable}"
+AVX2_DIR="${4:-build-avx2}"
 
 # --- gate 1: Release build + full suite ----------------------------------
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
@@ -66,19 +75,33 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # bit-identity (batched_parity_test): the plan's native stages and the
 # layers must agree under this build's contraction choices as well. So must
 # HierAdMo's tile-swept edge and cloud rounds and the one-pass cosine
-# (hieradmo_test, param_plane_test) on the scalar kernel path.
+# (hieradmo_test, param_plane_test) on the scalar kernel path, and the GEMM
+# contract on the scalar tile (gemm_contract_test).
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
   --target async_engine_test fault_golden_test pop_test pop_parity_test \
-  batched_parity_test hieradmo_test param_plane_test
+  batched_parity_test hieradmo_test param_plane_test gemm_contract_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test|gemm_contract_test)$'
 
-# --- gate 3: repository benchmark smoke run -------------------------------
+# --- gate 3: AVX2-only kernels ---------------------------------------------
+# The GEMM picks its register tile from the target ISA: 8×16 zmm with
+# AVX-512F, 6×8 ymm with AVX2+FMA. This tree pins the AVX2 target so the ymm
+# tile keeps its bit contract and its parity with the layers on any CI host;
+# async_engine_test checks its AVX2 golden table here.
+cmake -B "$AVX2_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DHFL_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS="-mavx2 -mfma" -DHFL_WERROR=ON
+cmake --build "$AVX2_DIR" -j "$(nproc)" \
+  --target gemm_parity_test gemm_batched_test gemm_contract_test \
+  batched_parity_test async_engine_test
+ctest --test-dir "$AVX2_DIR" --output-on-failure \
+  -R '^(gemm_parity_test|gemm_batched_test|gemm_contract_test|batched_parity_test|async_engine_test)$'
+
+# --- gate 4: repository benchmark smoke run -------------------------------
 bash benchmark/run.sh --smoke
 
-# --- gate 4: ASan + UBSan -------------------------------------------------
+# --- gate 5: ASan + UBSan -------------------------------------------------
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHFL_SANITIZE=address \
@@ -94,5 +117,6 @@ ctest --test-dir "$ASAN_DIR" --output-on-failure
 (cd "$ASAN_DIR" && ./examples/telemetry_report)
 
 echo "ci checks complete: $BUILD_DIR (Release + full ctest)," \
-  "$PORTABLE_DIR (portable digests), benchmark smoke, $ASAN_DIR (ASan+UBSan);" \
+  "$PORTABLE_DIR (portable digests), $AVX2_DIR (ymm tile)," \
+  "benchmark smoke, $ASAN_DIR (ASan+UBSan);" \
   "src/ lines: $(git ls-files src | xargs cat | wc -l)"

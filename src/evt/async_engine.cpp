@@ -307,7 +307,10 @@ struct EvtRun {
   std::vector<DownloadMsg> w_pending;
   std::vector<std::uint8_t> w_has_pending;
   // In-flight download payloads, indexed by Event::round of kWorkerDownload.
+  // A delivered slot goes on the free list and carries the next download,
+  // so the table holds at most the downloads in flight at once.
   std::vector<DownloadMsg> dmsgs;
+  std::vector<std::size_t> dmsg_free;
 
   // Aggregators: edges [0, E), the cloud at index `cloud` (== E).
   std::vector<Aggregator> aggs;
@@ -450,8 +453,14 @@ void AsyncEngine::apply_pending_download(EvtRun& er, std::size_t w) {
 void AsyncEngine::schedule_download(EvtRun& er, std::size_t w, DownloadMsg msg,
                                     Scalar base) {
   const Scalar dt = model_->worker_download(er.wdrng[w], w);
-  const std::size_t idx = er.dmsgs.size();
-  er.dmsgs.push_back(std::move(msg));
+  std::size_t idx = er.dmsgs.size();
+  if (er.dmsg_free.empty()) {
+    er.dmsgs.push_back(std::move(msg));
+  } else {
+    idx = er.dmsg_free.back();
+    er.dmsg_free.pop_back();
+    er.dmsgs[idx] = std::move(msg);
+  }
   er.q.push({base + dt, 0, EventType::kWorkerDownload, w, idx, false, false});
   ++er.downloads_scheduled;
   er.last_time = std::max(er.last_time, base + dt);
@@ -467,6 +476,7 @@ void AsyncEngine::schedule_download(EvtRun& er, std::size_t w, DownloadMsg msg,
 void AsyncEngine::download_arrival(EvtRun& er, const Event& ev) {
   const std::size_t w = ev.entity;
   DownloadMsg m = std::move(er.dmsgs[ev.round]);
+  er.dmsg_free.push_back(ev.round);
   if (m.version <= er.w_version[w] ||
       (er.w_has_pending[w] && er.w_pending[w].version >= m.version)) {
     ++er.downloads_superseded;

@@ -370,7 +370,7 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
 // Dense backward, replicating Dense::backward per item: dW into scratch then
 // added into the (zeroed) flat grad — the scratch-then-add order is part of
 // the bit-identity contract (the final += through 0.0 normalizes signed
-// zeros exactly like the per-model path) — db via the sum_rows loop, and
+// zeros exactly like Dense::backward) — db via the sum_rows loop, and
 // grad_in = g_seg · W_i. `gin == nullptr` skips the grad_in product (first
 // parametric stage: dX is dead); `in == nullptr` is direct-input mode as in
 // dense_forward.
@@ -593,8 +593,8 @@ void CohortModel::run_tile(Scratch& sc, const Tile& t) {
   loss_stage(logits, grow(*g, t.rows() * stages_.back().out_row), t);
 
   // Backward stops at the first parametric stage: everything before it is
-  // parameter-free, so its input gradient is dead work (the generic
-  // per-model layer chain cannot know this and computes it anyway).
+  // parameter-free, so its input gradient is dead work (nn::Model's
+  // generic layer chain cannot know this and computes it anyway).
   for (std::size_t s = stages_.size(); s-- > first_param_;) {
     const bool last = s == first_param_;
     backward_stage(sc, stages_[s], t, direct_input_ && last, last, g, gin);

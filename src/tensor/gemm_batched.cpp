@@ -64,8 +64,8 @@ void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     // hot across its k-panels exactly as in the caller's own per-item loop,
     // instead of being evicted and re-read once per panel. The shared-A
     // amortization survives by packing every (pc, ic) block of A up front.
-    // Bit-identity is untouched: the per-item (jc, pc, ic) partition and
-    // kernel dispatch are exactly gemm_single's, and items are independent.
+    // Bit-identity is untouched: each item runs gemm_single's KC panels in
+    // the same k order, and items are independent.
     std::size_t full_a_elems = 0;
     if (stride_a == 0) {
       for (std::size_t pc = 0; pc < k; pc += kKC) {
@@ -79,8 +79,7 @@ void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 
     thread_local std::vector<Scalar> a_scratch;
     thread_local std::vector<Scalar> b_scratch;
-    a_scratch.resize(share_a ? full_a_elems
-                             : ((kMC + kMR - 1) / kMR) * kMR * kKC);
+    a_scratch.resize(share_a ? full_a_elems : kMC * kKC);
     if (!direct_b) b_scratch.resize(kKC * kNC);
     if (share_a) {
       std::size_t off = 0;
@@ -145,7 +144,7 @@ void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   thread_local std::vector<Scalar> a_item;    // per-item pack, one MC block
   thread_local std::vector<Scalar> a_shared;  // all MC blocks of one k-panel
   thread_local std::vector<Scalar> b_packed;
-  a_item.resize(((kMC + kMR - 1) / kMR) * kMR * kKC);
+  a_item.resize(kMC * kKC);
   if (share_a) a_shared.resize(shared_a_elems);
   if (!direct_b) b_packed.resize(kKC * kNC);
 
@@ -162,8 +161,9 @@ void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
         if (!share_b && !direct_b) {
           pack_b(bi, ldb, trans_b, pc, jc, kc, nc, b_packed.data());
         }
-        // Same MC blocking as gemm_single: the strip partition of op(A)
-        // (where narrow strips fall) is part of the FP contract.
+        // Per-item MC blocking as in gemm_single. The blocking and strip
+        // partition of op(A) only choose which tile computes an element;
+        // the FP contract is the per-element FMA chain per KC panel.
         std::size_t ablock_off = 0;
         for (std::size_t ic = 0; ic < m; ic += kMC) {
           const std::size_t mc = std::min(kMC, m - ic);

@@ -9,10 +9,11 @@
 // sample.
 //
 // FP contract: in FP64 each item's result is bit-identical to a separate
-// ops::gemm call with the same arguments — the driver reuses the exact
-// packing, tiling, and micro-kernels (src/tensor/gemm_detail.h), and operand
+// ops::gemm call with the same arguments. Both compute every element as one
+// FMA chain per KC panel in k order (src/tensor/gemm_detail.h), and operand
 // sharing only changes *when* a panel is packed, never the packed values or
-// the accumulation order. Asserted by tests/gemm_batched_test.cpp.
+// the accumulation order. Asserted by tests/gemm_batched_test.cpp and
+// tests/gemm_contract_test.cpp.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,19 @@
 // Internal building blocks of the blocked GEMM (gemm.cpp), shared with the
 // strided-batch driver (gemm_batched.cpp).
 //
-// Everything here — tile constants, packing routines, micro-kernels, and the
-// un-instrumented single-product driver — is the PR-1 implementation moved
-// verbatim out of gemm.cpp so the batched path can reuse the exact kernels.
-// That verbatim reuse is load-bearing: the batched FP64 path promises
-// bit-identical results to per-call ops::gemm, which holds only because both
-// run the same packing, the same tiling order, and the same micro-kernels.
-// Do not "improve" one caller's copy of the loop nest without the other.
+// Everything here — tile constants, packing routines, the register-tile
+// kernel and the un-instrumented single-product loop nest — is shared by
+// every FP64 entry point, so ops::gemm, the row-gathered variants and
+// ops::gemm_batched run the same kernel over the same packed panels.
+//
+// FP contract: for each KC panel of k, every C element is computed as one
+// FMA chain `acc = +0; acc = fma(a_p, b_p, acc)` in k order (multiply then
+// add on builds without FMA), and the panel's acc is then added to C. Tile
+// shape, MC/NC blocking, strip partition, packing and the direct-B shortcut
+// change only which lanes compute a chain, never the chain, so every ISA's
+// tile and every entry point produce the same bits. kKC is therefore part
+// of the contract; kMR, kNR and kMC are not. Asserted by
+// tests/gemm_contract_test.
 //
 // Not part of the public tensor API; include only from src/tensor/*.cpp and
 // matching tests.
@@ -26,23 +32,97 @@
 
 namespace hfl::ops::detail {
 
-// Register tile (micro-kernel footprint). With AVX2/FMA the classic 6×8
-// double tile is used: 12 ymm accumulators + 2 B vectors + 1 broadcast fit
-// the 16 architectural ymm registers. The portable fallback uses 4×8, which
-// auto-vectorizes acceptably.
-#ifdef HFL_GEMM_AVX2
+// Vector shim for the register-tile kernel: one register of kLanes doubles,
+// a lane mask, and the handful of operations the kernel needs. The ISA comes
+// from the compiler's target flags (-march=native by default):
+//   AVX-512F   8×16 tile of zmm: 16 accumulators + 2 B vectors + 1 broadcast
+//              of the 32 zmm registers; ragged lanes use mask registers.
+//   AVX2+FMA   6×8 tile of ymm: 12 accumulators + 2 B + 1 broadcast fill the
+//              16 ymm registers; ragged lanes use vmaskmov.
+//   portable   4×8 tile of scalars, which auto-vectorizes acceptably.
+// kMC keeps the A panel (~128 KB) a whole number of strips.
+#if defined(HFL_GEMM_AVX2) && defined(__AVX512F__)
+namespace simd {
+using V = __m512d;
+using Mask = __mmask8;
+constexpr std::size_t kLanes = 8;
+inline Mask mask_below(std::size_t n) {
+  return static_cast<Mask>((1u << std::min(n, kLanes)) - 1);
+}
+inline V load(const Scalar* p) { return _mm512_loadu_pd(p); }
+inline V load_masked(const Scalar* p, Mask m) {
+  return _mm512_maskz_loadu_pd(m, p);
+}
+inline V broadcast(const Scalar* p) { return _mm512_set1_pd(*p); }
+inline V fma(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+inline V add(V a, V b) { return _mm512_add_pd(a, b); }
+inline void store(Scalar* p, V v) { _mm512_storeu_pd(p, v); }
+inline void store_masked(Scalar* p, Mask m, V v) {
+  _mm512_mask_storeu_pd(p, m, v);
+}
+inline void prefetch(const Scalar* p) {
+  _mm_prefetch(reinterpret_cast<const char*>(p), _MM_HINT_T0);
+}
+}  // namespace simd
+constexpr std::size_t kMR = 8;
+constexpr std::size_t kNR = 16;
+constexpr std::size_t kMC = 64;
+#elif defined(HFL_GEMM_AVX2)
+namespace simd {
+using V = __m256d;
+using Mask = __m256i;
+constexpr std::size_t kLanes = 4;
+inline Mask mask_below(std::size_t n) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(std::min(n, kLanes))),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+inline V load(const Scalar* p) { return _mm256_loadu_pd(p); }
+inline V load_masked(const Scalar* p, Mask m) {
+  return _mm256_maskload_pd(p, m);
+}
+inline V broadcast(const Scalar* p) { return _mm256_broadcast_sd(p); }
+inline V fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+inline V add(V a, V b) { return _mm256_add_pd(a, b); }
+inline void store(Scalar* p, V v) { _mm256_storeu_pd(p, v); }
+inline void store_masked(Scalar* p, Mask m, V v) {
+  _mm256_maskstore_pd(p, m, v);
+}
+inline void prefetch(const Scalar* p) {
+  _mm_prefetch(reinterpret_cast<const char*>(p), _MM_HINT_T0);
+}
+}  // namespace simd
 constexpr std::size_t kMR = 6;
-#else
-constexpr std::size_t kMR = 4;
-#endif
 constexpr std::size_t kNR = 8;
-
-// Cache tiles: an MC×KC packed A panel (~132 KB) targets L2, each KC×NR
-// packed B strip (~16 KB) stays L1-resident across a full sweep of A strips,
-// and the KC×NC packed B panel (~2 MB) targets L3.
 constexpr std::size_t kMC = 66;
+#else
+namespace simd {
+using V = Scalar;
+using Mask = bool;
+constexpr std::size_t kLanes = 1;
+inline Mask mask_below(std::size_t n) { return n > 0; }
+inline V load(const Scalar* p) { return *p; }
+inline V load_masked(const Scalar* p, Mask m) { return m ? *p : 0.0; }
+inline V broadcast(const Scalar* p) { return *p; }
+inline V fma(V a, V b, V c) { return a * b + c; }
+inline V add(V a, V b) { return a + b; }
+inline void store(Scalar* p, V v) { *p = v; }
+inline void store_masked(Scalar* p, Mask m, V v) {
+  if (m) *p = v;
+}
+inline void prefetch(const Scalar*) {}
+}  // namespace simd
+constexpr std::size_t kMR = 4;
+constexpr std::size_t kNR = 8;
+constexpr std::size_t kMC = 64;
+#endif
+
+// Cache tiles: each KC×NR packed B strip stays L1-resident across a full
+// sweep of the MC×KC packed A panel (L2), and the KC×NC packed B panel
+// (~2 MB) targets L3.
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 1024;
+static_assert(kMC % kMR == 0, "an MC block is whole strips");
 
 // Largest m for which untransposed B is streamed directly instead of packed:
 // below this the packed panel would be reused too few times (m/kMR A-strip
@@ -50,35 +130,59 @@ constexpr std::size_t kNC = 1024;
 // the forward path) take this route.
 constexpr std::size_t kDirectBMaxM = 32;
 
+// A short final A strip (≤ kNarrowMR live rows) is packed and computed 4
+// rows wide instead of padding to kMR and wasting up to half the strip's
+// FLOPs; this matters for products with a small m that is not a multiple of
+// kMR. On the portable tile (kMR == 4) every strip is full width.
+constexpr std::size_t kNarrowMR = 4;
+
+inline std::size_t strip_width(std::size_t mr) {
+  return mr <= kNarrowMR ? kNarrowMR : kMR;
+}
+
 inline Scalar elem(const Scalar* x, std::size_t ld, bool trans, std::size_t row,
                    std::size_t col) {
   return trans ? x[col * ld + row] : x[row * ld + col];
 }
 
-// Packs the mc×kc block of op(A) at (i0, p0) into strips of kMR rows,
-// column-major within each strip, so the micro-kernel reads kMR contiguous
-// values per k-step. Ragged strips are zero-padded: the micro-kernel then
-// always computes a full kMR×kNR tile and only the store is bounds-checked.
-// A short final strip (≤ 4 live rows when kMR is 6) is stored 4 wide and
-// computed by the narrower 4-row kernel, instead of padding to 6 and wasting
-// a third of the strip's FLOPs — this matters for conv-lowered products
-// where m = out_ch is 8/16/32.
-inline std::size_t strip_width(std::size_t mr) {
-  return (kMR == 6 && mr <= 4) ? 4 : kMR;
+// Packs the mc×kc block of op(A) at (i0, p0), read through at(i, p), into
+// strips of kMR rows (the final one strip_width(mr) wide), column-major
+// within each strip, so the kernel reads one strip's worth of contiguous
+// values per k-step. Ragged strips are zero-padded (one fill up front, not a
+// short fill per k-step): the kernel then always computes a full strip and
+// only the store is bounds-checked.
+template <class At>
+inline void pack_a_with(At at, std::size_t i0, std::size_t p0, std::size_t mc,
+                        std::size_t kc, Scalar* dst) {
+  for (std::size_t s = 0; s < mc; s += kMR) {
+    const std::size_t mr = std::min(kMR, mc - s);
+    const std::size_t width = strip_width(mr);
+    if (mr < width) std::fill(dst, dst + width * kc, 0.0);
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t i = 0; i < mr; ++i) {
+        dst[p * width + i] = at(i0 + s + i, p0 + p);
+      }
+    }
+    dst += width * kc;
+  }
 }
 
 inline void pack_a(const Scalar* a, std::size_t lda, bool trans, std::size_t i0,
                    std::size_t p0, std::size_t mc, std::size_t kc, Scalar* dst) {
-  for (std::size_t s = 0; s < mc; s += kMR) {
-    const std::size_t mr = std::min(kMR, mc - s);
-    const std::size_t width = strip_width(mr);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t i = 0; i < mr; ++i) {
-        *dst++ = elem(a, lda, trans, i0 + s + i, p0 + p);
-      }
-      for (std::size_t i = mr; i < width; ++i) *dst++ = 0.0;
-    }
-  }
+  pack_a_with([=](std::size_t i, std::size_t p) {
+    return elem(a, lda, trans, i, p);
+  }, i0, p0, mc, kc, dst);
+}
+
+// pack_a over a row-gathered matrix: row i of the (untransposed) m×k operand
+// lives at rows[i], k contiguous scalars, with no relation between rows. The
+// panel is byte-identical to packing a contiguous copy of the same rows, so
+// row gather is invisible to everything downstream of packing.
+inline void pack_a_rows(const Scalar* const* rows, std::size_t i0,
+                        std::size_t p0, std::size_t mc, std::size_t kc,
+                        Scalar* dst) {
+  pack_a_with([=](std::size_t i, std::size_t p) { return rows[i][p]; }, i0,
+              p0, mc, kc, dst);
 }
 
 // Number of scalars pack_a emits for an mc×kc block (narrow final strips
@@ -92,39 +196,29 @@ inline std::size_t packed_a_size(std::size_t mc, std::size_t kc) {
   return total;
 }
 
-// pack_a over a row-gathered matrix: row i of the (untransposed) m×k operand
-// lives at rows[i], k contiguous scalars, with no relation between rows. The
-// strip layout and zero padding are exactly pack_a's, so the packed panel is
-// byte-identical to packing a contiguous copy of the same rows — row gather
-// is invisible to everything downstream of packing.
-inline void pack_a_rows(const Scalar* const* rows, std::size_t i0,
-                        std::size_t p0, std::size_t mc, std::size_t kc,
-                        Scalar* dst) {
-  for (std::size_t s = 0; s < mc; s += kMR) {
-    const std::size_t mr = std::min(kMR, mc - s);
-    const std::size_t width = strip_width(mr);
+// Packs the kc×nc block of op(B) at (p0, j0), read through at(p, j), into
+// strips of kNR columns, row-major within each strip (kNR contiguous values
+// per k-step); a ragged final strip is zero-filled up front.
+template <class At>
+inline void pack_b_with(At at, std::size_t p0, std::size_t j0, std::size_t kc,
+                        std::size_t nc, Scalar* dst) {
+  for (std::size_t t = 0; t < nc; t += kNR) {
+    const std::size_t nr = std::min(kNR, nc - t);
+    if (nr < kNR) std::fill(dst, dst + kNR * kc, 0.0);
     for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t i = 0; i < mr; ++i) {
-        *dst++ = rows[i0 + s + i][p0 + p];
+      for (std::size_t j = 0; j < nr; ++j) {
+        dst[p * kNR + j] = at(p0 + p, j0 + t + j);
       }
-      for (std::size_t i = mr; i < width; ++i) *dst++ = 0.0;
     }
+    dst += kNR * kc;
   }
 }
 
-// Packs the kc×nc block of op(B) at (p0, j0) into strips of kNR columns,
-// row-major within each strip (kNR contiguous values per k-step).
 inline void pack_b(const Scalar* b, std::size_t ldb, bool trans, std::size_t p0,
                    std::size_t j0, std::size_t kc, std::size_t nc, Scalar* dst) {
-  for (std::size_t t = 0; t < nc; t += kNR) {
-    const std::size_t nr = std::min(kNR, nc - t);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t j = 0; j < nr; ++j) {
-        *dst++ = elem(b, ldb, trans, p0 + p, j0 + t + j);
-      }
-      for (std::size_t j = nr; j < kNR; ++j) *dst++ = 0.0;
-    }
-  }
+  pack_b_with([=](std::size_t p, std::size_t j) {
+    return elem(b, ldb, trans, p, j);
+  }, p0, j0, kc, nc, dst);
 }
 
 // pack_b over a row-gathered matrix: row p of the (untransposed) k×n operand
@@ -132,257 +226,92 @@ inline void pack_b(const Scalar* b, std::size_t ldb, bool trans, std::size_t p0,
 inline void pack_b_rows(const Scalar* const* rows, std::size_t p0,
                         std::size_t j0, std::size_t kc, std::size_t nc,
                         Scalar* dst) {
-  for (std::size_t t = 0; t < nc; t += kNR) {
-    const std::size_t nr = std::min(kNR, nc - t);
-    for (std::size_t p = 0; p < kc; ++p) {
-      const Scalar* row = rows[p0 + p] + j0 + t;
-      for (std::size_t j = 0; j < nr; ++j) *dst++ = row[j];
-      for (std::size_t j = nr; j < kNR; ++j) *dst++ = 0.0;
-    }
-  }
+  pack_b_with([=](std::size_t p, std::size_t j) { return rows[p][j]; }, p0,
+              j0, kc, nc, dst);
 }
 
-#ifdef HFL_GEMM_AVX2
-
-// C[0..mr)×[0..nr) += Aᵖ·B over kc steps. `b` is either a packed strip
-// (stride kNR) or a direct view into the source matrix (stride ldb): packed
-// strips and untransposed row-major B both present kNR contiguous values per
-// k-step, so one kernel serves both.
+// C[0..mr)×[0..nr) += Aᵖ·B over kc steps, on a Rows×kNR register tile.
+// `ap` is a packed A strip Rows wide; `b` is either a packed strip (stride
+// kNR) or a direct view into the source matrix (stride ldb): both present
+// kNR contiguous values per k-step. Tail marks a ragged-right direct-B tile
+// (nr < kNR), whose B rows are read through the lane mask because a full
+// load could run past the allocation; packed strips are zero-padded and
+// load whole. C is updated through the mask whenever nr < kNR.
+template <int Rows, bool Tail>
 inline void micro_kernel(std::size_t kc, const Scalar* ap, const Scalar* b,
                          std::size_t bstride, Scalar* c, std::size_t ldc,
                          std::size_t mr, std::size_t nr) {
-  __m256d acc00 = _mm256_setzero_pd(), acc01 = _mm256_setzero_pd();
-  __m256d acc10 = _mm256_setzero_pd(), acc11 = _mm256_setzero_pd();
-  __m256d acc20 = _mm256_setzero_pd(), acc21 = _mm256_setzero_pd();
-  __m256d acc30 = _mm256_setzero_pd(), acc31 = _mm256_setzero_pd();
-  __m256d acc40 = _mm256_setzero_pd(), acc41 = _mm256_setzero_pd();
-  __m256d acc50 = _mm256_setzero_pd(), acc51 = _mm256_setzero_pd();
+  constexpr std::size_t kVecs = kNR / simd::kLanes;
+  simd::Mask mask[kVecs];
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    mask[v] = simd::mask_below(nr - std::min(nr, v * simd::kLanes));
+  }
+  // Every loop over acc unrolls completely (the pragmas below), so acc lives
+  // in registers: an array still indexed by a loop variable stays in memory.
+  simd::V acc[Rows][kVecs] = {};
   // Two k-steps per iteration: at conv-sized kc (100–250) the loop-carried
   // overhead is a measurable slice of the kernel, and the second step's B
   // loads issue while the first step's FMA chain drains.
-  auto step = [&](std::size_t p) {
+#pragma GCC unroll 2
+  for (std::size_t p = 0; p < kc; ++p) {
     // Pull the B row a few k-steps ahead into L1: on the direct-B path the
     // rows are ldb apart (a strided stream the hardware prefetcher loses at
     // page boundaries); on the packed path this just runs ahead in the strip.
-    _mm_prefetch(reinterpret_cast<const char*>(b + (p + 8) * bstride),
-                 _MM_HINT_T0);
-    const __m256d b0 = _mm256_loadu_pd(b + p * bstride);
-    const __m256d b1 = _mm256_loadu_pd(b + p * bstride + 4);
-    const Scalar* arow = ap + p * kMR;
-    __m256d av;
-    av = _mm256_broadcast_sd(arow + 0);
-    acc00 = _mm256_fmadd_pd(av, b0, acc00);
-    acc01 = _mm256_fmadd_pd(av, b1, acc01);
-    av = _mm256_broadcast_sd(arow + 1);
-    acc10 = _mm256_fmadd_pd(av, b0, acc10);
-    acc11 = _mm256_fmadd_pd(av, b1, acc11);
-    av = _mm256_broadcast_sd(arow + 2);
-    acc20 = _mm256_fmadd_pd(av, b0, acc20);
-    acc21 = _mm256_fmadd_pd(av, b1, acc21);
-    av = _mm256_broadcast_sd(arow + 3);
-    acc30 = _mm256_fmadd_pd(av, b0, acc30);
-    acc31 = _mm256_fmadd_pd(av, b1, acc31);
-    av = _mm256_broadcast_sd(arow + 4);
-    acc40 = _mm256_fmadd_pd(av, b0, acc40);
-    acc41 = _mm256_fmadd_pd(av, b1, acc41);
-    av = _mm256_broadcast_sd(arow + 5);
-    acc50 = _mm256_fmadd_pd(av, b0, acc50);
-    acc51 = _mm256_fmadd_pd(av, b1, acc51);
-  };
-  std::size_t p = 0;
-  for (; p + 2 <= kc; p += 2) {
-    step(p);
-    step(p + 1);
-  }
-  if (p < kc) step(p);
-  alignas(32) Scalar tile[kMR * kNR];
-  _mm256_store_pd(tile + 0 * kNR, acc00);
-  _mm256_store_pd(tile + 0 * kNR + 4, acc01);
-  _mm256_store_pd(tile + 1 * kNR, acc10);
-  _mm256_store_pd(tile + 1 * kNR + 4, acc11);
-  _mm256_store_pd(tile + 2 * kNR, acc20);
-  _mm256_store_pd(tile + 2 * kNR + 4, acc21);
-  _mm256_store_pd(tile + 3 * kNR, acc30);
-  _mm256_store_pd(tile + 3 * kNR + 4, acc31);
-  _mm256_store_pd(tile + 4 * kNR, acc40);
-  _mm256_store_pd(tile + 4 * kNR + 4, acc41);
-  _mm256_store_pd(tile + 5 * kNR, acc50);
-  _mm256_store_pd(tile + 5 * kNR + 4, acc51);
-  if (mr == kMR && nr == kNR) {
-    for (std::size_t i = 0; i < kMR; ++i) {
-      Scalar* crow = c + i * ldc;
-      const __m256d c0 = _mm256_loadu_pd(crow);
-      const __m256d c1 = _mm256_loadu_pd(crow + 4);
-      _mm256_storeu_pd(crow, _mm256_add_pd(c0, _mm256_load_pd(tile + i * kNR)));
-      _mm256_storeu_pd(
-          crow + 4, _mm256_add_pd(c1, _mm256_load_pd(tile + i * kNR + 4)));
+    simd::prefetch(b + (p + 8) * bstride);
+    const Scalar* brow = b + p * bstride;
+    simd::V bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      bv[v] = Tail ? simd::load_masked(brow + v * simd::kLanes, mask[v])
+                   : simd::load(brow + v * simd::kLanes);
     }
-  } else {
-    for (std::size_t i = 0; i < mr; ++i) {
-      Scalar* crow = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += tile[i * kNR + j];
-    }
-  }
-}
-
-// 4-row variant for a short final A strip (packed 4 wide): 8 accumulators,
-// same B streaming.
-inline void micro_kernel4(std::size_t kc, const Scalar* ap, const Scalar* b,
-                          std::size_t bstride, Scalar* c, std::size_t ldc,
-                          std::size_t mr, std::size_t nr) {
-  __m256d acc00 = _mm256_setzero_pd(), acc01 = _mm256_setzero_pd();
-  __m256d acc10 = _mm256_setzero_pd(), acc11 = _mm256_setzero_pd();
-  __m256d acc20 = _mm256_setzero_pd(), acc21 = _mm256_setzero_pd();
-  __m256d acc30 = _mm256_setzero_pd(), acc31 = _mm256_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    _mm_prefetch(reinterpret_cast<const char*>(b + (p + 8) * bstride),
-                 _MM_HINT_T0);
-    const __m256d b0 = _mm256_loadu_pd(b + p * bstride);
-    const __m256d b1 = _mm256_loadu_pd(b + p * bstride + 4);
-    const Scalar* arow = ap + p * 4;
-    __m256d av;
-    av = _mm256_broadcast_sd(arow + 0);
-    acc00 = _mm256_fmadd_pd(av, b0, acc00);
-    acc01 = _mm256_fmadd_pd(av, b1, acc01);
-    av = _mm256_broadcast_sd(arow + 1);
-    acc10 = _mm256_fmadd_pd(av, b0, acc10);
-    acc11 = _mm256_fmadd_pd(av, b1, acc11);
-    av = _mm256_broadcast_sd(arow + 2);
-    acc20 = _mm256_fmadd_pd(av, b0, acc20);
-    acc21 = _mm256_fmadd_pd(av, b1, acc21);
-    av = _mm256_broadcast_sd(arow + 3);
-    acc30 = _mm256_fmadd_pd(av, b0, acc30);
-    acc31 = _mm256_fmadd_pd(av, b1, acc31);
-  }
-  alignas(32) Scalar tile[4 * kNR];
-  _mm256_store_pd(tile + 0 * kNR, acc00);
-  _mm256_store_pd(tile + 0 * kNR + 4, acc01);
-  _mm256_store_pd(tile + 1 * kNR, acc10);
-  _mm256_store_pd(tile + 1 * kNR + 4, acc11);
-  _mm256_store_pd(tile + 2 * kNR, acc20);
-  _mm256_store_pd(tile + 2 * kNR + 4, acc21);
-  _mm256_store_pd(tile + 3 * kNR, acc30);
-  _mm256_store_pd(tile + 3 * kNR + 4, acc31);
-  for (std::size_t i = 0; i < mr; ++i) {
-    Scalar* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] += tile[i * kNR + j];
-  }
-}
-
-// Ragged-right direct-B tile (nr < kNR): a plain 8-wide load from the source
-// matrix could run past the allocation, so B is read with maskload (lanes
-// ≥ nr are never touched in memory). One such strip per GEMM at most, but on
-// conv-lowered shapes (OH·OW rarely a multiple of 8) it runs once per
-// sample, so it is worth keeping vectorized.
-template <int Rows>
-inline void micro_kernel_tail_impl(std::size_t kc, const Scalar* ap,
-                                   const Scalar* b, std::size_t bstride,
-                                   Scalar* c, std::size_t ldc, std::size_t mr,
-                                   std::size_t nr) {
-  alignas(32) long long mbits[kNR];
-  for (std::size_t j = 0; j < kNR; ++j) mbits[j] = j < nr ? -1LL : 0;
-  const __m256i mask0 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(mbits));
-  const __m256i mask1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(mbits + 4));
-  __m256d acc0[Rows], acc1[Rows];
-  for (int i = 0; i < Rows; ++i) {
-    acc0[i] = _mm256_setzero_pd();
-    acc1[i] = _mm256_setzero_pd();
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_maskload_pd(b + p * bstride, mask0);
-    const __m256d b1 = _mm256_maskload_pd(b + p * bstride + 4, mask1);
     const Scalar* arow = ap + p * Rows;
     for (int i = 0; i < Rows; ++i) {
-      const __m256d av = _mm256_broadcast_sd(arow + i);
-      acc0[i] = _mm256_fmadd_pd(av, b0, acc0[i]);
-      acc1[i] = _mm256_fmadd_pd(av, b1, acc1[i]);
+      const simd::V av = simd::broadcast(arow + i);
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[i][v] = simd::fma(av, bv[v], acc[i][v]);
+      }
     }
   }
-  alignas(32) Scalar tile[Rows * kNR];
+#pragma GCC unroll 16
   for (int i = 0; i < Rows; ++i) {
-    _mm256_store_pd(tile + i * kNR, acc0[i]);
-    _mm256_store_pd(tile + i * kNR + 4, acc1[i]);
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    Scalar* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] += tile[i * kNR + j];
+    if (static_cast<std::size_t>(i) >= mr) continue;
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      Scalar* cv = c + i * ldc + v * simd::kLanes;
+      if (nr == kNR) {
+        simd::store(cv, simd::add(simd::load(cv), acc[i][v]));
+      } else {
+        simd::store_masked(
+            cv, mask[v],
+            simd::add(simd::load_masked(cv, mask[v]), acc[i][v]));
+      }
+    }
   }
 }
 
-inline void micro_kernel_tail(std::size_t kc, const Scalar* ap,
-                              std::size_t astride, const Scalar* b,
-                              std::size_t bstride, Scalar* c, std::size_t ldc,
-                              std::size_t mr, std::size_t nr) {
-  if (astride == 4) {
-    micro_kernel_tail_impl<4>(kc, ap, b, bstride, c, ldc, mr, nr);
+template <bool Tail>
+inline void run_tile(std::size_t width, std::size_t kc, const Scalar* ap,
+                     const Scalar* b, std::size_t bstride, Scalar* c,
+                     std::size_t ldc, std::size_t mr, std::size_t nr) {
+  if (width == kMR) {
+    micro_kernel<kMR, Tail>(kc, ap, b, bstride, c, ldc, mr, nr);
   } else {
-    micro_kernel_tail_impl<kMR>(kc, ap, b, bstride, c, ldc, mr, nr);
+    micro_kernel<kNarrowMR, Tail>(kc, ap, b, bstride, c, ldc, mr, nr);
   }
 }
-
-#else  // portable fallback
-
-inline void micro_kernel(std::size_t kc, const Scalar* ap, const Scalar* b,
-                         std::size_t bstride, Scalar* c, std::size_t ldc,
-                         std::size_t mr, std::size_t nr) {
-  Scalar acc[kMR * kNR] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const Scalar* arow = ap + p * kMR;
-    const Scalar* brow = b + p * bstride;
-    for (std::size_t i = 0; i < kMR; ++i) {
-      const Scalar av = arow[i];
-      Scalar* crow = acc + i * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) crow[j] += av * brow[j];
-    }
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    Scalar* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[i * kNR + j];
-  }
-}
-
-// Never reached (strip_width is the identity when kMR == 4); exists so the
-// dispatch below compiles unconditionally.
-inline void micro_kernel4(std::size_t kc, const Scalar* ap, const Scalar* b,
-                          std::size_t bstride, Scalar* c, std::size_t ldc,
-                          std::size_t mr, std::size_t nr) {
-  micro_kernel(kc, ap, b, bstride, c, ldc, mr, nr);
-}
-
-inline void micro_kernel_tail(std::size_t kc, const Scalar* ap,
-                              std::size_t astride, const Scalar* b,
-                              std::size_t bstride, Scalar* c, std::size_t ldc,
-                              std::size_t mr, std::size_t nr) {
-  Scalar acc[kMR * kNR] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const Scalar* arow = ap + p * astride;
-    const Scalar* brow = b + p * bstride;
-    for (std::size_t i = 0; i < astride; ++i) {
-      const Scalar av = arow[i];
-      Scalar* crow = acc + i * kNR;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += av * brow[j];
-    }
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    Scalar* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[i * kNR + j];
-  }
-}
-
-#endif  // HFL_GEMM_AVX2
 
 // Runs the macro-kernel over one packed A block: every KC×NR strip of B (or
 // the corresponding direct-B slice) sweeps the block's A strips. Shared by
-// gemm_single below and the batched driver — the (jr, ir) order and the
-// kernel dispatch here define the FP contract both must honor.
+// gemm_single below and gemm_batched.
 inline void macro_kernel(std::size_t kc, std::size_t nc, std::size_t mc,
                          const Scalar* ap_block, const Scalar* b_packed,
                          bool direct_b, const Scalar* bdir_base,
                          std::size_t ldb, Scalar* c_block, std::size_t ldc) {
   for (std::size_t jr = 0; jr < nc; jr += kNR) {
     const std::size_t nr = std::min(kNR, nc - jr);
+    const Scalar* b =
+        direct_b ? bdir_base + jr : b_packed + (jr / kNR) * kc * kNR;
+    const std::size_t bstride = direct_b ? ldb : kNR;
     for (std::size_t ir = 0; ir < mc; ir += kMR) {
       const std::size_t mr = std::min(kMR, mc - ir);
       // Only the final strip can be narrow, so the full-width offset formula
@@ -390,22 +319,10 @@ inline void macro_kernel(std::size_t kc, std::size_t nc, std::size_t mc,
       const std::size_t width = strip_width(mr);
       const Scalar* ap = ap_block + (ir / kMR) * kc * kMR;
       Scalar* ctile = c_block + ir * ldc + jr;
-      if (direct_b) {
-        const Scalar* bdir = bdir_base + jr;
-        if (nr < kNR) {
-          micro_kernel_tail(kc, ap, width, bdir, ldb, ctile, ldc, mr, nr);
-        } else if (width == kMR) {
-          micro_kernel(kc, ap, bdir, ldb, ctile, ldc, mr, nr);
-        } else {
-          micro_kernel4(kc, ap, bdir, ldb, ctile, ldc, mr, nr);
-        }
+      if (direct_b && nr < kNR) {
+        run_tile<true>(width, kc, ap, b, bstride, ctile, ldc, mr, nr);
       } else {
-        const Scalar* bp = b_packed + (jr / kNR) * kc * kNR;
-        if (width == kMR) {
-          micro_kernel(kc, ap, bp, kNR, ctile, ldc, mr, nr);
-        } else {
-          micro_kernel4(kc, ap, bp, kNR, ctile, ldc, mr, nr);
-        }
+        run_tile<false>(width, kc, ap, b, bstride, ctile, ldc, mr, nr);
       }
     }
   }
@@ -444,10 +361,7 @@ inline void gemm_single(bool trans_a, bool trans_b, std::size_t m,
   thread_local std::vector<Scalar> a_packed;
   thread_local std::vector<Scalar> b_packed;
   const bool direct_b = !trans_b && m <= kDirectBMaxM;
-  // pack_a zero-pads the final strip to full width, so when kMC is not a
-  // multiple of kMR the panel holds one extra partial strip's padding —
-  // size by whole strips, not rows.
-  a_packed.resize(((kMC + kMR - 1) / kMR) * kMR * kKC);
+  a_packed.resize(kMC * kKC);
   if (!direct_b) b_packed.resize(kKC * kNC);
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {
@@ -491,7 +405,7 @@ inline void gemm_gather(bool trans_a, bool trans_b, std::size_t m,
   thread_local std::vector<Scalar> a_packed;
   thread_local std::vector<Scalar> b_packed;
   const bool direct_b = !trans_b && m <= kDirectBMaxM && b_rows == nullptr;
-  a_packed.resize(((kMC + kMR - 1) / kMR) * kMR * kKC);
+  a_packed.resize(kMC * kKC);
   if (!direct_b) b_packed.resize(kKC * kNC);
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {

@@ -4,7 +4,7 @@
 // including when operands are declared shared (stride 0) and when items
 // serialize into a shared accumulator. gemm_mixed promises ≤1e-6 relative
 // error against the FP64 result. Shapes are randomized around the kernels'
-// blocking boundaries (6/8-wide FP64 tiles, 6/16-wide FP32 tiles, the kKCf
+// blocking boundaries (6×8 or 8×16 FP64 tiles, 6×16 FP32 tiles, the kKCf
 // float-accumulation cap) so register-tile remainders and masked tails are
 // all exercised.
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ struct Shape {
   std::size_t m, n, k;
 };
 
-// Dimensions straddling the register tiles (MR=6/NR=8 double, NR=16 float),
+// Dimensions straddling the register tiles (6×8 or 8×16 double, NR=16 float),
 // the direct-B cutoff (m <= 32), and the cache panels (KC=256, float
 // kKCf=96).
 const std::vector<Shape> kShapes = {

@@ -4,7 +4,7 @@
 // The blocked kernel has many shape-dependent code paths (register-tile
 // remainders, narrow final A strips, ragged-right direct-B tiles, packed vs
 // direct B, cache-block boundaries), so shapes are chosen to land on every
-// one of them: dimensions of 1, non-multiples of the 6/8 register tile, and
+// one of them: dimensions of 1, non-multiples of the register tiles, and
 // sizes that cross the MC/KC/NC panel boundaries. Reference and kernel run
 // the same double-precision FMA chain in different orders, so agreement is
 // required to 1e-10 in max-abs terms.
@@ -59,11 +59,11 @@ struct GemmShape {
   std::size_t m, n, k;
 };
 
-// Covers: unit dims, sub-register-tile sizes, tile remainders in every
-// combination (m % 6 ∈ {0..5}, n % 8 ∈ {0, 4, ragged}), narrow final A
-// strips (m % 6 ≤ 4), the direct-B small-m fast path (m ≤ 32) and the
-// packed-B path beyond it, and shapes crossing the KC=256 / NC=1024 / MC=66
-// cache-block boundaries.
+// Covers: unit dims, sub-register-tile sizes, remainders of the 6×8 and
+// 8×16 register tiles, narrow final A strips (≤ 4 live rows), the direct-B
+// small-m fast path (m ≤ 32) and the packed-B path beyond it, and shapes
+// crossing the KC=256 / NC=1024 / MC=64 or 66 cache-block boundaries.
+// gemm_contract_test checks every small shape bit for bit.
 const GemmShape kShapes[] = {
     {1, 1, 1},    {1, 17, 5},   {13, 1, 7},   {5, 9, 1},    {6, 8, 16},
     {7, 9, 33},   {16, 196, 200},  // conv-forward shape: narrow strip + tail
