@@ -18,11 +18,13 @@
 #      gradients and predictions, Engine::evaluate ≡ per-batch
 #      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
 #      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on
-#      the portable kernels and their contraction choices, and the GEMM
-#      contract on the portable 4×8 scalar tile.
+#      the portable kernels and their contraction choices, the GEMM
+#      contract on the portable 4×4 scalar tile, and the implicit-GEMM
+#      convolutions ≡ the explicit im2col lowering (conv_lowering_test) on
+#      the scalar instantiation of the offset-table path.
 #   3. AVX2-only build (-mavx2 -mfma, no -march=native): the GEMM suites,
-#      the compiled-plan parity suite and the event engine's AVX2 golden
-#      digests on the 6×8 ymm tile. On an AVX-512 host gate 1 runs only the
+#      the implicit-GEMM convolutions, the compiled-plan parity suite and
+#      the event engine's AVX2 golden digests on the 6×8 ymm tile. On an AVX-512 host gate 1 runs only the
 #      8×16 zmm tile, so without this gate the ymm instantiation would go
 #      untested.
 #   4. Repository benchmark smoke run (benchmark/run.sh --smoke): the
@@ -75,15 +77,17 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # bit-identity (batched_parity_test): the plan's native stages and the
 # layers must agree under this build's contraction choices as well. So must
 # HierAdMo's tile-swept edge and cloud rounds and the one-pass cosine
-# (hieradmo_test, param_plane_test) on the scalar kernel path, and the GEMM
-# contract on the scalar tile (gemm_contract_test).
+# (hieradmo_test, param_plane_test) on the scalar kernel path, the GEMM
+# contract on the scalar tile (gemm_contract_test), and the implicit-GEMM
+# convolutions against the explicit lowering on it (conv_lowering_test).
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
   --target async_engine_test fault_golden_test pop_test pop_parity_test \
-  batched_parity_test hieradmo_test param_plane_test gemm_contract_test
+  batched_parity_test hieradmo_test param_plane_test gemm_contract_test \
+  conv_lowering_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test|gemm_contract_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test|gemm_contract_test|conv_lowering_test)$'
 
 # --- gate 3: AVX2-only kernels ---------------------------------------------
 # The GEMM picks its register tile from the target ISA: 8×16 zmm with
@@ -94,9 +98,9 @@ cmake -B "$AVX2_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS="-mavx2 -mfma" -DHFL_WERROR=ON
 cmake --build "$AVX2_DIR" -j "$(nproc)" \
   --target gemm_parity_test gemm_batched_test gemm_contract_test \
-  batched_parity_test async_engine_test
+  conv_lowering_test batched_parity_test async_engine_test
 ctest --test-dir "$AVX2_DIR" --output-on-failure \
-  -R '^(gemm_parity_test|gemm_batched_test|gemm_contract_test|batched_parity_test|async_engine_test)$'
+  -R '^(gemm_parity_test|gemm_batched_test|gemm_contract_test|conv_lowering_test|batched_parity_test|async_engine_test)$'
 
 # --- gate 4: repository benchmark smoke run -------------------------------
 bash benchmark/run.sh --smoke

@@ -12,16 +12,17 @@
 // Three entry points share one plan:
 //   * run      — the batched cohort pass. Worker i's mini-batch occupies the
 //                contiguous row segment [row_off[i], row_off[i+1]) of every
-//                activation; conv stages run their per-sample im2col products
-//                as strided-batch GEMMs with the worker's weights as a shared
-//                packed operand (src/tensor/gemm_batched.h), dense stages run
-//                one product per worker in place (cross-worker dense products
-//                share no operand, so for them the win is the eliminated
-//                staging, not GEMM fusion). Execution is TILED: items are
-//                grouped so a tile's widest concatenated activation stays
-//                within ~2 MB, each tile runs its full forward+backward before
-//                the next, and tiles are the parallel unit (one pool task per
-//                tile, no intra-stage barriers).
+//                activation; conv stages run each worker's samples through
+//                one implicit-GEMM call with the worker's weights packed
+//                once as the shared operand (src/tensor/conv_gemm.h), dense
+//                stages run one product per worker in place (cross-worker
+//                dense products share no operand, so for them the win is the
+//                eliminated staging, not GEMM fusion). Execution is TILED:
+//                items are grouped so a tile's widest concatenated
+//                activation stays within ~2 MB, each tile runs its full
+//                forward+backward before the next, and tiles are the
+//                parallel unit (one pool task per tile, no intra-stage
+//                barriers).
 //   * gradient — the same tile code for a few items on the calling thread at
 //                full precision: one worker's draw, or a paired evaluation of
 //                two parameter points on one draw (WorkerState's unbatched

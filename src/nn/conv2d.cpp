@@ -5,23 +5,25 @@
 #include <cstring>
 
 #include "src/obs/registry.h"
+#include "src/tensor/conv_gemm.h"
 #include "src/tensor/gemm_batched.h"
 #include "src/tensor/gemm_mixed.h"
 
 namespace hfl::nn {
 namespace {
 
-// Scratch for the im2col/col2im lowering, shared by every Conv2d on the
-// thread and reused across calls. Simulation workers run on dedicated pool
-// threads, so this bounds scratch memory by threads × chunk size instead of
-// per-layer members that multiply with the fleet size.
-thread_local Vec tl_col;   // im2col chunk, kk × chunk_cols
-thread_local Vec tl_dcol;  // gradient w.r.t. the chunk's im2col block
+// Scratch for the mixed-precision im2col lowering and the dX product's
+// dcol/col2im, shared by every Conv2d on the thread and reused across
+// calls. Simulation workers run on dedicated pool threads, so this bounds
+// scratch memory by threads × chunk size instead of per-layer members that
+// multiply with the fleet size.
+thread_local Vec tl_col;   // im2col chunk (mixed precision), kk × chunk_cols
+thread_local Vec tl_dcol;  // gradient w.r.t. the chunk's patch block
 
-// Upper bound on the im2col chunk so it stays cache-resident between being
-// written (im2col) and consumed (GEMM). A whole-minibatch col matrix of a
-// realistic conv layer is several MB — materializing it in one piece turns
-// the lowering memory-bound; chunked, the col block never leaves L2.
+// Upper bound on a col/dcol chunk so it stays cache-resident between being
+// written and consumed. A whole-minibatch col matrix of a realistic conv
+// layer is several MB — materializing it in one piece turns the lowering
+// memory-bound; chunked, the block never leaves L2.
 constexpr std::size_t kColChunkBytes = 1 << 20;
 
 std::size_t samples_per_chunk(const Conv2d::Spec& s, std::size_t cols) {
@@ -30,12 +32,11 @@ std::size_t samples_per_chunk(const Conv2d::Spec& s, std::size_t cols) {
                                                        1, per_sample));
 }
 
-// im2col over the bn-sample chunk whose first (in_ch, h, w) sample starts at
-// x0: col(r, c) with r indexing (ic, kh, kw) and c indexing (b, oh, ow). Feeding the GEMM a
-// multi-sample chunk is what lets the blocked kernel run at panel width
-// instead of B separate OH·OW-wide products; chunking (rather than the whole
-// minibatch) keeps the expansion cache-resident. Every element is written —
-// padding gaps are zeroed explicitly — so no full-buffer clear is needed.
+// The mixed-precision lowering's im2col over the bn-sample chunk whose first
+// (in_ch, h, w) sample starts at x0: col(r, c) with r indexing (ic, kh, kw)
+// and c indexing (b, oh, ow). Chunking (rather than the whole minibatch)
+// keeps the expansion cache-resident. Every element is written — padding
+// gaps are zeroed explicitly — so no full-buffer clear is needed.
 void im2col(const Conv2d::Spec& s, std::size_t h, std::size_t w,
             const Scalar* x0, std::size_t bn, std::size_t oh_count,
             std::size_t ow_count, Vec& col) {
@@ -128,6 +129,38 @@ void im2col(const Conv2d::Spec& s, std::size_t h, std::size_t w,
   }
 }
 
+ops::ConvShape conv_shape(const Conv2d::Spec& s, std::size_t h,
+                          std::size_t w) {
+  return {s.in_ch, s.out_ch, s.k, s.pad, h, w};
+}
+
+// db(oc) += Σ_c G(oc, c), sample by sample. Each channel's sum is one serial
+// add chain over c, as in a per-channel loop; kChains channels' chains run
+// interleaved so their adds overlap instead of each waiting on its own
+// previous add. A channel's chain and its order are the same either way.
+void bias_grad(const Scalar* g, std::size_t bn, std::size_t out_ch,
+               std::size_t cols, Scalar* grad_bias) {
+  constexpr std::size_t kChains = 8;
+  for (std::size_t b = 0; b < bn; ++b, g += out_ch * cols) {
+    std::size_t oc = 0;
+    for (; oc + kChains <= out_ch; oc += kChains) {
+      const Scalar* src = g + oc * cols;
+      Scalar sum[kChains] = {};
+      for (std::size_t c = 0; c < cols; ++c) {
+#pragma GCC unroll 8
+        for (std::size_t i = 0; i < kChains; ++i) sum[i] += src[i * cols + c];
+      }
+      for (std::size_t i = 0; i < kChains; ++i) grad_bias[oc + i] += sum[i];
+    }
+    for (; oc < out_ch; ++oc) {
+      Scalar sum = 0;
+      const Scalar* src = g + oc * cols;
+      for (std::size_t c = 0; c < cols; ++c) sum += src[c];
+      grad_bias[oc] += sum;
+    }
+  }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -154,12 +187,9 @@ void Conv2d::forward_span(const Spec& s, std::size_t H, std::size_t W,
                           const Scalar* weight, const Scalar* bias,
                           const Scalar* x0, std::size_t bn, Scalar* out0,
                           bool mixed) {
-  const std::size_t OH = H + 2 * s.pad - s.k + 1;
-  const std::size_t OW = W + 2 * s.pad - s.k + 1;
-  const std::size_t cols = OH * OW;
+  const ops::ConvShape cs = conv_shape(s, H, W);
+  const std::size_t cols = cs.oh() * cs.ow();
   const std::size_t kk = s.kk();
-  const std::size_t chunk = samples_per_chunk(s, cols);
-  const auto gemmb = mixed ? ops::gemm_batched_mixed : ops::gemm_batched;
 
   if (obs::enabled()) {
     static obs::Counter& calls =
@@ -167,30 +197,37 @@ void Conv2d::forward_span(const Spec& s, std::size_t H, std::size_t W,
     static obs::Counter& bytes =
         obs::Registry::global().counter("conv.im2col_bytes");
     calls.add();
-    // One im2col expansion per forward: kk rows × bn·cols columns written.
-    bytes.add(static_cast<std::uint64_t>(kk * bn * cols) * sizeof(Scalar));
+    // What the lowering writes: one padded plane per sample, or under mixed
+    // precision the im2col expansion, kk rows × bn·cols columns.
+    bytes.add(static_cast<std::uint64_t>(mixed ? kk * bn * cols
+                                               : bn * cs.padded_plane_size()) *
+              sizeof(Scalar));
   }
 
+  if (!mixed) {
+    ops::conv_forward(cs, weight, bias, x0, bn, out0);
+    return;
+  }
+
+  // Mixed precision keeps the explicit lowering: each chunk's im2col block
+  // feeds one batched FP32-compute product, with the weight operand shared
+  // (stride_a = 0) and each sample's output plane pre-filled with the bias
+  // and accumulated into (beta = 1).
+  const std::size_t chunk = samples_per_chunk(s, cols);
   for (std::size_t c0 = 0; c0 < bn; c0 += chunk) {
     const std::size_t cn = std::min(chunk, bn - c0);
     const std::size_t total = cn * cols;
-    im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, OH, OW, tl_col);
-
-    // Each sample's output plane already has the GEMM's (oc, oh·ow) layout,
-    // so the products land directly in the output tensor: pre-fill with the
-    // channel bias and accumulate (beta = 1). The whole chunk is one batched
-    // product — sample b's col block is the column slice at b·cols (row
-    // stride `total`), and the weight operand is declared shared
-    // (stride_a = 0) so its panels pack once per cache tile, not per sample.
+    im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, cs.oh(), cs.ow(), tl_col);
     for (std::size_t b = 0; b < cn; ++b) {
       Scalar* oplane = out0 + (c0 + b) * s.out_ch * cols;
       for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
         std::fill(oplane + oc * cols, oplane + (oc + 1) * cols, bias[oc]);
       }
     }
-    gemmb(false, false, s.out_ch, cols, kk, cn, weight, kk, 0, tl_col.data(),
-          total, cols, 1.0, out0 + c0 * s.out_ch * cols, cols,
-          s.out_ch * cols);
+    ops::gemm_batched_mixed(false, false, s.out_ch, cols, kk, cn, weight, kk,
+                            0, tl_col.data(), total, cols, 1.0,
+                            out0 + c0 * s.out_ch * cols, cols,
+                            s.out_ch * cols);
   }
 }
 
@@ -199,8 +236,8 @@ void Conv2d::backward_span(const Spec& s, std::size_t H, std::size_t W,
                            std::size_t bn, const Scalar* gout0,
                            Scalar* grad_weight, Scalar* grad_bias,
                            Scalar* grad_in0, bool mixed) {
-  const std::size_t OH = H + 2 * s.pad - s.k + 1;
-  const std::size_t OW = W + 2 * s.pad - s.k + 1;
+  const ops::ConvShape cs = conv_shape(s, H, W);
+  const std::size_t OH = cs.oh(), OW = cs.ow();
   const std::size_t cols = OH * OW;
   const std::size_t kk = s.kk();
   const std::size_t chunk = samples_per_chunk(s, cols);
@@ -212,42 +249,39 @@ void Conv2d::backward_span(const Spec& s, std::size_t H, std::size_t W,
     static obs::Counter& bytes =
         obs::Registry::global().counter("conv.im2col_bytes");
     calls.add();
-    // The backward pass rebuilds the im2col chunk and, unless dX is
-    // skipped, writes dCol of the same volume: kk × bn·cols scalars each.
-    bytes.add(static_cast<std::uint64_t>((grad_in0 != nullptr ? 2 : 1) * kk *
-                                         bn * cols) *
-              sizeof(Scalar));
+    // dW re-reads the input as padded planes (as an im2col rebuild under
+    // mixed precision), and unless dX is skipped, dCol of kk × bn·cols is
+    // written for col2im.
+    const std::size_t lowered =
+        mixed ? kk * bn * cols : bn * cs.padded_plane_size();
+    const std::size_t dcol = grad_in0 != nullptr ? kk * bn * cols : 0;
+    bytes.add(static_cast<std::uint64_t>(lowered + dcol) * sizeof(Scalar));
   }
+
+  bias_grad(gout0, bn, s.out_ch, cols, grad_bias);
+
+  // dW(oc, r) += Σ_c G(oc, c) patch(r, c) — G · patchᵀ per sample,
+  // accumulated across samples and calls in sample-index order.
+  if (!mixed) {
+    ops::conv_weight_grad(cs, gout0, x0, bn, grad_weight);
+  } else {
+    for (std::size_t c0 = 0; c0 < bn; c0 += chunk) {
+      const std::size_t cn = std::min(chunk, bn - c0);
+      im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, OH, OW, tl_col);
+      // stride_c = 0 declares the shared accumulator: items apply in
+      // sample-index order.
+      ops::gemm_batched_mixed(false, true, s.out_ch, kk, cols, cn,
+                              gout0 + c0 * s.out_ch * cols, cols,
+                              s.out_ch * cols, tl_col.data(), cn * cols, cols,
+                              1.0, grad_weight, kk, 0);
+    }
+  }
+
+  if (grad_in0 == nullptr) return;  // dX has no consumer
 
   for (std::size_t c0 = 0; c0 < bn; c0 += chunk) {
     const std::size_t cn = std::min(chunk, bn - c0);
-    const std::size_t total = cn * cols;
-
-    // Rebuild the im2col chunk from the input (cheaper than keeping the
-    // expansion live across the whole forward pass of a deep model).
-    im2col(s, H, W, x0 + c0 * s.in_ch * H * W, cn, OH, OW, tl_col);
-
     const Scalar* gchunk = gout0 + c0 * s.out_ch * cols;
-
-    // db += per-plane sums, walked in (sample, channel) order.
-    for (std::size_t b = 0; b < cn; ++b) {
-      const Scalar* g = gchunk + b * s.out_ch * cols;
-      for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
-        Scalar gb = 0;
-        const Scalar* src = g + oc * cols;
-        for (std::size_t c = 0; c < cols; ++c) gb += src[c];
-        grad_bias[oc] += gb;
-      }
-    }
-
-    // dW(oc, r) += Σ_c G(oc, c) col(r, c) — G · colᵀ per sample, accumulated
-    // across samples/chunks/calls. stride_c = 0 declares the shared
-    // accumulator: items apply in sample-index order, matching the former
-    // per-sample beta=1 loop bit for bit.
-    gemmb(false, true, s.out_ch, kk, cols, cn, gchunk, cols, s.out_ch * cols,
-          tl_col.data(), total, cols, 1.0, grad_weight, kk, 0);
-
-    if (grad_in0 == nullptr) continue;  // dX has no consumer
 
     // dCol(r, c) = Σ_oc W(oc, r) G(oc, c) — Wᵀ · G per sample, with the
     // (transposed) weight operand shared across the chunk.

@@ -1,28 +1,30 @@
 // 2-D convolution over NCHW tensors.
 //
-// Stride-1 convolution with symmetric zero padding, lowered to GEMM: the
-// minibatch is expanded into an im2col matrix col(r, c) with r = (ic, kh, kw)
-// and c = (b, oh, ow), and forward/backward become wide matrix products
-// against the (out_ch × in_ch·k²) weight matrix. The expansion is processed
-// in cache-sized multi-sample chunks so the col block is consumed by the GEMM
-// while still resident, and each chunk's per-sample products run as ONE
-// strided-batch GEMM (src/tensor/gemm_batched.h) with the weight operand
-// declared shared — its panels are packed once per cache tile instead of once
-// per sample. Weight layout is (out_ch, in_ch, kh, kw), one bias per output
-// channel.
+// Stride-1 convolution with symmetric zero padding, lowered to GEMM against
+// the (out_ch × in_ch·k²) weight matrix, whose columns r = (ic, kh, kw)
+// index the patch matrix rows. In FP64 the forward and the weight gradient
+// are implicit GEMMs (src/tensor/conv_gemm.h): each sample is copied once
+// into a zero-padded plane and the GEMM's register-tile kernel reads patch
+// row r through a row-offset table, so the im2col matrix is never written.
+// The input gradient is a transposed GEMM per sample (ops::gemm_batched,
+// weight operand shared across a cache-sized chunk of samples) into a dcol
+// buffer that col2im scatters back. Weight layout is (out_ch, in_ch, kh,
+// kw), one bias per output channel.
 //
 // The heavy lifting lives in static `forward_span` / `backward_span` helpers
 // that take raw parameter/gradient pointers and a sample range, so the cohort
 // executor (src/nn/cohort.cpp) can run many workers' convolutions over one
 // concatenated activation tensor without staging parameters through layer
 // tensors. The layer methods call the same spans — one code path, one FP
-// behaviour. FP64 span results are bit-identical to the pre-batched
-// per-sample ops::gemm loops (the gemm_batched contract); `mixed` switches
-// the products to the FP32-compute/FP64-accumulate kernels.
+// behaviour. FP64 span results are bit-identical to the explicit im2col +
+// ops::gemm_batched lowering (tests/conv_lowering_test.cpp); `mixed` keeps
+// that explicit lowering and switches its products to the
+// FP32-compute/FP64-accumulate kernels.
 //
-// The im2col/dcol scratch is thread-local and shared by every Conv2d
-// instance on a thread, so peak scratch memory scales with the thread count
-// and the chunk size, not with the simulated fleet size.
+// The padded-plane, dcol and (mixed) im2col scratch is thread-local and
+// shared by every Conv2d instance on a thread, so peak scratch memory scales
+// with the thread count and the chunk size, not with the simulated fleet
+// size.
 #pragma once
 
 #include "src/nn/layer.h"
@@ -59,8 +61,9 @@ class Conv2d final : public Layer {
   // (out_ch, in_ch·k²) row-major, `bias` is (out_ch).
   //
   // Both spans bump the conv telemetry (conv.fwd_calls / conv.bwd_calls /
-  // conv.im2col_bytes), so the layer methods and the cohort plan are
-  // counted alike.
+  // conv.im2col_bytes, the bytes the lowering writes: padded planes, dcol,
+  // and im2col chunks under `mixed`), so the layer methods and the cohort
+  // plan are counted alike.
   static void forward_span(const Spec& s, std::size_t H, std::size_t W,
                            const Scalar* weight, const Scalar* bias,
                            const Scalar* x0, std::size_t bn, Scalar* out0,

@@ -16,8 +16,12 @@ using namespace detail;
 // operands — the shared case that matters — are far below the cap.
 constexpr std::size_t kSharedAMaxElems = 1 << 20;  // 8 MB of doubles
 
-void log_batched(std::size_t m, std::size_t n, std::size_t k,
-                 std::size_t items) {
+}  // namespace
+
+namespace detail {
+
+void record_batched(std::size_t m, std::size_t n, std::size_t k,
+                    std::size_t items) {
   if (!obs::enabled()) return;
   static obs::Counter& calls =
       obs::Registry::global().counter("gemm.batched_calls");
@@ -34,7 +38,7 @@ void log_batched(std::size_t m, std::size_t n, std::size_t k,
   batch.observe(static_cast<double>(items));
 }
 
-}  // namespace
+}  // namespace detail
 
 void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t k, std::size_t items, const Scalar* a,
@@ -42,7 +46,7 @@ void gemm_batched(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t ldb, std::size_t stride_b, Scalar beta, Scalar* c,
                   std::size_t ldc, std::size_t stride_c) {
   if (items == 0 || m == 0 || n == 0) return;
-  log_batched(m, n, k, items);
+  record_batched(m, n, k, items);
 
   if (stride_c == 0) {
     // Shared accumulator: items apply in index order, exactly like the

@@ -1,5 +1,6 @@
 // Internal building blocks of the blocked GEMM (gemm.cpp), shared with the
-// strided-batch driver (gemm_batched.cpp).
+// strided-batch driver (gemm_batched.cpp) and the implicit-GEMM
+// convolutions (conv_gemm.cpp).
 //
 // Everything here — tile constants, packing routines, the register-tile
 // kernel and the un-instrumented single-product loop nest — is shared by
@@ -39,7 +40,10 @@ namespace hfl::ops::detail {
 //              of the 32 zmm registers; ragged lanes use mask registers.
 //   AVX2+FMA   6×8 tile of ymm: 12 accumulators + 2 B + 1 broadcast fill the
 //              16 ymm registers; ragged lanes use vmaskmov.
-//   portable   4×8 tile of scalars, which auto-vectorizes acceptably.
+//   portable   4×4 tile of scalars: its 16 accumulators plus the B row and
+//              a broadcast stay in the 16 SSE2 registers once the compiler
+//              pairs lanes (a 4×8 tile's 32 accumulators spilled to the
+//              stack every k-step).
 // kMC keeps the A panel (~128 KB) a whole number of strips.
 #if defined(HFL_GEMM_AVX2) && defined(__AVX512F__)
 namespace simd {
@@ -113,7 +117,7 @@ inline void store_masked(Scalar* p, Mask m, V v) {
 inline void prefetch(const Scalar*) {}
 }  // namespace simd
 constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 8;
+constexpr std::size_t kNR = 4;
 constexpr std::size_t kMC = 64;
 #endif
 
@@ -230,17 +234,44 @@ inline void pack_b_rows(const Scalar* const* rows, std::size_t p0,
               j0, kc, nc, dst);
 }
 
+// How the kernel finds row p of its kc×kNR B slice. Each row presents kNR
+// (kNR-aligned strip) or nr (ragged tile, read through the lane mask)
+// contiguous values.
+//   StridedB  row p at b + p·stride: a packed strip (stride kNR) or a direct
+//             view into a row-major source matrix (stride ldb).
+//   OffsetB   row p at base + off[p]: the implicit-GEMM convolution, whose
+//             B row r = (ic, kh, kw) is a shifted window of a zero-padded
+//             input plane (src/tensor/conv_gemm.cpp).
+// The policy decides only where a B value is loaded from, never which value
+// or in what order it is accumulated.
+struct StridedB {
+  const Scalar* b;
+  std::size_t stride;
+  const Scalar* row(std::size_t p) const { return b + p * stride; }
+  // Pulls the row a few k-steps ahead into L1: on the direct-B path the
+  // rows are ldb apart (a strided stream the hardware prefetcher loses at
+  // page boundaries); on the packed path this just runs ahead in the strip.
+  void prefetch(std::size_t p) const { simd::prefetch(row(p + 8)); }
+};
+
+struct OffsetB {
+  const Scalar* base;
+  const std::size_t* off;
+  const Scalar* row(std::size_t p) const { return base + off[p]; }
+  // The padded planes are a few KB to a few tens of KB, already cache-hot.
+  void prefetch(std::size_t) const {}
+};
+
 // C[0..mr)×[0..nr) += Aᵖ·B over kc steps, on a Rows×kNR register tile.
-// `ap` is a packed A strip Rows wide; `b` is either a packed strip (stride
-// kNR) or a direct view into the source matrix (stride ldb): both present
-// kNR contiguous values per k-step. Tail marks a ragged-right direct-B tile
-// (nr < kNR), whose B rows are read through the lane mask because a full
-// load could run past the allocation; packed strips are zero-padded and
-// load whole. C is updated through the mask whenever nr < kNR.
-template <int Rows, bool Tail>
-inline void micro_kernel(std::size_t kc, const Scalar* ap, const Scalar* b,
-                         std::size_t bstride, Scalar* c, std::size_t ldc,
-                         std::size_t mr, std::size_t nr) {
+// `ap` is a packed A strip Rows wide; `b` locates each k-step's B row (see
+// StridedB / OffsetB). Tail marks a ragged-right tile (nr < kNR) whose B
+// rows are not zero-padded strips, so they are read through the lane mask
+// because a full load could run past the allocation; packed strips are
+// zero-padded and load whole. C is updated through the mask whenever
+// nr < kNR.
+template <int Rows, bool Tail, class BRows>
+inline void micro_kernel(std::size_t kc, const Scalar* ap, BRows b, Scalar* c,
+                         std::size_t ldc, std::size_t mr, std::size_t nr) {
   constexpr std::size_t kVecs = kNR / simd::kLanes;
   simd::Mask mask[kVecs];
   for (std::size_t v = 0; v < kVecs; ++v) {
@@ -254,11 +285,8 @@ inline void micro_kernel(std::size_t kc, const Scalar* ap, const Scalar* b,
   // loads issue while the first step's FMA chain drains.
 #pragma GCC unroll 2
   for (std::size_t p = 0; p < kc; ++p) {
-    // Pull the B row a few k-steps ahead into L1: on the direct-B path the
-    // rows are ldb apart (a strided stream the hardware prefetcher loses at
-    // page boundaries); on the packed path this just runs ahead in the strip.
-    simd::prefetch(b + (p + 8) * bstride);
-    const Scalar* brow = b + p * bstride;
+    b.prefetch(p);
+    const Scalar* brow = b.row(p);
     simd::V bv[kVecs];
     for (std::size_t v = 0; v < kVecs; ++v) {
       bv[v] = Tail ? simd::load_masked(brow + v * simd::kLanes, mask[v])
@@ -289,14 +317,16 @@ inline void micro_kernel(std::size_t kc, const Scalar* ap, const Scalar* b,
   }
 }
 
-template <bool Tail>
+// One register tile: `width` (kMR or kNarrowMR, from strip_width) picks the
+// instantiation.
+template <bool Tail, class BRows>
 inline void run_tile(std::size_t width, std::size_t kc, const Scalar* ap,
-                     const Scalar* b, std::size_t bstride, Scalar* c,
-                     std::size_t ldc, std::size_t mr, std::size_t nr) {
+                     BRows b, Scalar* c, std::size_t ldc, std::size_t mr,
+                     std::size_t nr) {
   if (width == kMR) {
-    micro_kernel<kMR, Tail>(kc, ap, b, bstride, c, ldc, mr, nr);
+    micro_kernel<kMR, Tail>(kc, ap, b, c, ldc, mr, nr);
   } else {
-    micro_kernel<kNarrowMR, Tail>(kc, ap, b, bstride, c, ldc, mr, nr);
+    micro_kernel<kNarrowMR, Tail>(kc, ap, b, c, ldc, mr, nr);
   }
 }
 
@@ -309,9 +339,9 @@ inline void macro_kernel(std::size_t kc, std::size_t nc, std::size_t mc,
                          std::size_t ldb, Scalar* c_block, std::size_t ldc) {
   for (std::size_t jr = 0; jr < nc; jr += kNR) {
     const std::size_t nr = std::min(kNR, nc - jr);
-    const Scalar* b =
-        direct_b ? bdir_base + jr : b_packed + (jr / kNR) * kc * kNR;
-    const std::size_t bstride = direct_b ? ldb : kNR;
+    const StridedB b =
+        direct_b ? StridedB{bdir_base + jr, ldb}
+                 : StridedB{b_packed + (jr / kNR) * kc * kNR, kNR};
     for (std::size_t ir = 0; ir < mc; ir += kMR) {
       const std::size_t mr = std::min(kMR, mc - ir);
       // Only the final strip can be narrow, so the full-width offset formula
@@ -320,13 +350,20 @@ inline void macro_kernel(std::size_t kc, std::size_t nc, std::size_t mc,
       const Scalar* ap = ap_block + (ir / kMR) * kc * kMR;
       Scalar* ctile = c_block + ir * ldc + jr;
       if (direct_b && nr < kNR) {
-        run_tile<true>(width, kc, ap, b, bstride, ctile, ldc, mr, nr);
+        run_tile<true>(width, kc, ap, b, ctile, ldc, mr, nr);
       } else {
-        run_tile<false>(width, kc, ap, b, bstride, ctile, ldc, mr, nr);
+        run_tile<false>(width, kc, ap, b, ctile, ldc, mr, nr);
       }
     }
   }
 }
+
+// Bumps the batched-product telemetry (gemm.batched_calls / _flops / _bytes
+// / _items) for `items` m×n×k products; defined in gemm_batched.cpp and
+// shared with the implicit-GEMM convolutions (conv_gemm.cpp), which count
+// the logical products they compute.
+void record_batched(std::size_t m, std::size_t n, std::size_t k,
+                    std::size_t items);
 
 // Scales C by beta (beta == 0 overwrites, so C may be uninitialized).
 inline void fold_beta(Scalar beta, std::size_t m, std::size_t n, Scalar* c,

@@ -7,9 +7,9 @@
 // them may move a bit, which is what lets each vector ISA pick its own tile.
 //
 // The grid spans m 1–17 (full, padded and 4-row narrow A strips of the 4-,
-// 6- and 8-row tiles), n 1–33 (full and ragged 8- and 16-lane B strips), the
-// direct-B (untransposed B, small m) and packed-B paths, and k on both sides
-// of one and two panel boundaries.
+// 6- and 8-row tiles), n 1–33 (full and ragged 4-, 8- and 16-lane B
+// strips), the direct-B (untransposed B, small m) and packed-B paths, and k
+// on both sides of one and two panel boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>

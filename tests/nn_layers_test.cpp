@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
@@ -103,6 +107,49 @@ TEST(MaxPoolTest, ForwardPicksMaxAndRoutesGradient) {
   Tensor g({1, 1, 1, 1}, Vec{7});
   Tensor gin = p.backward(g);
   EXPECT_EQ(gin.data(), (Vec{0, 7, 0, 0}));
+}
+
+// forward_planes scans each window in (kh, kw) order with `>`, so a tie
+// (including +0 against -0) keeps the first maximum. The 2×2 window has its
+// own compile-time instantiation; both it and the runtime-window scan must
+// agree with that rule bit for bit.
+TEST(MaxPoolTest, PlanesKeepFirstMaximumInScanOrder) {
+  Rng rng(5);
+  const std::size_t planes = 3, H = 12, W = 12;
+  Vec x(planes * H * W);
+  for (auto& v : x) {
+    v = static_cast<Scalar>(static_cast<int>(rng.uniform(-3.0, 3.0)));
+    if (v == 0.0 && rng.uniform(0.0, 1.0) < 0.5) v = -0.0;
+  }
+  for (const std::size_t window : {2, 3, 4}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    const std::size_t OH = H / window, OW = W / window;
+    Vec want(planes * OH * OW), got(want.size());
+    std::vector<std::size_t> want_idx(want.size()), got_idx(want.size());
+    std::size_t o = 0;
+    for (std::size_t bc = 0; bc < planes; ++bc) {
+      for (std::size_t oh = 0; oh < OH; ++oh) {
+        for (std::size_t ow = 0; ow < OW; ++ow, ++o) {
+          std::size_t best = bc * H * W + oh * window * W + ow * window;
+          for (std::size_t kh = 0; kh < window; ++kh) {
+            for (std::size_t kw = 0; kw < window; ++kw) {
+              const std::size_t idx =
+                  bc * H * W + (oh * window + kh) * W + ow * window + kw;
+              if (x[idx] > x[best]) best = idx;
+            }
+          }
+          want[o] = x[best];
+          want_idx[o] = best;
+        }
+      }
+    }
+    MaxPool2d::forward_planes(window, planes, H, W, x.data(), got.data(),
+                              got_idx.data());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(Scalar)),
+              0);
+    EXPECT_EQ(want_idx, got_idx);
+  }
 }
 
 TEST(MaxPoolTest, RejectsIndivisibleInput) {
