@@ -19,9 +19,11 @@
 #      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
 #      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on
 #      the portable kernels and their contraction choices, the GEMM
-#      contract on the portable 4×4 scalar tile, and the implicit-GEMM
+#      contract on the portable 4×4 scalar tile, the implicit-GEMM
 #      convolutions ≡ the explicit im2col lowering (conv_lowering_test) on
-#      the scalar instantiation of the offset-table path.
+#      the scalar instantiation of the offset-table path, and the NAG and
+#      cosine kernels ≡ their scalar references (nag_test, vec_ops_test),
+#      which without -march run only their scalar loops.
 #   3. AVX2-only build (-mavx2 -mfma, no -march=native): the GEMM suites,
 #      the implicit-GEMM convolutions, the compiled-plan parity suite and
 #      the event engine's AVX2 golden digests on the 6×8 ymm tile. On an AVX-512 host gate 1 runs only the
@@ -78,16 +80,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # layers must agree under this build's contraction choices as well. So must
 # HierAdMo's tile-swept edge and cloud rounds and the one-pass cosine
 # (hieradmo_test, param_plane_test) on the scalar kernel path, the GEMM
-# contract on the scalar tile (gemm_contract_test), and the implicit-GEMM
-# convolutions against the explicit lowering on it (conv_lowering_test).
+# contract on the scalar tile (gemm_contract_test), the implicit-GEMM
+# convolutions against the explicit lowering on it (conv_lowering_test), and
+# the fused NAG step and clearing cosine pass, whose scalar loops are the
+# whole kernel here (nag_test, vec_ops_test).
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
   --target async_engine_test fault_golden_test pop_test pop_parity_test \
   batched_parity_test hieradmo_test param_plane_test gemm_contract_test \
-  conv_lowering_test
+  conv_lowering_test nag_test vec_ops_test
 ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
-  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test|gemm_contract_test|conv_lowering_test)$'
+  -R '^(async_engine_test|fault_golden_test|pop_test|pop_parity_test|batched_parity_test|hieradmo_test|param_plane_test|gemm_contract_test|conv_lowering_test|nag_test|vec_ops_test)$'
 
 # --- gate 3: AVX2-only kernels ---------------------------------------------
 # The GEMM picks its register tile from the target ISA: 8×16 zmm with

@@ -59,11 +59,12 @@ Scalar cosine_from(Scalar xx, Scalar yy, Scalar xy, bool negate) {
   return std::clamp(negate ? -c : c, Scalar{-1}, Scalar{1});
 }
 
-}  // namespace
-
-void cosines(std::span<const Scalar* const> xs,
-             std::span<const Scalar* const> ys, std::size_t n, bool negate,
-             std::span<Scalar> out) {
+// The batched cosine pass; kClearX / kClearY leave +0.0 behind every
+// element read of that side's rows. A pass loads all four elements before it
+// writes any zero, so a pair's own rows may alias.
+template <bool kClearX, bool kClearY, class X, class Y>
+void cosines_pass(std::span<X* const> xs, std::span<Y* const> ys,
+                  std::size_t n, bool negate, std::span<Scalar> out) {
   HFL_CHECK(xs.size() == ys.size() && xs.size() == out.size(),
             "cosines needs one x, one y and one output per pair");
   // Each sum runs in index order with dot's exact per-element expression,
@@ -71,28 +72,54 @@ void cosines(std::span<const Scalar* const> xs,
   // dependency chains overlap instead of running one serial chain at a time.
   std::size_t k = 0;
   for (; k + 2 <= xs.size(); k += 2) {
-    const Scalar *x0 = xs[k], *y0 = ys[k], *x1 = xs[k + 1], *y1 = ys[k + 1];
+    X *x0 = xs[k], *x1 = xs[k + 1];
+    Y *y0 = ys[k], *y1 = ys[k + 1];
     Scalar xx0 = 0, yy0 = 0, xy0 = 0, xx1 = 0, yy1 = 0, xy1 = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      xx0 += x0[i] * x0[i];
-      yy0 += y0[i] * y0[i];
-      xy0 += x0[i] * y0[i];
-      xx1 += x1[i] * x1[i];
-      yy1 += y1[i] * y1[i];
-      xy1 += x1[i] * y1[i];
+      const Scalar a0 = x0[i], b0 = y0[i], a1 = x1[i], b1 = y1[i];
+      xx0 += a0 * a0;
+      yy0 += b0 * b0;
+      xy0 += a0 * b0;
+      xx1 += a1 * a1;
+      yy1 += b1 * b1;
+      xy1 += a1 * b1;
+      if constexpr (kClearX) x0[i] = x1[i] = 0.0;
+      if constexpr (kClearY) y0[i] = y1[i] = 0.0;
     }
     out[k] = cosine_from(xx0, yy0, xy0, negate);
     out[k + 1] = cosine_from(xx1, yy1, xy1, negate);
   }
   if (k < xs.size()) {
-    const Scalar *x = xs[k], *y = ys[k];
+    X* x = xs[k];
+    Y* y = ys[k];
     Scalar xx = 0, yy = 0, xy = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      xx += x[i] * x[i];
-      yy += y[i] * y[i];
-      xy += x[i] * y[i];
+      const Scalar a = x[i], b = y[i];
+      xx += a * a;
+      yy += b * b;
+      xy += a * b;
+      if constexpr (kClearX) x[i] = 0.0;
+      if constexpr (kClearY) y[i] = 0.0;
     }
     out[k] = cosine_from(xx, yy, xy, negate);
+  }
+}
+
+}  // namespace
+
+void cosines(std::span<const Scalar* const> xs,
+             std::span<const Scalar* const> ys, std::size_t n, bool negate,
+             std::span<Scalar> out) {
+  cosines_pass<false, false>(xs, ys, n, negate, out);
+}
+
+void cosines_clear(std::span<Scalar* const> xs, std::span<Scalar* const> ys,
+                   std::size_t n, bool negate, bool clear_ys,
+                   std::span<Scalar> out) {
+  if (clear_ys) {
+    cosines_pass<true, true>(xs, ys, n, negate, out);
+  } else {
+    cosines_pass<true, false>(xs, ys, n, negate, out);
   }
 }
 
@@ -315,71 +342,76 @@ void extrapolate_update(std::span<const Scalar> cur, std::span<Scalar> prev,
   }
 }
 
-void nag_step(std::span<Scalar> x, std::span<Scalar> y, std::span<Scalar> v,
-              std::span<const Scalar> grad, Scalar eta, Scalar gamma) {
-  HFL_CHECK(x.size() == y.size() && x.size() == v.size() &&
-                x.size() == grad.size(),
-            "nag_step size mismatch");
+namespace {
+
+// The NAG step over x, y, grad and optionally the HierAdMo accumulators:
+// sum_grad += grad; sum_y += y (pre-update);
+// y_new = x - eta*grad;  v = y_new - y;  y = y_new;  x = y_new + gamma*v;
+// sum_v += v. The velocity v lives in a register only, and a vector the
+// instantiation does not keep is neither read nor written — not even in the
+// scalar tail.
+template <bool kSums, bool kVelocity>
+void nag_kernel(Scalar* x, Scalar* y, const Scalar* grad, std::size_t n,
+                Scalar eta, Scalar gamma, Scalar* sum_grad, Scalar* sum_y,
+                Scalar* sum_v) {
   std::size_t i = 0;
 #ifdef HFL_VEC_AVX2
   const __m256d vneta = _mm256_set1_pd(-eta);
   const __m256d vgamma = _mm256_set1_pd(gamma);
-  for (; i + 4 <= x.size(); i += 4) {
-    const __m256d vyn = _mm256_fmadd_pd(vneta, _mm256_loadu_pd(grad.data() + i),
-                                        _mm256_loadu_pd(x.data() + i));
-    const __m256d vvn = _mm256_sub_pd(vyn, _mm256_loadu_pd(y.data() + i));
-    _mm256_storeu_pd(y.data() + i, vyn);
-    _mm256_storeu_pd(v.data() + i, vvn);
-    _mm256_storeu_pd(x.data() + i, _mm256_fmadd_pd(vgamma, vvn, vyn));
+  for (; i + 4 <= n; i += 4) {
+    const __m256d vg = _mm256_loadu_pd(grad + i);
+    const __m256d vy = _mm256_loadu_pd(y + i);
+    if constexpr (kSums) {
+      _mm256_storeu_pd(sum_grad + i,
+                       _mm256_add_pd(_mm256_loadu_pd(sum_grad + i), vg));
+      _mm256_storeu_pd(sum_y + i, _mm256_add_pd(_mm256_loadu_pd(sum_y + i), vy));
+    }
+    const __m256d vyn = _mm256_fmadd_pd(vneta, vg, _mm256_loadu_pd(x + i));
+    const __m256d vvn = _mm256_sub_pd(vyn, vy);
+    _mm256_storeu_pd(y + i, vyn);
+    _mm256_storeu_pd(x + i, _mm256_fmadd_pd(vgamma, vvn, vyn));
+    if constexpr (kVelocity) {
+      _mm256_storeu_pd(sum_v + i, _mm256_add_pd(_mm256_loadu_pd(sum_v + i), vvn));
+    }
   }
 #endif
-  for (; i < x.size(); ++i) {
+  for (; i < n; ++i) {
+    if constexpr (kSums) {
+      sum_grad[i] += grad[i];
+      sum_y[i] += y[i];  // pre-update y, matching the unfused pass order
+    }
     const Scalar y_new = std::fma(-eta, grad[i], x[i]);
     const Scalar v_new = y_new - y[i];
     y[i] = y_new;
-    v[i] = v_new;
     x[i] = std::fma(gamma, v_new, y_new);
+    if constexpr (kVelocity) sum_v[i] += v_new;
   }
 }
 
+}  // namespace
+
+void nag_step(std::span<Scalar> x, std::span<Scalar> y,
+              std::span<const Scalar> grad, Scalar eta, Scalar gamma) {
+  HFL_CHECK(x.size() == y.size() && x.size() == grad.size(),
+            "nag_step size mismatch");
+  nag_kernel<false, false>(x.data(), y.data(), grad.data(), x.size(), eta,
+                           gamma, nullptr, nullptr, nullptr);
+}
+
 void nag_step_accumulate(std::span<Scalar> x, std::span<Scalar> y,
-                         std::span<Scalar> v, std::span<const Scalar> grad,
-                         Scalar eta, Scalar gamma, std::span<Scalar> sum_grad,
+                         std::span<const Scalar> grad, Scalar eta,
+                         Scalar gamma, std::span<Scalar> sum_grad,
                          std::span<Scalar> sum_y, std::span<Scalar> sum_v) {
-  HFL_CHECK(x.size() == y.size() && x.size() == v.size() &&
-                x.size() == grad.size() && x.size() == sum_grad.size() &&
-                x.size() == sum_y.size() && x.size() == sum_v.size(),
+  const std::size_t n = x.size();
+  HFL_CHECK(y.size() == n && grad.size() == n && sum_grad.size() == n &&
+                sum_y.size() == n && (sum_v.empty() || sum_v.size() == n),
             "nag_step_accumulate size mismatch");
-  std::size_t i = 0;
-#ifdef HFL_VEC_AVX2
-  const __m256d vneta = _mm256_set1_pd(-eta);
-  const __m256d vgamma = _mm256_set1_pd(gamma);
-  for (; i + 4 <= x.size(); i += 4) {
-    const __m256d vg = _mm256_loadu_pd(grad.data() + i);
-    const __m256d vy = _mm256_loadu_pd(y.data() + i);
-    _mm256_storeu_pd(sum_grad.data() + i,
-                     _mm256_add_pd(_mm256_loadu_pd(sum_grad.data() + i), vg));
-    _mm256_storeu_pd(sum_y.data() + i,
-                     _mm256_add_pd(_mm256_loadu_pd(sum_y.data() + i), vy));
-    const __m256d vyn = _mm256_fmadd_pd(vneta, vg,
-                                        _mm256_loadu_pd(x.data() + i));
-    const __m256d vvn = _mm256_sub_pd(vyn, vy);
-    _mm256_storeu_pd(y.data() + i, vyn);
-    _mm256_storeu_pd(v.data() + i, vvn);
-    _mm256_storeu_pd(x.data() + i, _mm256_fmadd_pd(vgamma, vvn, vyn));
-    _mm256_storeu_pd(sum_v.data() + i,
-                     _mm256_add_pd(_mm256_loadu_pd(sum_v.data() + i), vvn));
-  }
-#endif
-  for (; i < x.size(); ++i) {
-    sum_grad[i] += grad[i];
-    sum_y[i] += y[i];  // pre-update y, matching the unfused pass order
-    const Scalar y_new = std::fma(-eta, grad[i], x[i]);
-    const Scalar v_new = y_new - y[i];
-    y[i] = y_new;
-    v[i] = v_new;
-    x[i] = std::fma(gamma, v_new, y_new);
-    sum_v[i] += v_new;
+  if (sum_v.empty()) {
+    nag_kernel<true, false>(x.data(), y.data(), grad.data(), n, eta, gamma,
+                            sum_grad.data(), sum_y.data(), nullptr);
+  } else {
+    nag_kernel<true, true>(x.data(), y.data(), grad.data(), n, eta, gamma,
+                           sum_grad.data(), sum_y.data(), sum_v.data());
   }
 }
 

@@ -8,12 +8,12 @@
 //
 // Two entry points serve callers that sweep many vectors per round and want
 // each vector read once: the cosines sum ‖x‖², ‖y‖² and x·y in one pass
-// (each sum in dot's order), and weighted_sum_tile computes one output tile
-// of the fused weighted sum, so a caller can aggregate, update and write
-// back a tile before reading the next (HierAdMo's edge and cloud rounds,
-// src/core/hieradmo.cpp). Neither moves a bit relative to the multi-pass
-// form. Both take raw row pointers with a stated length; their sizes are
-// the caller's contract.
+// (each sum in dot's order; cosines_clear also zeroes what it read), and
+// weighted_sum_tile computes one output tile of the fused weighted sum, so a
+// caller can aggregate, update and write back a tile before reading the next
+// (HierAdMo's edge and cloud rounds, src/core/hieradmo.cpp). Neither moves a
+// bit relative to the multi-pass form. Both take raw row pointers with a
+// stated length; their sizes are the caller's contract.
 #pragma once
 
 #include <span>
@@ -59,6 +59,16 @@ Scalar cosine_neg(std::span<const Scalar> x, std::span<const Scalar> y);
 void cosines(std::span<const Scalar* const> xs,
              std::span<const Scalar* const> ys, std::size_t n, bool negate,
              std::span<Scalar> out);
+
+// cosines that restarts the rows it reads: each element of xs[k] — and of
+// ys[k] when `clear_ys` — is left +0.0 right behind its read. The sums are
+// cosines' own, in the same order, so out[k] has cosines' bits, and a caller
+// that zeroes accumulators after correlating them (HierAdMo's γ pass) saves
+// a second stream over them. A cleared row must not appear anywhere else in
+// the call; a row that is not cleared may repeat.
+void cosines_clear(std::span<Scalar* const> xs, std::span<Scalar* const> ys,
+                   std::size_t n, bool negate, bool clear_ys,
+                   std::span<Scalar> out);
 
 // out = Σ_i weights[i] * vecs[i]. Weights need not sum to one (callers that
 // want a weighted mean pass normalized weights). All vectors must share the
@@ -144,15 +154,19 @@ void extrapolate_update(std::span<const Scalar> cur, std::span<Scalar> prev,
                         Scalar gamma, std::span<Scalar> out);
 
 // Fused NAG local step (core/nag.cpp algebra), one pass:
-//   y_new = x - eta*grad;  v = y_new - y;  y = y_new;  x = y_new + gamma*v.
-void nag_step(std::span<Scalar> x, std::span<Scalar> y, std::span<Scalar> v,
+//   y_new = x - eta*grad;  x = y_new + gamma*(y_new - y);  y = y_new.
+// The velocity y_new - y is a register temporary; no vector holds it.
+void nag_step(std::span<Scalar> x, std::span<Scalar> y,
               std::span<const Scalar> grad, Scalar eta, Scalar gamma);
 
 // nag_step plus the HierAdMo accumulators, still one pass:
-//   sum_grad += grad;  sum_y += y (pre-update);  ...step...;  sum_v += v (new).
+//   sum_grad += grad;  sum_y += y (pre-update);  ...step...;
+//   sum_v += y_new - y_old.
+// An empty sum_v is skipped: it is neither read nor written, so a run that
+// never reads Σv streams only x, y, grad, sum_grad and sum_y.
 void nag_step_accumulate(std::span<Scalar> x, std::span<Scalar> y,
-                         std::span<Scalar> v, std::span<const Scalar> grad,
-                         Scalar eta, Scalar gamma, std::span<Scalar> sum_grad,
+                         std::span<const Scalar> grad, Scalar eta,
+                         Scalar gamma, std::span<Scalar> sum_grad,
                          std::span<Scalar> sum_y, std::span<Scalar> sum_v);
 
 // SlowMo-style server fold, fused: m = beta*m + (x - agg); x -= lr*m.

@@ -26,6 +26,14 @@ void HierAdMo::init(fl::Context& ctx) {
   }
 }
 
+void HierAdMo::init_worker(fl::Context&, fl::WorkerState& w) {
+  // Σv is read only by the velocity signal; every other run leaves it empty
+  // and the local step skips it.
+  if (options_.signal == HierAdMoOptions::Signal::kVelocity) {
+    w.sum_v.assign(w.x.size(), 0.0);
+  }
+}
+
 void HierAdMo::local_step(fl::Context& ctx, fl::WorkerState& w) {
   nag_local_step(w, ctx.cfg->eta, ctx.cfg->gamma, /*accumulate=*/true);
 }
@@ -41,9 +49,9 @@ constexpr std::size_t kSyncTile = 1024;
 // that none allocates once grown. Thread-local, never a member: the engine
 // runs edge_sync for distinct edges concurrently.
 struct SyncScratch {
-  std::vector<const Scalar*> grad_rows;    // γ pass: each worker's Σ∇F
-  std::vector<const Scalar*> signal_rows;  // γ pass: what Σ∇F is matched to
-  Vec cosines;                             // γ pass: per-worker cosθ
+  std::vector<Scalar*> grad_rows;    // γ pass: each worker's Σ∇F
+  std::vector<Scalar*> signal_rows;  // γ pass: what Σ∇F is matched to
+  Vec cosines;                       // γ pass: per-worker cosθ
   Vec cross_worker;  // kCrossWorker's edge-aggregated Σ∇F
   std::vector<const Scalar*> y_rows;  // sweep: aggregated momentum inputs
   std::vector<const Scalar*> x_rows;  // sweep: aggregated model inputs
@@ -67,10 +75,15 @@ void copy_tile(std::span<const Scalar> tile, Vec& dst, std::size_t lo) {
 
 Scalar HierAdMo::compute_cos_theta(const fl::Context& ctx,
                                    const fl::EdgeState& e) const {
+  return cos_theta_pass(ctx, e, /*restart=*/false);
+}
+
+Scalar HierAdMo::cos_theta_pass(const fl::Context& ctx, const fl::EdgeState& e,
+                                bool restart) const {
   // Under partial participation the γℓ signal comes from the workers that
   // actually uploaded, with their weights renormalized over the survivors.
   const auto& ids = fl::active_workers(ctx.part, *ctx.topo, e.id);
-  const fl::WorkerSet& workers = *ctx.workers;
+  fl::WorkerSet& workers = *ctx.workers;
   if (ids.empty()) return 0;
   SyncScratch& s = sync_scratch();
   const std::size_t n = workers[ids.front()].sum_grad.size();
@@ -98,8 +111,8 @@ Scalar HierAdMo::compute_cos_theta(const fl::Context& ctx,
   s.grad_rows.clear();
   s.signal_rows.clear();
   for (const std::size_t id : ids) {
-    const fl::WorkerState& w = workers[id];
-    const Vec& signal =
+    fl::WorkerState& w = workers[id];
+    Vec& signal =
         cross ? s.cross_worker
         : options_.signal == HierAdMoOptions::Signal::kVelocity ? w.sum_v
                                                                 : w.sum_y;
@@ -109,7 +122,17 @@ Scalar HierAdMo::compute_cos_theta(const fl::Context& ctx,
     s.signal_rows.push_back(signal.data());
   }
   s.cosines.resize(ids.size());
-  vec::cosines(s.grad_rows, s.signal_rows, n, /*negate=*/!cross, s.cosines);
+  if (restart) {
+    // Σ∇F and a worker's own signal accumulator restart behind their read;
+    // kCrossWorker's shared edge aggregate is scratch and stays.
+    vec::cosines_clear(s.grad_rows, s.signal_rows, n, /*negate=*/!cross,
+                       /*clear_ys=*/!cross, s.cosines);
+  } else {
+    const Scalar* const* grad_rows = s.grad_rows.data();
+    const Scalar* const* signal_rows = s.signal_rows.data();
+    vec::cosines({grad_rows, ids.size()}, {signal_rows, ids.size()}, n,
+                 /*negate=*/!cross, s.cosines);
+  }
 
   Scalar cos_theta = 0;
   for (std::size_t k = 0; k < ids.size(); ++k) {
@@ -154,18 +177,17 @@ void HierAdMo::edge_sync(fl::Context& ctx, fl::EdgeState& e, std::size_t) {
     }
   }
 
-  // Line 10: adapt γℓ from the interval accumulators.
+  // Line 10: adapt γℓ from the interval accumulators. The interval
+  // accumulators restart for the next edge interval: the γℓ pass leaves
+  // +0.0 behind each element of Σ∇F and the signal accumulator it reads, so
+  // only the ones it does not read are zeroed below.
   if (options_.adaptive) {
-    e.last_cos_theta = compute_cos_theta(ctx, e);
+    e.last_cos_theta = cos_theta_pass(ctx, e, /*restart=*/true);
     e.gamma_edge = clamp_gamma(e.last_cos_theta);
   } else {
     e.gamma_edge = ctx.cfg->gamma_edge;
   }
 
-  // The interval accumulators restart for the next edge interval. They are
-  // zeroed whole, right behind the γℓ pass that has just streamed Σ∇F and
-  // the signal: that measured cheaper than zeroing them tile by tile in the
-  // sweep below, which never reads them.
   SyncScratch& s = sync_scratch();
   s.y_rows.clear();
   s.x_rows.clear();
@@ -176,7 +198,13 @@ void HierAdMo::edge_sync(fl::Context& ctx, fl::EdgeState& e, std::size_t) {
     fl::WorkerState& w = workers[id];
     HFL_CHECK(w.x.size() == n && w.y.size() == n,
               "edge_sync: worker vectors must share the model size");
-    w.reset_interval_accumulators();
+    if (!options_.adaptive) {
+      w.reset_interval_accumulators();
+    } else {
+      using Signal = HierAdMoOptions::Signal;
+      if (options_.signal != Signal::kMomentumValue) vec::fill(w.sum_y, 0.0);
+      if (options_.signal != Signal::kVelocity) vec::fill(w.sum_v, 0.0);
+    }
     s.y_rows.push_back(w.y.data());
     s.x_rows.push_back(w.x.data());
     s.weights.push_back(fl::active_weight_in_edge(ctx.part, w));

@@ -31,7 +31,14 @@
 // but runs hot early in training (all workers initially agree), which
 // destabilizes large-τ runs. The literal form yields small-but-informative
 // angles that throttle the edge momentum whenever the two levels disagree
-// (see EXPERIMENTS.md, E8 ablation).
+// (see EXPERIMENTS.md, E8 ablation). Only `kVelocity` reads Σv_t, so only
+// it sizes WorkerState::sum_v (init_worker); every other configuration
+// neither allocates, streams nor spills it. The velocity v_t itself lives
+// only inside the NAG step (core/nag.h).
+//
+// The γℓ pass streams each worker's Σ∇F_i and signal accumulator once and
+// leaves +0.0 behind every element it reads (vec::cosines_clear), so those
+// accumulators restart for the next interval without a second stream.
 //
 // HierAdMo-R (the reduced version of Theorem 5) is this class with
 // `adaptive = false`: γℓ stays fixed at cfg.gamma_edge.
@@ -81,6 +88,8 @@ class HierAdMo final : public fl::Algorithm {
   }
 
   void init(fl::Context& ctx) override;
+  // Sizes Σv under kVelocity, its only reader; it stays empty otherwise.
+  void init_worker(fl::Context& ctx, fl::WorkerState& w) override;
   // Local steps evaluate ∇F_B(x) at the worker iterate first — the engine's
   // fused cohort prefetch serves them bit-identically.
   bool local_gradient_prefetchable() const override { return true; }
@@ -99,6 +108,11 @@ class HierAdMo final : public fl::Algorithm {
   Scalar clamp_gamma(Scalar cos_theta) const;
 
  private:
+  // compute_cos_theta's pass; with `restart` every element it reads of the
+  // workers' Σ∇F and signal accumulators is left +0.0 (same bits of cosθ).
+  Scalar cos_theta_pass(const fl::Context& ctx, const fl::EdgeState& e,
+                        bool restart) const;
+
   HierAdMoOptions options_;
 };
 

@@ -3,9 +3,10 @@
 // Algorithm 1, lines 5–6 (Nesterov Accelerated Gradient in its y/x form):
 //     y_t = x_{t−1} − η ∇F_i(x_{t−1})          (worker momentum update)
 //     x_t = y_t + γ (y_t − y_{t−1})            (worker model update)
-// The helper also maintains v_t = y_t − y_{t−1} and, when requested, the
-// interval accumulators Σ∇F_i(x_t), Σ y_t, Σ v_t uploaded at edge
-// synchronization (Algorithm 1, line 9).
+// The velocity v_t = y_t − y_{t−1} exists only inside the step. When
+// requested the helper maintains the interval accumulators Σ∇F_i(x_t) and
+// Σ y_t uploaded at edge synchronization (Algorithm 1, line 9), and Σ v_t
+// when the worker's sum_v is sized (HierAdMo's kVelocity ablation).
 #pragma once
 
 #include "src/fl/state.h"

@@ -116,7 +116,7 @@ const std::vector<double>& staleness_bounds() {
 // snapshot, never the live state.
 struct UploadSnapshot {
   std::size_t download_version = 0;
-  Vec x, y, v, grad;
+  Vec x, y, grad;
   Scalar last_loss = 0;
   Vec sum_grad, sum_y, sum_v;
   std::map<std::string, Vec> extra;
@@ -133,11 +133,15 @@ struct Arrival {
 // aggregation re-anchors its cohort on the damped tier model). Applied at
 // the worker's next interval boundary; an older message never overwrites a
 // newer one, so download_version is monotone per worker.
+//
+// The interval accumulators never travel. A push-down only ever zeroes them
+// (HierAdMo's edge_sync), and a download is applied only at the boundary
+// where snapshot_worker has just zeroed the live ones (worker_arrival), so
+// shipping them would write zeros over zeros.
 struct DownloadMsg {
   std::size_t version = 0;
-  bool has_y = false, has_v = false, has_grad = false;
-  bool has_sum_grad = false, has_sum_y = false, has_sum_v = false;
-  Vec x, y, v, grad, sum_grad, sum_y, sum_v;
+  bool has_y = false, has_grad = false;
+  Vec x, y, grad;
   std::map<std::string, Vec> extra;  // changed entries only
 };
 
@@ -152,7 +156,6 @@ UploadSnapshot snapshot_worker(fl::WorkerState& ws, std::size_t version) {
   s.download_version = version;
   s.x = ws.x;
   s.y = ws.y;
-  s.v = ws.v;
   s.grad = ws.grad;
   s.last_loss = ws.last_loss;
   s.sum_grad = ws.sum_grad;
@@ -171,7 +174,6 @@ UploadSnapshot snapshot_worker(fl::WorkerState& ws, std::size_t version) {
 void swap_snapshot(fl::WorkerState& ws, UploadSnapshot& s) {
   std::swap(ws.x, s.x);
   std::swap(ws.y, s.y);
-  std::swap(ws.v, s.v);
   std::swap(ws.grad, s.grad);
   std::swap(ws.last_loss, s.last_loss);
   std::swap(ws.sum_grad, s.sum_grad);
@@ -183,13 +185,12 @@ void swap_snapshot(fl::WorkerState& ws, UploadSnapshot& s) {
 // Copy of the push-down-visible fields taken right before Algorithm sync
 // hooks run, to diff what the push-down actually changed.
 struct PushBase {
-  Vec y, v, grad, sum_grad, sum_y, sum_v;
+  Vec y, grad;
   std::map<std::string, Vec> extra;
 };
 
 PushBase push_baseline(const fl::WorkerState& ws) {
-  return PushBase{ws.y,     ws.v,     ws.grad, ws.sum_grad,
-                  ws.sum_y, ws.sum_v, ws.extra};
+  return PushBase{ws.y, ws.grad, ws.extra};
 }
 
 // Compose the download for one admitted worker: the damped tier model plus
@@ -205,25 +206,9 @@ DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
     m.has_y = true;
     m.y = ws.y;
   }
-  if (ws.v != base.v) {
-    m.has_v = true;
-    m.v = ws.v;
-  }
   if (ws.grad != base.grad) {
     m.has_grad = true;
     m.grad = ws.grad;
-  }
-  if (ws.sum_grad != base.sum_grad) {
-    m.has_sum_grad = true;
-    m.sum_grad = ws.sum_grad;
-  }
-  if (ws.sum_y != base.sum_y) {
-    m.has_sum_y = true;
-    m.sum_y = ws.sum_y;
-  }
-  if (ws.sum_v != base.sum_v) {
-    m.has_sum_v = true;
-    m.sum_v = ws.sum_v;
   }
   for (const auto& [name, vv] : ws.extra) {
     const auto it = base.extra.find(name);
@@ -437,11 +422,7 @@ void AsyncEngine::apply_pending_download(EvtRun& er, std::size_t w) {
   fl::WorkerState& ws = er.rs.workers[w];
   ws.x = std::move(m.x);
   if (m.has_y) ws.y = std::move(m.y);
-  if (m.has_v) ws.v = std::move(m.v);
   if (m.has_grad) ws.grad = std::move(m.grad);
-  if (m.has_sum_grad) ws.sum_grad = std::move(m.sum_grad);
-  if (m.has_sum_y) ws.sum_y = std::move(m.sum_y);
-  if (m.has_sum_v) ws.sum_v = std::move(m.sum_v);
   for (auto& [name, vv] : m.extra) ws.extra[name] = std::move(vv);
   er.w_version[w] = m.version;
   ++er.downloads_applied;

@@ -208,12 +208,10 @@ void apply_absent_policy(WorkerState& w, AbsentPolicy policy, Scalar decay) {
       break;
     case AbsentPolicy::kReset:
       w.y = w.x;
-      vec::fill(w.v, 0.0);
       w.reset_interval_accumulators();
       break;
     case AbsentPolicy::kDecay:
       vec::decay_toward(w.y, w.x, decay);
-      vec::scale(w.v, decay);
       vec::scale(w.sum_grad, decay);
       vec::scale(w.sum_y, decay);
       vec::scale(w.sum_v, decay);

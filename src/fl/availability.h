@@ -35,12 +35,12 @@
 
 namespace hfl::fl {
 
-// What happens to a worker's momentum state (y, v) and interval accumulators
+// What happens to a worker's momentum parameter y and interval accumulators
 // while it misses a synchronization.
 enum class AbsentPolicy {
   kHold,   // keep momentum and accumulators as-is (resume where it left off)
-  kReset,  // collapse momentum onto the model (y = x, v = 0) and zero the
-           // interval accumulators
+  kReset,  // collapse momentum onto the model (y = x) and zero the interval
+           // accumulators
   kDecay,  // shrink momentum and accumulators toward the reset point by a
            // configurable factor per missed synchronization
 };

@@ -107,7 +107,7 @@ Scalar WorkerState::gradients_on_draw(data::Batcher& stream,
 void WorkerState::reset_interval_accumulators() {
   std::fill(sum_grad.begin(), sum_grad.end(), 0.0);
   std::fill(sum_y.begin(), sum_y.end(), 0.0);
-  std::fill(sum_v.begin(), sum_v.end(), 0.0);
+  std::fill(sum_v.begin(), sum_v.end(), 0.0);  // empty unless kVelocity
 }
 
 namespace {

@@ -1,11 +1,12 @@
 // Mutable per-tier simulation state.
 //
 // WorkerState mirrors the paper's worker {i, ℓ}: model parameters x, momentum
-// parameter y, velocity v = y_t − y_{t−1}, the interval accumulators that
-// Algorithm 1 line 9 uploads (Σ∇F_i and Σy_i, plus Σv_i for the velocity
-// interpretation of eq. (6) — see core/hieradmo.h), the worker's data
+// parameter y, the interval accumulators that Algorithm 1 line 9 uploads
+// (Σ∇F_i and Σy_i, plus Σv_i — v = y_t − y_{t−1} — only for the velocity
+// interpretation of eq. (6), see core/hieradmo.h), the worker's data
 // streams, and the compiled cohort plan that evaluates its gradients (the
-// engine's, shared by every worker, src/nn/cohort.h). EdgeState carries
+// engine's, shared by every worker, src/nn/cohort.h). The velocity itself
+// is no state: the NAG step (core/nag.h) keeps it in a register. EdgeState carries
 // the post-aggregation values y_{ℓ−}, y_{ℓ+}, x_{ℓ+} and the currently
 // adapted γℓ. CloudState carries the cloud model and the cloud-aggregated
 // worker momentum.
@@ -44,14 +45,16 @@ struct WorkerState {
 
   Vec x;       // worker model parameter x_{i,ℓ}
   Vec y;       // worker momentum parameter y_{i,ℓ}
-  Vec v;       // velocity v_{i,ℓ} = y_t − y_{t−1}
   Vec grad;    // most recent mini-batch gradient ∇F_i(x^{t−1})
   Scalar last_loss = 0;
 
   // Interval accumulators (reset at every edge synchronization).
   Vec sum_grad;  // Σ_t ∇F_i(x^t)
   Vec sum_y;     // Σ_t y^t_i
-  Vec sum_v;     // Σ_t v^t_i
+  // Σ_t v^t_i with v^t = y^t − y^{t−1}: sized only by HierAdMo's kVelocity
+  // ablation (its init_worker), the one reader; empty otherwise, and the
+  // local step then neither reads nor writes it.
+  Vec sum_v;
 
   // Gradient evaluation: the engine binds its plan onto every state the
   // cohort provider materializes (counted under engine.cohort.fused_grads).

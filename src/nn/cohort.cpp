@@ -96,7 +96,7 @@ struct CohortModel::Scratch {
   Vec g, gin;
   std::vector<Vec> skip_g, skip_gin;
   std::vector<std::vector<std::size_t>> argmax;
-  Vec dw, db;
+  Vec db;
   std::vector<std::size_t> row_off;
   std::unique_ptr<Model> model;
   std::vector<Layer*> leaves;
@@ -367,11 +367,15 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
   }
 }
 
-// Dense backward, replicating Dense::backward per item: dW into scratch then
-// added into the (zeroed) flat grad — the scratch-then-add order is part of
-// the bit-identity contract (the final += through 0.0 normalizes signed
-// zeros exactly like Dense::backward) — db via the sum_rows loop, and
-// grad_in = g_seg · W_i. `gin == nullptr` skips the grad_in product (first
+// Dense backward, replicating Dense::backward per item: dW accumulated by
+// the GEMM with β = 1 straight into the (zeroed) flat grad, db via the
+// sum_rows loop, and grad_in = g_seg · W_i. Dense::backward computes dW into
+// a scratch tensor and adds it to the zeroed gradient; β = 1 has the same
+// bits: the GEMM folds β = 1 as a no-op and accumulates every k panel into
+// C, so each element is the same chain started from the +0.0 already there,
+// which is also how a β = 0 product starts. A nonzero sum is unchanged by
+// the extra +0.0, and a zero sum started from +0.0 is +0.0, as the add into
+// the zeroed gradient makes it. `gin == nullptr` skips the grad_in product (first
 // parametric stage: dX is dead); `in == nullptr` is direct-input mode as in
 // dense_forward.
 void CohortModel::dense_backward(Scratch& sc, const Stage& st,
@@ -381,25 +385,22 @@ void CohortModel::dense_backward(Scratch& sc, const Stage& st,
   const std::size_t nin = st.in_row, nout = st.out_row;
   const std::size_t base = row_off[ilo];
   const auto gemm1 = mixed ? ops::gemm_mixed : ops::gemm;
-  Scalar* dw = grow(sc.dw, nout * nin);
   Scalar* db = grow(sc.db, nout);
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t row = row_off[i] - base;
     const std::size_t b = row_off[i + 1] - row_off[i];
     const Scalar* pg = gout + row * nout;
-    // dW_i = g_segᵀ · x_seg (matmul_transpose_a shape conventions) into
-    // scratch, then += into the zeroed flat grad. In row-gather mode the B
-    // operand (the mini-batch) is read row-by-row from the dataset —
-    // bit-identical to the gathered-tensor product.
+    // dW_i = g_segᵀ · x_seg (matmul_transpose_a shape conventions). In
+    // row-gather mode the B operand (the mini-batch) is read row-by-row from
+    // the dataset — bit-identical to the gathered-tensor product.
+    Scalar* gw = items[i].grad + st.w_off;
     if (in == nullptr && items[i].x_rows != nullptr) {
       ops::gemm_rows_b(/*trans_a=*/true, nout, nin, b, pg, nout,
-                       items[i].x_rows, 0.0, dw, nin);
+                       items[i].x_rows, 1.0, gw, nin);
     } else {
       const Scalar* a = in != nullptr ? in + row * nin : items[i].x;
-      gemm1(true, false, nout, nin, b, pg, nout, a, nin, 0.0, dw, nin);
+      gemm1(true, false, nout, nin, b, pg, nout, a, nin, 1.0, gw, nin);
     }
-    Scalar* gw = items[i].grad + st.w_off;
-    for (std::size_t e = 0; e < nout * nin; ++e) gw[e] += dw[e];
 
     // db: sum_rows into scratch, then += — same loops, same order.
     std::fill(db, db + nout, 0.0);

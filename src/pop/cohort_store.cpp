@@ -334,12 +334,11 @@ void CohortStore::materialize_fresh(fl::WorkerState& w,
   set_descriptors(w, id);
   w.x = x0_;
   w.y = x0_;
-  w.v.assign(n, 0.0);
   w.grad.assign(n, 0.0);
   w.last_loss = 0;
   w.sum_grad.assign(n, 0.0);
   w.sum_y.assign(n, 0.0);
-  w.sum_v.assign(n, 0.0);
+  w.sum_v.clear();  // sized by the algorithm that reads it (init_worker)
   w.extra.clear();
   // Worker i's stream is the (2 + i)-th fork of the run root (fork 1 is the
   // engine's init-model stream, Engine::build_states).
@@ -354,7 +353,6 @@ void CohortStore::encode(const fl::WorkerState& w,
   Writer out{record, x0_.size()};
   out.vec(w.x);
   out.vec(w.y);
-  out.vec(w.v);
   out.vec(w.grad);
   out.scalar(w.last_loss);
   out.vec(w.sum_grad);
@@ -381,7 +379,6 @@ void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
   Reader in{record.data(), record.data() + record.size(), x0_.size()};
   in.vec(w.x);
   in.vec(w.y);
-  const bool zero_v = in.vec(w.v);
   in.vec(w.grad);
   w.last_loss = in.scalar();
   const bool zero_sum_grad = in.vec(w.sum_grad);
@@ -437,8 +434,7 @@ void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
       const Scalar d = replay_decay_;
       const bool skip_zero = d >= 0.0 && d <= 1.0;
       for (std::uint64_t m = 0; m < missed; ++m) vec::decay_toward(w.y, w.x, d);
-      const std::pair<Vec*, bool> scaled[] = {{&w.v, zero_v},
-                                              {&w.sum_grad, zero_sum_grad},
+      const std::pair<Vec*, bool> scaled[] = {{&w.sum_grad, zero_sum_grad},
                                               {&w.sum_y, zero_sum_y},
                                               {&w.sum_v, zero_sum_v}};
       for (const auto& [v, zero] : scaled) {

@@ -8,13 +8,14 @@
 // worker once per run. Three lifecycle paths:
 //
 //   * first materialization — Algorithm 1's shared start: descriptor
-//     weights (src/pop/population.h), x = y = x0, zero momentum and
-//     accumulators, and worker i's batch streams forked statelessly off the
+//     weights (src/pop/population.h), x = y = x0, zero gradient and
+//     accumulators (Σv left empty: only the algorithm that reads it sizes
+//     it, in init_worker), and worker i's batch streams forked statelessly off the
 //     run root with Rng::fork_nth(1000 + i, 2 + i) (fork 1 is the engine's
 //     init-model stream), so a worker's streams do not depend on which
 //     workers were materialized before it.
 //   * spill — a worker leaving the cohort encodes every mutable field (x,
-//     y, v, grad, accumulators, `extra`, both batch-stream positions)
+//     y, grad, accumulators, `extra`, both batch-stream positions)
 //     straight from its live state into a record in the slab.
 //   * restore — byte-exact resurrection: the worker resumes mid-run as if
 //     it had stayed materialized the whole time (asserted by the
@@ -32,12 +33,13 @@
 //   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
 //            element is +0.0 (nothing follows; −0.0 stays raw; only for
 //            n ≤ model dimension, since a tag claims no bytes)
-//   record   vec x, y, v, grad; f64 last_loss; vec sum_grad, sum_y, sum_v;
+//   record   vec x, y, grad; f64 last_loss; vec sum_grad, sum_y, sum_v;
 //            u64 #extras, then per extra (ascending name) u64 len, name
 //            bytes, vec; batcher main, aux; u64 interval stamp
 //   batcher  u64 cursor, 5 × u64 RNG state, u64 n, n × u32 sample index
 // The interval accumulators are zero whenever a worker spills after an
-// edge sync, so they cost a tag each. The decoder checks every length
+// edge sync, so they cost a tag each; sum_v is empty (n = 0, tag 1) unless
+// the run uses HierAdMo's kVelocity signal. The decoder checks every length
 // against the bytes left before it sizes anything: a corrupt record raises
 // hfl::Error.
 //

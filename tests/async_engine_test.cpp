@@ -707,25 +707,25 @@ TEST(StaleSyncTest, DefaultDecaysMomentumPerStalenessStep) {
   fl::WorkerState w;
   w.x = {1.0, 1.0};
   w.y = {3.0, 3.0};
-  w.v = {2.0, 2.0};
   w.sum_grad = {4.0, 4.0};
   w.sum_y = {4.0, 4.0};
   w.sum_v = {4.0, 4.0};
 
   alg.stale_sync(ctx, w, 2);  // factor = 0.5^2 = 0.25
   EXPECT_DOUBLE_EQ(w.y[0], 1.0 + 0.25 * 2.0);
-  EXPECT_DOUBLE_EQ(w.v[0], 0.5);
   EXPECT_DOUBLE_EQ(w.sum_grad[0], 1.0);
+  EXPECT_DOUBLE_EQ(w.sum_y[0], 1.0);
+  EXPECT_DOUBLE_EQ(w.sum_v[0], 1.0);
 
   // decay = 1 is the hold default: a no-op at any staleness.
   cfg.stale_momentum_decay = 1.0;
   fl::WorkerState h;
   h.x = {1.0};
   h.y = {3.0};
-  h.v = {2.0};
+  h.sum_y = {2.0};
   alg.stale_sync(ctx, h, 5);
   EXPECT_DOUBLE_EQ(h.y[0], 3.0);
-  EXPECT_DOUBLE_EQ(h.v[0], 2.0);
+  EXPECT_DOUBLE_EQ(h.sum_y[0], 2.0);
 }
 
 }  // namespace

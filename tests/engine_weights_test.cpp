@@ -117,8 +117,9 @@ TEST(EngineWeightsTest, InitialStateSatisfiesAlgorithmOneLines1And2) {
     for (const auto& w : workers) {
       EXPECT_EQ(w.x, x0);   // common initial model (line 1)
       EXPECT_EQ(w.y, x0);   // y0 = x0 (line 1)
-      for (const Scalar v : w.v) EXPECT_DOUBLE_EQ(v, 0.0);
       for (const Scalar v : w.sum_grad) EXPECT_DOUBLE_EQ(v, 0.0);
+      for (const Scalar v : w.sum_y) EXPECT_DOUBLE_EQ(v, 0.0);
+      EXPECT_TRUE(w.sum_v.empty());  // sized only by kVelocity's init_worker
     }
     for (const auto& e : *spy.edges) {
       EXPECT_EQ(e.x_plus, x0);  // x0_{ℓ+} = x0 (line 2)

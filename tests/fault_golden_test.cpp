@@ -13,7 +13,10 @@
 //      parameters, miss counts, participation trace and per-link comm
 //      totals. The first two run the same store configuration, so they
 //      share their digests.
-//   3. A MiniResNet engine run: HierAdMo on 2×2 workers with 8×8 images,
+//   3. HierAdMo's configurations outside the registry — the kVelocity and
+//      kCrossWorker ablation signals and a top-k upload compressor — on
+//      the same nine settings as 2.
+//   4. A MiniResNet engine run: HierAdMo on 2×2 workers with 8×8 images,
 //      unbatched and batched, hashes curve and final parameters. It pins
 //      the Residual architecture's gradients and evaluations to their
 //      recorded bits, whichever execution path computes them.
@@ -33,8 +36,10 @@
 #include <vector>
 
 #include "src/algs/registry.h"
+#include "src/core/hieradmo.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/fl/compression.h"
 #include "src/fl/engine.h"
 #include "src/nn/models.h"
 #include "src/obs/comm.h"
@@ -264,10 +269,9 @@ std::uint64_t run_digest(const fl::RunResult& r) {
   return h.value();
 }
 
-std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
+std::uint64_t fault_run_digest(const Fixture& f, fl::Algorithm& alg,
                                EngineKind kind, fl::AbsentPolicy policy) {
-  auto alg = algs::make_algorithm(name);
-  fl::RunConfig cfg = f.config_for(*alg);
+  fl::RunConfig cfg = f.config_for(alg);
   cfg.num_threads = 1;
   const sim::FaultConfig fc = run_faults(policy);
   const sim::FaultPlan plan(f.topo, cfg, fc);
@@ -277,7 +281,7 @@ std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
   obs::CommAccountant::global().reset();
   std::unique_ptr<pop::CohortStore> store;
   if (kind == EngineKind::kSampled) {
-    cfg.mime_cohort_stats = alg->probes_population();
+    cfg.mime_cohort_stats = alg.probes_population();
   }
   fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   if (kind != EngineKind::kOwnStore) {
@@ -289,14 +293,14 @@ std::uint64_t fault_run_digest(const Fixture& f, const std::string& name,
   }
   fl::RunResult r;
   if (kind == EngineKind::kOwnStore) {
-    r = engine.run(*alg, &plan.schedule());
+    r = engine.run(alg, &plan.schedule());
   } else if (kind == EngineKind::kFullCohort) {
     const fl::ScheduleOracle oracle(plan.schedule());
-    r = engine.run_with_oracle(*alg, &oracle);
+    r = engine.run_with_oracle(alg, &oracle);
   } else {
     const sim::SparseFaultPlan sparse(f.topo.num_workers(),
                                       f.topo.num_edges(), fc);
-    r = engine.run_with_oracle(*alg, &sparse);
+    r = engine.run_with_oracle(alg, &sparse);
   }
   const std::uint64_t digest = run_digest(r);
   obs::set_enabled(false);
@@ -438,7 +442,8 @@ TEST_P(FaultRunGoldenTest, MatchesGoldenDigests) {
     for (const fl::AbsentPolicy policy :
          {fl::AbsentPolicy::kHold, fl::AbsentPolicy::kReset,
           fl::AbsentPolicy::kDecay}) {
-      got[i++] = fault_run_digest(f, GetParam(), kind, policy);
+      got[i++] =
+          fault_run_digest(f, *algs::make_algorithm(GetParam()), kind, policy);
     }
   }
   const std::string row = golden::format_row(GetParam(), got);
@@ -456,6 +461,101 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// HierAdMo variants
+// ---------------------------------------------------------------------------
+
+// The registry builds HierAdMo with its default signal and lossless
+// uploads; these are the configurations it does not reach.
+std::unique_ptr<fl::Algorithm> make_hieradmo_variant(const std::string& name) {
+  core::HierAdMoOptions opt;
+  if (name == "velocity") {
+    opt.signal = core::HierAdMoOptions::Signal::kVelocity;
+  } else if (name == "cross_worker") {
+    opt.signal = core::HierAdMoOptions::Signal::kCrossWorker;
+  } else {
+    opt.upload_compressor = std::make_shared<fl::TopKCompressor>(0.25);
+  }
+  return std::make_unique<core::HierAdMo>(opt);
+}
+
+const std::map<std::string, RunDigests>* golden_variant_runs() {
+#if !defined(__FMA__)
+  static const std::map<std::string, RunDigests> table{
+      {"velocity",
+       {0xe4fb832c82ebecf2ULL, 0xa5c2c9ab4dfb0db9ULL, 0xef001f341a48deb9ULL,
+        0xe4fb832c82ebecf2ULL, 0xa5c2c9ab4dfb0db9ULL, 0xef001f341a48deb9ULL,
+        0x65b8783f7d366038ULL, 0xed25917a7e9055c0ULL, 0xdc10e3db37b4fd68ULL}},
+      {"cross_worker",
+       {0xd0f7226aa621ecd8ULL, 0x4bd5f92f5ed11d6dULL, 0x699e7e90306ff499ULL,
+        0xd0f7226aa621ecd8ULL, 0x4bd5f92f5ed11d6dULL, 0x699e7e90306ff499ULL,
+        0x080d44a39edbe4c9ULL, 0x0fa55147c19c758bULL, 0x053f7cbbed2dca83ULL}},
+      {"topk",
+       {0xf3d8439866061d3aULL, 0xc1acc454769f97a0ULL, 0xce293c47b4eb60fdULL,
+        0xf3d8439866061d3aULL, 0xc1acc454769f97a0ULL, 0xce293c47b4eb60fdULL,
+        0x161cbda860609cadULL, 0xec7dd353e77cab85ULL, 0x162471cfff064e63ULL}},
+  };
+  return &table;
+#elif defined(HFL_GOLDEN_NATIVE_FLAGS) && defined(__AVX512F__)
+  static const std::map<std::string, RunDigests> table{
+      {"velocity",
+       {0x4e71894caa072578ULL, 0x46ab1ce20c57f5e3ULL, 0xa711acd84b89cefeULL,
+        0x4e71894caa072578ULL, 0x46ab1ce20c57f5e3ULL, 0xa711acd84b89cefeULL,
+        0x8712c46fd30461bfULL, 0x465f40534a3aaaf8ULL, 0x8d126d570c468ae3ULL}},
+      {"cross_worker",
+       {0x3a278e9c4b0c2481ULL, 0x2177702e39cae9e8ULL, 0x5fb4018dae826e25ULL,
+        0x3a278e9c4b0c2481ULL, 0x2177702e39cae9e8ULL, 0x5fb4018dae826e25ULL,
+        0x8ab37dc1ff0f03ebULL, 0x4dfc6e2caf6ffdcfULL, 0xac7b262bd38b6720ULL}},
+      {"topk",
+       {0x3da7b96e74f804d2ULL, 0x3b0fdeeaec758f50ULL, 0xbb3dc3bd569c8321ULL,
+        0x3da7b96e74f804d2ULL, 0x3b0fdeeaec758f50ULL, 0xbb3dc3bd569c8321ULL,
+        0x912fbb6dc5dcdd38ULL, 0xe3635d7caed64ab4ULL, 0x4e1dc7a9e89af697ULL}},
+  };
+  return &table;
+#else
+  return nullptr;
+#endif
+}
+
+class HierAdMoVariantGoldenTest
+    : public ::testing::TestWithParam<std::string> {};
+
+// The same nine settings as FaultRunGoldenTest. The sampled store spills
+// and restores workers under every policy, so the kReset and kDecay rows
+// also pin the spill record and its absent-policy replay for each variant.
+TEST_P(HierAdMoVariantGoldenTest, MatchesGoldenDigests) {
+  const std::map<std::string, RunDigests>* golden = golden_variant_runs();
+  if (golden == nullptr) {
+    GTEST_SKIP() << "FMA build without the default Release flags: digests "
+                    "are pinned on the portable build";
+  }
+  Fixture f;
+  RunDigests got{};
+  std::size_t i = 0;
+  for (const EngineKind kind : {EngineKind::kOwnStore, EngineKind::kFullCohort,
+                                EngineKind::kSampled}) {
+    for (const fl::AbsentPolicy policy :
+         {fl::AbsentPolicy::kHold, fl::AbsentPolicy::kReset,
+          fl::AbsentPolicy::kDecay}) {
+      got[i++] = fault_run_digest(f, *make_hieradmo_variant(GetParam()), kind,
+                                  policy);
+      if (kind == EngineKind::kSampled) {
+        obs::Registry& reg = obs::Registry::global();
+        EXPECT_GT(reg.counter("pop.spills").value(), 0u);
+        EXPECT_GT(reg.counter("pop.restores").value(), 0u);
+      }
+    }
+  }
+  const std::string row = golden::format_row(GetParam(), got);
+  const auto it = golden->find(GetParam());
+  ASSERT_NE(it, golden->end()) << "no golden row; measured:\n" << row;
+  EXPECT_EQ(it->second, got) << "measured:\n" << row;
+}
+
+INSTANTIATE_TEST_SUITE_P(Ablations, HierAdMoVariantGoldenTest,
+                         ::testing::Values("velocity", "cross_worker",
+                                           "topk"));
 
 // ---------------------------------------------------------------------------
 // MiniResNet engine run

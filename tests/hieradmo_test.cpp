@@ -153,6 +153,64 @@ TEST(EdgeSyncTest, UpdateAlgebraMatchesAlgorithm1) {
   }
 }
 
+TEST(InitWorkerTest, SizesVelocitySumOnlyUnderVelocitySignal) {
+  FakeSetup s;
+  fl::Context ctx = s.context();
+  for (const auto signal : {HierAdMoOptions::Signal::kMomentumValue,
+                            HierAdMoOptions::Signal::kVelocity,
+                            HierAdMoOptions::Signal::kCrossWorker}) {
+    HierAdMoOptions opt;
+    opt.signal = signal;
+    HierAdMo alg(opt);
+    fl::WorkerState w;
+    w.x.assign(5, 0.5);
+    alg.init_worker(ctx, w);
+    const bool velocity = signal == HierAdMoOptions::Signal::kVelocity;
+    EXPECT_EQ(w.sum_v.size(), velocity ? 5u : 0u);
+    for (const Scalar v : w.sum_v) EXPECT_EQ(v, 0.0);
+  }
+}
+
+// The γℓ pass restarts Σ∇F and the signal accumulator behind its read; the
+// round must still leave every accumulator bitwise +0.0 (−0.0 inputs
+// included) under every signal and with the fixed γℓ, and adapt γℓ from
+// the accumulators as they were before the round.
+TEST(EdgeSyncTest, EverySignalRestartsEveryAccumulator) {
+  for (int mode = 0; mode < 4; ++mode) {
+    SCOPED_TRACE("mode " + std::to_string(mode));
+    FakeSetup s;
+    for (std::size_t i = 0; i < 2; ++i) {
+      fl::WorkerState& w = s.workers[i];
+      w.x = {1.0 + static_cast<Scalar>(i), -1.0, 0.5};
+      w.y = {0.5, 2.0, -1.5};
+      w.sum_grad = {-1.0, -0.0, 0.25 * static_cast<Scalar>(i + 1)};
+      w.sum_y = {1.0, 0.5, -0.0};
+      w.sum_v = {-0.0, 2.0, 1.0};
+    }
+    s.edges[0].x_plus = {0, 0, 0};
+    s.edges[0].y_plus = {0, 0, 0};
+    HierAdMoOptions opt;
+    opt.adaptive = mode < 3;
+    if (opt.adaptive) opt.signal = static_cast<HierAdMoOptions::Signal>(mode);
+    HierAdMo alg(opt);
+    fl::Context ctx = s.context();
+    const Scalar cos_theta = alg.compute_cos_theta(ctx, s.edges[0]);
+    alg.edge_sync(ctx, s.edges[0], 1);
+    if (opt.adaptive) {
+      EXPECT_EQ(s.edges[0].last_cos_theta, cos_theta);
+    }
+    for (const fl::WorkerState& w : s.workers) {
+      for (const Vec* acc : {&w.sum_grad, &w.sum_y, &w.sum_v}) {
+        ASSERT_EQ(acc->size(), 3u);
+        for (const Scalar v : *acc) {
+          EXPECT_EQ(v, 0.0);
+          EXPECT_FALSE(std::signbit(v));
+        }
+      }
+    }
+  }
+}
+
 TEST(EdgeSyncTest, FixedGammaIgnoresCosine) {
   FakeSetup s;
   s.cfg.gamma_edge = 0.3;
@@ -369,7 +427,6 @@ struct SweepFixture {
       w.weight_global = mass[i] / total;
       w.x = random_vec();
       w.y = random_vec();
-      w.v = random_vec();
       w.sum_grad = random_vec();
       w.sum_v = random_vec();
       // Σy leans against Σ∇F on even workers so the adaptive γℓ lands
@@ -409,7 +466,6 @@ void expect_same_state(const SweepFixture& a, const SweepFixture& b) {
     const fl::WorkerState& wb = b.workers[i];
     EXPECT_TRUE(same_bits(wa.x, wb.x));
     EXPECT_TRUE(same_bits(wa.y, wb.y));
-    EXPECT_TRUE(same_bits(wa.v, wb.v));
     EXPECT_TRUE(same_bits(wa.sum_grad, wb.sum_grad));
     EXPECT_TRUE(same_bits(wa.sum_y, wb.sum_y));
     EXPECT_TRUE(same_bits(wa.sum_v, wb.sum_v));

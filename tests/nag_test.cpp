@@ -1,10 +1,18 @@
 // Tests for the shared worker-update primitives (core/nag): the NAG update
-// algebra of Algorithm 1 lines 5–6, the interval accumulators of line 9, and
-// the SGD fallback.
+// algebra of Algorithm 1 lines 5–6, the interval accumulators of line 9, the
+// SGD fallback, and the fused vec::nag_step / nag_step_accumulate kernels
+// against a scalar std::fma reference.
 #include "src/core/nag.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+
+#include "src/common/errors.h"
+#include "src/common/rng.h"
+#include "src/common/vec_ops.h"
 #include "src/data/synthetic.h"
 #include "src/nn/cohort.h"
 #include "src/nn/models.h"
@@ -39,7 +47,6 @@ struct FixedWorker {
     const std::size_t n = x0.size();
     w.x = x0;
     w.y = x0;
-    w.v.assign(n, 0.0);
     w.grad.assign(n, 0.0);
     w.sum_grad.assign(n, 0.0);
     w.sum_y.assign(n, 0.0);
@@ -72,10 +79,9 @@ TEST(NagStepTest, MatchesHandComputedUpdate) {
 
   for (std::size_t i = 0; i < x_prev.size(); ++i) {
     const Scalar y_new = x_prev[i] - eta * g[i];
-    const Scalar v_new = y_new - y_prev[i];
     EXPECT_NEAR(f.w.y[i], y_new, 1e-12);
-    EXPECT_NEAR(f.w.v[i], v_new, 1e-12);
-    EXPECT_NEAR(f.w.x[i], y_new + gamma * v_new, 1e-12);
+    // Line 6: x = y + γ(y − y_prev), the velocity never stored.
+    EXPECT_NEAR(f.w.x[i], f.w.y[i] + gamma * (f.w.y[i] - y_prev[i]), 1e-12);
     EXPECT_NEAR(f.w.grad[i], g[i], 1e-12);
   }
 }
@@ -94,7 +100,7 @@ TEST(NagStepTest, AccumulatorsFollowLine9) {
     for (std::size_t i = 0; i < g.size(); ++i) {
       expected_sum_grad[i] += g[i];
       expected_sum_y[i] += y_pre[i];
-      expected_sum_v[i] += f.w.v[i];  // post-update velocity
+      expected_sum_v[i] += f.w.y[i] - y_pre[i];  // post-update velocity
     }
   }
   for (std::size_t i = 0; i < f.w.x.size(); ++i) {
@@ -102,6 +108,22 @@ TEST(NagStepTest, AccumulatorsFollowLine9) {
     EXPECT_NEAR(f.w.sum_y[i], expected_sum_y[i], 1e-12);
     EXPECT_NEAR(f.w.sum_v[i], expected_sum_v[i], 1e-12);
   }
+}
+
+TEST(NagStepTest, EmptyVelocitySumStaysEmpty) {
+  // Only HierAdMo's kVelocity signal sizes Σv; otherwise the accumulating
+  // step must neither size nor touch it, and the other sums are unchanged.
+  FixedWorker with_v, without_v;
+  without_v.w.sum_v.clear();
+  for (int step = 0; step < 3; ++step) {
+    nag_local_step(with_v.w, 0.05, 0.5, /*accumulate=*/true);
+    nag_local_step(without_v.w, 0.05, 0.5, /*accumulate=*/true);
+  }
+  EXPECT_TRUE(without_v.w.sum_v.empty());
+  EXPECT_EQ(with_v.w.x, without_v.w.x);
+  EXPECT_EQ(with_v.w.y, without_v.w.y);
+  EXPECT_EQ(with_v.w.sum_grad, without_v.w.sum_grad);
+  EXPECT_EQ(with_v.w.sum_y, without_v.w.sum_y);
 }
 
 TEST(NagStepTest, NoAccumulationWhenDisabled) {
@@ -174,6 +196,81 @@ TEST(WorkerStateTest, ProbeGradientDoesNotDisturbMainStream) {
   for (std::size_t i = 0; i < a.w.x.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.w.x[i], b.w.x[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fused kernels ≡ scalar std::fma reference
+// ---------------------------------------------------------------------------
+
+// Bitwise equality that tells +0 from −0 (empty vectors have no data()).
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0);
+}
+
+Vec kernel_vec(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vec v(n);
+  for (Scalar& x : v) x = 2.0 * rng.uniform() - 1.0;
+  return v;
+}
+
+constexpr Scalar kEta = 0.05, kGamma = 0.9;
+
+// n = 1…9 covers a scalar tail alone, one and two vector bodies, and every
+// tail length behind them.
+TEST(NagKernelTest, NagStepMatchesScalarFmaReference) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Vec x = kernel_vec(n, 10 + n), y = kernel_vec(n, 20 + n);
+    const Vec g = kernel_vec(n, 30 + n);
+    Vec xr = x, yr = y;
+    vec::nag_step(x, y, g, kEta, kGamma);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Scalar y_new = std::fma(-kEta, g[i], xr[i]);
+      const Scalar v = y_new - yr[i];
+      yr[i] = y_new;
+      xr[i] = std::fma(kGamma, v, y_new);
+    }
+    EXPECT_TRUE(same_bits(x, xr));
+    EXPECT_TRUE(same_bits(y, yr));
+  }
+}
+
+TEST(NagKernelTest, NagStepAccumulateMatchesScalarFmaReference) {
+  for (const bool velocity : {false, true}) {
+    for (std::size_t n = 1; n <= 9; ++n) {
+      SCOPED_TRACE("n = " + std::to_string(n) +
+                   (velocity ? ", with Σv" : ", without Σv"));
+      Vec x = kernel_vec(n, 10 + n), y = kernel_vec(n, 20 + n);
+      const Vec g = kernel_vec(n, 30 + n);
+      Vec sg = kernel_vec(n, 40 + n), sy = kernel_vec(n, 50 + n);
+      Vec sv = velocity ? kernel_vec(n, 60 + n) : Vec{};
+      Vec xr = x, yr = y, sgr = sg, syr = sy, svr = sv;
+      vec::nag_step_accumulate(x, y, g, kEta, kGamma, sg, sy, sv);
+      for (std::size_t i = 0; i < n; ++i) {
+        sgr[i] += g[i];
+        syr[i] += yr[i];
+        const Scalar y_new = std::fma(-kEta, g[i], xr[i]);
+        const Scalar v = y_new - yr[i];
+        yr[i] = y_new;
+        xr[i] = std::fma(kGamma, v, y_new);
+        if (velocity) svr[i] += v;
+      }
+      EXPECT_TRUE(same_bits(x, xr));
+      EXPECT_TRUE(same_bits(y, yr));
+      EXPECT_TRUE(same_bits(sg, sgr));
+      EXPECT_TRUE(same_bits(sy, syr));
+      EXPECT_TRUE(same_bits(sv, svr));
+    }
+  }
+}
+
+TEST(NagKernelTest, VelocitySumMustBeEmptyOrFull) {
+  Vec x(5, 0.0), y(5, 0.0), g(5, 1.0), sg(5, 0.0), sy(5, 0.0), sv(3, 0.0);
+  EXPECT_THROW(vec::nag_step_accumulate(x, y, g, kEta, kGamma, sg, sy, sv),
+               Error);
 }
 
 }  // namespace

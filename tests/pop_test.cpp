@@ -464,9 +464,10 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
     const Tensor* bx = nullptr;
     const std::vector<std::size_t>* by = nullptr;
     for (int d = 0; d < 3; ++d) w.draw_batch(bx, by);
+    w.sum_v.assign(w.x.size(), 0.0);  // as HierAdMo's kVelocity sizes it
     for (std::size_t i = 0; i < w.x.size(); ++i) {
       w.x[i] += 0.25 * static_cast<Scalar>(i);
-      w.v[i] = 1.0 / static_cast<Scalar>(i + 1);
+      w.sum_v[i] = 1.0 / static_cast<Scalar>(i + 1);
       w.sum_grad[i] = -0.125 * static_cast<Scalar>(i);
     }
     w.last_loss = 0.625;
@@ -493,7 +494,6 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
   EXPECT_TRUE(same_bits(a.x, b.x));
   EXPECT_TRUE(same_bits(a.y, b.y));
   EXPECT_TRUE(std::signbit(a.y[1]));
-  EXPECT_TRUE(same_bits(a.v, b.v));
   EXPECT_TRUE(same_bits(a.grad, b.grad));
   EXPECT_TRUE(std::signbit(a.grad[0]));
   EXPECT_EQ(a.last_loss, b.last_loss);
@@ -616,6 +616,115 @@ TEST(CohortStoreTest, FileSlabStaysFlatUnderRotation) {
   const pop::SlabConfig slab = file_slab("hfl_pop_flat_test.bin");
   slab_stays_flat(slab);
   std::remove(slab.path.c_str());
+}
+
+// A default-signal worker's spill record, byte for byte, in the layout
+// src/pop/cohort_store.h documents: x, y and grad raw, the interval
+// accumulators zero-tagged, Σv an empty vector (HierAdMo sizes it only under
+// kVelocity), and no velocity vector anywhere.
+TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
+  PopFixture f;
+  const pop::SlabConfig slab = file_slab("hfl_pop_layout_test.bin");
+  constexpr std::size_t kDim = 8;
+  struct StreamPos {
+    std::size_t cursor = 0;
+    RngState rng;
+    std::vector<std::size_t> indices;
+  };
+  const auto position = [](const data::Batcher& b) {
+    return StreamPos{b.cursor(), b.rng_state(), b.indices()};
+  };
+  Vec x, y, grad;
+  StreamPos main_stream, aux_stream;
+  std::uint64_t length = 0;
+  {
+    auto store = make_store(f, 2, false, slab);
+    store.begin_run(Vec(kDim, 0.25));
+    store.begin_interval(3);
+    store.set_cohort({0, 1});
+    fl::WorkerState& w = store.workers()[0];
+    EXPECT_TRUE(w.sum_v.empty());
+    const Tensor* bx = nullptr;
+    const std::vector<std::size_t>* by = nullptr;
+    w.draw_batch(bx, by);
+    for (std::size_t i = 0; i < kDim; ++i) {
+      w.x[i] = 0.5 + static_cast<Scalar>(i);
+      w.y[i] = -0.25 * static_cast<Scalar>(i + 1);
+      w.grad[i] = 0.125 * static_cast<Scalar>(i + 1);
+    }
+    w.last_loss = 0.75;
+    x = w.x;
+    y = w.y;
+    grad = w.grad;
+    main_stream = position(*w.batcher);
+    aux_stream = position(*w.aux_batcher);
+    store.set_cohort({1});  // spill worker 0: the slab's only record
+    length = store.slab().bytes_written();
+  }  // closing the store flushes the spill file
+
+  std::ifstream file(slab.path, std::ios::binary);
+  ASSERT_TRUE(file.is_open());
+  std::vector<char> record(length);
+  file.read(record.data(), static_cast<std::streamsize>(length));
+  ASSERT_TRUE(file.good());
+  std::remove(slab.path.c_str());
+
+  std::size_t at = 0;
+  const auto take = [&](void* out, std::size_t n) {
+    ASSERT_LE(at + n, record.size());
+    std::memcpy(out, record.data() + at, n);
+    at += n;
+  };
+  const auto u64 = [&] {
+    std::uint64_t v = 0;
+    take(&v, sizeof v);
+    return v;
+  };
+  const auto tag = [&] {
+    std::uint8_t t = 0xFF;
+    take(&t, 1);
+    return t;
+  };
+  const auto raw_vec = [&](const Vec& want, const char* name) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(u64(), want.size());
+    EXPECT_EQ(tag(), 0);  // raw
+    Vec got(want.size());
+    take(got.data(), got.size() * sizeof(Scalar));
+    EXPECT_TRUE(same_bits(got, want));
+  };
+  const auto zero_vec = [&](std::uint64_t n, const char* name) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(u64(), n);
+    EXPECT_EQ(tag(), 1);  // every element +0.0, nothing follows
+  };
+  const auto stream = [&](const StreamPos& want, const char* name) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(u64(), want.cursor);
+    for (const std::uint64_t word : want.rng.s) EXPECT_EQ(u64(), word);
+    EXPECT_EQ(u64(), want.rng.fork_counter);
+    EXPECT_EQ(u64(), want.indices.size());
+    for (const std::size_t i : want.indices) {
+      std::uint32_t got = 0;
+      take(&got, sizeof got);
+      EXPECT_EQ(got, i);
+    }
+  };
+
+  raw_vec(x, "x");
+  raw_vec(y, "y");
+  raw_vec(grad, "grad");
+  Scalar loss = 0;
+  take(&loss, sizeof loss);
+  EXPECT_EQ(loss, 0.75);
+  zero_vec(kDim, "sum_grad");
+  zero_vec(kDim, "sum_y");
+  zero_vec(0, "sum_v");
+  EXPECT_EQ(u64(), 0u);  // no extras
+  stream(main_stream, "main batcher");
+  stream(aux_stream, "aux batcher");
+  EXPECT_EQ(u64(), 3u);  // interval stamp
+  EXPECT_EQ(at, record.size());
 }
 
 // A spill record's lengths are checked against the bytes left before
