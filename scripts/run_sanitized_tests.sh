@@ -12,7 +12,8 @@
 #      obs subsystem that records from pool threads, the compiled cohort
 #      plan (tile-parallel execution, and unbatched local steps and eval
 #      blocks checking per-thread scratch out of one shared plan, +
-#      batched/mixed GEMM drivers with thread_local scratch), the
+#      the batched GEMM driver and the convolutions' thread_local
+#      scratch), the
 #      event-driven engine (serial event loop
 #      over the pool-parallel eval/reduction paths at 4 threads), and the
 #      virtualized-population path (cohort sampling + parallel

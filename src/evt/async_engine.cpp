@@ -59,15 +59,15 @@ void damp(Vec& v, const Vec& pre, Scalar alpha) {
   vec::axpby(1.0 - alpha, pre, alpha, v);  // fused (1−α)·pre + α·v
 }
 
-// One tier's aggregation vectors (edge: x⁺, y⁺, y⁻; cloud: x, y; plus the
+// One tier's aggregation vectors (edge: x⁺, y⁺, y⁻; cloud: x, y plus the
 // algorithm's extras), copied before a sync so apply() can damp the sync's
 // result back toward them. Extras the sync created have no pre-sync value
 // and are kept as-is.
 class TierDamp {
  public:
   explicit TierDamp(fl::EdgeState& es)
-      : TierDamp({&es.x_plus, &es.y_plus, &es.y_minus}, es.extra) {}
-  explicit TierDamp(fl::CloudState& cs) : TierDamp({&cs.x, &cs.y}, cs.extra) {}
+      : TierDamp({&es.x_plus, &es.y_plus, &es.y_minus}, nullptr) {}
+  explicit TierDamp(fl::CloudState& cs) : TierDamp({&cs.x, &cs.y}, &cs.extra) {}
 
   // The tier model (x⁺ or x) as it stood before the sync.
   const Vec& pre_model() const { return pre_.front(); }
@@ -76,6 +76,7 @@ class TierDamp {
     for (std::size_t i = 0; i < live_.size(); ++i) {
       damp(*live_[i], pre_[i], alpha);
     }
+    if (extra_ == nullptr) return;
     for (auto& [name, v] : *extra_) {
       const auto it = pre_extra_.find(name);
       if (it != pre_extra_.end()) damp(v, it->second, alpha);
@@ -83,14 +84,15 @@ class TierDamp {
   }
 
  private:
-  TierDamp(std::initializer_list<Vec*> vecs, std::map<std::string, Vec>& extra)
-      : live_(vecs), extra_(&extra), pre_extra_(extra) {
+  TierDamp(std::initializer_list<Vec*> vecs, std::map<std::string, Vec>* extra)
+      : live_(vecs), extra_(extra) {
     for (const Vec* v : live_) pre_.push_back(*v);
+    if (extra_ != nullptr) pre_extra_ = *extra_;
   }
 
   std::vector<Vec*> live_;
   std::vector<Vec> pre_;
-  std::map<std::string, Vec>* extra_;
+  std::map<std::string, Vec>* extra_;  // null for an edge: it keeps none
   std::map<std::string, Vec> pre_extra_;
 };
 

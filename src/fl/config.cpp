@@ -31,9 +31,6 @@ void RunConfig::validate() const {
   HFL_CHECK(gamma_edge >= 0 && gamma_edge < 1,
             "edge momentum gamma_edge must be in [0, 1)");
   HFL_CHECK(batch_size > 0, "batch_size must be positive");
-  HFL_CHECK(!mixed_precision || batched,
-            "mixed_precision requires the batched execution path "
-            "(set batched = true or drop mixed_precision)");
 
   // Event-driven policy fields (DESIGN.md §12).
   HFL_CHECK(policy != ExecPolicy::kSemiAsync || semi_async_deadline_s > 0,

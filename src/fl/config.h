@@ -49,14 +49,10 @@ struct RunConfig {
 
   // Fused cohort execution (src/nn/cohort.h): compute the cohort's local
   // gradients through one batched pass of the compiled plan instead of one
-  // plan call per worker. FP64 results are bit-identical either way;
+  // plan call per worker. Results are bit-identical either way;
   // algorithms that opt out of the prefetch
   // (Algorithm::local_gradient_prefetchable) keep the per-worker calls.
   bool batched = true;
-  // FP32-compute / FP64-accumulate GEMMs inside the fused path (≤1e-6
-  // relative error — NOT bit-identical; see src/tensor/gemm_mixed.h).
-  // Requires `batched`.
-  bool mixed_precision = false;
 
   // ---- Event-driven execution (src/evt/async_engine.h) ----
   //

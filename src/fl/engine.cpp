@@ -56,11 +56,10 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   cohort_items_.clear();
   cohort_ids_.clear();
   // Zero-copy draws when the plan reads flat sample rows in place (MLPs /
-  // logistic models at full precision): the batch is never gathered into a
-  // tensor, the GEMMs read dataset rows directly. Bit-identical to the
-  // gathered path (same draws, same products — see nn::CohortModel).
-  const bool row_gather =
-      plan_->supports_row_gather() && !cfg_.mixed_precision;
+  // logistic models): the batch is never gathered into a tensor, the GEMMs
+  // read dataset rows directly. Bit-identical to the gathered path (same
+  // draws, same products — see nn::CohortModel).
+  const bool row_gather = plan_->supports_row_gather();
   for (WorkerState& w : workers) {
     if (ctx.part && !ctx.part->worker_active(w.id)) continue;
     nn::CohortItem item;
@@ -81,7 +80,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
   }
   if (cohort_items_.empty()) return;
 
-  plan_->run(cohort_items_, pool_.get(), cfg_.mixed_precision);
+  plan_->run(cohort_items_, pool_.get());
 
   for (std::size_t i = 0; i < cohort_items_.size(); ++i) {
     WorkerState& w = workers[cohort_ids_[i]];

@@ -131,8 +131,6 @@ struct EdgeState {
 
   Scalar gamma_edge = 0;       // current (possibly adapted) γℓ
   Scalar last_cos_theta = 0;   // diagnostics: cosθ_{k,ℓ} of the last adaptation
-
-  std::map<std::string, Vec> extra;
 };
 
 struct CloudState {

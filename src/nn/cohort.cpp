@@ -11,7 +11,6 @@
 #include "src/nn/pool2d.h"
 #include "src/nn/residual.h"
 #include "src/tensor/gemm.h"
-#include "src/tensor/gemm_mixed.h"
 
 namespace hfl::nn {
 namespace {
@@ -82,7 +81,6 @@ struct CohortModel::Tile {
   std::span<CohortItem> items;
   const std::size_t* row_off;
   std::size_t ilo, ihi;
-  bool mixed;
   std::size_t rows() const { return row_off[ihi] - row_off[ilo]; }
 };
 
@@ -341,10 +339,9 @@ std::unique_ptr<CohortModel> CohortModel::create(const ModelFactory& factory) {
 // conv2d.h.)
 void CohortModel::dense_forward(const Stage& st, const Scalar* in,
                                 Scalar* out, const Tile& t) const {
-  const auto& [items, row_off, ilo, ihi, mixed] = t;
+  const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t nin = st.in_row, nout = st.out_row;
   const std::size_t base = row_off[ilo];
-  const auto gemm1 = mixed ? ops::gemm_mixed : ops::gemm;
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t row = row_off[i] - base;
     const std::size_t b = row_off[i + 1] - row_off[i];
@@ -356,8 +353,8 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
                        items[i].params + st.w_off, nin, 0.0, py, nout);
     } else {
       const Scalar* a = in != nullptr ? in + row * nin : items[i].x;
-      gemm1(false, true, b, nout, nin, a, nin, items[i].params + st.w_off, nin,
-            0.0, py, nout);
+      ops::gemm(false, true, b, nout, nin, a, nin, items[i].params + st.w_off,
+                nin, 0.0, py, nout);
     }
     // Bias rows, replicating ops::add_row_bias on the segment.
     const Scalar* pb = items[i].params + st.b_off;
@@ -381,10 +378,9 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
 void CohortModel::dense_backward(Scratch& sc, const Stage& st,
                                  const Scalar* in, const Scalar* gout,
                                  Scalar* gin, const Tile& t) const {
-  const auto& [items, row_off, ilo, ihi, mixed] = t;
+  const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t nin = st.in_row, nout = st.out_row;
   const std::size_t base = row_off[ilo];
-  const auto gemm1 = mixed ? ops::gemm_mixed : ops::gemm;
   Scalar* db = grow(sc.db, nout);
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t row = row_off[i] - base;
@@ -399,7 +395,7 @@ void CohortModel::dense_backward(Scratch& sc, const Stage& st,
                        items[i].x_rows, 1.0, gw, nin);
     } else {
       const Scalar* a = in != nullptr ? in + row * nin : items[i].x;
-      gemm1(true, false, nout, nin, b, pg, nout, a, nin, 1.0, gw, nin);
+      ops::gemm(true, false, nout, nin, b, pg, nout, a, nin, 1.0, gw, nin);
     }
 
     // db: sum_rows into scratch, then += — same loops, same order.
@@ -412,8 +408,8 @@ void CohortModel::dense_backward(Scratch& sc, const Stage& st,
 
     // grad_in = g_seg · W_i, reading the worker's weights in place.
     if (gin != nullptr) {
-      gemm1(false, false, b, nin, nout, pg, nout, items[i].params + st.w_off,
-            nin, 0.0, gin + row * nin, nin);
+      ops::gemm(false, false, b, nin, nout, pg, nout,
+                items[i].params + st.w_off, nin, 0.0, gin + row * nin, nin);
     }
   }
 }
@@ -422,7 +418,7 @@ void CohortModel::dense_backward(Scratch& sc, const Stage& st,
 // input (first parametric stage of a conv-first model).
 void CohortModel::conv_forward(const Stage& st, const Scalar* in, Scalar* out,
                                const Tile& t) const {
-  const auto& [items, row_off, ilo, ihi, mixed] = t;
+  const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t H = st.in_shape[1], W = st.in_shape[2];
   const std::size_t base = row_off[ilo];
   for (std::size_t i = ilo; i < ihi; ++i) {
@@ -430,8 +426,7 @@ void CohortModel::conv_forward(const Stage& st, const Scalar* in, Scalar* out,
     const Scalar* x0 = in != nullptr ? in + row * st.in_row : items[i].x;
     Conv2d::forward_span(st.conv, H, W, items[i].params + st.w_off,
                          items[i].params + st.b_off, x0,
-                         row_off[i + 1] - row_off[i], out + row * st.out_row,
-                         mixed);
+                         row_off[i + 1] - row_off[i], out + row * st.out_row);
   }
 }
 
@@ -440,7 +435,7 @@ void CohortModel::conv_forward(const Stage& st, const Scalar* in, Scalar* out,
 void CohortModel::conv_backward(const Stage& st, const Scalar* in,
                                 const Scalar* gout, Scalar* gin,
                                 const Tile& t) const {
-  const auto& [items, row_off, ilo, ihi, mixed] = t;
+  const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t H = st.in_shape[1], W = st.in_shape[2];
   const std::size_t base = row_off[ilo];
   if (gin != nullptr) {
@@ -454,8 +449,7 @@ void CohortModel::conv_backward(const Stage& st, const Scalar* in,
                           row_off[i + 1] - row_off[i],
                           gout + row * st.out_row, items[i].grad + st.w_off,
                           items[i].grad + st.b_off,
-                          gin != nullptr ? gin + row * st.in_row : nullptr,
-                          mixed);
+                          gin != nullptr ? gin + row * st.in_row : nullptr);
   }
 }
 
@@ -464,7 +458,7 @@ void CohortModel::conv_backward(const Stage& st, const Scalar* in,
 // the gradient w.r.t. the logits.
 void CohortModel::loss_stage(const Scalar* logits, Scalar* grad,
                              const Tile& t) const {
-  const auto& [items, row_off, ilo, ihi, mixed] = t;
+  const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t K = stages_.back().out_row;
   const std::size_t base = row_off[ilo];
   std::copy(logits, logits + (row_off[ihi] - base) * K, grad);
@@ -671,10 +665,10 @@ void CohortModel::backward_stage(Scratch& sc, const Stage& st, const Tile& t,
   std::swap(g, gin);
 }
 
-void CohortModel::index_items(std::span<const CohortItem> items, bool mixed,
+void CohortModel::index_items(std::span<const CohortItem> items,
                               std::vector<std::size_t>& row_off) const {
   row_off.assign(items.size() + 1, 0);
-  const bool rows_ok = supports_row_gather() && !mixed;
+  const bool rows_ok = supports_row_gather();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const CohortItem& item = items[i];
     HFL_CHECK(item.y != nullptr && item.params != nullptr &&
@@ -683,17 +677,16 @@ void CohortModel::index_items(std::span<const CohortItem> items, bool mixed,
               "cohort item not fully wired");
     HFL_CHECK(item.x_rows == nullptr || rows_ok,
               "row-gather cohort items require a dense-first direct-input "
-              "plan and full precision");
+              "plan");
     HFL_CHECK(!item.y->empty(), "cohort item with empty batch");
     row_off[i + 1] = row_off[i] + item.y->size();
   }
 }
 
-void CohortModel::run(std::span<CohortItem> items, ThreadPool* pool,
-                      bool mixed) {
+void CohortModel::run(std::span<CohortItem> items, ThreadPool* pool) {
   if (items.empty()) return;
   std::vector<std::size_t> row_off;
-  index_items(items, mixed, row_off);
+  index_items(items, row_off);
 
   // Tile boundaries: greedily group consecutive items until the tile's
   // widest activation would exceed the cache budget — additionally capped so
@@ -717,13 +710,12 @@ void CohortModel::run(std::span<CohortItem> items, ThreadPool* pool,
   if (pool == nullptr || pool->size() <= 1 || tiles.size() <= 1) {
     Lease sc(*this);
     for (const auto& [ilo, ihi] : tiles) {
-      run_tile(*sc, {items, row_off.data(), ilo, ihi, mixed});
+      run_tile(*sc, {items, row_off.data(), ilo, ihi});
     }
   } else {
     pool->parallel_for(tiles.size(), [&](std::size_t t) {
       Lease sc(*this);
-      run_tile(*sc, {items, row_off.data(), tiles[t].first, tiles[t].second,
-                     mixed});
+      run_tile(*sc, {items, row_off.data(), tiles[t].first, tiles[t].second});
     });
   }
 }
@@ -731,8 +723,8 @@ void CohortModel::run(std::span<CohortItem> items, ThreadPool* pool,
 void CohortModel::gradient(std::span<CohortItem> items) {
   if (items.empty()) return;
   Lease sc(*this);
-  index_items(items, /*mixed=*/false, sc->row_off);
-  run_tile(*sc, {items, sc->row_off.data(), 0, items.size(), /*mixed=*/false});
+  index_items(items, sc->row_off);
+  run_tile(*sc, {items, sc->row_off.data(), 0, items.size()});
 }
 
 void CohortModel::predict(const Scalar* params, const Scalar* x,
@@ -753,8 +745,7 @@ void CohortModel::predict(const Scalar* params, const Scalar* x,
     item.x = x + lo * sample_elems_;
     sc->row_off.assign({0, rows});
     const Scalar* logits =
-        forward(*sc, {{&item, 1}, sc->row_off.data(), 0, 1, /*mixed=*/false},
-                /*train=*/false);
+        forward(*sc, {{&item, 1}, sc->row_off.data(), 0, 1}, /*train=*/false);
     std::copy(logits, logits + rows * K, out.raw() + lo * K);
   }
 }

@@ -23,8 +23,8 @@
 //                forward+backward before the next, and tiles are the
 //                parallel unit (one pool task per tile, no intra-stage
 //                barriers).
-//   * gradient — the same tile code for a few items on the calling thread at
-//                full precision: one worker's draw, or a paired evaluation of
+//   * gradient — the same tile code for a few items on the calling thread:
+//                one worker's draw, or a paired evaluation of
 //                two parameter points on one draw (WorkerState's unbatched
 //                gradients — every sync algorithm that opts out of prefetch
 //                and every evt::AsyncEngine policy).
@@ -70,8 +70,7 @@
 // concurrently from pool threads (parallel local steps, parallel eval
 // blocks). Which scratch a call gets never shows in its results.
 //
-// FP contract: with `mixed == false`, every item's loss and gradient are
-// bit-identical to Model::loss_and_gradient on the same (params, batch), and
+// FP contract: every item's loss and gradient are bit-identical to Model::loss_and_gradient on the same (params, batch), and
 // predict's logits to Model::predict on the same rows, at any thread count,
 // tiling and row chunking: work is partitioned by item (gradients) or by
 // sample row (predict), every product's per-element accumulation order is
@@ -82,9 +81,6 @@
 // expression, so the compiler's FMA contraction treats plan and layer code
 // alike: the identity holds on the native (FMA) and the portable build
 // (scripts/ci_checks.sh runs tests/batched_parity_test.cpp on both).
-// `mixed == true` (batched run only) switches dense/conv products to the
-// FP32-compute / FP64-accumulate kernels (src/tensor/gemm_mixed.h): ≤1e-6
-// relative error, NOT bit-identical, opt-in via RunConfig::mixed_precision.
 #pragma once
 
 #include <memory>
@@ -107,9 +103,9 @@ namespace hfl::nn {
 // mini-batch holds y->size() samples of sample_elems() scalars each, given
 // either contiguously at `x` or — zero-copy — as one row pointer per sample
 // at `x_rows` (dataset rows drawn by Batcher::next_rows; only when the plan
-// reports supports_row_gather() and `mixed` is off — the dense products then
-// read the rows in place through the row-gathered GEMM entry points,
-// bit-identical to a gathered copy). Batch sizes may differ between items.
+// reports supports_row_gather() — the dense products then read the rows in
+// place through the row-gathered GEMM entry points, bit-identical to a
+// gathered copy). Batch sizes may differ between items.
 struct CohortItem {
   const Scalar* params = nullptr;
   const Scalar* x = nullptr;
@@ -140,10 +136,10 @@ class CohortModel {
 
   // Loss + flat gradient for every item, tile-parallel on `pool` (null =
   // serial). See the FP contract above.
-  void run(std::span<CohortItem> items, ThreadPool* pool, bool mixed);
+  void run(std::span<CohortItem> items, ThreadPool* pool);
 
   // Loss + flat gradient for a few items (one draw, or two parameter points
-  // on one draw) on the calling thread, at full precision.
+  // on one draw) on the calling thread.
   void gradient(std::span<CohortItem> items);
 
   // Logits (n, K) of the n contiguous samples at `x` under `params`, written
@@ -164,7 +160,7 @@ class CohortModel {
 
   // Validates the items and fills `row_off` with the prefix sums of their
   // batch sizes.
-  void index_items(std::span<const CohortItem> items, bool mixed,
+  void index_items(std::span<const CohortItem> items,
                    std::vector<std::size_t>& row_off) const;
 
   // Forward pass of a tile; returns its logits. `train` records what

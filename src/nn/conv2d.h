@@ -16,12 +16,10 @@
 // executor (src/nn/cohort.cpp) can run many workers' convolutions over one
 // concatenated activation tensor without staging parameters through layer
 // tensors. The layer methods call the same spans — one code path, one FP
-// behaviour. FP64 span results are bit-identical to the explicit im2col +
-// ops::gemm_batched lowering (tests/conv_lowering_test.cpp); `mixed` keeps
-// that explicit lowering and switches its products to the
-// FP32-compute/FP64-accumulate kernels.
+// behaviour. Span results are bit-identical to the explicit im2col +
+// ops::gemm_batched lowering (tests/conv_lowering_test.cpp).
 //
-// The padded-plane, dcol and (mixed) im2col scratch is thread-local and
+// The padded-plane and dcol scratch is thread-local and
 // shared by every Conv2d instance on a thread, so peak scratch memory scales
 // with the thread count and the chunk size, not with the simulated fleet
 // size.
@@ -61,13 +59,11 @@ class Conv2d final : public Layer {
   // (out_ch, in_ch·k²) row-major, `bias` is (out_ch).
   //
   // Both spans bump the conv telemetry (conv.fwd_calls / conv.bwd_calls /
-  // conv.im2col_bytes, the bytes the lowering writes: padded planes, dcol,
-  // and im2col chunks under `mixed`), so the layer methods and the cohort
-  // plan are counted alike.
+  // conv.im2col_bytes, the bytes the lowering writes: padded planes and
+  // dcol), so the layer methods and the cohort plan are counted alike.
   static void forward_span(const Spec& s, std::size_t H, std::size_t W,
                            const Scalar* weight, const Scalar* bias,
-                           const Scalar* x0, std::size_t bn, Scalar* out0,
-                           bool mixed);
+                           const Scalar* x0, std::size_t bn, Scalar* out0);
 
   // Backward for the same `bn` samples: accumulates into grad_weight /
   // grad_bias (in sample order — callers pass zeroed or partially
@@ -81,7 +77,7 @@ class Conv2d final : public Layer {
                             const Scalar* weight, const Scalar* x0,
                             std::size_t bn, const Scalar* gout0,
                             Scalar* grad_weight, Scalar* grad_bias,
-                            Scalar* grad_in0, bool mixed);
+                            Scalar* grad_in0);
 
  private:
   Spec spec() const { return {in_ch_, out_ch_, k_, pad_}; }

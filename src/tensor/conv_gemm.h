@@ -15,7 +15,7 @@
 // per-pixel table (pix[c] = oh·wp + ow).
 //
 // FP contract: bit-identical to ops::gemm_batched over an explicit im2col
-// matrix (the lowering mixed precision still uses): every output element is
+// matrix: every output element is
 // the GEMM contract's FMA chain per 256-deep k panel, in k order, starting
 // from +0, added to C panel by panel (src/tensor/gemm_detail.h), and
 // padding reads +0.0 exactly as explicit zeros would. Asserted by

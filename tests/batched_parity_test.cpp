@@ -14,11 +14,9 @@
 //     Model::predict bit for bit, for every registry architecture and for
 //     hand-built chains of native, fallback and residual stages.
 // Also covered: an unsupported layer failing plan compilation and engine
-// construction loudly, the fused-gradient and conv telemetry counters, and
-// a loose-tolerance sanity run of the opt-in mixed-precision mode.
+// construction loudly, and the fused-gradient and conv telemetry counters.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -40,6 +38,7 @@
 #include "src/nn/residual.h"
 #include "src/obs/registry.h"
 #include "src/sim/fault_plan.h"
+#include "src/tensor/conv_gemm.h"
 
 namespace hfl::fl {
 namespace {
@@ -88,11 +87,9 @@ struct Fixture {
 };
 
 RunResult run_once(const Fixture& f, Algorithm& alg, bool batched,
-                   std::size_t threads, const ParticipationSchedule* schedule,
-                   bool mixed = false) {
+                   std::size_t threads, const ParticipationSchedule* schedule) {
   RunConfig cfg = f.config_for(alg);
   cfg.batched = batched;
-  cfg.mixed_precision = mixed;
   cfg.num_threads = threads;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   return engine.run(alg, schedule);
@@ -253,39 +250,6 @@ TEST(BatchedParityFallbackTest, MimeSvrgFallsBack) {
   expect_identical(ref, fused);
 }
 
-// Mixed precision is NOT bit-identical — sanity-check that an end-to-end run
-// stays close to the FP64 trajectory on a short convex problem and returns
-// finite metrics.
-TEST(BatchedMixedPrecisionTest, CloseToFp64Trajectory) {
-  Fixture f;
-  auto ref_alg = algs::make_algorithm("HierAdMo");
-  auto mix_alg = algs::make_algorithm("HierAdMo");
-  const RunResult ref = run_once(f, *ref_alg, /*batched=*/true, 4, nullptr);
-  const RunResult mix = run_once(f, *mix_alg, /*batched=*/true, 4, nullptr,
-                                 /*mixed=*/true);
-  ASSERT_EQ(ref.final_params.size(), mix.final_params.size());
-  Scalar max_diff = 0;
-  for (std::size_t i = 0; i < ref.final_params.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(mix.final_params[i]));
-    max_diff = std::max(max_diff,
-                        std::abs(ref.final_params[i] - mix.final_params[i]));
-  }
-  // 8 iterations of ~1e-6-relative kernel error on O(1) parameters: loose
-  // bound, orders of magnitude above the observed drift but far below any
-  // algorithmic difference.
-  EXPECT_LE(max_diff, 1e-3);
-  EXPECT_TRUE(std::isfinite(mix.final_loss));
-}
-
-// Config validation: mixed precision without the batched path is a user
-// error, not a silent no-op.
-TEST(BatchedConfigTest, MixedWithoutBatchedRejected) {
-  RunConfig cfg;
-  cfg.batched = false;
-  cfg.mixed_precision = true;
-  EXPECT_THROW(cfg.validate(), Error);
-}
-
 // ---- plan level --------------------------------------------------------
 
 constexpr std::size_t kClasses = 3;
@@ -408,7 +372,7 @@ void expect_plan_matches_model(const nn::ModelFactory& factory,
       items.push_back(item_for(i % 2 ? p1 : p0, batches[i], grads[i],
                                plan->supports_row_gather() && i % 3 == 0));
     }
-    plan->run(items, tp, /*mixed=*/false);
+    plan->run(items, tp);
     for (std::size_t i = 0; i < batches.size(); ++i) {
       Vec ref;
       const Scalar loss = model->loss_and_gradient(
@@ -533,6 +497,24 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
   }
 }
 
+// The geometry of every Conv2d in `factory`'s model, in layer order, for
+// (in_ch, h, w) = `shape` samples.
+std::vector<ops::ConvShape> conv_shapes(const nn::ModelFactory& factory,
+                                        const std::vector<std::size_t>& shape) {
+  auto model = factory();
+  nn::Sequential& net = model->net();
+  Tensor x({1, shape[0], shape[1], shape[2]});
+  std::vector<ops::ConvShape> convs;
+  for (std::size_t l = 0; l < net.num_layers(); ++l) {
+    if (const auto* c = dynamic_cast<const nn::Conv2d*>(&net.layer(l))) {
+      convs.push_back({c->in_channels(), c->out_channels(), c->kernel(),
+                       c->padding(), x.dim(2), x.dim(3)});
+    }
+    x = net.layer(l).forward(x, /*train=*/false);
+  }
+  return convs;
+}
+
 // A traced plan run on the CNN counts its convolutions: the conv counters
 // live in the spans both the layer and the plan call.
 TEST(CohortPlanParityTest, ConvCountersSeePlanConvs) {
@@ -540,20 +522,35 @@ TEST(CohortPlanParityTest, ConvCountersSeePlanConvs) {
   auto plan = nn::CohortModel::create(factory);
   Rng rng(31);
   const Vec params = random_params(factory, rng);
-  const Batch batch = random_batch(kImage, 4, rng);
+  constexpr std::size_t kSamples = 4;
+  const Batch batch = random_batch(kImage, kSamples, rng);
   Vec grad(params.size());
   nn::CohortItem item = item_for(params, batch, grad, false);
+
+  // conv.im2col_bytes: every forward (gradient and predict) and every dW
+  // writes one zero-padded plane per sample; only the backward that computes
+  // dX (not the first conv's: its input gradient is dead) writes dcol,
+  // kk × oh·ow scalars per sample.
+  const std::vector<ops::ConvShape> convs = conv_shapes(factory, kImage);
+  ASSERT_EQ(convs.size(), 2u);
+  std::size_t scalars = 0;
+  for (std::size_t c = 0; c < convs.size(); ++c) {
+    const ops::ConvShape& s = convs[c];
+    scalars += 3 * kSamples * s.padded_plane_size();
+    if (c > 0) scalars += kSamples * s.kk() * s.oh() * s.ow();
+  }
 
   obs::set_enabled(true);
   obs::Registry::global().reset();
   plan->gradient({&item, 1});
   Tensor pred;
-  plan->predict(params.data(), batch.x.raw(), 4, pred);
+  plan->predict(params.data(), batch.x.raw(), kSamples, pred);
   auto& reg = obs::Registry::global();
   // Two convs forward per pass (gradient + predict), two backward.
   EXPECT_EQ(reg.counter("conv.fwd_calls").value(), 4u);
   EXPECT_EQ(reg.counter("conv.bwd_calls").value(), 2u);
-  EXPECT_GT(reg.counter("conv.im2col_bytes").value(), 0u);
+  EXPECT_EQ(reg.counter("conv.im2col_bytes").value(),
+            scalars * sizeof(Scalar));
   obs::set_enabled(false);
 }
 

@@ -130,7 +130,7 @@ void check_case(const Case& t, bool skip_dx, Rng& rng) {
                     t.out_ch * cols);
   Vec got_out(out_size, -7.0);
   Conv2d::forward_span(t.spec(), t.h, t.w, weight.data(), bias.data(), x,
-                       t.bn, got_out.data(), /*mixed=*/false);
+                       t.bn, got_out.data());
   EXPECT_TRUE(same_bits(want_out, got_out)) << "forward output";
 
   // dW reference: G·colᵀ per sample into one accumulator, in sample order.
@@ -183,7 +183,7 @@ void check_case(const Case& t, bool skip_dx, Rng& rng) {
   Vec got_gi(in_size, 0.0);
   Conv2d::backward_span(t.spec(), t.h, t.w, weight.data(), x, t.bn,
                         gout.data(), got_gw.data(), got_gb.data(),
-                        skip_dx ? nullptr : got_gi.data(), /*mixed=*/false);
+                        skip_dx ? nullptr : got_gi.data());
   EXPECT_TRUE(same_bits(want_gw, got_gw)) << "dW";
   EXPECT_TRUE(same_bits(want_gb, got_gb)) << "db";
   if (!skip_dx) {
