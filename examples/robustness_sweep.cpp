@@ -58,37 +58,48 @@ int main() {
   const std::vector<Scalar> dropout_levels = {0.0, 0.1, 0.2, 0.3, 0.4};
   const Scalar target_accuracy = 0.6;
 
-  // One fault trace per dropout level, shared by every algorithm. Interval
-  // counts differ per tier (τ vs τ·π), so each tier gets its own
-  // materialization of the same fault models. The plans must outlive the
-  // sweep, hence the owning vector.
+  // One fault trace per dropout level, shared by every algorithm: each job
+  // builds its own plan from the same config (a plan's replay cursors are
+  // per instance, so concurrent jobs must not share one). The planned
+  // participation counts the slots over the job's tier horizon (τ vs τ·π
+  // intervals).
   struct JobMeta {
     std::string name;
     bool three_tier;
     Scalar dropout;
-    const sim::FaultPlan* plan;
+    Scalar planned_up;  // share of (interval, worker) slots the plan keeps up
   };
-  std::vector<std::unique_ptr<sim::FaultPlan>> plans;
+  const auto planned_up = [&](const sim::FaultConfig& fc,
+                              const fl::RunConfig& cfg) {
+    const sim::FaultPlan plan(topo, cfg, fc);
+    const std::size_t intervals = cfg.total_iterations / cfg.tau;
+    std::size_t up = 0;
+    for (std::size_t k = 1; k <= intervals; ++k) {
+      for (std::size_t w = 0; w < topo.num_workers(); ++w) {
+        up += plan.worker_available(k, w) ? 1 : 0;
+      }
+    }
+    return static_cast<Scalar>(up) /
+           static_cast<Scalar>(intervals * topo.num_workers());
+  };
   std::vector<JobMeta> meta;
   std::vector<fl::SweepJob> jobs;
   for (const Scalar dropout : dropout_levels) {
     sim::FaultConfig fc;
     fc.seed = 42;
     fc.dropout.prob = dropout;
-    plans.push_back(std::make_unique<sim::FaultPlan>(topo, cfg3, fc));
-    const sim::FaultPlan* plan3 = plans.back().get();
-    plans.push_back(std::make_unique<sim::FaultPlan>(topo, cfg2, fc));
-    const sim::FaultPlan* plan2 = plans.back().get();
-
     for (const std::string& name : algorithms) {
       const bool three = algs::make_algorithm(name)->three_tier();
       fl::SweepJob job;
       job.make_algorithm = [name] { return algs::make_algorithm(name); };
       job.cfg = three ? cfg3 : cfg2;
-      job.schedule = &(three ? plan3 : plan2)->schedule();
+      job.make_oracle = [&topo, fc] {
+        return std::make_unique<sim::FaultPlan>(topo.num_workers(),
+                                                topo.num_edges(), fc);
+      };
       job.label = name;
+      meta.push_back({name, three, dropout, planned_up(fc, job.cfg)});
       jobs.push_back(std::move(job));
-      meta.push_back({name, three, dropout, three ? plan3 : plan2});
     }
   }
 
@@ -109,7 +120,7 @@ int main() {
     const std::size_t iters = r.iterations_to_accuracy(target_accuracy);
     out.write_row(
         {m.name, m.three_tier ? "1" : "0", CsvWriter::format_scalar(m.dropout),
-         CsvWriter::format_scalar(m.plan->planned_participation()),
+         CsvWriter::format_scalar(m.planned_up),
          CsvWriter::format_scalar(r.mean_participation_rate),
          CsvWriter::format_scalar(r.final_accuracy),
          CsvWriter::format_scalar(r.best_accuracy()),

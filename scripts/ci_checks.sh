@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # One-command CI gate: the checks a change must pass before merging.
 #
-#   1. Release build + full ctest suite (tier-1): unit, parity and golden
+#   1. Layering lint (src/fl, src/net, src/evt and src/pop include no
+#      src/sim header: they read fault plans through fl::AvailabilityOracle),
+#      then Release build + full ctest suite (tier-1): unit, parity and golden
 #      tests, among them every GEMM entry point ≡ the per-element FMA chain
 #      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
 #      roster ≡ closed form (param_plane_test), compiled plan ≡ the
@@ -51,7 +53,15 @@ ASAN_DIR="${2:-build-asan}"
 PORTABLE_DIR="${3:-build-portable}"
 AVX2_DIR="${4:-build-avx2}"
 
-# --- gate 1: Release build + full suite ----------------------------------
+# --- gate 1: layering lint, Release build + full suite -------------------
+# The engines and the modeled clock see a fault plan only as an
+# fl::AvailabilityOracle; a sim header included below src/sim would
+# re-couple them to one implementation.
+if git grep -n '#include "src/sim/' -- src/fl src/net src/evt src/pop; then
+  echo "layering: src/fl, src/net, src/evt and src/pop must not include" \
+    "src/sim headers (use fl::AvailabilityOracle)" >&2
+  exit 1
+fi
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

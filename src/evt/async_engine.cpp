@@ -17,7 +17,6 @@
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/sim/fault_plan.h"
 
 namespace hfl::evt {
 
@@ -263,7 +262,7 @@ struct EvtRun {
   fl::RunState rs;
   EventQueue q;
   std::unique_ptr<fl::Participation> mpart;  // aggregation roster view
-  const sim::FaultPlan* plan = nullptr;      // null = fault-free
+  const fl::AvailabilityOracle* plan = nullptr;  // null = fault-free
   bool three_tier = true;
   std::size_t K = 0;            // edge intervals per worker (T/τ)
   Scalar last_time = 0;         // latest modeled instant touched
@@ -334,10 +333,10 @@ AsyncEngine::AsyncEngine(nn::ModelFactory factory, const data::TrainTest& data,
 // Sync policy: fl::Engine's own barrier loop, with every curve point stamped
 // by a net::TimeSimulator replay of the same run (additive: iteration, loss,
 // accuracy and all engine.* counters are untouched).
-fl::RunResult AsyncEngine::run(fl::Algorithm& alg, const sim::FaultPlan* plan) {
+fl::RunResult AsyncEngine::run(fl::Algorithm& alg,
+                               const fl::AvailabilityOracle* plan) {
   if (cfg_.policy != fl::ExecPolicy::kSync) return run_event_driven(alg, plan);
-  fl::RunResult result =
-      engine_.run(alg, plan != nullptr ? &plan->schedule() : nullptr);
+  fl::RunResult result = engine_.run_with_oracle(alg, plan);
   net::TimeSimConfig tsim = sim_;
   tsim.fault_plan = plan;
   const net::TimeSimulator ts(engine_.topology(), engine_.config(), tsim);
@@ -354,21 +353,20 @@ fl::RunResult AsyncEngine::run(fl::Algorithm& alg, const sim::FaultPlan* plan) {
 
 // Schedule worker w's next interval of local compute: sample its duration
 // from the worker's own latency stream and push the compute-done event.
-// Availability and straggler factors come from the fault schedule, resolved
-// against the worker's OWN interval counter (capped at the schedule horizon)
-// — in an asynchronous run workers drift apart, so "interval k" is
-// per-worker progress, not global time. Returns the sampled duration (0 when
-// the quota is exhausted or the interval is an offline re-check), which the
-// caller uses for the comm/compute overlap accounting.
+// Availability and straggler factors come from the fault plan, resolved
+// against the worker's OWN interval counter — in an asynchronous run
+// workers drift apart, so "interval k" is per-worker progress, not global
+// time. Returns the sampled duration (0 when the quota is exhausted or the
+// interval is an offline re-check), which the caller uses for the
+// comm/compute overlap accounting.
 Scalar AsyncEngine::dispatch_compute(EvtRun& er, std::size_t w, Scalar base) {
   const std::size_t kw = er.w_interval[w] + 1;
   if (kw > er.K) return 0;  // quota exhausted — worker is done
   bool up = true;
   Scalar slowdown = 1.0;
   if (er.plan != nullptr) {
-    const std::size_t kc = std::min(kw, er.plan->num_intervals());
-    up = er.plan->worker_available(kc, w);
-    if (up) slowdown = er.plan->worker_slowdown(kc, w);
+    up = er.plan->worker_available(kw, w);
+    if (up) slowdown = er.plan->worker_slowdown(kw, w);
   }
   note_availability(er, /*is_edge=*/false, w, up, base);
   const std::size_t tau = engine_.config().tau;
@@ -501,11 +499,8 @@ void AsyncEngine::worker_arrival(fl::Algorithm& alg, EvtRun& er,
   // Snapshot the finished interval onto the uplink (FIFO: the link
   // serializes, so a pipelined upload waits for the previous one to clear).
   er.w_upq[w].push_back(snapshot_worker(ws, er.w_version[w]));
-  std::size_t attempts = 1;
-  if (er.plan != nullptr) {
-    attempts =
-        er.plan->upload_attempts(std::min(kw, er.plan->num_intervals()), w);
-  }
+  const std::size_t attempts =
+      er.plan != nullptr ? er.plan->upload_attempts(kw, w) : 1;
   const Scalar up_start = std::max(ev.time, er.uplink_free[w]);
   const Scalar upload = model_->worker_upload(er.wrng[w], w, attempts);
   const Scalar arrive = up_start + upload;
@@ -608,7 +603,7 @@ void AsyncEngine::admit_cohort(fl::Algorithm& alg, EvtRun& er, std::size_t a,
                                std::vector<Arrival> cohort, Scalar t) {
   Aggregator& ag = er.aggs[a];
   if (a != er.cloud && er.plan != nullptr) {
-    const std::size_t kc = std::min(ag.round + 1, er.plan->num_intervals());
+    const std::size_t kc = std::min(ag.round + 1, er.K);
     const bool up = er.plan->edge_available(kc, a);
     note_availability(er, /*is_edge=*/true, a, up, t);
     if (!up) {
@@ -879,16 +874,16 @@ void AsyncEngine::cloud_edge_arrival(fl::Algorithm& alg, EvtRun& er,
                        done);
 }
 
-fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
-                                            const sim::FaultPlan* plan) {
+fl::RunResult AsyncEngine::run_event_driven(
+    fl::Algorithm& alg, const fl::AvailabilityOracle* plan) {
   const obs::Span run_span("run:" + alg.name(), "evt");
   const fl::Topology& topo = engine_.topology();
   const fl::RunConfig& cfg = engine_.config();
 
   EvtRun er;
-  if (plan != nullptr && !plan->is_noop()) {
-    plan->schedule().validate(topo, cfg);
-    er.plan = plan;
+  if (plan != nullptr) {
+    plan->validate(topo);
+    if (!plan->is_noop()) er.plan = plan;
   }
   er.three_tier = alg.three_tier();
   er.K = cfg.total_iterations / cfg.tau;
@@ -905,8 +900,7 @@ fl::RunResult AsyncEngine::run_event_driven(fl::Algorithm& alg,
   er.mpart = std::make_unique<fl::Participation>(
       topo, engine_.provider().base_weights(), er.three_tier);
   if (er.plan != nullptr) {
-    er.mpart->set_absent_policy(plan->config().absent_policy,
-                                plan->config().absent_decay);
+    er.mpart->set_absent_policy(plan->absent_policy(), plan->absent_decay());
     rs.result.worker_miss_counts.assign(W, 0);
   }
 

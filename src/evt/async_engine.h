@@ -64,10 +64,6 @@
 #include "src/net/latency_model.h"
 #include "src/net/time_simulator.h"
 
-namespace hfl::sim {
-class FaultPlan;  // src/sim/fault_plan.h
-}
-
 namespace hfl::evt {
 
 struct EvtRun;       // internal per-run state (async_engine.cpp)
@@ -86,11 +82,12 @@ class AsyncEngine {
 
   fl::RunResult run(fl::Algorithm& alg) { return run(alg, nullptr); }
 
-  // Fault-aware run: the plan (which must outlive the call and match the
-  // topology/run) supplies availability, straggler and retry behaviour. In
-  // the event-driven policies schedule intervals are resolved against each
-  // entity's own round counter (capped at the schedule horizon).
-  fl::RunResult run(fl::Algorithm& alg, const sim::FaultPlan* plan);
+  // Fault-aware run: the oracle (a sim::FaultPlan; it must outlive the call
+  // and is validated against the topology under every policy) supplies
+  // availability, straggler and retry behaviour; a null or no-op one means
+  // none. In the event-driven policies intervals are resolved against each
+  // entity's own round counter, capped at the run's K = T/τ.
+  fl::RunResult run(fl::Algorithm& alg, const fl::AvailabilityOracle* plan);
 
   const fl::Topology& topology() const { return engine_.topology(); }
   // The policy actually executed (the embedded fl::Engine always reports
@@ -100,7 +97,7 @@ class AsyncEngine {
 
  private:
   fl::RunResult run_event_driven(fl::Algorithm& alg,
-                                 const sim::FaultPlan* plan);
+                                 const fl::AvailabilityOracle* plan);
 
   // Event-mode handlers and helpers (see async_engine.cpp). Aggregators are
   // addressed by index: edges [0, E), the cloud at E.

@@ -1,49 +1,8 @@
 #include "src/fl/availability.h"
 
-#include <string>
-
 #include "src/common/errors.h"
 
 namespace hfl::fl {
-
-bool ParticipationSchedule::is_noop() const {
-  for (const std::uint8_t up : worker_up) {
-    if (!up) return false;
-  }
-  for (const std::uint8_t up : edge_up) {
-    if (!up) return false;
-  }
-  for (const Scalar s : slowdown) {
-    if (s != 1.0) return false;
-  }
-  return true;
-}
-
-void ParticipationSchedule::validate(const Topology& topo,
-                                     const RunConfig& cfg) const {
-  HFL_CHECK(num_workers == topo.num_workers(),
-            "participation schedule built for " + std::to_string(num_workers) +
-                " workers but the topology has " +
-                std::to_string(topo.num_workers()));
-  HFL_CHECK(num_edges == topo.num_edges(),
-            "participation schedule built for " + std::to_string(num_edges) +
-                " edges but the topology has " +
-                std::to_string(topo.num_edges()));
-  const std::size_t intervals = cfg.total_iterations / cfg.tau;
-  HFL_CHECK(num_intervals >= intervals,
-            "participation schedule covers " + std::to_string(num_intervals) +
-                " edge intervals but the run needs " +
-                std::to_string(intervals) + " (T/tau)");
-  HFL_CHECK(worker_up.size() == num_intervals * num_workers &&
-                slowdown.size() == num_intervals * num_workers &&
-                edge_up.size() == num_intervals * num_edges,
-            "participation schedule arrays do not match the declared shape");
-  for (const Scalar s : slowdown) {
-    HFL_CHECK(s >= 1.0, "slowdown factors must be >= 1");
-  }
-  HFL_CHECK(absent_decay >= 0.0 && absent_decay <= 1.0,
-            "absent_decay must be in [0, 1]");
-}
 
 Participation::Participation(const Topology& topo,
                              std::vector<Scalar> base_weights,

@@ -5,17 +5,13 @@
 // that constantly — workers drop out, edge nodes go dark, uplinks flake.
 // This module is the fl-side half of the fault subsystem:
 //
-//   * `ParticipationSchedule` is plain data: one availability bit and one
-//     slowdown factor per (edge interval, worker), plus one availability bit
-//     per (edge interval, edge). It says nothing about *why* a worker is
-//     absent — `sim::FaultPlan` (src/sim/fault_plan.h) generates schedules
-//     from seeded fault models, so every algorithm replays the identical
-//     fault trace, the same discipline as the engine's batch streams.
-//
-//   * `AvailabilityOracle` is the engine's only fault interface: a lazily
-//     evaluated per-(interval, worker) / per-(interval, edge) answer.
-//     `sim::SparseFaultPlan` implements it directly; a dense schedule
-//     reaches the engine wrapped in `ScheduleOracle`.
+//   * `AvailabilityOracle` is the only fault interface of every engine and
+//     of the modeled clock: a lazily evaluated per-(interval, worker) /
+//     per-(interval, edge) answer, plus the worker's compute stretch and
+//     upload attempts. It says nothing about *why* a worker is absent —
+//     `sim::FaultPlan` (src/sim/fault_plan.h) implements it from seeded
+//     fault models, so every algorithm replays the identical fault trace,
+//     the same discipline as the engine's batch streams.
 //
 //   * `Participation` is the engine's runtime view of one interval: it
 //     materializes the surviving roster and the renormalized data-size
@@ -45,49 +41,15 @@ enum class AbsentPolicy {
            // configurable factor per missed synchronization
 };
 
-// Deterministic availability trace over the whole run, indexed by edge
-// interval k = 1..num_intervals (interval k covers iterations
-// ((k-1)τ, kτ]). Row-major [k-1][worker] / [k-1][edge].
-struct ParticipationSchedule {
-  std::size_t num_intervals = 0;
-  std::size_t num_workers = 0;
-  std::size_t num_edges = 0;
-
-  std::vector<std::uint8_t> worker_up;  // 1 = worker online for interval k
-  std::vector<Scalar> slowdown;         // per-(k, worker) compute stretch ≥ 1
-  std::vector<std::uint8_t> edge_up;    // 1 = edge node online for interval k
-
-  AbsentPolicy absent_policy = AbsentPolicy::kHold;
-  Scalar absent_decay = 0.5;  // used by kDecay
-
-  bool worker_available(std::size_t k, std::size_t worker) const {
-    return worker_up[(k - 1) * num_workers + worker] != 0;
-  }
-  Scalar worker_slowdown(std::size_t k, std::size_t worker) const {
-    return slowdown[(k - 1) * num_workers + worker];
-  }
-  bool edge_available(std::size_t k, std::size_t edge) const {
-    return edge_up[(k - 1) * num_edges + edge] != 0;
-  }
-
-  // True when the schedule models no fault at all (everyone up, no
-  // slowdown): the engine then takes the exact fault-free code path.
-  bool is_noop() const;
-
-  // Shape checks against the run this schedule is about to drive. Throws
-  // hfl::Error with an actionable message on mismatch.
-  void validate(const Topology& topo, const RunConfig& cfg) const;
-};
-
-// Lazily-evaluated availability: answers per-(interval, worker) queries
-// without materializing the O(intervals × population) schedule arrays a
-// `ParticipationSchedule` carries — the fault interface of the virtualized
-// engine path, where only the sampled cohort is ever queried. Implementations
+// Lazily evaluated availability, indexed by edge interval k >= 1 (interval k
+// covers iterations ((k-1)τ, kτ]). Answers per-(interval, worker) queries
+// without materializing an O(intervals × population) schedule, so the
+// virtualized engine path pays only for the sampled cohort. Implementations
 // must be pure functions of their construction inputs, so the answer for a
 // given (k, id) never depends on which other slots were queried or in what
-// order (`sim::SparseFaultPlan` replays per-entity forked RNG streams to get
-// this). Queries arrive from the engine's serial sampling pass only — no
-// thread-safety requirement.
+// order (`sim::FaultPlan` replays per-entity forked RNG streams to get
+// this). Queries arrive from serial passes only (the engine's sampling
+// pass, the event loop, the clock replay) — no thread-safety requirement.
 class AvailabilityOracle {
  public:
   virtual ~AvailabilityOracle() = default;
@@ -95,30 +57,25 @@ class AvailabilityOracle {
   virtual bool edge_available(std::size_t k, std::size_t edge) const = 0;
   virtual AbsentPolicy absent_policy() const { return AbsentPolicy::kHold; }
   virtual Scalar absent_decay() const { return 0.5; }
-};
-
-// Adapter: expose a dense ParticipationSchedule through the oracle
-// interface. Intervals past the schedule horizon report everything up.
-// Engine::run(alg, schedule) drives every engine kind through it.
-class ScheduleOracle final : public AvailabilityOracle {
- public:
-  explicit ScheduleOracle(const ParticipationSchedule& schedule)
-      : schedule_(&schedule) {}
-
-  bool worker_available(std::size_t k, std::size_t worker) const override {
-    return k > schedule_->num_intervals ||
-           schedule_->worker_available(k, worker);
+  // Compute stretch >= 1 of the worker's interval k (the modeled clocks
+  // multiply its compute time by it).
+  virtual Scalar worker_slowdown(std::size_t /*k*/,
+                                 std::size_t /*worker*/) const {
+    return 1.0;
   }
-  bool edge_available(std::size_t k, std::size_t edge) const override {
-    return k > schedule_->num_intervals || schedule_->edge_available(k, edge);
+  // Upload attempts the worker needs at interval k: 1 = clean, > 1 =
+  // retries after transient link failures (the clocks' backoff model).
+  virtual std::size_t upload_attempts(std::size_t /*k*/,
+                                      std::size_t /*worker*/) const {
+    return 1;
   }
-  AbsentPolicy absent_policy() const override {
-    return schedule_->absent_policy;
-  }
-  Scalar absent_decay() const override { return schedule_->absent_decay; }
-
- private:
-  const ParticipationSchedule* schedule_;
+  // True when the oracle changes nothing about a run (everyone up, no
+  // slowdown, clean uploads). The engines then treat it as null and take
+  // the exact fault-free code path.
+  virtual bool is_noop() const { return false; }
+  // Throws hfl::Error when the oracle was built for a fleet of another
+  // shape. Every consumer calls it first, no-op oracles included.
+  virtual void validate(const Topology& /*topo*/) const {}
 };
 
 // The engine's per-interval participation view: surviving rosters and

@@ -516,19 +516,14 @@ void Engine::set_cohort_provider(CohortProvider* provider) {
   provider_ = provider;
 }
 
-RunResult Engine::run(Algorithm& alg, const ParticipationSchedule* schedule) {
-  // A null or no-op schedule takes the pre-fault code path, byte for byte:
-  // `part` stays null and every helper reduces to the full roster.
-  if (schedule == nullptr || schedule->is_noop()) {
-    return run_with_oracle(alg, nullptr);
-  }
-  schedule->validate(topo_, cfg_);
-  const ScheduleOracle oracle(*schedule);
-  return run_with_oracle(alg, &oracle);
-}
-
 RunResult Engine::run_with_oracle(Algorithm& alg,
                                   const AvailabilityOracle* oracle) {
+  if (oracle != nullptr) {
+    oracle->validate(topo_);
+    // A no-op oracle takes the pre-fault code path, byte for byte: `part`
+    // stays null and every helper reduces to the full roster.
+    if (oracle->is_noop()) oracle = nullptr;
+  }
   const obs::Span run_span("run:" + alg.name(), "engine");
 
   RunState rs;

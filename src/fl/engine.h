@@ -32,14 +32,13 @@
 // cohort; without one the engine builds its own full-cohort store at the
 // start of its first run, which materializes every worker once per run.
 //
-// Partial participation: `run(alg, schedule)` replays a deterministic
-// availability trace (src/fl/availability.h, generated by
-// sim::FaultPlan) through the same AvailabilityOracle interface that
-// `run_with_oracle` takes. Absent workers skip their local steps, surviving
-// workers aggregate with renormalized weights, and workers that miss a
-// synchronization get the oracle's absent-momentum policy via
-// Algorithm::absent_sync. A null or no-op schedule takes the exact
-// fault-free code path, so results are bit-identical to a plain `run(alg)`.
+// Partial participation: `run_with_oracle` replays a deterministic
+// availability trace through an AvailabilityOracle (src/fl/availability.h,
+// implemented by sim::FaultPlan). Absent workers skip their local steps,
+// surviving workers aggregate with renormalized weights, and workers that
+// miss a synchronization get the oracle's absent-momentum policy via
+// Algorithm::absent_sync. A null or no-op oracle takes the exact fault-free
+// code path, so results are bit-identical to a plain `run(alg)`.
 #pragma once
 
 #include <atomic>
@@ -164,12 +163,7 @@ class Engine {
          data::Partition partition, Topology topo, RunConfig cfg);
   ~Engine();
 
-  RunResult run(Algorithm& alg) { return run(alg, nullptr); }
-
-  // Fault-aware run. `schedule` may be null (full participation) and must
-  // outlive the call; it is validated against the topology and config, then
-  // queried through a ScheduleOracle.
-  RunResult run(Algorithm& alg, const ParticipationSchedule* schedule);
+  RunResult run(Algorithm& alg) { return run_with_oracle(alg, nullptr); }
 
   // Attach a provider (a sampled pop::CohortStore) and every subsequent
   // run reads its workers from it, materializing only each interval's
@@ -178,10 +172,11 @@ class Engine {
   // own topology/partition.
   void set_cohort_provider(CohortProvider* provider);
 
-  // Fault-aware run on an availability oracle — the loop behind both run()
-  // overloads. A lazily-evaluated oracle (sim::SparseFaultPlan) computes
-  // fault state only for sampled workers. `oracle` may be null (full
-  // availability) and must outlive the call.
+  // Fault-aware run on an availability oracle — the loop behind run(). The
+  // oracle is validated against the topology; a null or no-op one means
+  // full availability. A lazily evaluated oracle (sim::FaultPlan) computes
+  // fault state only for the workers it is asked about. `oracle` must
+  // outlive the call.
   RunResult run_with_oracle(Algorithm& alg, const AvailabilityOracle* oracle);
 
   const Topology& topology() const { return topo_; }

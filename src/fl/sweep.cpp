@@ -33,9 +33,11 @@ std::vector<SweepResult> run_sweep(const nn::ModelFactory& factory,
     RunConfig cfg = job.cfg;
     cfg.num_threads = std::max<std::size_t>(1, opts.threads_per_run);
     std::unique_ptr<Algorithm> alg = job.make_algorithm();
+    const std::unique_ptr<AvailabilityOracle> oracle =
+        job.make_oracle ? job.make_oracle() : nullptr;
     Engine engine(factory, data, partition, topo, cfg);
     results[i].label = job.label.empty() ? alg->name() : job.label;
-    results[i].result = engine.run(*alg, job.schedule);
+    results[i].result = engine.run_with_oracle(*alg, oracle.get());
   });
   return results;
 }

@@ -1,6 +1,6 @@
 // Concurrent experiment sweeps.
 //
-// A sweep runs many independent (algorithm × config × fault-schedule) jobs
+// A sweep runs many independent (algorithm × config × fault-oracle) jobs
 // against one shared dataset/partition/topology. Jobs are embarrassingly
 // parallel — each constructs its own Engine (own thread pool, own eval
 // models, state rebuilt from the job's seed) — so the sweep dispatches them
@@ -30,8 +30,10 @@ struct SweepJob {
   // are stateful, so concurrent jobs must not share one).
   std::function<std::unique_ptr<Algorithm>()> make_algorithm;
   RunConfig cfg;
-  // Optional fault schedule; must outlive the sweep. Null = full participation.
-  const ParticipationSchedule* schedule = nullptr;
+  // Optional: called once, inside the job, to build its fault oracle. An
+  // oracle replays its trace through per-instance cursors, serial-only, so
+  // concurrent jobs must not share one. Empty = full participation.
+  std::function<std::unique_ptr<AvailabilityOracle>()> make_oracle;
   // Optional tag carried into the result row (algorithm name when empty).
   std::string label;
 };
@@ -47,8 +49,8 @@ struct SweepOptions {
 };
 
 // Runs every job and returns results in job order. The engine copies the
-// partition and topology; `factory`, `data` and any schedules must stay alive
-// for the duration of the call. Job cfg.num_threads is overridden by
+// partition and topology; `factory` and `data` must stay alive for the
+// duration of the call. Job cfg.num_threads is overridden by
 // opts.threads_per_run.
 std::vector<SweepResult> run_sweep(const nn::ModelFactory& factory,
                                    const data::TrainTest& data,

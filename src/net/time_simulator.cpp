@@ -8,7 +8,6 @@
 #include "src/fl/comm_model.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/sim/fault_plan.h"
 
 namespace hfl::net {
 
@@ -48,14 +47,7 @@ TimeSimulator::TimeSimulator(const fl::Topology& topo,
   cfg_.validate();
   // Validates sim_ and the device roster against the topology.
   model_ = std::make_unique<LatencyModel>(topo_, sim_);
-  if (sim_.fault_plan != nullptr) {
-    const fl::ParticipationSchedule& s = sim_.fault_plan->schedule();
-    HFL_CHECK(s.num_workers == topo_.num_workers() &&
-                  s.num_edges == topo_.num_edges(),
-              "fault plan was built for a different topology");
-    HFL_CHECK(s.num_intervals >= cfg_.total_iterations / cfg_.tau,
-              "fault plan covers fewer edge intervals than the run");
-  }
+  if (sim_.fault_plan != nullptr) sim_.fault_plan->validate(topo_);
   build_timeline();
 }
 
@@ -67,7 +59,7 @@ void TimeSimulator::build_timeline() {
   const auto host_start = std::chrono::steady_clock::now();
 
   Rng rng(sim_.seed);
-  const sim::FaultPlan* plan = sim_.fault_plan;
+  const fl::AvailabilityOracle* plan = sim_.fault_plan;
   const std::size_t T = cfg_.total_iterations;
   cumulative_.assign(T + 1, 0.0);
 

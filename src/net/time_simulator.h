@@ -21,15 +21,12 @@
 
 #include <memory>
 
+#include "src/fl/availability.h"
 #include "src/fl/config.h"
 #include "src/fl/metrics.h"
 #include "src/fl/topology.h"
 #include "src/net/latency_model.h"
 #include "src/net/profiles.h"
-
-namespace hfl::sim {
-class FaultPlan;  // src/sim/fault_plan.h
-}
 
 namespace hfl::net {
 
@@ -56,14 +53,15 @@ struct TimeSimConfig {
 
   // ---- Fault-aware replay (optional) ----
   //
-  // When `fault_plan` is set (it must outlive the simulator and match the
-  // same topology/run), the timeline reflects the plan: absent workers
-  // contribute nothing to their barrier, stragglers' compute is stretched
-  // by their slowdown factor, and each failed upload attempt costs one
-  // timed-out transfer plus an exponential backoff before the retry
-  // (backoff_base_s · backoff_mult^(attempt−1)). A null plan reproduces the
-  // fault-free timeline bit for bit.
-  const sim::FaultPlan* fault_plan = nullptr;
+  // When `fault_plan` is set (an oracle such as sim::FaultPlan; it must
+  // outlive the simulator and is validated against the topology), the
+  // timeline reflects it: absent workers contribute nothing to their
+  // barrier, stragglers' compute is stretched by their slowdown factor, and
+  // each failed upload attempt costs one timed-out transfer plus an
+  // exponential backoff before the retry
+  // (backoff_base_s · backoff_mult^(attempt−1)). A null or no-op oracle
+  // reproduces the fault-free timeline bit for bit.
+  const fl::AvailabilityOracle* fault_plan = nullptr;
   Scalar retry_backoff_s = 0.5;    // backoff after the first failed attempt
   Scalar retry_backoff_mult = 2.0; // growth per further failure
   // Deadline-based barriers: > 0 caps how long an aggregator waits for its
@@ -74,7 +72,7 @@ struct TimeSimConfig {
 
   // Throws hfl::Error on inconsistent settings (called by TimeSimulator,
   // which additionally checks the per-worker roster size and, when a fault
-  // plan is attached, its shape against the run).
+  // plan is attached, its shape against the topology).
   void validate() const;
 };
 

@@ -1,6 +1,7 @@
 #include "src/sim/fault_plan.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/errors.h"
 
@@ -135,64 +136,66 @@ bool edge_step(const FaultConfig& cfg, Rng& rng) {
 
 }  // namespace detail
 
+FaultPlan::FaultPlan(std::size_t num_workers, std::size_t num_edges,
+                     FaultConfig cfg)
+    : cfg_(cfg),
+      num_workers_(num_workers),
+      num_edges_(num_edges),
+      root_(cfg.seed) {
+  cfg_.validate();
+  HFL_CHECK(num_workers_ > 0 && num_edges_ > 0,
+            "fault plan needs at least one worker and one edge");
+  is_straggler_ = detail::straggler_roles(root_, cfg_, num_workers_);
+}
+
 FaultPlan::FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
                      FaultConfig cfg)
-    : cfg_(cfg) {
+    : FaultPlan(topo.num_workers(), topo.num_edges(), cfg) {
   run.validate();
-  cfg_.validate();
-
-  const std::size_t n = topo.num_workers();
-  const std::size_t l = topo.num_edges();
-  const std::size_t intervals = run.total_iterations / run.tau;
-
-  schedule_.num_intervals = intervals;
-  schedule_.num_workers = n;
-  schedule_.num_edges = l;
-  schedule_.worker_up.assign(intervals * n, 1);
-  schedule_.slowdown.assign(intervals * n, 1.0);
-  schedule_.edge_up.assign(intervals * l, 1);
-  schedule_.absent_policy = cfg_.absent_policy;
-  schedule_.absent_decay = cfg_.absent_decay;
-  attempts_.assign(intervals * n, 1);
-
-  const Rng root(cfg_.seed);
-  const std::vector<std::uint8_t> stragglers =
-      detail::straggler_roles(root, cfg_, n);
-  for (std::size_t w = 0; w < n; ++w) {
-    detail::WorkerCursor c = detail::worker_cursor(
-        root, cfg_, w, !stragglers.empty() && stragglers[w] != 0);
-    for (std::size_t k = 1; k <= intervals; ++k) {
-      const detail::WorkerStep step = detail::worker_step(cfg_, c);
-      const std::size_t idx = (k - 1) * n + w;
-      schedule_.worker_up[idx] = step.up ? 1 : 0;
-      schedule_.slowdown[idx] = step.slowdown;
-      attempts_[idx] = step.attempts;
-    }
-  }
-
-  if (cfg_.edge_outage.prob > 0.0) {
-    for (std::size_t e = 0; e < l; ++e) {
-      Rng erng = detail::edge_stream(root, n, e);
-      for (std::size_t k = 1; k <= intervals; ++k) {
-        schedule_.edge_up[(k - 1) * l + e] =
-            detail::edge_step(cfg_, erng) ? 1 : 0;
-      }
-    }
-  }
 }
 
-bool FaultPlan::is_noop() const {
-  return schedule_.is_noop() &&
-         std::all_of(attempts_.begin(), attempts_.end(),
-                     [](std::size_t a) { return a == 1; });
+void FaultPlan::validate(const fl::Topology& topo) const {
+  HFL_CHECK(num_workers_ == topo.num_workers() &&
+                num_edges_ == topo.num_edges(),
+            "fault plan built for " + std::to_string(num_workers_) +
+                " workers on " + std::to_string(num_edges_) +
+                " edges but the topology has " +
+                std::to_string(topo.num_workers()) + " on " +
+                std::to_string(topo.num_edges()));
 }
 
-Scalar FaultPlan::planned_participation() const {
-  if (schedule_.worker_up.empty()) return 1.0;
-  std::size_t up = 0;
-  for (const std::uint8_t u : schedule_.worker_up) up += u;
-  return static_cast<Scalar>(up) /
-         static_cast<Scalar>(schedule_.worker_up.size());
+const detail::WorkerStep& FaultPlan::worker_at(std::size_t k,
+                                               std::size_t worker) const {
+  HFL_CHECK(k >= 1 && worker < num_workers_,
+            "fault-plan query out of range");
+  auto [it, inserted] = worker_cursors_.try_emplace(worker);
+  WorkerSlot& slot = it->second;
+  if (inserted || k < slot.cursor.k) {
+    slot.cursor = detail::worker_cursor(
+        root_, cfg_, worker,
+        !is_straggler_.empty() && is_straggler_[worker] != 0);
+  }
+  while (slot.cursor.k < k) {
+    slot.step = detail::worker_step(cfg_, slot.cursor);
+  }
+  return slot.step;
+}
+
+bool FaultPlan::edge_available(std::size_t k, std::size_t edge) const {
+  HFL_CHECK(k >= 1 && edge < num_edges_, "fault-plan query out of range");
+  if (cfg_.edge_outage.prob <= 0.0) return true;
+  auto [it, inserted] = edge_cursors_.try_emplace(edge);
+  EdgeSlot& c = it->second;
+  if (inserted || k < c.k) {
+    c.rng = detail::edge_stream(root_, num_workers_, edge);
+    c.k = 0;
+    c.up = true;
+  }
+  while (c.k < k) {
+    c.up = detail::edge_step(cfg_, c.rng);
+    ++c.k;
+  }
+  return c.up;
 }
 
 }  // namespace hfl::sim

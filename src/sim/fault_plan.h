@@ -3,8 +3,8 @@
 // The paper's experiments assume every worker survives every edge interval
 // and every barrier completes; the multi-tier networks HierAdMo targets are
 // exactly where workers drop out, straggle and links flake. This module
-// turns seeded fault models into a `fl::ParticipationSchedule` the engine
-// replays:
+// turns seeded fault models into a `sim::FaultPlan`, the
+// `fl::AvailabilityOracle` every engine and the modeled clock replay:
 //
 //   * dropout    — i.i.d. Bernoulli: each worker independently misses each
 //                  edge interval with probability `prob`;
@@ -22,21 +22,36 @@
 //   * edge_outage — whole edge nodes go dark for an interval, taking their
 //                  subtree out of both the edge and the cloud barrier.
 //
-// Determinism contract: the plan is a pure function of
-// (config.seed, topology shape, schedule horizon). Every worker and edge
-// draws from its own forked RNG stream, so the trace is independent of the
-// algorithm, of thread scheduling, and of every other stream in the engine —
-// the same discipline as the engine's batch streams. Two plans built from
-// identical inputs are bit-identical, so every algorithm in a sweep replays
-// the identical fault trace.
+// Determinism contract: every answer is a pure function of
+// (config.seed, fleet shape, interval, entity). Every worker and edge draws
+// from its own forked RNG stream, so the trace is independent of the
+// algorithm, of thread scheduling, of query order and of every other stream
+// in the engine — the same discipline as the engine's batch streams. Two
+// plans built from identical inputs answer every query identically, so
+// every algorithm in a sweep replays the identical fault trace. The plan
+// has no horizon: any interval k >= 1 has an answer.
 //
-// One draw routine (`detail::worker_step` / `detail::edge_step`) produces
-// every trace: `FaultPlan` runs it over the whole horizon up front,
-// `SparseFaultPlan` (sparse_fault_plan.h) replays it lazily per queried
-// entity. Both therefore answer every (interval, entity) query identically.
+// The plan is lazy: one draw routine (`detail::worker_step` /
+// `detail::edge_step`) replays each queried entity's stream on demand, so a
+// million-worker run pays only for the workers it asks about:
+//
+//   * construction precomputes only the O(n)-bit straggler-role bitmap (one
+//     fleet-level stream in worker order, so it cannot be derived per
+//     worker), and only when a straggler model is configured;
+//   * the first query for an entity derives its stream statelessly
+//     (Rng::fork_nth) and replays interval rows up to the asked one,
+//     caching a per-entity cursor with that interval's whole step;
+//   * later queries advance the cursor forward, or rewind by replaying
+//     from the stream head (queries going backward are rare: the engines
+//     ask in nondecreasing interval order per entity).
+//
+// tests/fault_golden_test.cpp pins the answers to recorded trace digests.
+// Queries are serial-only, per the AvailabilityOracle contract: concurrent
+// runs need one plan each.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -88,15 +103,15 @@ struct FaultConfig {
   fl::AbsentPolicy absent_policy = fl::AbsentPolicy::kHold;
   Scalar absent_decay = 0.5;
 
-  // True when no fault model is switched on — the resulting schedule is a
-  // no-op and the engine takes the exact fault-free code path.
+  // True when no fault model is switched on — the plan changes nothing and
+  // every engine takes the exact fault-free code path.
   bool is_noop() const;
 
   // Throws hfl::Error on out-of-range probabilities/factors.
   void validate() const;
 };
 
-// The per-entity draw routine behind both plans. Every stream is forked
+// The per-entity draw routine behind the plan. Every stream is forked
 // statelessly off the plan root with the fork numbering: fork 1 = straggler
 // roles, fork 2 + w = worker w, fork 2 + n + e = edge e (n workers),
 // whatever models are switched on.
@@ -133,46 +148,61 @@ Rng edge_stream(const Rng& root, std::size_t num_workers, std::size_t edge);
 bool edge_step(const FaultConfig& cfg, Rng& rng);
 }  // namespace detail
 
-// A materialized fault trace for one (topology, run) pair.
-class FaultPlan {
+// The lazily replayed fault trace of one fleet.
+class FaultPlan final : public fl::AvailabilityOracle {
  public:
+  FaultPlan(std::size_t num_workers, std::size_t num_edges, FaultConfig cfg);
+  // Validates `run` and sizes the plan to `topo`.
   FaultPlan(const fl::Topology& topo, const fl::RunConfig& run,
             FaultConfig cfg);
 
-  const fl::ParticipationSchedule& schedule() const { return schedule_; }
+  bool worker_available(std::size_t k, std::size_t worker) const override {
+    return worker_at(k, worker).up;
+  }
+  Scalar worker_slowdown(std::size_t k, std::size_t worker) const override {
+    return worker_at(k, worker).slowdown;
+  }
+  // Meaningful only when the worker is available at k.
+  std::size_t upload_attempts(std::size_t k,
+                              std::size_t worker) const override {
+    return worker_at(k, worker).attempts;
+  }
+  bool edge_available(std::size_t k, std::size_t edge) const override;
+  fl::AbsentPolicy absent_policy() const override {
+    return cfg_.absent_policy;
+  }
+  Scalar absent_decay() const override { return cfg_.absent_decay; }
+  // A config with no model switched on. A retry-only config is not a
+  // no-op: it drops nobody, yet stretches modeled upload time.
+  bool is_noop() const override { return cfg_.is_noop(); }
+  // Throws hfl::Error unless the plan was built for `topo`'s shape.
+  void validate(const fl::Topology& topo) const override;
+
   const FaultConfig& config() const { return cfg_; }
-  std::size_t num_intervals() const { return schedule_.num_intervals; }
-
-  // Upload attempts worker `w` needed at interval k (1-based): 1 = clean,
-  // >1 = retries after transient link failures. Meaningful only when the
-  // worker is available at k; feeds net::TimeSimulator's backoff model.
-  std::size_t upload_attempts(std::size_t k, std::size_t w) const {
-    return attempts_[(k - 1) * schedule_.num_workers + w];
-  }
-
-  bool worker_available(std::size_t k, std::size_t w) const {
-    return schedule_.worker_available(k, w);
-  }
-  Scalar worker_slowdown(std::size_t k, std::size_t w) const {
-    return schedule_.worker_slowdown(k, w);
-  }
-  bool edge_available(std::size_t k, std::size_t e) const {
-    return schedule_.edge_available(k, e);
-  }
-
-  // True when the plan changes nothing about a run: its schedule is a no-op
-  // and no upload needs a retry. A retry-only plan drops nobody yet still
-  // stretches modeled upload time, so it is not a no-op.
-  bool is_noop() const;
-
-  // Fraction of (interval, worker) slots that are up — a cheap diagnostic
-  // of how harsh the configured models are.
-  Scalar planned_participation() const;
 
  private:
+  struct WorkerSlot {
+    detail::WorkerCursor cursor;
+    detail::WorkerStep step;  // interval cursor.k
+  };
+  struct EdgeSlot {
+    Rng rng{0};
+    std::size_t k = 0;
+    bool up = true;
+  };
+
+  // Worker `worker`'s step at interval k, replayed through its cursor.
+  const detail::WorkerStep& worker_at(std::size_t k, std::size_t worker) const;
+
   FaultConfig cfg_;
-  fl::ParticipationSchedule schedule_;
-  std::vector<std::size_t> attempts_;  // [k-1][worker]
+  std::size_t num_workers_ = 0;
+  std::size_t num_edges_ = 0;
+  Rng root_;
+  std::vector<std::uint8_t> is_straggler_;
+  // Lazy per-entity replay cursors (mutable: queries are logically const
+  // and, per the oracle contract, serial).
+  mutable std::unordered_map<std::size_t, WorkerSlot> worker_cursors_;
+  mutable std::unordered_map<std::size_t, EdgeSlot> edge_cursors_;
 };
 
 }  // namespace hfl::sim

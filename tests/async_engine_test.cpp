@@ -295,7 +295,7 @@ TEST(AsyncSyncTest, ForwardsToEngineAndStampsModeledTime) {
       fl::Engine engine(f.factory, f.dataset, f.partition, f.topo,
                         f.config_for(*ref_alg));
       const fl::RunResult ref =
-          engine.run(*ref_alg, faults ? &plan.schedule() : nullptr);
+          engine.run_with_oracle(*ref_alg, faults ? &plan : nullptr);
       const fl::RunResult evt = run_async(f, *evt_alg, f.config_for(*evt_alg),
                                           1, faults ? &plan : nullptr, nullptr);
       expect_identical_training(ref, evt);
@@ -307,9 +307,8 @@ TEST(AsyncSyncTest, ForwardsToEngineAndStampsModeledTime) {
   }
 }
 
-// A plan whose only effect is link retries drops nobody, so its schedule
-// reads as a no-op — yet every policy must still charge the retried
-// uploads to the modeled clock.
+// A plan whose only effect is link retries drops nobody — yet every policy
+// must still charge the retried uploads to the modeled clock.
 TEST(AsyncRetryTest, RetryOnlyPlanSlowsEveryPolicy) {
   Fixture f;
   sim::FaultConfig fc;
@@ -325,7 +324,7 @@ TEST(AsyncRetryTest, RetryOnlyPlanSlowsEveryPolicy) {
                                   ? f.config_for(*clean_alg)
                                   : f.event_config(*clean_alg, policy);
     const sim::FaultPlan plan(f.topo, cfg, fc);
-    ASSERT_TRUE(plan.schedule().is_noop());
+    ASSERT_FALSE(plan.is_noop());
     const fl::RunResult clean =
         run_async(f, *clean_alg, cfg, 1, nullptr, nullptr);
     const fl::RunResult retried =

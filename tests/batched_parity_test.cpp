@@ -87,12 +87,12 @@ struct Fixture {
 };
 
 RunResult run_once(const Fixture& f, Algorithm& alg, bool batched,
-                   std::size_t threads, const ParticipationSchedule* schedule) {
+                   std::size_t threads, const AvailabilityOracle* oracle) {
   RunConfig cfg = f.config_for(alg);
   cfg.batched = batched;
   cfg.num_threads = threads;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-  return engine.run(alg, schedule);
+  return engine.run_with_oracle(alg, oracle);
 }
 
 void expect_identical(const RunResult& ref, const RunResult& got) {
@@ -139,9 +139,9 @@ TEST_P(BatchedParityTest, FusedRunBitIdenticalUnderFaultSchedule) {
     auto fused_alg = algs::make_algorithm(GetParam());
     const sim::FaultPlan plan(f.topo, f.config_for(*ref_alg), fc);
     const RunResult ref =
-        run_once(f, *ref_alg, /*batched=*/false, threads, &plan.schedule());
+        run_once(f, *ref_alg, /*batched=*/false, threads, &plan);
     const RunResult fused =
-        run_once(f, *fused_alg, /*batched=*/true, threads, &plan.schedule());
+        run_once(f, *fused_alg, /*batched=*/true, threads, &plan);
     expect_identical(ref, fused);
   }
 }

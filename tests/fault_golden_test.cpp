@@ -1,17 +1,16 @@
 // Golden digests of the fault paths.
 //
-//   1. Fault traces: sim::FaultPlan over the six-model fault zoo hashes to a
-//      committed value (availability, slowdown, edge outages and upload
-//      attempts), and sim::SparseFaultPlan's lazy answers hash to the
-//      committed availability digest. Both plans are pinned to the recorded
-//      trace, not to each other.
+//   1. Fault traces: sim::FaultPlan's answers over the six-model fault zoo
+//      hash to committed values — the full trace (availability, slowdown,
+//      edge outages and upload attempts) and availability alone. The plan
+//      is queried entity by entity, then again backward, so its cursors
+//      replay out of row order and rewind.
 //   2. fl::Engine fault-path runs: every registry algorithm under the hold,
 //      reset and decay absent policies on three settings — the engine's own
-//      full-cohort store with a FaultPlan schedule, an attached full-cohort
-//      pop::CohortStore driven through a ScheduleOracle, and a sampled
-//      CohortStore driven by a SparseFaultPlan — hashes curve, final
-//      parameters, miss counts, participation trace and per-link comm
-//      totals. The first two run the same store configuration, so they
+//      full-cohort store, an attached full-cohort pop::CohortStore and a
+//      sampled CohortStore, each driven by a FaultPlan — hashes curve,
+//      final parameters, miss counts, participation trace and per-link
+//      comm totals. The first two run the same store configuration, so they
 //      share their digests.
 //   3. HierAdMo's configurations outside the registry — the kVelocity and
 //      kCrossWorker ablation signals and a top-k upload compressor — on
@@ -46,7 +45,6 @@
 #include "src/obs/registry.h"
 #include "src/pop/cohort_store.h"
 #include "src/sim/fault_plan.h"
-#include "src/sim/sparse_fault_plan.h"
 #include "tests/golden.h"
 
 namespace hfl {
@@ -60,51 +58,44 @@ constexpr std::size_t kTraceEdges = 4;
 constexpr std::size_t kTraceWorkersPerEdge = 16;
 constexpr std::size_t kTraceIntervals = 12;
 
-// {full FaultPlan trace, availability bits only}.
+// {full trace, availability bits only}.
 using TraceDigests = std::array<std::uint64_t, 2>;
 
-std::uint64_t availability_digest(const std::vector<std::uint8_t>& worker_up,
-                                  const std::vector<std::uint8_t>& edge_up) {
-  golden::Fnv h;
-  h.add(worker_up);
-  h.add(edge_up);
-  return h.value();
-}
-
-TraceDigests plan_digests(const sim::FaultPlan& plan, std::size_t workers) {
-  const fl::ParticipationSchedule& s = plan.schedule();
-  std::vector<std::size_t> attempts;
-  for (std::size_t k = 1; k <= plan.num_intervals(); ++k) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      attempts.push_back(plan.upload_attempts(k, w));
-    }
-  }
-  golden::Fnv h;
-  h.add(s.worker_up);
-  h.add(s.slowdown);
-  h.add(s.edge_up);
-  h.add(attempts);
-  return {h.value(), availability_digest(s.worker_up, s.edge_up)};
-}
-
-// The lazy plan's answers laid out like the dense schedule ([k-1][entity]),
-// queried edge-major to exercise the per-entity cursors out of row order.
-std::uint64_t sparse_availability_digest(const sim::SparseFaultPlan& plan,
-                                         std::size_t workers,
-                                         std::size_t edges) {
-  std::vector<std::uint8_t> worker_up(kTraceIntervals * workers);
-  std::vector<std::uint8_t> edge_up(kTraceIntervals * edges);
-  for (std::size_t w = workers; w-- > 0;) {
-    for (std::size_t k = 1; k <= kTraceIntervals; ++k) {
-      worker_up[(k - 1) * workers + w] = plan.worker_available(k, w) ? 1 : 0;
+// The plan's answers over intervals 1..kTraceIntervals laid out
+// [k-1][entity], queried entity by entity: forward when `backward` is
+// false, else from the last interval down, which rewinds every cursor on
+// every query.
+TraceDigests plan_digests(const sim::FaultPlan& plan, std::size_t workers,
+                          std::size_t edges, bool backward) {
+  const std::size_t n = kTraceIntervals;
+  std::vector<std::uint8_t> worker_up(n * workers);
+  std::vector<Scalar> slowdown(n * workers);
+  std::vector<std::uint8_t> edge_up(n * edges);
+  std::vector<std::size_t> attempts(n * workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    for (std::size_t i = 1; i <= n; ++i) {
+      const std::size_t k = backward ? n + 1 - i : i;
+      const std::size_t idx = (k - 1) * workers + w;
+      worker_up[idx] = plan.worker_available(k, w) ? 1 : 0;
+      slowdown[idx] = plan.worker_slowdown(k, w);
+      attempts[idx] = plan.upload_attempts(k, w);
     }
   }
   for (std::size_t e = 0; e < edges; ++e) {
-    for (std::size_t k = 1; k <= kTraceIntervals; ++k) {
+    for (std::size_t i = 1; i <= n; ++i) {
+      const std::size_t k = backward ? n + 1 - i : i;
       edge_up[(k - 1) * edges + e] = plan.edge_available(k, e) ? 1 : 0;
     }
   }
-  return availability_digest(worker_up, edge_up);
+  golden::Fnv full;
+  full.add(worker_up);
+  full.add(slowdown);
+  full.add(edge_up);
+  full.add(attempts);
+  golden::Fnv availability;
+  availability.add(worker_up);
+  availability.add(edge_up);
+  return {full.value(), availability.value()};
 }
 
 const std::map<std::string, TraceDigests>* golden_traces() {
@@ -160,11 +151,9 @@ TEST(FaultTraceGoldenTest, PlansMatchGoldenDigests) {
   std::string measured;
   for (int which = 0; which < 6; ++which) {
     const std::string name = "zoo" + std::to_string(which);
-    const sim::FaultConfig fc = golden::fault_zoo(which);
-    const sim::FaultPlan dense(topo, cfg, fc);
-    const sim::SparseFaultPlan sparse(topo.num_workers(), topo.num_edges(),
-                                      fc);
-    const TraceDigests got = plan_digests(dense, topo.num_workers());
+    const sim::FaultPlan plan(topo, cfg, golden::fault_zoo(which));
+    const TraceDigests got = plan_digests(plan, topo.num_workers(),
+                                          topo.num_edges(), false);
     measured += golden::format_row(name, got) + "\n";
     const auto it = golden->find(name);
     if (it == golden->end()) {
@@ -172,10 +161,9 @@ TEST(FaultTraceGoldenTest, PlansMatchGoldenDigests) {
       continue;
     }
     EXPECT_EQ(it->second, got) << name;
-    EXPECT_EQ(it->second[1],
-              sparse_availability_digest(sparse, topo.num_workers(),
-                                         topo.num_edges()))
-        << name << ": SparseFaultPlan diverged from the recorded trace";
+    EXPECT_EQ(it->second, plan_digests(plan, topo.num_workers(),
+                                       topo.num_edges(), true))
+        << name << ": backward queries diverged from the recorded trace";
   }
   if (HasFailure()) ADD_FAILURE() << "measured:\n" << measured;
 }
@@ -273,8 +261,7 @@ std::uint64_t fault_run_digest(const Fixture& f, fl::Algorithm& alg,
                                EngineKind kind, fl::AbsentPolicy policy) {
   fl::RunConfig cfg = f.config_for(alg);
   cfg.num_threads = 1;
-  const sim::FaultConfig fc = run_faults(policy);
-  const sim::FaultPlan plan(f.topo, cfg, fc);
+  const sim::FaultPlan plan(f.topo, cfg, run_faults(policy));
 
   obs::set_enabled(true);
   obs::Registry::global().reset();
@@ -291,18 +278,7 @@ std::uint64_t fault_run_digest(const Fixture& f, fl::Algorithm& alg,
                                                f.partition, f.topo, cfg, virt);
     engine.set_cohort_provider(store.get());
   }
-  fl::RunResult r;
-  if (kind == EngineKind::kOwnStore) {
-    r = engine.run(alg, &plan.schedule());
-  } else if (kind == EngineKind::kFullCohort) {
-    const fl::ScheduleOracle oracle(plan.schedule());
-    r = engine.run_with_oracle(alg, &oracle);
-  } else {
-    const sim::SparseFaultPlan sparse(f.topo.num_workers(),
-                                      f.topo.num_edges(), fc);
-    r = engine.run_with_oracle(alg, &sparse);
-  }
-  const std::uint64_t digest = run_digest(r);
+  const std::uint64_t digest = run_digest(engine.run_with_oracle(alg, &plan));
   obs::set_enabled(false);
   return digest;
 }

@@ -347,11 +347,11 @@ TEST_F(ObsTest, EnabledAndDisabledRunsAreBitIdentical) {
 
   obs::set_enabled(true);
   core::HierAdMo alg_on;
-  const fl::RunResult on = engine.run(alg_on, &plan.schedule());
+  const fl::RunResult on = engine.run_with_oracle(alg_on, &plan);
 
   obs::set_enabled(false);
   core::HierAdMo alg_off;
-  const fl::RunResult off = engine.run(alg_off, &plan.schedule());
+  const fl::RunResult off = engine.run_with_oracle(alg_off, &plan);
 
   ASSERT_EQ(on.curve.size(), off.curve.size());
   for (std::size_t i = 0; i < on.curve.size(); ++i) {

@@ -90,14 +90,14 @@ bool operator==(const obs::LinkTotals& a, const obs::LinkTotals& b) {
 }
 
 RunResult run_once(const Fixture& f, Algorithm& alg, std::size_t threads,
-                   const ParticipationSchedule* schedule, ObsSnapshot* snap) {
+                   const AvailabilityOracle* oracle, ObsSnapshot* snap) {
   obs::set_enabled(true);
   obs::Registry::global().reset();
   obs::CommAccountant::global().reset();
   RunConfig cfg = f.config_for(alg);
   cfg.num_threads = threads;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-  RunResult r = engine.run(alg, schedule);
+  RunResult r = engine.run_with_oracle(alg, oracle);
   if (snap != nullptr) {
     auto& reg = obs::Registry::global();
     auto& comm = obs::CommAccountant::global();
@@ -170,9 +170,9 @@ TEST_P(ParallelSyncTest, FaultScheduleBitIdentical) {
   const sim::FaultPlan plan(f.topo, f.config_for(*serial_alg), fc);
   ObsSnapshot serial_obs, parallel_obs;
   const RunResult serial =
-      run_once(f, *serial_alg, 1, &plan.schedule(), &serial_obs);
+      run_once(f, *serial_alg, 1, &plan, &serial_obs);
   const RunResult parallel =
-      run_once(f, *parallel_alg, 4, &plan.schedule(), &parallel_obs);
+      run_once(f, *parallel_alg, 4, &plan, &parallel_obs);
   expect_identical(serial, parallel);
   expect_identical(serial_obs, parallel_obs);
 }
@@ -272,7 +272,6 @@ TEST(RunSweepTest, MatchesSerialLoopJobForJob) {
   sim::FaultConfig fc;
   fc.seed = 42;
   fc.dropout.prob = 0.3;
-  const sim::FaultPlan plan(f.topo, f.cfg3, fc);
 
   std::vector<SweepJob> jobs;
   for (const std::string name : {"HierAdMo", "HierFAVG", "FedNAG"}) {
@@ -281,15 +280,20 @@ TEST(RunSweepTest, MatchesSerialLoopJobForJob) {
     job.cfg = f.config_for(*algs::make_algorithm(name));
     jobs.push_back(std::move(job));
   }
-  jobs[1].schedule = &plan.schedule();  // one faulty job in the middle
+  // One faulty job in the middle; each run builds its own plan.
+  jobs[1].make_oracle = [&f, fc] {
+    return std::make_unique<sim::FaultPlan>(f.topo, f.cfg3, fc);
+  };
 
   std::vector<RunResult> loop;
   for (const SweepJob& job : jobs) {
     auto alg = job.make_algorithm();
     RunConfig cfg = job.cfg;
     cfg.num_threads = 1;
+    const std::unique_ptr<AvailabilityOracle> oracle =
+        job.make_oracle ? job.make_oracle() : nullptr;
     Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-    loop.push_back(engine.run(*alg, job.schedule));
+    loop.push_back(engine.run_with_oracle(*alg, oracle.get()));
   }
 
   SweepOptions opts;

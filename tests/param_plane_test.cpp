@@ -18,12 +18,12 @@
 //
 //   * The engine's miss accounting is derived at finalize from per-interval
 //     participation tallies; counting absences straight off the fault
-//     schedule's arrays is the oracle it must match exactly.
+//     plan's answers is the oracle it must match exactly.
 //
 //   * Sampled virtualized runs with kReset/kDecay absent policies replay the
 //     policy per missed interval at restore (src/pop/cohort_store.h); a
-//     dense run on the induced schedule applying the policy every interval
-//     is the bit-identity oracle, at 1 and 4 threads.
+//     full-cohort run on the induced availability applying the policy every
+//     interval is the bit-identity oracle, at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -484,28 +484,26 @@ TEST(SparseRosterTest, MatchesNaiveReferenceBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental miss accounting vs the schedule arrays.
+// Incremental miss accounting vs the plan's answers.
 // ---------------------------------------------------------------------------
 
-TEST(MissAccountingTest, MatchesScheduleArrays) {
+TEST(MissAccountingTest, MatchesPlanQueries) {
   Fixture f;
   const sim::FaultPlan plan(f.topo, f.cfg, fault_zoo());
-  const ParticipationSchedule& schedule = plan.schedule();
 
   auto alg = algs::make_algorithm("HierAdMo");
   RunConfig cfg = f.cfg;
   cfg.num_threads = 2;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
-  const RunResult r = engine.run(*alg, &schedule);
+  const RunResult r = engine.run_with_oracle(*alg, &plan);
 
   // A three-tier worker misses interval k when it is down or its edge is.
   std::vector<std::size_t> expected(f.topo.num_workers(), 0);
   const std::size_t intervals = f.cfg.total_iterations / f.cfg.tau;
   for (std::size_t k = 1; k <= intervals; ++k) {
     for (std::size_t w = 0; w < expected.size(); ++w) {
-      const std::size_t e = f.topo.edge_of_worker(w);
-      if (!schedule.worker_up[(k - 1) * schedule.num_workers + w] ||
-          !schedule.edge_up[(k - 1) * schedule.num_edges + e]) {
+      if (!plan.worker_available(k, w) ||
+          !plan.edge_available(k, f.topo.edge_of_worker(w))) {
         ++expected[w];
       }
     }
@@ -531,42 +529,58 @@ RunResult run_sampled(const Fixture& f, const std::string& alg_name,
   return engine.run_with_oracle(*alg, oracle);
 }
 
-// The dense schedule a sampled run induces: a worker is up iff it is in
-// interval k's cohort AND the oracle keeps it up.
-ParticipationSchedule induced_schedule(const Fixture& f,
-                                       std::size_t cohort_size,
-                                       const AvailabilityOracle* oracle,
-                                       AbsentPolicy policy, Scalar decay) {
-  pop::VirtConfig virt;
-  virt.cohort_size = cohort_size;
-  pop::CohortStore replica(f.factory, f.dataset, f.partition, f.topo, f.cfg,
-                           virt);
-  ParticipationSchedule s;
-  s.num_intervals = f.cfg.total_iterations / f.cfg.tau;
-  s.num_workers = f.topo.num_workers();
-  s.num_edges = f.topo.num_edges();
-  s.worker_up.assign(s.num_intervals * s.num_workers, 0);
-  s.slowdown.assign(s.num_intervals * s.num_workers, 1.0);
-  s.edge_up.assign(s.num_intervals * s.num_edges, 1);
-  s.absent_policy = policy;
-  s.absent_decay = decay;
-
-  std::vector<WorkerId> ids;
-  std::vector<Scalar> mult;
-  for (std::size_t k = 1; k <= s.num_intervals; ++k) {
-    replica.sample_cohort(k, ids, mult);
-    for (const WorkerId id : ids) {
-      const bool up = oracle == nullptr || oracle->worker_available(k, id);
-      s.worker_up[(k - 1) * s.num_workers + id] = up ? 1 : 0;
-    }
-    if (oracle != nullptr) {
-      for (std::size_t e = 0; e < s.num_edges; ++e) {
-        s.edge_up[(k - 1) * s.num_edges + e] =
-            oracle->edge_available(k, e) ? 1 : 0;
+// The availability a sampled run induces on a full-cohort run, as a table
+// oracle: a worker is up iff it is in interval k's cohort AND `oracle`
+// keeps it up; edges follow `oracle`.
+class InducedOracle final : public AvailabilityOracle {
+ public:
+  InducedOracle(const Fixture& f, std::size_t cohort_size,
+                const AvailabilityOracle& oracle)
+      : workers_(f.topo.num_workers()),
+        edges_(f.topo.num_edges()),
+        policy_(oracle.absent_policy()),
+        decay_(oracle.absent_decay()) {
+    pop::VirtConfig virt;
+    virt.cohort_size = cohort_size;
+    pop::CohortStore replica(f.factory, f.dataset, f.partition, f.topo,
+                             f.cfg, virt);
+    const std::size_t intervals = f.cfg.total_iterations / f.cfg.tau;
+    worker_up_.assign(intervals * workers_, 0);
+    std::vector<WorkerId> ids;
+    std::vector<Scalar> mult;
+    for (std::size_t k = 1; k <= intervals; ++k) {
+      replica.sample_cohort(k, ids, mult);
+      for (const WorkerId id : ids) {
+        worker_up_[(k - 1) * workers_ + id] =
+            oracle.worker_available(k, id) ? 1 : 0;
+      }
+      for (std::size_t e = 0; e < edges_; ++e) {
+        edge_up_.push_back(oracle.edge_available(k, e) ? 1 : 0);
       }
     }
   }
-  return s;
+
+  bool worker_available(std::size_t k, std::size_t w) const override {
+    return worker_up_[(k - 1) * workers_ + w] != 0;
+  }
+  bool edge_available(std::size_t k, std::size_t e) const override {
+    return edge_up_[(k - 1) * edges_ + e] != 0;
+  }
+  AbsentPolicy absent_policy() const override { return policy_; }
+  Scalar absent_decay() const override { return decay_; }
+
+ private:
+  std::size_t workers_, edges_;
+  std::vector<std::uint8_t> worker_up_, edge_up_;  // [k-1][id]
+  AbsentPolicy policy_;
+  Scalar decay_;
+};
+
+sim::FaultPlan zoo_plan(const Fixture& f, AbsentPolicy policy) {
+  sim::FaultConfig fc = fault_zoo();
+  fc.absent_policy = policy;
+  fc.absent_decay = 0.5;
+  return sim::FaultPlan(f.topo, f.cfg, fc);
 }
 
 class AbsentReplayTest : public ::testing::TestWithParam<AbsentPolicy> {};
@@ -576,37 +590,28 @@ TEST_P(AbsentReplayTest, SampledRunMatchesDenseInducedSchedule) {
   constexpr std::size_t kCohort = 16;  // of 64: turnover every interval
 
   // Fault zoo on top of the cohort sampling, with the policy under test.
-  const sim::FaultPlan plan(f.topo, f.cfg, fault_zoo());
-  ParticipationSchedule faults = plan.schedule();
-  faults.absent_policy = GetParam();
-  faults.absent_decay = 0.5;
-  const ScheduleOracle oracle(faults);
+  const sim::FaultPlan plan = zoo_plan(f, GetParam());
 
-  const RunResult sampled = run_sampled(f, "HierAdMo", 4, kCohort, &oracle);
+  const RunResult sampled = run_sampled(f, "HierAdMo", 4, kCohort, &plan);
 
-  const ParticipationSchedule induced =
-      induced_schedule(f, kCohort, &oracle, GetParam(), 0.5);
+  const InducedOracle induced(f, kCohort, plan);
   auto dense_alg = algs::make_algorithm("HierAdMo");
   RunConfig cfg = f.cfg;
   cfg.num_threads = 4;
   Engine dense(f.factory, f.dataset, f.partition, f.topo, cfg);
-  const RunResult reference = dense.run(*dense_alg, &induced);
+  const RunResult reference = dense.run_with_oracle(*dense_alg, &induced);
 
   expect_identical(reference, sampled);
 }
 
 TEST_P(AbsentReplayTest, TurnoverIsThreadCountInvariant) {
   Fixture f;
-  const sim::FaultPlan plan(f.topo, f.cfg, fault_zoo());
-  ParticipationSchedule faults = plan.schedule();
-  faults.absent_policy = GetParam();
-  faults.absent_decay = 0.5;
-  const ScheduleOracle oracle(faults);
+  const sim::FaultPlan plan = zoo_plan(f, GetParam());
 
   // Spill serialization and restore replay run on the engine pool; 1 vs 4
   // threads must not move a bit.
-  const RunResult serial = run_sampled(f, "HierAdMo", 1, 16, &oracle);
-  const RunResult parallel = run_sampled(f, "HierAdMo", 4, 16, &oracle);
+  const RunResult serial = run_sampled(f, "HierAdMo", 1, 16, &plan);
+  const RunResult parallel = run_sampled(f, "HierAdMo", 4, 16, &plan);
   expect_identical(serial, parallel);
 }
 

@@ -9,15 +9,15 @@
 //     engine's own store bit for bit — curve, final parameters,
 //     participation trace, miss counts, obs sync counters and per-link comm
 //     bytes — for every registry algorithm (plus MimeLite), with and
-//     without a fault schedule, at 1 and 4 threads.
+//     without a fault plan, at 1 and 4 threads.
 //
 //   * The provider lifecycle: detaching a provider (set_cohort_provider
 //     with nullptr) falls back to the engine's own store and reproduces a
-//     never-attached run, and run_with_oracle on a bare engine equals run
-//     on the same schedule.
+//     never-attached run, and a fault plan reused across runs replays from
+//     interval 1 like a fresh one.
 //
 //   * Sampled mode must equal a FULL-COHORT run driven by the induced
-//     participation schedule (absent = outside the cohort, or failed by the
+//     availability (absent = outside the cohort, or failed by the
 //     fault oracle; kHold absent policy): per-worker RNG streams are derived
 //     statelessly and spill/restore is byte-exact, so materializing only the
 //     cohort is invisible to the math. Mime/MimeLite are excluded here by
@@ -44,7 +44,6 @@
 #include "src/obs/registry.h"
 #include "src/pop/cohort_store.h"
 #include "src/sim/fault_plan.h"
-#include "src/sim/sparse_fault_plan.h"
 
 namespace hfl::fl {
 namespace {
@@ -100,7 +99,6 @@ bool operator==(const obs::LinkTotals& a, const obs::LinkTotals& b) {
 // engine's own full-cohort store), `oracle` non-null supplies fault
 // availability through run_with_oracle.
 RunResult run_once(const Fixture& f, Algorithm& alg, std::size_t threads,
-                   const ParticipationSchedule* schedule,
                    pop::VirtConfig* virt, const AvailabilityOracle* oracle,
                    ObsSnapshot* snap) {
   obs::set_enabled(true);
@@ -116,8 +114,7 @@ RunResult run_once(const Fixture& f, Algorithm& alg, std::size_t threads,
                                                *virt);
     engine.set_cohort_provider(store.get());
   }
-  RunResult r = oracle != nullptr ? engine.run_with_oracle(alg, oracle)
-                                  : engine.run(alg, schedule);
+  RunResult r = engine.run_with_oracle(alg, oracle);
   if (snap != nullptr) {
     auto& reg = obs::Registry::global();
     auto& comm = obs::CommAccountant::global();
@@ -201,10 +198,10 @@ TEST_P(FullCohortParityTest, MatchesDenseEngine) {
     auto virt_alg = algs::make_algorithm(GetParam());
     ObsSnapshot dense_obs, virt_obs;
     const RunResult dense =
-        run_once(f, *dense_alg, threads, nullptr, nullptr, nullptr,
+        run_once(f, *dense_alg, threads, nullptr, nullptr,
                  &dense_obs);
     const RunResult virtualized =
-        run_once(f, *virt_alg, threads, nullptr, &virt, nullptr, &virt_obs);
+        run_once(f, *virt_alg, threads, &virt, nullptr, &virt_obs);
     expect_identical(dense, virtualized);
     expect_identical(dense_obs, virt_obs);
   }
@@ -217,12 +214,11 @@ TEST_P(FullCohortParityTest, MatchesDenseEngineUnderFaults) {
   auto virt_alg = algs::make_algorithm(GetParam());
   const sim::FaultPlan plan(f.topo, f.config_for(*dense_alg), fault_config());
   ObsSnapshot dense_obs, virt_obs;
-  const RunResult dense = run_once(f, *dense_alg, 4, &plan.schedule(),
-                                   nullptr, nullptr, &dense_obs);
-  // Both runs replay the same dense schedule through its oracle adapter
-  // (Engine::run wraps it in a ScheduleOracle).
-  const RunResult virtualized = run_once(f, *virt_alg, 4, &plan.schedule(),
-                                         &virt, nullptr, &virt_obs);
+  const RunResult dense =
+      run_once(f, *dense_alg, 4, nullptr, &plan, &dense_obs);
+  // Both runs replay the same plan, which rewinds its cursors between them.
+  const RunResult virtualized =
+      run_once(f, *virt_alg, 4, &virt, &plan, &virt_obs);
   expect_identical(dense, virtualized);
   expect_identical(dense_obs, virt_obs);
 }
@@ -237,42 +233,46 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The participation schedule a sampled run induces on a full-cohort run:
-// absent = outside interval k's cohort, or failed by `oracle`.
-ParticipationSchedule induced_schedule(const Fixture& f, const RunConfig& cfg,
-                                       std::size_t cohort_size,
-                                       const AvailabilityOracle* oracle) {
-  pop::VirtConfig virt;
-  virt.cohort_size = cohort_size;
-  pop::CohortStore replica(f.factory, f.dataset, f.partition, f.topo, cfg,
-                           virt);
-
-  ParticipationSchedule s;
-  s.num_intervals = cfg.total_iterations / cfg.tau;
-  s.num_workers = f.topo.num_workers();
-  s.num_edges = f.topo.num_edges();
-  s.worker_up.assign(s.num_intervals * s.num_workers, 0);
-  s.slowdown.assign(s.num_intervals * s.num_workers, 1.0);
-  s.edge_up.assign(s.num_intervals * s.num_edges, 1);
-
-  std::vector<WorkerId> ids;
-  std::vector<Scalar> mult;
-  for (std::size_t k = 1; k <= s.num_intervals; ++k) {
-    replica.sample_cohort(k, ids, mult);
-    for (const WorkerId id : ids) {
-      const bool up =
-          oracle == nullptr || oracle->worker_available(k, id);
-      s.worker_up[(k - 1) * s.num_workers + id] = up ? 1 : 0;
-    }
-    if (oracle != nullptr) {
-      for (std::size_t e = 0; e < s.num_edges; ++e) {
-        s.edge_up[(k - 1) * s.num_edges + e] =
-            oracle->edge_available(k, e) ? 1 : 0;
+// The availability a sampled run induces on a full-cohort run, as a table
+// oracle: absent = outside interval k's cohort, or failed by `oracle` (null =
+// no faults). kHold absent policy.
+class InducedOracle final : public AvailabilityOracle {
+ public:
+  InducedOracle(const Fixture& f, const RunConfig& cfg,
+                std::size_t cohort_size, const AvailabilityOracle* oracle)
+      : workers_(f.topo.num_workers()), edges_(f.topo.num_edges()) {
+    pop::VirtConfig virt;
+    virt.cohort_size = cohort_size;
+    pop::CohortStore replica(f.factory, f.dataset, f.partition, f.topo, cfg,
+                             virt);
+    const std::size_t intervals = cfg.total_iterations / cfg.tau;
+    worker_up_.assign(intervals * workers_, 0);
+    std::vector<WorkerId> ids;
+    std::vector<Scalar> mult;
+    for (std::size_t k = 1; k <= intervals; ++k) {
+      replica.sample_cohort(k, ids, mult);
+      for (const WorkerId id : ids) {
+        const bool up = oracle == nullptr || oracle->worker_available(k, id);
+        worker_up_[(k - 1) * workers_ + id] = up ? 1 : 0;
+      }
+      for (std::size_t e = 0; e < edges_; ++e) {
+        const bool up = oracle == nullptr || oracle->edge_available(k, e);
+        edge_up_.push_back(up ? 1 : 0);
       }
     }
   }
-  return s;
-}
+
+  bool worker_available(std::size_t k, std::size_t w) const override {
+    return worker_up_[(k - 1) * workers_ + w] != 0;
+  }
+  bool edge_available(std::size_t k, std::size_t e) const override {
+    return edge_up_[(k - 1) * edges_ + e] != 0;
+  }
+
+ private:
+  std::size_t workers_, edges_;
+  std::vector<std::uint8_t> worker_up_, edge_up_;  // [k-1][id]
+};
 
 class SampledParityTest : public ::testing::TestWithParam<std::string> {};
 
@@ -285,12 +285,11 @@ TEST_P(SampledParityTest, MatchesDenseRunOnInducedSchedule) {
   pop::VirtConfig virt;
   virt.cohort_size = 16;  // 16 of 64: spills and restores every interval
   const RunResult sampled =
-      run_once(f, *virt_alg, 4, nullptr, &virt, nullptr, nullptr);
+      run_once(f, *virt_alg, 4, &virt, nullptr, nullptr);
 
-  const ParticipationSchedule induced =
-      induced_schedule(f, cfg, virt.cohort_size, nullptr);
-  const RunResult dense =
-      run_once(f, *dense_alg, 4, &induced, nullptr, nullptr, nullptr);
+  const InducedOracle induced(f, cfg, virt.cohort_size, nullptr);
+  const RunResult dense = run_once(f, *dense_alg, 4, nullptr, &induced,
+                                   nullptr);
   expect_identical(dense, sampled);
 }
 
@@ -299,18 +298,17 @@ TEST_P(SampledParityTest, MatchesDenseRunOnInducedScheduleUnderFaults) {
   auto virt_alg = algs::make_algorithm(GetParam());
   auto dense_alg = algs::make_algorithm(GetParam());
   const RunConfig cfg = f.config_for(*virt_alg);
-  const sim::SparseFaultPlan sparse(f.topo.num_workers(), f.topo.num_edges(),
-                                    fault_config());
+  const sim::FaultPlan plan(f.topo.num_workers(), f.topo.num_edges(),
+                            fault_config());
 
   pop::VirtConfig virt;
   virt.cohort_size = 16;
   const RunResult sampled =
-      run_once(f, *virt_alg, 4, nullptr, &virt, &sparse, nullptr);
+      run_once(f, *virt_alg, 4, &virt, &plan, nullptr);
 
-  const ParticipationSchedule induced =
-      induced_schedule(f, cfg, virt.cohort_size, &sparse);
-  const RunResult dense =
-      run_once(f, *dense_alg, 4, &induced, nullptr, nullptr, nullptr);
+  const InducedOracle induced(f, cfg, virt.cohort_size, &plan);
+  const RunResult dense = run_once(f, *dense_alg, 4, nullptr, &induced,
+                                   nullptr);
   expect_identical(dense, sampled);
 }
 
@@ -334,11 +332,11 @@ TEST(SampledDeterminismTest, ThreadCountInvariantAndRepeatable) {
   auto a4 = algs::make_algorithm("HierAdMo");
   auto again = algs::make_algorithm("HierAdMo");
   const RunResult serial =
-      run_once(f, *a1, 1, nullptr, &virt, nullptr, nullptr);
+      run_once(f, *a1, 1, &virt, nullptr, nullptr);
   const RunResult parallel =
-      run_once(f, *a4, 4, nullptr, &virt, nullptr, nullptr);
+      run_once(f, *a4, 4, &virt, nullptr, nullptr);
   const RunResult repeat =
-      run_once(f, *again, 4, nullptr, &virt, nullptr, nullptr);
+      run_once(f, *again, 4, &virt, nullptr, nullptr);
   expect_identical(serial, parallel);
   expect_identical(serial, repeat);
 }
@@ -353,9 +351,9 @@ TEST(SampledDeterminismTest, FileSlabMatchesMemorySlab) {
   auto a = algs::make_algorithm("HierAdMo");
   auto b = algs::make_algorithm("HierAdMo");
   const RunResult in_memory =
-      run_once(f, *a, 4, nullptr, &mem, nullptr, nullptr);
+      run_once(f, *a, 4, &mem, nullptr, nullptr);
   const RunResult on_disk =
-      run_once(f, *b, 4, nullptr, &file, nullptr, nullptr);
+      run_once(f, *b, 4, &file, nullptr, nullptr);
   expect_identical(in_memory, on_disk);
   std::remove(file.slab.path.c_str());
 }
@@ -367,9 +365,9 @@ TEST(SampledDeterminismTest, WithReplacementRepeatable) {
   virt.with_replacement = true;
   auto a = algs::make_algorithm("HierAdMo");
   auto b = algs::make_algorithm("HierAdMo");
-  const RunResult first = run_once(f, *a, 1, nullptr, &virt, nullptr, nullptr);
+  const RunResult first = run_once(f, *a, 1, &virt, nullptr, nullptr);
   const RunResult second =
-      run_once(f, *b, 4, nullptr, &virt, nullptr, nullptr);
+      run_once(f, *b, 4, &virt, nullptr, nullptr);
   expect_identical(first, second);
 }
 
@@ -397,18 +395,20 @@ TEST(SampledDeterminismTest, MaterializationStaysCohortBounded) {
   EXPECT_EQ(gauge_peak, static_cast<double>(store.peak_materialized()));
 }
 
-TEST(ProviderLifecycleTest, BareRunWithOracleMatchesScheduledRun) {
+TEST(ProviderLifecycleTest, ReusedPlanMatchesFreshPlan) {
   Fixture f;
   RunConfig cfg = f.cfg3;
   cfg.num_threads = 4;
   const sim::FaultPlan plan(f.topo, cfg, fault_config());
-  const ScheduleOracle oracle(plan.schedule());
+  const sim::FaultPlan fresh(f.topo, cfg, fault_config());
   Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
   auto a = algs::make_algorithm("HierAdMo");
   auto b = algs::make_algorithm("HierAdMo");
-  const RunResult scheduled = engine.run(*a, &plan.schedule());
-  const RunResult with_oracle = engine.run_with_oracle(*b, &oracle);
-  expect_identical(scheduled, with_oracle);
+  engine.run_with_oracle(*a, &plan);
+  // The second run rewinds every cursor the first one advanced.
+  const RunResult reused = engine.run_with_oracle(*a, &plan);
+  const RunResult first = engine.run_with_oracle(*b, &fresh);
+  expect_identical(first, reused);
 }
 
 TEST(ProviderLifecycleTest, DetachFallsBackToOwnStore) {
@@ -471,7 +471,7 @@ TEST_P(MimeCohortStatsTest, CohortEstimateTracksFullPopulation) {
   Fixture f;
   auto full_alg = algs::make_algorithm(GetParam());
   const RunResult full =
-      run_once(f, *full_alg, 1, nullptr, nullptr, nullptr, nullptr);
+      run_once(f, *full_alg, 1, nullptr, nullptr, nullptr);
 
   auto sampled_alg = algs::make_algorithm(GetParam());
   RunConfig cfg = f.config_for(*sampled_alg);

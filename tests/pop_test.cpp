@@ -14,9 +14,8 @@
 //   * Slab round-trips records on both backends, rewrites extents in place
 //     when a record fits, and keeps honest byte accounting.
 //   * Population descriptors reproduce the dense engine's weight arithmetic.
-//   * SparseFaultPlan answers scrambled and backward queries like the
-//     FaultPlan built from the same config (both traces are pinned by
-//     tests/fault_golden_test.cpp).
+//   * FaultPlan answers scrambled and backward queries like in-order ones
+//     (its trace is pinned by tests/fault_golden_test.cpp).
 //   * CohortStore: deterministic cohort draws; with-replacement stores
 //     sample even at cohort_size == N and reject cohort_size == 0; spill →
 //     restore round-trips every mutable field (including batch-stream
@@ -48,7 +47,6 @@
 #include "src/pop/sampler.h"
 #include "src/pop/slab.h"
 #include "src/sim/fault_plan.h"
-#include "src/sim/sparse_fault_plan.h"
 #include "tests/golden.h"
 
 namespace hfl {
@@ -320,37 +318,48 @@ TEST(PopulationTest, DescriptorsMatchDenseArithmetic) {
   }
 }
 
-TEST(SparseFaultPlanTest, QueryOrderIndependent) {
+TEST(FaultPlanQueryTest, QueryOrderIndependent) {
   PopFixture f;
-  fl::RunConfig cfg = f.cfg;
-  cfg.total_iterations = 12;
   const sim::FaultConfig fc = golden::fault_zoo(5);
-  const sim::FaultPlan dense(f.topo, cfg, fc);
-  const sim::SparseFaultPlan sparse(f.topo.num_workers(), f.topo.num_edges(),
-                                    fc);
-  // Scrambled and backward queries must replay to the same answers.
+  const std::size_t intervals = 6;
+  // The in-order answers of one plan...
+  const sim::FaultPlan ordered(f.topo.num_workers(), f.topo.num_edges(), fc);
+  std::vector<std::uint8_t> worker_up, edge_up;  // [k-1][id]
+  for (std::size_t k = 1; k <= intervals; ++k) {
+    for (std::size_t w = 0; w < f.topo.num_workers(); ++w) {
+      worker_up.push_back(ordered.worker_available(k, w) ? 1 : 0);
+    }
+    for (std::size_t e = 0; e < f.topo.num_edges(); ++e) {
+      edge_up.push_back(ordered.edge_available(k, e) ? 1 : 0);
+    }
+  }
+  // ...must equal a second plan's answers to scrambled and backward queries.
+  const sim::FaultPlan scrambled(f.topo.num_workers(), f.topo.num_edges(),
+                                 fc);
   Rng order(9);
   for (int q = 0; q < 400; ++q) {
-    const std::size_t k = 1 + order.uniform_index(dense.num_intervals());
+    const std::size_t k = 1 + order.uniform_index(intervals);
     const std::size_t w = order.uniform_index(f.topo.num_workers());
-    EXPECT_EQ(sparse.worker_available(k, w), dense.worker_available(k, w))
+    EXPECT_EQ(scrambled.worker_available(k, w),
+              worker_up[(k - 1) * f.topo.num_workers() + w] != 0)
         << "k=" << k << " w=" << w;
   }
   for (int q = 0; q < 100; ++q) {
-    const std::size_t k = 1 + order.uniform_index(dense.num_intervals());
+    const std::size_t k = 1 + order.uniform_index(intervals);
     const std::size_t e = order.uniform_index(f.topo.num_edges());
-    EXPECT_EQ(sparse.edge_available(k, e), dense.edge_available(k, e));
+    EXPECT_EQ(scrambled.edge_available(k, e),
+              edge_up[(k - 1) * f.topo.num_edges() + e] != 0);
   }
 }
 
-TEST(SparseFaultPlanTest, ReportsAbsentPolicy) {
+TEST(FaultPlanQueryTest, ReportsAbsentPolicy) {
   sim::FaultConfig fc;
   fc.dropout.prob = 0.2;
   fc.absent_policy = fl::AbsentPolicy::kDecay;
   fc.absent_decay = 0.25;
-  const sim::SparseFaultPlan sparse(4, 2, fc);
-  EXPECT_EQ(sparse.absent_policy(), fl::AbsentPolicy::kDecay);
-  EXPECT_EQ(sparse.absent_decay(), 0.25);
+  const sim::FaultPlan plan(4, 2, fc);
+  EXPECT_EQ(plan.absent_policy(), fl::AbsentPolicy::kDecay);
+  EXPECT_EQ(plan.absent_decay(), 0.25);
 }
 
 pop::CohortStore make_store(const PopFixture& f, std::size_t cohort,

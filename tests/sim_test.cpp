@@ -1,14 +1,23 @@
 // Fault & availability subsystem tests: FaultPlan determinism, the no-op
 // bit-identity guarantee, identical traces across algorithms, absent-worker
-// momentum policies and config validation.
+// momentum policies, config validation and the plan shape check every
+// consumer runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/errors.h"
 
 #include "src/algs/registry.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/evt/async_engine.h"
 #include "src/fl/engine.h"
+#include "src/fl/sweep.h"
+#include "src/net/time_simulator.h"
 #include "src/nn/models.h"
 #include "src/sim/fault_plan.h"
 
@@ -22,12 +31,12 @@ struct SimFixture {
   nn::ModelFactory factory;
   fl::RunConfig cfg;
 
-  SimFixture() {
+  explicit SimFixture(std::size_t train_size = 40) {
     Rng rng(3);
     data::SyntheticSpec spec;
     spec.sample_shape = {1, 2, 2};
     spec.num_classes = 2;
-    spec.train_size = 40;
+    spec.train_size = train_size;
     spec.test_size = 20;
     dataset = data::make_synthetic(rng, spec);
     partition = data::partition_iid(dataset.train, 4, rng);
@@ -52,6 +61,38 @@ FaultConfig dropout_config(Scalar prob, std::uint64_t seed = 42) {
   return fc;
 }
 
+// Every worker answer of `plan` over intervals 1..K, laid out [k-1][worker].
+struct WorkerTrace {
+  std::vector<std::uint8_t> up;
+  std::vector<Scalar> slowdown;
+  std::vector<std::size_t> attempts;
+};
+
+WorkerTrace worker_trace(const FaultPlan& plan, std::size_t intervals,
+                         std::size_t workers) {
+  WorkerTrace t;
+  for (std::size_t k = 1; k <= intervals; ++k) {
+    for (std::size_t w = 0; w < workers; ++w) {
+      t.up.push_back(plan.worker_available(k, w) ? 1 : 0);
+      t.slowdown.push_back(plan.worker_slowdown(k, w));
+      t.attempts.push_back(plan.upload_attempts(k, w));
+    }
+  }
+  return t;
+}
+
+std::vector<std::uint8_t> edge_trace(const FaultPlan& plan,
+                                     std::size_t intervals,
+                                     std::size_t edges) {
+  std::vector<std::uint8_t> up;
+  for (std::size_t k = 1; k <= intervals; ++k) {
+    for (std::size_t e = 0; e < edges; ++e) {
+      up.push_back(plan.edge_available(k, e) ? 1 : 0);
+    }
+  }
+  return up;
+}
+
 // ---- FaultPlan determinism contract ----
 
 TEST(FaultPlanTest, IdenticalInputsGiveBitIdenticalPlans) {
@@ -74,45 +115,44 @@ TEST(FaultPlanTest, IdenticalInputsGiveBitIdenticalPlans) {
 
   const FaultPlan a(topo, run, fc);
   const FaultPlan b(topo, run, fc);
-  EXPECT_EQ(a.schedule().worker_up, b.schedule().worker_up);
-  EXPECT_EQ(a.schedule().slowdown, b.schedule().slowdown);
-  EXPECT_EQ(a.schedule().edge_up, b.schedule().edge_up);
-  for (std::size_t k = 1; k <= a.num_intervals(); ++k) {
-    for (std::size_t w = 0; w < topo.num_workers(); ++w) {
-      EXPECT_EQ(a.upload_attempts(k, w), b.upload_attempts(k, w));
-    }
-  }
+  const std::size_t intervals = run.total_iterations / run.tau;
+  const WorkerTrace ta = worker_trace(a, intervals, topo.num_workers());
+  const WorkerTrace tb = worker_trace(b, intervals, topo.num_workers());
+  EXPECT_EQ(ta.up, tb.up);
+  EXPECT_EQ(ta.slowdown, tb.slowdown);
+  EXPECT_EQ(ta.attempts, tb.attempts);
+  EXPECT_EQ(edge_trace(a, intervals, topo.num_edges()),
+            edge_trace(b, intervals, topo.num_edges()));
 }
 
 TEST(FaultPlanTest, SeedChangesTheTrace) {
-  const fl::Topology topo = fl::Topology::uniform(2, 4);
-  fl::RunConfig run;
-  run.tau = 5;
-  run.pi = 2;
-  run.total_iterations = 100;
-  const FaultPlan a(topo, run, dropout_config(0.5, 1));
-  const FaultPlan b(topo, run, dropout_config(0.5, 2));
-  EXPECT_NE(a.schedule().worker_up, b.schedule().worker_up);
+  const FaultPlan a(8, 2, dropout_config(0.5, 1));
+  const FaultPlan b(8, 2, dropout_config(0.5, 2));
+  EXPECT_NE(worker_trace(a, 20, 8).up, worker_trace(b, 20, 8).up);
 }
 
 TEST(FaultPlanTest, DropoutRateMatchesProbability) {
-  const fl::Topology topo = fl::Topology::uniform(4, 10);
-  fl::RunConfig run;
-  run.tau = 1;
-  run.pi = 1;
-  run.total_iterations = 200;  // 200 intervals × 40 workers = 8000 slots
-  const FaultPlan plan(topo, run, dropout_config(0.3));
-  EXPECT_NEAR(plan.planned_participation(), 0.7, 0.03);
+  // 200 intervals × 40 workers = 8000 slots.
+  const FaultPlan plan(40, 4, dropout_config(0.3));
+  const WorkerTrace t = worker_trace(plan, 200, 40);
+  std::size_t up = 0;
+  for (const std::uint8_t u : t.up) up += u;
+  EXPECT_NEAR(static_cast<Scalar>(up) / static_cast<Scalar>(t.up.size()),
+              0.7, 0.03);
 }
 
-TEST(FaultPlanTest, NoopConfigProducesNoopSchedule) {
+TEST(FaultPlanTest, NoopConfigChangesNothing) {
   SimFixture f;
   FaultConfig fc;  // all models off
   EXPECT_TRUE(fc.is_noop());
   const FaultPlan plan(f.topo, f.cfg, fc);
-  EXPECT_TRUE(plan.schedule().is_noop());
   EXPECT_TRUE(plan.is_noop());
-  EXPECT_DOUBLE_EQ(plan.planned_participation(), 1.0);
+  const WorkerTrace t = worker_trace(plan, 6, f.topo.num_workers());
+  EXPECT_EQ(t.up, std::vector<std::uint8_t>(t.up.size(), 1));
+  EXPECT_EQ(t.slowdown, std::vector<Scalar>(t.slowdown.size(), 1.0));
+  EXPECT_EQ(t.attempts, std::vector<std::size_t>(t.attempts.size(), 1));
+  const std::vector<std::uint8_t> edges = edge_trace(plan, 6, 2);
+  EXPECT_EQ(edges, std::vector<std::uint8_t>(edges.size(), 1));
 }
 
 TEST(FaultPlanTest, RetryOnlyPlanIsNotNoop) {
@@ -121,27 +161,24 @@ TEST(FaultPlanTest, RetryOnlyPlanIsNotNoop) {
   fc.link.loss_prob = 0.4;
   fc.link.max_retries = 1000;  // retries, but nobody exhausts the budget
   const FaultPlan plan(f.topo, f.cfg, fc);
-  EXPECT_TRUE(plan.schedule().is_noop());
+  const WorkerTrace t = worker_trace(plan, 6, f.topo.num_workers());
+  EXPECT_EQ(t.up, std::vector<std::uint8_t>(t.up.size(), 1));
+  EXPECT_GT(*std::max_element(t.attempts.begin(), t.attempts.end()), 1u);
   EXPECT_FALSE(plan.is_noop());
 }
 
 TEST(FaultPlanTest, DeadlinePolicyDropsSlowStragglers) {
-  const fl::Topology topo = fl::Topology::uniform(2, 10);
-  fl::RunConfig run;
-  run.tau = 1;
-  run.pi = 1;
-  run.total_iterations = 100;
   FaultConfig fc;
   fc.straggler.fraction = 1.0;
   fc.straggler.slowdown = 2.0;
   fc.straggler.jitter = 0.5;
   fc.straggler.deadline_slowdown = 2.0;
-  const FaultPlan plan(topo, run, fc);
+  const FaultPlan plan(20, 2, fc);
   // Jitter pushes some interval factors above the budget; those slots must
   // be marked absent, all others present.
   std::size_t dropped = 0;
-  for (std::size_t k = 1; k <= plan.num_intervals(); ++k) {
-    for (std::size_t w = 0; w < topo.num_workers(); ++w) {
+  for (std::size_t k = 1; k <= 100; ++k) {
+    for (std::size_t w = 0; w < 20; ++w) {
       const bool over = plan.worker_slowdown(k, w) > 2.0;
       EXPECT_EQ(plan.worker_available(k, w), !over);
       dropped += over ? 1 : 0;
@@ -151,18 +188,13 @@ TEST(FaultPlanTest, DeadlinePolicyDropsSlowStragglers) {
 }
 
 TEST(FaultPlanTest, LinkFaultsBoundRetriesAndDropExhaustedWorkers) {
-  const fl::Topology topo = fl::Topology::uniform(2, 10);
-  fl::RunConfig run;
-  run.tau = 1;
-  run.pi = 1;
-  run.total_iterations = 200;
   FaultConfig fc;
   fc.link.loss_prob = 0.5;
   fc.link.max_retries = 3;
-  const FaultPlan plan(topo, run, fc);
+  const FaultPlan plan(20, 2, fc);
   bool saw_retry = false, saw_drop = false;
-  for (std::size_t k = 1; k <= plan.num_intervals(); ++k) {
-    for (std::size_t w = 0; w < topo.num_workers(); ++w) {
+  for (std::size_t k = 1; k <= 200; ++k) {
+    for (std::size_t w = 0; w < 20; ++w) {
       const std::size_t a = plan.upload_attempts(k, w);
       EXPECT_GE(a, 1u);
       EXPECT_LE(a, 3u);
@@ -222,20 +254,68 @@ TEST(RunConfigTest, ValidationRejectsBadConfigs) {
   EXPECT_THROW(cfg.validate(), Error);
 }
 
-TEST(ScheduleValidationTest, EngineRejectsMismatchedSchedules) {
+// Every consumer validates the plan's shape against its topology, no-op
+// plans included: a plan sized for a larger fleet answers every query of a
+// smaller run in range, so only the shape check can catch it.
+std::vector<FaultPlan> mismatched_plans(const SimFixture& f) {
+  std::vector<FaultPlan> plans;
+  plans.emplace_back(fl::Topology::uniform(2, 3), f.cfg, dropout_config(0.3));
+  plans.emplace_back(6, 3, dropout_config(0.3));
+  plans.emplace_back(6, 3, FaultConfig{});
+  return plans;
+}
+
+TEST(ScheduleValidationTest, EngineRejectsMismatchedPlans) {
   SimFixture f;
   fl::Engine engine = f.make_engine();
   auto alg = algs::make_algorithm("HierAdMo");
+  for (const FaultPlan& plan : mismatched_plans(f)) {
+    EXPECT_THROW(engine.run_with_oracle(*alg, &plan), Error);
 
-  // Built for a different topology (wrong worker count).
-  const fl::Topology other = fl::Topology::uniform(2, 3);
-  const FaultPlan plan(other, f.cfg, dropout_config(0.3));
-  EXPECT_THROW(engine.run(*alg, &plan.schedule()), Error);
+    fl::SweepJob job;
+    job.make_algorithm = [] { return algs::make_algorithm("HierAdMo"); };
+    job.cfg = f.cfg;
+    job.make_oracle = [&plan] {
+      return std::make_unique<FaultPlan>(plan);
+    };
+    EXPECT_THROW(fl::run_sweep(f.factory, f.dataset, f.partition, f.topo,
+                               {job}),
+                 Error);
+  }
+}
+
+TEST(ScheduleValidationTest, ClockRejectsMismatchedPlans) {
+  SimFixture f;
+  for (const FaultPlan& plan : mismatched_plans(f)) {
+    net::TimeSimConfig sim = net::make_time_sim_config(
+        "HierAdMo", true, 10, f.topo.num_workers());
+    sim.fault_plan = &plan;
+    EXPECT_THROW(net::TimeSimulator(f.topo, f.cfg, sim), Error);
+  }
+}
+
+TEST(ScheduleValidationTest, AsyncEngineRejectsMismatchedPlansUnderEveryPolicy) {
+  SimFixture f;
+  for (const fl::ExecPolicy policy :
+       {fl::ExecPolicy::kSync, fl::ExecPolicy::kSemiAsync,
+        fl::ExecPolicy::kAsync}) {
+    fl::RunConfig cfg = f.cfg;
+    cfg.policy = policy;
+    cfg.batched = false;
+    if (policy == fl::ExecPolicy::kSemiAsync) cfg.semi_async_deadline_s = 2.0;
+    evt::AsyncEngine engine(f.factory, f.dataset, f.partition, f.topo, cfg,
+                            net::TimeSimConfig{});
+    for (const FaultPlan& plan : mismatched_plans(f)) {
+      auto alg = algs::make_algorithm("HierAdMo");
+      EXPECT_THROW(engine.run(*alg, &plan), Error)
+          << fl::to_string(policy);
+    }
+  }
 }
 
 // ---- Engine integration ----
 
-TEST(EnginePartialParticipationTest, NoopScheduleIsBitIdentical) {
+TEST(EnginePartialParticipationTest, NoopPlanIsBitIdentical) {
   SimFixture f;
   fl::Engine engine = f.make_engine();
   const FaultPlan noop(f.topo, f.cfg, FaultConfig{});
@@ -243,7 +323,7 @@ TEST(EnginePartialParticipationTest, NoopScheduleIsBitIdentical) {
   auto a1 = algs::make_algorithm("HierAdMo");
   auto a2 = algs::make_algorithm("HierAdMo");
   const fl::RunResult plain = engine.run(*a1);
-  const fl::RunResult faulted = engine.run(*a2, &noop.schedule());
+  const fl::RunResult faulted = engine.run_with_oracle(*a2, &noop);
 
   ASSERT_EQ(plain.curve.size(), faulted.curve.size());
   for (std::size_t i = 0; i < plain.curve.size(); ++i) {
@@ -258,6 +338,51 @@ TEST(EnginePartialParticipationTest, NoopScheduleIsBitIdentical) {
   EXPECT_DOUBLE_EQ(faulted.mean_participation_rate, 1.0);
 }
 
+// A retry-only plan drops nobody but is not a no-op, so it takes the roster
+// path. An all-up roster renormalizes every weight back to its full-roster
+// value, so every training bit must land where the null path puts it, for
+// every registry algorithm, with equal and with unequal (12/12/12/11)
+// partitions; only the participation trace is new.
+TEST(EnginePartialParticipationTest, RetryOnlyPlanKeepsTrainingBits) {
+  FaultConfig fc;
+  fc.link.loss_prob = 0.4;
+  fc.link.max_retries = 1000;  // retries, but nobody exhausts the budget
+  std::vector<std::string> names = algs::table2_algorithms();
+  names.push_back("MimeLite");
+  for (const std::size_t train_size : {std::size_t{40}, std::size_t{47}}) {
+    SimFixture f(train_size);
+    std::vector<std::size_t> sizes;
+    for (const auto& part : f.partition) sizes.push_back(part.size());
+    const std::vector<std::size_t> expected =
+        train_size == 40 ? std::vector<std::size_t>{10, 10, 10, 10}
+                         : std::vector<std::size_t>{12, 12, 12, 11};
+    EXPECT_EQ(sizes, expected);
+    for (const std::string& name : names) {
+      auto plain_alg = algs::make_algorithm(name);
+      auto retry_alg = algs::make_algorithm(name);
+      fl::RunConfig cfg = f.cfg;
+      if (!plain_alg->three_tier()) {
+        cfg.tau = cfg.tau * cfg.pi;  // matched period
+        cfg.pi = 1;
+      }
+      fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, cfg);
+      const FaultPlan plan(f.topo, cfg, fc);
+      ASSERT_FALSE(plan.is_noop());
+      const fl::RunResult plain = engine.run(*plain_alg);
+      const fl::RunResult retried = engine.run_with_oracle(*retry_alg, &plan);
+      EXPECT_EQ(plain.final_params, retried.final_params)
+          << name << " on " << train_size << " samples";
+      ASSERT_EQ(plain.curve.size(), retried.curve.size());
+      for (std::size_t i = 0; i < plain.curve.size(); ++i) {
+        EXPECT_EQ(plain.curve[i].test_loss, retried.curve[i].test_loss);
+      }
+      EXPECT_TRUE(plain.participation.empty());
+      EXPECT_EQ(retried.participation.size(),
+                cfg.total_iterations / cfg.tau);
+    }
+  }
+}
+
 TEST(EnginePartialParticipationTest, FaultedRunsAreReproducible) {
   SimFixture f;
   fl::Engine engine = f.make_engine();
@@ -265,8 +390,8 @@ TEST(EnginePartialParticipationTest, FaultedRunsAreReproducible) {
 
   auto a1 = algs::make_algorithm("HierAdMo");
   auto a2 = algs::make_algorithm("HierAdMo");
-  const fl::RunResult r1 = engine.run(*a1, &plan.schedule());
-  const fl::RunResult r2 = engine.run(*a2, &plan.schedule());
+  const fl::RunResult r1 = engine.run_with_oracle(*a1, &plan);
+  const fl::RunResult r2 = engine.run_with_oracle(*a2, &plan);
 
   ASSERT_EQ(r1.curve.size(), r2.curve.size());
   for (std::size_t i = 0; i < r1.curve.size(); ++i) {
@@ -290,8 +415,8 @@ TEST(EnginePartialParticipationTest, SameTraceAcrossAlgorithms) {
 
   auto admo = algs::make_algorithm("HierAdMo");
   auto favg = algs::make_algorithm("HierFAVG");
-  const fl::RunResult ra = engine.run(*admo, &plan.schedule());
-  const fl::RunResult rf = engine.run(*favg, &plan.schedule());
+  const fl::RunResult ra = engine.run_with_oracle(*admo, &plan);
+  const fl::RunResult rf = engine.run_with_oracle(*favg, &plan);
 
   ASSERT_EQ(ra.participation.size(), rf.participation.size());
   ASSERT_GT(ra.participation.size(), 0u);
@@ -311,7 +436,7 @@ TEST(EnginePartialParticipationTest, ParticipationTraceIsConsistent) {
   fl::Engine engine = f.make_engine();
   const FaultPlan plan(f.topo, f.cfg, dropout_config(0.4, 11));
   auto alg = algs::make_algorithm("HierAdMo");
-  const fl::RunResult r = engine.run(*alg, &plan.schedule());
+  const fl::RunResult r = engine.run_with_oracle(*alg, &plan);
 
   ASSERT_EQ(r.participation.size(), f.cfg.total_iterations / f.cfg.tau);
   std::size_t misses = 0;
@@ -342,7 +467,7 @@ TEST(EnginePartialParticipationTest, AbsentPoliciesDiverge) {
     fc.absent_decay = 0.5;
     const FaultPlan plan(f.topo, f.cfg, fc);
     auto alg = algs::make_algorithm("HierAdMo");
-    return engine.run(*alg, &plan.schedule());
+    return engine.run_with_oracle(*alg, &plan);
   };
 
   const fl::RunResult hold = run_with_policy(fl::AbsentPolicy::kHold);
@@ -366,8 +491,8 @@ TEST(EnginePartialParticipationTest, TwoTierAlgorithmsReplayTheSamePlan) {
 
   auto nag = algs::make_algorithm("FedNAG");
   auto slowmo = algs::make_algorithm("SlowMo");
-  const fl::RunResult rn = engine.run(*nag, &plan.schedule());
-  const fl::RunResult rs = engine.run(*slowmo, &plan.schedule());
+  const fl::RunResult rn = engine.run_with_oracle(*nag, &plan);
+  const fl::RunResult rs = engine.run_with_oracle(*slowmo, &plan);
   ASSERT_EQ(rn.participation.size(), rs.participation.size());
   for (std::size_t i = 0; i < rn.participation.size(); ++i) {
     EXPECT_EQ(rn.participation[i].active_workers,
