@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # One-command CI gate: the checks a change must pass before merging.
 #
-#   1. Layering lint (src/fl, src/net, src/evt and src/pop include no
-#      src/sim header: they read fault plans through fl::AvailabilityOracle),
-#      then Release build + full ctest suite (tier-1): unit, parity and golden
+#   1. Two lints — layering (src/fl, src/net, src/evt and src/pop include
+#      no src/sim header: they read fault plans through
+#      fl::AvailabilityOracle) and per-tier state (no file under src/
+#      declares a string-keyed Vec map: worker state is one fixed
+#      fl::WorkerSlice and the cloud's algorithm vectors are index-addressed
+#      slots) — then Release build + full ctest suite (tier-1): unit, parity and golden
 #      tests, among them every GEMM entry point ≡ the per-element FMA chain
 #      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
 #      roster ≡ closed form (param_plane_test), compiled plan ≡ the
@@ -53,13 +56,21 @@ ASAN_DIR="${2:-build-asan}"
 PORTABLE_DIR="${3:-build-portable}"
 AVX2_DIR="${4:-build-avx2}"
 
-# --- gate 1: layering lint, Release build + full suite -------------------
+# --- gate 1: lints, Release build + full suite ---------------------------
 # The engines and the modeled clock see a fault plan only as an
 # fl::AvailabilityOracle; a sim header included below src/sim would
 # re-couple them to one implementation.
 if git grep -n '#include "src/sim/' -- src/fl src/net src/evt src/pop; then
   echo "layering: src/fl, src/net, src/evt and src/pop must not include" \
     "src/sim headers (use fl::AvailabilityOracle)" >&2
+  exit 1
+fi
+# Per-tier state stays index-addressed: a string-keyed Vec map is state
+# that every snapshot, swap, download diff and spill record must carry by
+# name.
+if git grep -nE 'std::map<std::string, *Vec>' -- src; then
+  echo "state: src/ must not declare a std::map<std::string, Vec>" \
+    "(extend fl::WorkerSlice or use index slots)" >&2
   exit 1
 fi
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON

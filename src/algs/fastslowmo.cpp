@@ -5,7 +5,7 @@
 namespace hfl::algs {
 
 void FastSlowMo::init(fl::Context& ctx) {
-  ctx.cloud->extra["slow_m"] = Vec(ctx.cloud->x.size(), 0.0);
+  ctx.cloud->extra.assign(kNumSlots, Vec(ctx.cloud->x.size(), 0.0));
 }
 
 void FastSlowMo::local_step(fl::Context& ctx, fl::WorkerState& w) {
@@ -18,7 +18,7 @@ void FastSlowMo::cloud_sync(fl::Context& ctx, std::size_t) {
   // ȳ_p lands directly in the cloud state (no aliasing with worker vectors).
   fl::aggregate_global(*ctx.workers, fl::worker_y, ctx.cloud->y, ctx.part,
                        ctx.pool);
-  Vec& m = ctx.cloud->extra.at("slow_m");
+  Vec& m = ctx.cloud->extra[kSlowMomentumSlot];
   Vec& x = ctx.cloud->x;
   // m = β m + (x_{p−1} − x̄_p); x −= m (SlowMo fold at α = 1), one pass.
   vec::slowmo_step(x, x_scratch_, m, ctx.cfg->gamma_edge, /*lr=*/1.0);

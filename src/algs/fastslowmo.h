@@ -16,6 +16,9 @@ namespace hfl::algs {
 
 class FastSlowMo final : public fl::Algorithm {
  public:
+  // fl::CloudState::extra slots: the slow momentum m.
+  enum : std::size_t { kSlowMomentumSlot, kNumSlots };
+
   std::string name() const override { return "FastSlowMo"; }
   bool three_tier() const override { return false; }
   void init(fl::Context& ctx) override;

@@ -17,6 +17,9 @@ namespace hfl::algs {
 
 class FedAdc final : public fl::Algorithm {
  public:
+  // fl::CloudState::extra slots: the server momentum u.
+  enum : std::size_t { kDriftSlot, kNumSlots };
+
   std::string name() const override { return "FedADC"; }
   bool three_tier() const override { return false; }
   void init(fl::Context& ctx) override;

@@ -5,7 +5,7 @@
 namespace hfl::algs {
 
 void FedMom::init(fl::Context& ctx) {
-  ctx.cloud->extra["server_y"] = ctx.cloud->x;  // y_0 = x_0
+  ctx.cloud->extra.assign(kNumSlots, ctx.cloud->x);  // y_0 = x_0
 }
 
 void FedMom::local_step(fl::Context& ctx, fl::WorkerState& w) {
@@ -15,7 +15,7 @@ void FedMom::local_step(fl::Context& ctx, fl::WorkerState& w) {
 void FedMom::cloud_sync(fl::Context& ctx, std::size_t) {
   fl::aggregate_global(*ctx.workers, fl::worker_x, x_scratch_, ctx.part,
                        ctx.pool);
-  Vec& y_prev = ctx.cloud->extra.at("server_y");
+  Vec& y_prev = ctx.cloud->extra[kServerYSlot];
   // y_p = x̄_p; x_p = y_p + γs (y_p − y_{p−1}); y_{p−1} ← y_p — one fused
   // pass over the three vectors.
   Vec& x = ctx.cloud->x;

@@ -14,6 +14,9 @@ namespace hfl::algs {
 
 class FedMom final : public fl::Algorithm {
  public:
+  // fl::CloudState::extra slots: the server's previous y.
+  enum : std::size_t { kServerYSlot, kNumSlots };
+
   std::string name() const override { return "FedMom"; }
   bool three_tier() const override { return false; }
   void init(fl::Context& ctx) override;

@@ -3,24 +3,15 @@
 namespace hfl::algs {
 
 void Mime::init(fl::Context& ctx) {
-  const std::size_t n = ctx.cloud->x.size();
-  ctx.cloud->extra["mime_m"] = Vec(n, 0.0);
-  ctx.cloud->extra["mime_g"] = Vec(n, 0.0);
+  ctx.cloud->extra.assign(kNumSlots, Vec(ctx.cloud->x.size(), 0.0));
   refresh_server_stats(ctx);
-}
-
-void Mime::init_worker(fl::Context& ctx, fl::WorkerState& w) {
-  // Per-worker anchor-gradient scratch, created at materialization time so
-  // the lazily-virtualized path sets up exactly the same state (it consumes
-  // no RNG, so the init-time probe sequence above is unaffected).
-  w.extra["mime_anchor_grad"] = Vec(ctx.cloud->x.size(), 0.0);
 }
 
 void Mime::refresh_server_stats(fl::Context& ctx) {
   // ĝ — the server gradient estimate at the (new) server point, from a few
   // probe batches per reachable worker (absent workers cannot serve probes).
   constexpr std::size_t kProbeBatches = 4;
-  Vec& g_hat = ctx.cloud->extra.at("mime_g");
+  Vec& g_hat = ctx.cloud->extra[kServerGradSlot];
   g_hat.assign(g_hat.size(), 0.0);
   // Cohort-estimated mode (cfg.mime_cohort_stats): the reachable workers may
   // be a strict sub-population (cohort sampling), so their global weights sum
@@ -47,14 +38,14 @@ void Mime::refresh_server_stats(fl::Context& ctx) {
     }
   }
   // m ← (1−β) ĝ + β m.
-  Vec& m = ctx.cloud->extra.at("mime_m");
+  Vec& m = ctx.cloud->extra[kMomentumSlot];
   const Scalar beta = ctx.cfg->gamma;
   vec::axpby(1.0 - beta, g_hat, beta, m);
 }
 
 void Mime::local_step(fl::Context& ctx, fl::WorkerState& w) {
-  const Vec& m = ctx.cloud->extra.at("mime_m");    // frozen during the round
-  const Vec& g_hat = ctx.cloud->extra.at("mime_g");
+  const Vec& m = ctx.cloud->extra[kMomentumSlot];  // frozen during the round
+  const Vec& g_hat = ctx.cloud->extra[kServerGradSlot];
   const Scalar beta = ctx.cfg->gamma;
   const Scalar eta = ctx.cfg->eta * lr_scale_;
 
@@ -63,8 +54,7 @@ void Mime::local_step(fl::Context& ctx, fl::WorkerState& w) {
     // so their difference carries only the drift x − x_server, not sampling
     // noise. g̃ = ∇F_B(x) − ∇F_B(x_server) + ĝ, folded into the descent in
     // one fused pass (no corrected-gradient temporary).
-    Vec& anchor_grad = w.extra.at("mime_anchor_grad");
-    w.compute_gradient_pair(w.x, ctx.cloud->x, anchor_grad);
+    const Vec& anchor_grad = w.compute_gradient_pair(w.x, ctx.cloud->x);
     vec::descent_svrg(w.x, w.grad, anchor_grad, g_hat, m, eta, beta);
   } else {
     w.compute_gradient(w.x);

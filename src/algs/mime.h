@@ -19,6 +19,9 @@ namespace hfl::algs {
 
 class Mime final : public fl::Algorithm {
  public:
+  // fl::CloudState::extra slots: the momentum m and the server gradient ĝ.
+  enum : std::size_t { kMomentumSlot, kServerGradSlot, kNumSlots };
+
   // `lr_scale` multiplies cfg.eta for Mime's local steps. Mime's stale
   // per-round statistics (ĝ, m frozen for the whole aggregation period) make
   // every worker push coherently along one direction; at the shared η the
@@ -42,7 +45,6 @@ class Mime final : public fl::Algorithm {
   // requires RunConfig::mime_cohort_stats (cohort-renormalized estimate).
   bool probes_population() const override { return true; }
   void init(fl::Context& ctx) override;
-  void init_worker(fl::Context& ctx, fl::WorkerState& w) override;
   void local_step(fl::Context& ctx, fl::WorkerState& w) override;
   void cloud_sync(fl::Context& ctx, std::size_t p) override;
 

@@ -15,6 +15,9 @@ namespace hfl::algs {
 
 class SlowMo final : public fl::Algorithm {
  public:
+  // fl::CloudState::extra slots: the slow momentum m.
+  enum : std::size_t { kSlowMomentumSlot, kNumSlots };
+
   explicit SlowMo(Scalar slow_lr = 1.0) : slow_lr_(slow_lr) {}
 
   std::string name() const override { return "SlowMo"; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <initializer_list>
-#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,22 +51,21 @@ net::TimeSimConfig complete_sim(net::TimeSimConfig sim,
 // v ← (1−α)·pre + α·v — the damped fold of an asynchronous aggregation: the
 // aggregator only moves by the admitted cohort's effective (staleness-scaled)
 // mass. A full fresh cohort has α = 1 and keeps the plain aggregation; a
-// lone stale straggler barely moves the tier. Vectors the aggregation
-// resized (algorithm-specific scratch appearing mid-run) are kept as-is.
+// lone stale straggler barely moves the tier.
 void damp(Vec& v, const Vec& pre, Scalar alpha) {
-  if (alpha >= 1.0 || v.size() != pre.size()) return;
+  if (alpha >= 1.0) return;
   vec::axpby(1.0 - alpha, pre, alpha, v);  // fused (1−α)·pre + α·v
 }
 
-// One tier's aggregation vectors (edge: x⁺, y⁺, y⁻; cloud: x, y plus the
-// algorithm's extras), copied before a sync so apply() can damp the sync's
-// result back toward them. Extras the sync created have no pre-sync value
-// and are kept as-is.
+// One tier's aggregation vectors as one list (edge: x⁺, y⁺, y⁻; cloud: x, y
+// and every slot of CloudState::extra, which algorithms size in init(), so
+// a sync never adds one), copied before a sync so apply() can damp the
+// sync's result back toward them.
 class TierDamp {
  public:
   explicit TierDamp(fl::EdgeState& es)
-      : TierDamp({&es.x_plus, &es.y_plus, &es.y_minus}, nullptr) {}
-  explicit TierDamp(fl::CloudState& cs) : TierDamp({&cs.x, &cs.y}, &cs.extra) {}
+      : TierDamp({&es.x_plus, &es.y_plus, &es.y_minus}, {}) {}
+  explicit TierDamp(fl::CloudState& cs) : TierDamp({&cs.x, &cs.y}, cs.extra) {}
 
   // The tier model (x⁺ or x) as it stood before the sync.
   const Vec& pre_model() const { return pre_.front(); }
@@ -75,24 +74,17 @@ class TierDamp {
     for (std::size_t i = 0; i < live_.size(); ++i) {
       damp(*live_[i], pre_[i], alpha);
     }
-    if (extra_ == nullptr) return;
-    for (auto& [name, v] : *extra_) {
-      const auto it = pre_extra_.find(name);
-      if (it != pre_extra_.end()) damp(v, it->second, alpha);
-    }
   }
 
  private:
-  TierDamp(std::initializer_list<Vec*> vecs, std::map<std::string, Vec>* extra)
-      : live_(vecs), extra_(extra) {
+  TierDamp(std::initializer_list<Vec*> vecs, std::span<Vec> extra)
+      : live_(vecs) {
+    for (Vec& v : extra) live_.push_back(&v);
     for (const Vec* v : live_) pre_.push_back(*v);
-    if (extra_ != nullptr) pre_extra_ = *extra_;
   }
 
   std::vector<Vec*> live_;
   std::vector<Vec> pre_;
-  std::map<std::string, Vec>* extra_;  // null for an edge: it keeps none
-  std::map<std::string, Vec> pre_extra_;
 };
 
 // s(τ) = staleness_decay^τ.
@@ -117,10 +109,7 @@ const std::vector<double>& staleness_bounds() {
 // snapshot, never the live state.
 struct UploadSnapshot {
   std::size_t download_version = 0;
-  Vec x, y, grad;
-  Scalar last_loss = 0;
-  Vec sum_grad, sum_y, sum_v;
-  std::map<std::string, Vec> extra;
+  fl::WorkerSlice slice;
 };
 
 // One arrived upload, as cohort_sync consumes it.
@@ -143,7 +132,6 @@ struct DownloadMsg {
   std::size_t version = 0;
   bool has_y = false, has_grad = false;
   Vec x, y, grad;
-  std::map<std::string, Vec> extra;  // changed entries only
 };
 
 namespace {
@@ -153,51 +141,35 @@ namespace {
 // interval accumulators to the snapshot (they describe the uploaded
 // interval, not the next one).
 UploadSnapshot snapshot_worker(fl::WorkerState& ws, std::size_t version) {
-  UploadSnapshot s;
-  s.download_version = version;
-  s.x = ws.x;
-  s.y = ws.y;
-  s.grad = ws.grad;
-  s.last_loss = ws.last_loss;
-  s.sum_grad = ws.sum_grad;
-  s.sum_y = ws.sum_y;
-  s.sum_v = ws.sum_v;
-  s.extra = ws.extra;
+  UploadSnapshot s{version, ws};
   ws.reset_interval_accumulators();
   return s;
 }
 
-// Swap the aggregation-visible fields between the live worker and a
+// Swap the aggregation-visible slice between the live worker and a
 // snapshot. Aggregations run against the snapshot state swapped in (so
 // Algorithm hooks read/write plain WorkerState), then swap back — the live
-// in-progress state is never touched by a sync. Model/batcher handles and
-// the static weights stay with the live state.
+// in-progress state is never touched by a sync. Descriptors, batch streams
+// and the plan stay with the live state.
 void swap_snapshot(fl::WorkerState& ws, UploadSnapshot& s) {
-  std::swap(ws.x, s.x);
-  std::swap(ws.y, s.y);
-  std::swap(ws.grad, s.grad);
-  std::swap(ws.last_loss, s.last_loss);
-  std::swap(ws.sum_grad, s.sum_grad);
-  std::swap(ws.sum_y, s.sum_y);
-  std::swap(ws.sum_v, s.sum_v);
-  std::swap(ws.extra, s.extra);
+  fl::WorkerSlice& live = ws;
+  std::swap(live, s.slice);
 }
 
 // Copy of the push-down-visible fields taken right before Algorithm sync
 // hooks run, to diff what the push-down actually changed.
 struct PushBase {
   Vec y, grad;
-  std::map<std::string, Vec> extra;
 };
 
 PushBase push_baseline(const fl::WorkerState& ws) {
-  return PushBase{ws.y, ws.grad, ws.extra};
+  return PushBase{ws.y, ws.grad};
 }
 
 // Compose the download for one admitted worker: the damped tier model plus
 // whatever else the algorithm's push-down wrote (diffed against the
 // pre-sync baseline, so e.g. HierAdMo's momentum hand-off w.y = e.y_minus
-// travels while untouched scratch does not).
+// travels while an untouched gradient does not).
 DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
                           std::size_t version, const Vec& anchor) {
   DownloadMsg m;
@@ -210,10 +182,6 @@ DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
   if (ws.grad != base.grad) {
     m.has_grad = true;
     m.grad = ws.grad;
-  }
-  for (const auto& [name, vv] : ws.extra) {
-    const auto it = base.extra.find(name);
-    if (it == base.extra.end() || it->second != vv) m.extra.emplace(name, vv);
   }
   return m;
 }
@@ -423,7 +391,6 @@ void AsyncEngine::apply_pending_download(EvtRun& er, std::size_t w) {
   ws.x = std::move(m.x);
   if (m.has_y) ws.y = std::move(m.y);
   if (m.has_grad) ws.grad = std::move(m.grad);
-  for (auto& [name, vv] : m.extra) ws.extra[name] = std::move(vv);
   er.w_version[w] = m.version;
   ++er.downloads_applied;
   er.w_pending[w] = DownloadMsg{};

@@ -131,8 +131,9 @@ class Algorithm {
 
   // Called after the synchronization at t = kτ for every worker that did not
   // participate (its own outage or its edge's). The default applies the
-  // schedule's absent-momentum policy; override for algorithm-specific
-  // bookkeeping (e.g. extra server-state copies).
+  // schedule's absent-momentum policy to the worker's slice (y and the
+  // interval accumulators — workers keep no per-algorithm vectors); override
+  // for algorithm-specific bookkeeping.
   virtual void absent_sync(Context& ctx, WorkerState& w, std::size_t k) {
     (void)k;
     if (ctx.part != nullptr) {

@@ -161,7 +161,7 @@ Scalar active_edge_weight(const Participation* part, const EdgeState& e) {
   return part == nullptr ? e.weight_global : part->edge_weight_global(e.id);
 }
 
-void apply_absent_policy(WorkerState& w, AbsentPolicy policy, Scalar decay) {
+void apply_absent_policy(WorkerSlice& w, AbsentPolicy policy, Scalar decay) {
   switch (policy) {
     case AbsentPolicy::kHold:
       break;
@@ -171,9 +171,9 @@ void apply_absent_policy(WorkerState& w, AbsentPolicy policy, Scalar decay) {
       break;
     case AbsentPolicy::kDecay:
       vec::decay_toward(w.y, w.x, decay);
-      vec::scale(w.sum_grad, decay);
-      vec::scale(w.sum_y, decay);
-      vec::scale(w.sum_v, decay);
+      for (const IntervalAccumulator& acc : kIntervalAccumulators) {
+        vec::scale(w.*acc.vec, decay);
+      }
       break;
   }
 }

@@ -194,6 +194,6 @@ Scalar active_weight_global(const Participation* part, const WorkerState& w);
 Scalar active_edge_weight(const Participation* part, const EdgeState& e);
 
 // Apply an absent-worker momentum policy to a worker that missed a sync.
-void apply_absent_policy(WorkerState& w, AbsentPolicy policy, Scalar decay);
+void apply_absent_policy(WorkerSlice& w, AbsentPolicy policy, Scalar decay);
 
 }  // namespace hfl::fl

@@ -50,17 +50,17 @@ void WorkerState::deposit_gradient(const Vec& at) {
   pending_grad_at_ = at.data();
 }
 
-Scalar WorkerState::compute_gradient_pair(const Vec& at, const Vec& anchor,
-                                          Vec& grad_anchor) {
+const Vec& WorkerState::compute_gradient_pair(const Vec& at,
+                                              const Vec& anchor) {
   HFL_CHECK(batcher, "worker state not initialized");
   HFL_CHECK(pending_grad_at_ == nullptr,
             "paired gradient evaluation with a pending prefetched gradient — "
             "the algorithm must report local_gradient_prefetchable() == "
             "false");
   const Vec* points[] = {&anchor, &at};
-  Vec* outs[] = {&grad_anchor, &grad};
+  Vec* outs[] = {&anchor_grad_, &grad};
   last_loss = gradients_on_draw(*batcher, points, outs, 2);
-  return last_loss;
+  return anchor_grad_;
 }
 
 Scalar WorkerState::probe_gradient(const Vec& at, Vec& out) {
@@ -104,10 +104,10 @@ Scalar WorkerState::gradients_on_draw(data::Batcher& stream,
   return items[n - 1].loss;
 }
 
-void WorkerState::reset_interval_accumulators() {
-  std::fill(sum_grad.begin(), sum_grad.end(), 0.0);
-  std::fill(sum_y.begin(), sum_y.end(), 0.0);
-  std::fill(sum_v.begin(), sum_v.end(), 0.0);  // empty unless kVelocity
+void WorkerSlice::reset_interval_accumulators() {
+  for (const IntervalAccumulator& acc : kIntervalAccumulators) {
+    vec::fill(this->*acc.vec, 0.0);
+  }
 }
 
 namespace {

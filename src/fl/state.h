@@ -1,23 +1,23 @@
 // Mutable per-tier simulation state.
 //
-// WorkerState mirrors the paper's worker {i, ℓ}: model parameters x, momentum
-// parameter y, the interval accumulators that Algorithm 1 line 9 uploads
-// (Σ∇F_i and Σy_i, plus Σv_i — v = y_t − y_{t−1} — only for the velocity
-// interpretation of eq. (6), see core/hieradmo.h), the worker's data
-// streams, and the compiled cohort plan that evaluates its gradients (the
-// engine's, shared by every worker, src/nn/cohort.h). The velocity itself
-// is no state: the NAG step (core/nag.h) keeps it in a register. EdgeState carries
-// the post-aggregation values y_{ℓ−}, y_{ℓ+}, x_{ℓ+} and the currently
-// adapted γℓ. CloudState carries the cloud model and the cloud-aggregated
-// worker momentum.
-//
-// Generic algorithm scratch ("extra" slots) lets two-tier baselines store
-// their server momenta without widening this struct per algorithm.
+// WorkerState mirrors the paper's worker {i, ℓ}. Its aggregation-visible
+// part is one WorkerSlice: model parameters x, momentum parameter y, the
+// last gradient and loss, and the interval accumulators that Algorithm 1
+// line 9 uploads (Σ∇F_i and Σy_i, plus Σv_i — v = y_t − y_{t−1} — only for
+// the velocity interpretation of eq. (6), see core/hieradmo.h). The slice is
+// what an event-driven upload freezes and a spill record carries; the rest
+// of WorkerState is descriptors, the worker's data streams and the compiled
+// cohort plan that evaluates its gradients (the engine's, shared by every
+// worker, src/nn/cohort.h). Workers keep no per-algorithm vectors, and the
+// velocity is no state either: the NAG step (core/nag.h) keeps it in a
+// register. EdgeState carries the post-aggregation values y_{ℓ−}, y_{ℓ+},
+// x_{ℓ+} and the currently adapted γℓ. CloudState carries the cloud model,
+// the cloud-aggregated worker momentum, and index-addressed slots in which
+// two-tier baselines keep their server momenta.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -36,19 +36,18 @@ class CohortModel;  // src/nn/cohort.h
 
 namespace hfl::fl {
 
-struct WorkerState {
-  WorkerId id = 0;
-  std::size_t edge = 0;
-  Scalar weight_in_edge = 0;  // D_{i,ℓ} / D_ℓ
-  Scalar weight_global = 0;   // D_{i,ℓ} / D
-  std::size_t num_samples = 0;
-
+// The aggregation-visible slice of a worker: everything a synchronization
+// reads or writes. An event-driven upload freezes one slice and the
+// aggregation swaps it in (src/evt/async_engine.cpp); a spill record
+// carries it (src/pop/cohort_store.h).
+struct WorkerSlice {
   Vec x;       // worker model parameter x_{i,ℓ}
   Vec y;       // worker momentum parameter y_{i,ℓ}
   Vec grad;    // most recent mini-batch gradient ∇F_i(x^{t−1})
   Scalar last_loss = 0;
 
-  // Interval accumulators (reset at every edge synchronization).
+  // Interval accumulators (reset at every edge synchronization), listed in
+  // kIntervalAccumulators below.
   Vec sum_grad;  // Σ_t ∇F_i(x^t)
   Vec sum_y;     // Σ_t y^t_i
   // Σ_t v^t_i with v^t = y^t − y^{t−1}: sized only by HierAdMo's kVelocity
@@ -56,14 +55,35 @@ struct WorkerState {
   // local step then neither reads nor writes it.
   Vec sum_v;
 
+  void reset_interval_accumulators();
+};
+
+// The interval accumulators, named once: the reset above, the kDecay absent
+// policy, the spill codec and its kDecay replay, and a fresh worker's
+// materialization all walk this list. A `model_sized` accumulator starts as
+// a zero vector of the model's size; the others start empty.
+struct IntervalAccumulator {
+  Vec WorkerSlice::*vec;
+  bool model_sized;
+};
+inline constexpr IntervalAccumulator kIntervalAccumulators[] = {
+    {&WorkerSlice::sum_grad, true},
+    {&WorkerSlice::sum_y, true},
+    {&WorkerSlice::sum_v, false},
+};
+
+struct WorkerState : WorkerSlice {
+  WorkerId id = 0;
+  std::size_t edge = 0;
+  Scalar weight_in_edge = 0;  // D_{i,ℓ} / D_ℓ
+  Scalar weight_global = 0;   // D_{i,ℓ} / D
+  std::size_t num_samples = 0;
+
   // Gradient evaluation: the engine binds its plan onto every state the
   // cohort provider materializes (counted under engine.cohort.fused_grads).
   nn::CohortModel* plan = nullptr;
   std::unique_ptr<data::Batcher> batcher;
   std::unique_ptr<data::Batcher> aux_batcher;  // for gradient probes (Mime)
-
-  // Named algorithm-specific vectors (server momentum copies, etc.).
-  std::map<std::string, Vec> extra;
 
   // Draw the next mini-batch and compute the gradient of the local loss at
   // `at`; stores it in `grad` and returns the batch loss. Through the plan
@@ -95,16 +115,15 @@ struct WorkerState {
 
   // Draw ONE mini-batch and evaluate the gradient at two parameter points on
   // that same batch (paired SVRG-style evaluation: the sampling noise of the
-  // two gradients cancels in their difference). `grad` receives ∇F_B(at);
-  // `grad_anchor` receives ∇F_B(anchor). Returns the batch loss at `at`.
-  Scalar compute_gradient_pair(const Vec& at, const Vec& anchor,
-                               Vec& grad_anchor);
+  // two gradients cancels in their difference). `grad` receives ∇F_B(at)
+  // and `last_loss` the batch loss at `at`. Returns ∇F_B(anchor), held in
+  // this state's scratch until the next paired call: it is no state, so no
+  // upload, download or spill record carries it.
+  const Vec& compute_gradient_pair(const Vec& at, const Vec& anchor);
 
   // Gradient probe at arbitrary parameters using the auxiliary batch stream
   // (does not disturb the main stream). Result in `out`.
   Scalar probe_gradient(const Vec& at, Vec& out);
-
-  void reset_interval_accumulators();
 
  private:
   // Draws one mini-batch from `stream` and evaluates the gradient at each
@@ -116,6 +135,7 @@ struct WorkerState {
   Tensor batch_x_;
   std::vector<std::size_t> batch_y_;
   std::vector<const Scalar*> batch_rows_;  // draw_batch_rows scratch
+  Vec anchor_grad_;                        // compute_gradient_pair scratch
   // Non-null while a prefetched gradient awaits its compute_gradient call;
   // points at the Vec the gradient was evaluated at.
   const Scalar* pending_grad_at_ = nullptr;
@@ -136,7 +156,9 @@ struct EdgeState {
 struct CloudState {
   Vec x;  // cloud model x
   Vec y;  // cloud-aggregated worker momentum y
-  std::map<std::string, Vec> extra;
+  // Server-side vectors of the two-tier baselines, addressed by each
+  // algorithm's own slot constants and sized once in its init().
+  std::vector<Vec> extra;
 };
 
 // Id-addressed view over the materialized WorkerStates of a run. The

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <limits>
-#include <string_view>
 
 #include "src/common/errors.h"
 #include "src/common/vec_ops.h"
@@ -101,10 +101,6 @@ struct Reader {
     v.resize(n);
     if (n > 0) std::memcpy(v.data(), src, n * sizeof(Scalar));
     return false;
-  }
-  std::string_view name() {
-    const std::uint64_t n = u64();
-    return {claim(n, 1), static_cast<std::size_t>(n)};
   }
   void batcher(data::Batcher& bt) {
     const std::uint64_t cursor = u64();
@@ -336,10 +332,11 @@ void CohortStore::materialize_fresh(fl::WorkerState& w,
   w.y = x0_;
   w.grad.assign(n, 0.0);
   w.last_loss = 0;
-  w.sum_grad.assign(n, 0.0);
-  w.sum_y.assign(n, 0.0);
-  w.sum_v.clear();  // sized by the algorithm that reads it (init_worker)
-  w.extra.clear();
+  // An accumulator that is not model-sized (Σv) is sized by the algorithm
+  // that reads it (init_worker).
+  for (const fl::IntervalAccumulator& acc : fl::kIntervalAccumulators) {
+    (w.*acc.vec).assign(acc.model_sized ? n : 0, 0.0);
+  }
   // Worker i's stream is the (2 + i)-th fork of the run root (fork 1 is the
   // engine's init-model stream, Engine::build_states).
   Rng wrng = root_.fork_nth(1000 + i, 2 + i);
@@ -355,14 +352,8 @@ void CohortStore::encode(const fl::WorkerState& w,
   out.vec(w.y);
   out.vec(w.grad);
   out.scalar(w.last_loss);
-  out.vec(w.sum_grad);
-  out.vec(w.sum_y);
-  out.vec(w.sum_v);
-  out.u64(w.extra.size());
-  for (const auto& [name, vec] : w.extra) {  // std::map: ascending names
-    out.u64(name.size());
-    out.bytes(name.data(), name.size());
-    out.vec(vec);
+  for (const fl::IntervalAccumulator& acc : fl::kIntervalAccumulators) {
+    out.vec(w.*acc.vec);
   }
   out.batcher(*w.batcher);
   out.batcher(*w.aux_batcher);
@@ -381,28 +372,11 @@ void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
   in.vec(w.y);
   in.vec(w.grad);
   w.last_loss = in.scalar();
-  const bool zero_sum_grad = in.vec(w.sum_grad);
-  const bool zero_sum_y = in.vec(w.sum_y);
-  const bool zero_sum_v = in.vec(w.sum_v);
-  // Merge the record's extras into the recycled map: a name both hold
-  // keeps its node and vector storage.
-  const std::uint64_t extras = in.u64();
-  auto it = w.extra.begin();
-  std::string_view prev;
-  for (std::uint64_t e = 0; e < extras; ++e) {
-    const std::string_view name = in.name();
-    HFL_CHECK(e == 0 || prev < name, "spill record extras out of order");
-    prev = name;
-    while (it != w.extra.end() && std::string_view(it->first) < name) {
-      it = w.extra.erase(it);
-    }
-    if (it == w.extra.end() || it->first != name) {
-      it = w.extra.emplace_hint(it, std::string(name), Vec{});
-    }
-    in.vec(it->second);
-    ++it;
+  constexpr std::size_t kAccs = std::size(fl::kIntervalAccumulators);
+  bool zero_acc[kAccs];  // decoded from a zero tag
+  for (std::size_t a = 0; a < kAccs; ++a) {
+    zero_acc[a] = in.vec(w.*fl::kIntervalAccumulators[a].vec);
   }
-  w.extra.erase(it, w.extra.end());
   in.batcher(*w.batcher);
   in.batcher(*w.aux_batcher);
   const std::uint64_t stamp = in.u64();
@@ -434,12 +408,10 @@ void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
       const Scalar d = replay_decay_;
       const bool skip_zero = d >= 0.0 && d <= 1.0;
       for (std::uint64_t m = 0; m < missed; ++m) vec::decay_toward(w.y, w.x, d);
-      const std::pair<Vec*, bool> scaled[] = {{&w.sum_grad, zero_sum_grad},
-                                              {&w.sum_y, zero_sum_y},
-                                              {&w.sum_v, zero_sum_v}};
-      for (const auto& [v, zero] : scaled) {
-        if (zero && skip_zero) continue;
-        for (std::uint64_t m = 0; m < missed; ++m) vec::scale(*v, d);
+      for (std::size_t a = 0; a < kAccs; ++a) {
+        if (zero_acc[a] && skip_zero) continue;
+        Vec& v = w.*fl::kIntervalAccumulators[a].vec;
+        for (std::uint64_t m = 0; m < missed; ++m) vec::scale(v, d);
       }
       break;
     }

@@ -9,14 +9,17 @@
 //
 //   * first materialization — Algorithm 1's shared start: descriptor
 //     weights (src/pop/population.h), x = y = x0, zero gradient and
-//     accumulators (Σv left empty: only the algorithm that reads it sizes
-//     it, in init_worker), and worker i's batch streams forked statelessly off the
-//     run root with Rng::fork_nth(1000 + i, 2 + i) (fork 1 is the engine's
-//     init-model stream), so a worker's streams do not depend on which
-//     workers were materialized before it.
-//   * spill — a worker leaving the cohort encodes every mutable field (x,
-//     y, grad, accumulators, `extra`, both batch-stream positions)
-//     straight from its live state into a record in the slab.
+//     accumulators (fl::kIntervalAccumulators; Σv left empty: only the
+//     algorithm that reads it sizes it, in init_worker), and worker i's
+//     batch streams forked statelessly off the run root with
+//     Rng::fork_nth(1000 + i, 2 + i) (fork 1 is the engine's init-model
+//     stream), so a worker's streams do not depend on which workers were
+//     materialized before it.
+//   * spill — a worker leaving the cohort encodes its fl::WorkerSlice (x,
+//     y, grad, last loss, accumulators) and both batch-stream positions —
+//     every mutable field — straight from its live state into a record in
+//     the slab. Workers keep no per-algorithm vectors, so nothing else
+//     travels.
 //   * restore — byte-exact resurrection: the worker resumes mid-run as if
 //     it had stayed materialized the whole time (asserted by the
 //     tests/pop_test.cpp round-trip; tests/pop_parity_test.cpp checks a
@@ -33,9 +36,9 @@
 //   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
 //            element is +0.0 (nothing follows; −0.0 stays raw; only for
 //            n ≤ model dimension, since a tag claims no bytes)
-//   record   vec x, y, grad; f64 last_loss; vec sum_grad, sum_y, sum_v;
-//            u64 #extras, then per extra (ascending name) u64 len, name
-//            bytes, vec; batcher main, aux; u64 interval stamp
+//   record   vec x, y, grad; f64 last_loss; vec sum_grad, sum_y, sum_v
+//            (fl::kIntervalAccumulators' order); batcher main, aux;
+//            u64 interval stamp
 //   batcher  u64 cursor, 5 × u64 RNG state, u64 n, n × u32 sample index
 // The interval accumulators are zero whenever a worker spills after an
 // edge sync, so they cost a tag each; sum_v is empty (n = 0, tag 1) unless

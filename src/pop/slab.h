@@ -1,7 +1,7 @@
 // Spill storage for evicted worker states.
 //
 // When a sampled cohort rotates, the workers leaving the cohort encode their
-// mutable state (momentum vectors, algorithm extras, batch-stream
+// mutable state (the worker's aggregation-visible slice and batch-stream
 // positions) into the slab; a worker re-entering a later cohort decodes the
 // exact bytes and resumes bit-identically. One id → extent index serves two
 // backends:

@@ -106,7 +106,8 @@ TEST(FedAdcTest, DriftVectorTracksPseudoGradient) {
   s.workers[0].x = {1, 1};
   s.workers[1].x = {1, 1};  // x̄ = 1; pseudo-grad = (2−1)/(10·0.1) = 1
   alg->cloud_sync(ctx, 1);
-  EXPECT_EQ(s.cloud.extra.at("drift_u"), (Vec{0.5, 0.5}));  // 0.5·0 + 0.5·1
+  // u = 0.5·0 + 0.5·1.
+  EXPECT_EQ(s.cloud.extra[FedAdc::kDriftSlot], (Vec{0.5, 0.5}));
   EXPECT_EQ(s.cloud.x, (Vec{1, 1}));
 }
 

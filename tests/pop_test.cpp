@@ -467,8 +467,8 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
   rotated.set_cohort({0, 2});
   pinned.set_cohort({0, 2});
 
-  // Identical mutations on both stores' worker 0: momentum-ish vectors,
-  // algorithm extras, and consumed batch draws.
+  // Identical mutations on both stores' worker 0: momentum-ish vectors and
+  // consumed batch draws.
   const auto mutate = [](fl::WorkerState& w) {
     const Tensor* bx = nullptr;
     const std::vector<std::size_t>* by = nullptr;
@@ -481,13 +481,10 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
     }
     w.last_loss = 0.625;
     // Signed zeros stay raw and come back with their sign; a partly-zero
-    // accumulator and an all-zero extra come back bit-exactly.
+    // accumulator comes back bit-exactly.
     w.y[1] = -0.0;
     std::fill(w.grad.begin(), w.grad.end(), -0.0);
     w.sum_y[3] = 2.5;
-    w.extra["anchor"] = Vec{1.0, 2.0, 3.0};
-    w.extra["momentum_aux"] = Vec(5, -0.5);
-    w.extra["zeros"] = Vec(4, 0.0);
   };
   mutate(rotated.workers()[0]);
   mutate(pinned.workers()[0]);
@@ -509,11 +506,6 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
   EXPECT_TRUE(same_bits(a.sum_grad, b.sum_grad));
   EXPECT_TRUE(same_bits(a.sum_y, b.sum_y));
   EXPECT_TRUE(same_bits(a.sum_v, b.sum_v));
-  ASSERT_EQ(a.extra.size(), b.extra.size());
-  for (const auto& [name, vec] : b.extra) {
-    ASSERT_EQ(a.extra.count(name), 1u) << name;
-    EXPECT_TRUE(same_bits(a.extra.at(name), vec)) << name;
-  }
   EXPECT_EQ(a.weight_in_edge, b.weight_in_edge);
   EXPECT_EQ(a.weight_global, b.weight_global);
 
@@ -729,22 +721,24 @@ TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
   zero_vec(kDim, "sum_grad");
   zero_vec(kDim, "sum_y");
   zero_vec(0, "sum_v");
-  EXPECT_EQ(u64(), 0u);  // no extras
   stream(main_stream, "main batcher");
   stream(aux_stream, "aux batcher");
   EXPECT_EQ(u64(), 3u);  // interval stamp
   EXPECT_EQ(at, record.size());
 }
 
+constexpr std::size_t kCorruptDim = 8;
+
 // A spill record's lengths are checked against the bytes left before
 // anything is sized: a corrupt length raises hfl::Error, not
-// std::length_error or std::bad_alloc.
-void expect_corrupt_length_rejected(std::uint64_t length) {
+// std::length_error or std::bad_alloc. Overwrites the u64 at byte `offset`
+// of worker 0's record (the spill file's first) with `length`.
+void expect_corrupt_length_rejected(std::size_t offset, std::uint64_t length) {
   PopFixture f;
   const pop::SlabConfig slab = file_slab("hfl_pop_corrupt_test.bin");
   {
     auto store = make_store(f, 2, false, slab);
-    store.begin_run(Vec(8, 0.25));
+    store.begin_run(Vec(kCorruptDim, 0.25));
     store.set_cohort({0, 1});
     store.set_cohort({2});     // worker 0's record opens the file
     store.set_cohort({1, 2});  // restoring worker 1 flushes the writes
@@ -752,7 +746,7 @@ void expect_corrupt_length_rejected(std::uint64_t length) {
       std::fstream file(slab.path,
                         std::ios::binary | std::ios::in | std::ios::out);
       ASSERT_TRUE(file.is_open());
-      file.seekp(0);
+      file.seekp(static_cast<std::streamoff>(offset));
       file.write(reinterpret_cast<const char*>(&length), sizeof length);
       ASSERT_TRUE(file.good());
     }
@@ -761,9 +755,44 @@ void expect_corrupt_length_rejected(std::uint64_t length) {
   std::remove(slab.path.c_str());
 }
 
+// The byte offset of every length word in that record, from the layout
+// src/pop/cohort_store.h documents: a fresh worker's x and y are raw, its
+// grad and interval accumulators zero-tagged, and Σv is empty.
+std::vector<std::pair<std::string, std::size_t>> record_length_offsets() {
+  PopFixture f;
+  auto store = make_store(f, 2);
+  store.begin_run(Vec(kCorruptDim, 0.25));
+  store.set_cohort({0, 1});
+  const fl::WorkerState& w = store.workers()[0];
+  std::vector<std::pair<std::string, std::size_t>> offsets;
+  std::size_t at = 0;
+  const auto vec = [&](const char* name, std::size_t scalars) {
+    offsets.emplace_back(name, at);
+    at += sizeof(std::uint64_t) + 1 + scalars * sizeof(Scalar);
+  };
+  const auto stream = [&](const char* name, const data::Batcher& b) {
+    at += 6 * sizeof(std::uint64_t);  // cursor, 5 × u64 RNG state
+    offsets.emplace_back(name, at);
+    at += sizeof(std::uint64_t) + b.indices().size() * sizeof(std::uint32_t);
+  };
+  vec("x", kCorruptDim);
+  vec("y", kCorruptDim);
+  vec("grad", 0);
+  at += sizeof(Scalar);  // last_loss
+  vec("sum_grad", 0);
+  vec("sum_y", 0);
+  vec("sum_v", 0);
+  stream("main batcher indices", *w.batcher);
+  stream("aux batcher indices", *w.aux_batcher);
+  return offsets;
+}
+
 TEST(CohortStoreTest, CorruptRecordLengthRaisesError) {
-  expect_corrupt_length_rejected(~std::uint64_t{0});
-  expect_corrupt_length_rejected(std::uint64_t{1} << 48);
+  for (const auto& [field, offset] : record_length_offsets()) {
+    SCOPED_TRACE(field);
+    expect_corrupt_length_rejected(offset, ~std::uint64_t{0});
+    expect_corrupt_length_rejected(offset, std::uint64_t{1} << 48);
+  }
 }
 
 }  // namespace
