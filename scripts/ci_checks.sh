@@ -5,8 +5,11 @@
 #      no src/sim header: they read fault plans through
 #      fl::AvailabilityOracle) and per-tier state (no file under src/
 #      declares a string-keyed Vec map: worker state is one fixed
-#      fl::WorkerSlice and the cloud's algorithm vectors are index-addressed
-#      slots) — then Release build + full ctest suite (tier-1): unit, parity and golden
+#      fl::WorkerSlice — x, y, the loss and the interval accumulators; the
+#      mini-batch gradient is per-step scratch outside it — whose size a
+#      static_assert beside the spill codec pins, and the cloud's algorithm
+#      vectors are index-addressed slots) — then Release build + full ctest
+#      suite (tier-1): unit, parity and golden
 #      tests, among them every GEMM entry point ≡ the per-element FMA chain
 #      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
 #      roster ≡ closed form (param_plane_test), compiled plan ≡ the
@@ -17,9 +20,11 @@
 #      blocks share the plan's scratch across pool threads).
 #   2. Portable-kernel build (HFL_MARCH_NATIVE=OFF): the golden digests of
 #      the event engine and of the fault paths, pinned on this build, the
-#      population suites (spill-record codec, absent-policy replay,
-#      attached store ≡ the engine's own store, sampled ≡ full cohort on the
-#      induced schedule), the compiled-plan parity suite (plan ≡ model
+#      population suites (spill-record codec, the slab's shared-vector
+#      store — bitwise-only sharing, storage reuse, both backends, 1 vs 4
+#      host threads — absent-policy replay, attached store ≡ the engine's
+#      own store, sampled ≡ full cohort on the induced schedule), the
+#      compiled-plan parity suite (plan ≡ model
 #      gradients and predictions, Engine::evaluate ≡ per-batch
 #      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
 #      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on

@@ -10,7 +10,7 @@ void FedAdc::local_step(fl::Context& ctx, fl::WorkerState& w) {
   w.compute_gradient(w.x);
   const Vec& u = ctx.cloud->extra[kDriftSlot];  // read-only across workers
   // x ← x − η (∇F + β u), fused drift-corrected descent.
-  vec::descent_drift(w.x, w.grad, u, ctx.cfg->eta, ctx.cfg->gamma);
+  vec::descent_drift(w.x, w.grad(), u, ctx.cfg->eta, ctx.cfg->gamma);
 }
 
 void FedAdc::cloud_sync(fl::Context& ctx, std::size_t) {

@@ -55,10 +55,10 @@ void Mime::local_step(fl::Context& ctx, fl::WorkerState& w) {
     // noise. g̃ = ∇F_B(x) − ∇F_B(x_server) + ĝ, folded into the descent in
     // one fused pass (no corrected-gradient temporary).
     const Vec& anchor_grad = w.compute_gradient_pair(w.x, ctx.cloud->x);
-    vec::descent_svrg(w.x, w.grad, anchor_grad, g_hat, m, eta, beta);
+    vec::descent_svrg(w.x, w.grad(), anchor_grad, g_hat, m, eta, beta);
   } else {
     w.compute_gradient(w.x);
-    vec::descent_blend(w.x, w.grad, m, eta, beta);
+    vec::descent_blend(w.x, w.grad(), m, eta, beta);
   }
 }
 

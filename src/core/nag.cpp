@@ -12,17 +12,17 @@ Scalar nag_local_step(fl::WorkerState& w, Scalar eta, Scalar gamma,
   // position and the pre-update momentum parameter (Algorithm 1, line 9),
   // plus Σv when the worker carries it (sized only under kVelocity).
   if (accumulate) {
-    vec::nag_step_accumulate(w.x, w.y, w.grad, eta, gamma, w.sum_grad,
+    vec::nag_step_accumulate(w.x, w.y, w.grad(), eta, gamma, w.sum_grad,
                              w.sum_y, w.sum_v);
   } else {
-    vec::nag_step(w.x, w.y, w.grad, eta, gamma);
+    vec::nag_step(w.x, w.y, w.grad(), eta, gamma);
   }
   return loss;
 }
 
 Scalar sgd_local_step(fl::WorkerState& w, Scalar eta) {
   const Scalar loss = w.compute_gradient(w.x);
-  vec::axpy(-eta, w.grad, w.x);
+  vec::axpy(-eta, w.grad(), w.x);
   return loss;
 }
 

@@ -130,8 +130,8 @@ struct Arrival {
 // shipping them would write zeros over zeros.
 struct DownloadMsg {
   std::size_t version = 0;
-  bool has_y = false, has_grad = false;
-  Vec x, y, grad;
+  bool has_y = false;
+  Vec x, y;
 };
 
 namespace {
@@ -156,20 +156,20 @@ void swap_snapshot(fl::WorkerState& ws, UploadSnapshot& s) {
   std::swap(live, s.slice);
 }
 
-// Copy of the push-down-visible fields taken right before Algorithm sync
-// hooks run, to diff what the push-down actually changed.
+// Copy of the push-down-visible field besides x (which every download
+// carries) taken right before Algorithm sync hooks run, to diff what the
+// push-down actually changed.
 struct PushBase {
-  Vec y, grad;
+  Vec y;
 };
 
-PushBase push_baseline(const fl::WorkerState& ws) {
-  return PushBase{ws.y, ws.grad};
-}
+PushBase push_baseline(const fl::WorkerState& ws) { return PushBase{ws.y}; }
 
 // Compose the download for one admitted worker: the damped tier model plus
 // whatever else the algorithm's push-down wrote (diffed against the
 // pre-sync baseline, so e.g. HierAdMo's momentum hand-off w.y = e.y_minus
-// travels while an untouched gradient does not).
+// travels while an untouched y does not). The mini-batch gradient is local
+// scratch (fl::WorkerState::grad), outside the slice, so no sync sees it.
 DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
                           std::size_t version, const Vec& anchor) {
   DownloadMsg m;
@@ -178,10 +178,6 @@ DownloadMsg diff_pushdown(const fl::WorkerState& ws, const PushBase& base,
   if (ws.y != base.y) {
     m.has_y = true;
     m.y = ws.y;
-  }
-  if (ws.grad != base.grad) {
-    m.has_grad = true;
-    m.grad = ws.grad;
   }
   return m;
 }
@@ -390,7 +386,6 @@ void AsyncEngine::apply_pending_download(EvtRun& er, std::size_t w) {
   fl::WorkerState& ws = er.rs.workers[w];
   ws.x = std::move(m.x);
   if (m.has_y) ws.y = std::move(m.y);
-  if (m.has_grad) ws.grad = std::move(m.grad);
   er.w_version[w] = m.version;
   ++er.downloads_applied;
   er.w_pending[w] = DownloadMsg{};

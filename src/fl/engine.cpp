@@ -74,7 +74,7 @@ void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
       item.x = x->raw();
     }
     item.params = alg.local_gradient_point(w).data();
-    item.grad = w.grad.data();
+    item.grad = w.gradient_buffer();
     cohort_items_.push_back(item);
     cohort_ids_.push_back(w.id);
   }

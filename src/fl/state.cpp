@@ -11,7 +11,7 @@ namespace hfl::fl {
 Scalar WorkerState::compute_gradient(const Vec& at) {
   if (pending_grad_at_ != nullptr) {
     // The engine prefetched this iteration's gradient through the cohort
-    // executor; `grad`/`last_loss` already hold the result and the batch was
+    // executor; grad_/last_loss already hold the result and the batch was
     // already drawn. Consume it — but only for the promised parameter point.
     HFL_CHECK(pending_grad_at_ == at.data(),
               "prefetched gradient consumed at a different parameter point — "
@@ -21,7 +21,7 @@ Scalar WorkerState::compute_gradient(const Vec& at) {
   }
   HFL_CHECK(batcher, "worker state not initialized");
   const Vec* points[] = {&at};
-  Vec* outs[] = {&grad};
+  Vec* outs[] = {&grad_};
   last_loss = gradients_on_draw(*batcher, points, outs, 1);
   return last_loss;
 }
@@ -46,6 +46,12 @@ void WorkerState::draw_batch_rows(const Scalar* const*& rows,
   y = &batch_y_;
 }
 
+Scalar* WorkerState::gradient_buffer() {
+  HFL_CHECK(plan != nullptr, "worker state has no gradient plan bound");
+  grad_.resize(plan->num_params());
+  return grad_.data();
+}
+
 void WorkerState::deposit_gradient(const Vec& at) {
   pending_grad_at_ = at.data();
 }
@@ -58,7 +64,7 @@ const Vec& WorkerState::compute_gradient_pair(const Vec& at,
             "the algorithm must report local_gradient_prefetchable() == "
             "false");
   const Vec* points[] = {&anchor, &at};
-  Vec* outs[] = {&anchor_grad_, &grad};
+  Vec* outs[] = {&anchor_grad_, &grad_};
   last_loss = gradients_on_draw(*batcher, points, outs, 2);
   return anchor_grad_;
 }

@@ -2,15 +2,17 @@
 //
 // WorkerState mirrors the paper's worker {i, ℓ}. Its aggregation-visible
 // part is one WorkerSlice: model parameters x, momentum parameter y, the
-// last gradient and loss, and the interval accumulators that Algorithm 1
-// line 9 uploads (Σ∇F_i and Σy_i, plus Σv_i — v = y_t − y_{t−1} — only for
-// the velocity interpretation of eq. (6), see core/hieradmo.h). The slice is
+// last batch loss, and the interval accumulators that Algorithm 1 line 9
+// uploads (Σ∇F_i and Σy_i, plus Σv_i — v = y_t − y_{t−1} — only for the
+// velocity interpretation of eq. (6), see core/hieradmo.h). The slice is
 // what an event-driven upload freezes and a spill record carries; the rest
-// of WorkerState is descriptors, the worker's data streams and the compiled
+// of WorkerState is descriptors, the worker's data streams, the compiled
 // cohort plan that evaluates its gradients (the engine's, shared by every
-// worker, src/nn/cohort.h). Workers keep no per-algorithm vectors, and the
-// velocity is no state either: the NAG step (core/nag.h) keeps it in a
-// register. EdgeState carries the post-aggregation values y_{ℓ−}, y_{ℓ+},
+// worker, src/nn/cohort.h) and per-step scratch. Workers keep no
+// per-algorithm vectors, and neither the mini-batch gradient nor the
+// velocity is state: the gradient is written and read inside one local step
+// (grad()), and the NAG step (core/nag.h) keeps the velocity in a register.
+// EdgeState carries the post-aggregation values y_{ℓ−}, y_{ℓ+},
 // x_{ℓ+} and the currently adapted γℓ. CloudState carries the cloud model,
 // the cloud-aggregated worker momentum, and index-addressed slots in which
 // two-tier baselines keep their server momenta.
@@ -43,8 +45,7 @@ namespace hfl::fl {
 struct WorkerSlice {
   Vec x;       // worker model parameter x_{i,ℓ}
   Vec y;       // worker momentum parameter y_{i,ℓ}
-  Vec grad;    // most recent mini-batch gradient ∇F_i(x^{t−1})
-  Scalar last_loss = 0;
+  Scalar last_loss = 0;  // loss of the most recent mini-batch
 
   // Interval accumulators (reset at every edge synchronization), listed in
   // kIntervalAccumulators below.
@@ -86,7 +87,7 @@ struct WorkerState : WorkerSlice {
   std::unique_ptr<data::Batcher> aux_batcher;  // for gradient probes (Mime)
 
   // Draw the next mini-batch and compute the gradient of the local loss at
-  // `at`; stores it in `grad` and returns the batch loss. Through the plan
+  // `at`; stores it in grad() and returns the batch loss. Through the plan
   // the draw is zero-copy when the plan reads dataset rows in place
   // (CohortModel::supports_row_gather) — the same stream advancement either
   // way.
@@ -101,9 +102,10 @@ struct WorkerState : WorkerSlice {
 
   // Engine-side half of the fused cohort path (src/fl/engine.cpp). draw_batch
   // advances the main stream exactly like compute_gradient's draw and exposes
-  // the batch; deposit_gradient marks `grad`/`last_loss` (already filled by
-  // the cohort executor) as the precomputed result for the parameter vector
-  // `at`, to be consumed by the next compute_gradient call.
+  // the batch; the cohort executor writes the gradient into
+  // gradient_buffer(), and deposit_gradient marks it and `last_loss` as the
+  // precomputed result for the parameter vector `at`, to be consumed by the
+  // next compute_gradient call.
   void draw_batch(const Tensor*& x, const std::vector<std::size_t>*& y);
   // Zero-copy draw for row-gather cohort execution (nn::CohortModel): same
   // stream advancement as draw_batch, but exposes per-sample row pointers
@@ -111,11 +113,17 @@ struct WorkerState : WorkerSlice {
   // interchangeable draw-for-draw; the batch size is y->size().
   void draw_batch_rows(const Scalar* const*& rows,
                        const std::vector<std::size_t>*& y);
+  Scalar* gradient_buffer();  // model-sized; the plan zero-fills it first
   void deposit_gradient(const Vec& at);
+
+  // The most recent mini-batch gradient ∇F_i(x^{t−1}). Per-step scratch: a
+  // local step reads it right after computing it, and no upload, download
+  // or spill record carries it.
+  const Vec& grad() const { return grad_; }
 
   // Draw ONE mini-batch and evaluate the gradient at two parameter points on
   // that same batch (paired SVRG-style evaluation: the sampling noise of the
-  // two gradients cancels in their difference). `grad` receives ∇F_B(at)
+  // two gradients cancels in their difference). grad() receives ∇F_B(at)
   // and `last_loss` the batch loss at `at`. Returns ∇F_B(anchor), held in
   // this state's scratch until the next paired call: it is no state, so no
   // upload, download or spill record carries it.
@@ -135,6 +143,7 @@ struct WorkerState : WorkerSlice {
   Tensor batch_x_;
   std::vector<std::size_t> batch_y_;
   std::vector<const Scalar*> batch_rows_;  // draw_batch_rows scratch
+  Vec grad_;                               // grad()
   Vec anchor_grad_;                        // compute_gradient_pair scratch
   // Non-null while a prefetched gradient awaits its compute_gradient call;
   // points at the Vec the gradient was evaluated at.

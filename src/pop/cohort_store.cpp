@@ -23,6 +23,16 @@ constexpr std::uint64_t kCohortSampleTag = 0xC0480A17ull;
 
 enum : std::uint8_t { kRawVec = 0, kZeroVec = 1 };
 
+// The model-sized slice fields a record references in the slab's shared
+// store, in the order of the record's references.
+constexpr Vec fl::WorkerSlice::*kSharedFields[] = {&fl::WorkerSlice::x,
+                                                    &fl::WorkerSlice::y};
+static_assert(std::size(kSharedFields) <= Slab::kMaxRefs);
+
+std::span<const char> as_bytes(const Vec& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(Scalar)};
+}
+
 // Every element is bitwise +0.0 (−0.0 does not count).
 bool all_plus_zero(const Vec& v) {
   for (const Scalar s : v) {
@@ -33,7 +43,7 @@ bool all_plus_zero(const Vec& v) {
 
 struct Writer {
   std::vector<char>& b;
-  std::size_t zero_max;  // longest vector a zero tag may stand for
+  std::size_t dim;  // model dimension: the longest a zero tag stands for
 
   void bytes(const void* p, std::size_t n) {
     const char* c = static_cast<const char*>(p);
@@ -44,7 +54,7 @@ struct Writer {
   void vec(const Vec& v) {
     u64(v.size());
     const std::uint8_t tag =
-        v.size() <= zero_max && all_plus_zero(v) ? kZeroVec : kRawVec;
+        v.size() <= dim && all_plus_zero(v) ? kZeroVec : kRawVec;
     bytes(&tag, 1);
     if (tag == kRawVec) bytes(v.data(), v.size() * sizeof(Scalar));
   }
@@ -65,7 +75,7 @@ struct Writer {
 struct Reader {
   const char* p;
   const char* end;
-  std::size_t zero_max;
+  std::size_t dim;  // model dimension
 
   // Claim `n` items of `size` bytes each; fails before anything is sized.
   const char* claim(std::uint64_t n, std::size_t size) {
@@ -92,7 +102,7 @@ struct Reader {
     std::uint8_t tag;
     take(&tag, 1);
     if (tag == kZeroVec) {
-      HFL_CHECK(n <= zero_max, "zero-tagged spill vector longer than model");
+      HFL_CHECK(n <= dim, "zero-tagged spill vector longer than model");
       v.assign(n, 0.0);
       return true;
     }
@@ -215,9 +225,12 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
   // Spill every current worker that is not in the new cohort (both lists
   // are ascending, so one merge pass finds the departures). Encoding fans
   // out per departure — each task reads one worker and writes one private
-  // buffer — while the slab (not thread-safe: shared index, file cursor,
-  // byte counters) ingests the records serially in ascending-id order
-  // afterwards. Encoded states then wait on the spare list.
+  // buffer — while the slab (not thread-safe: shared index, shared store,
+  // file cursor, byte counters) ingests the records serially in
+  // ascending-id order afterwards: it interns each worker's x and y and
+  // stores the record with their references. What the slab shares
+  // therefore does not depend on the thread count. Encoded states then wait
+  // on the spare list.
   departing_.clear();
   std::size_t j = 0;
   for (std::size_t s = 0; s < pool_.size(); ++s) {
@@ -232,14 +245,19 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
   run_tasks(departing_.size(), [&](std::size_t i) {
     encode(pool_[departing_[i]], spill_bufs_[i]);
   });
-  std::uint64_t spill_bytes = 0;
+  const std::uint64_t written0 = slab_.bytes_written();
+  const std::uint64_t hits0 = slab_.shared_hits();
   for (std::size_t i = 0; i < departing_.size(); ++i) {
     fl::WorkerState& w = pool_[departing_[i]];
-    slab_.put(w.id, spill_bufs_[i]);
-    spill_bytes += spill_bufs_[i].size();
+    std::uint32_t refs[std::size(kSharedFields)];
+    for (std::size_t k = 0; k < std::size(refs); ++k) {
+      refs[k] = slab_.share(as_bytes(w.*kSharedFields[k]));
+    }
+    slab_.put(w.id, spill_bufs_[i], refs);
     slot_of_id_[w.id] = fl::WorkerSet::kNoSlot;
     spares_.push_back(std::move(w));
   }
+  const std::uint64_t spill_bytes = slab_.bytes_written() - written0;
 
   // Assemble the new cohort in `next_`: stayers move over, arrivals take a
   // spare. Phase 1 (serial) classifies each slot, fetches the slab records
@@ -256,7 +274,7 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
   if (restore_bufs_.size() < ids.size()) restore_bufs_.resize(ids.size());
   std::vector<fl::WorkerId> fresh;
   std::size_t num_restored = 0;
-  std::uint64_t restore_bytes = 0;
+  const std::uint64_t read0 = slab_.bytes_read();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const fl::WorkerId id = ids[i];
     const std::uint32_t slot = slot_of_id_[id];
@@ -268,7 +286,6 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
     if (slab_.contains(id)) {
       kind_[i] = kRestore;
       records_[i] = slab_.get(id, restore_bufs_[i]);
-      restore_bytes += records_[i].size();
       ++num_restored;
     } else {
       kind_[i] = kFresh;
@@ -286,6 +303,7 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
           std::make_unique<data::Batcher>(data_->train, run_.batch_size);
     }
   }
+  const std::uint64_t restore_bytes = slab_.bytes_read() - read0;
   run_tasks(ids.size(), [&](std::size_t i) {
     if (kind_[i] == kRestore) decode(next_[i], ids[i], records_[i]);
     if (kind_[i] == kFresh) materialize_fresh(next_[i], ids[i]);
@@ -301,6 +319,7 @@ std::vector<fl::WorkerId> CohortStore::set_cohort(
     if (!departing_.empty()) {
       reg.counter("pop.spills").add(departing_.size());
       reg.counter("pop.spill_bytes").add(spill_bytes);
+      reg.counter("pop.spill.shared_hits").add(slab_.shared_hits() - hits0);
     }
     if (num_restored > 0) {
       reg.counter("pop.restores").add(num_restored);
@@ -330,7 +349,6 @@ void CohortStore::materialize_fresh(fl::WorkerState& w,
   set_descriptors(w, id);
   w.x = x0_;
   w.y = x0_;
-  w.grad.assign(n, 0.0);
   w.last_loss = 0;
   // An accumulator that is not model-sized (Σv) is sized by the algorithm
   // that reads it (init_worker).
@@ -344,13 +362,19 @@ void CohortStore::materialize_fresh(fl::WorkerState& w,
   w.aux_batcher->reseed((*partition_)[i], wrng.fork(2));
 }
 
+// Every slice field is listed by hand in encode and decode below, in the
+// event engine's DownloadMsg and diffed by its diff_pushdown; UploadSnapshot
+// copies the slice whole.
+static_assert(sizeof(fl::WorkerSlice) == 5 * sizeof(Vec) + sizeof(Scalar),
+              "a new fl::WorkerSlice field must travel through the spill "
+              "codec (CohortStore::encode/decode), the event engine's "
+              "UploadSnapshot and its DownloadMsg (src/evt/async_engine.cpp)");
+
 void CohortStore::encode(const fl::WorkerState& w,
                          std::vector<char>& record) const {
+  // x and y go to the shared store in set_cohort's serial ingest.
   record.clear();
   Writer out{record, x0_.size()};
-  out.vec(w.x);
-  out.vec(w.y);
-  out.vec(w.grad);
   out.scalar(w.last_loss);
   for (const fl::IntervalAccumulator& acc : fl::kIntervalAccumulators) {
     out.vec(w.*acc.vec);
@@ -363,14 +387,21 @@ void CohortStore::encode(const fl::WorkerState& w,
 }
 
 void CohortStore::decode(fl::WorkerState& w, fl::WorkerId id,
-                         std::span<const char> record) const {
+                         const Slab::Record& record) const {
   // Descriptor fields are rebuilt; everything mutable comes back byte for
   // byte, decoded into the recycled storage.
   set_descriptors(w, id);
-  Reader in{record.data(), record.data() + record.size(), x0_.size()};
-  in.vec(w.x);
-  in.vec(w.y);
-  in.vec(w.grad);
+  const std::span<const char> bytes = record.bytes;
+  const std::size_t dim = x0_.size();
+  for (std::size_t k = 0; k < std::size(kSharedFields); ++k) {
+    const std::span<const char> src = record.shared[k];
+    HFL_CHECK(src.size() == dim * sizeof(Scalar),
+              "worker spill record lacks a model-sized shared x or y");
+    Vec& v = w.*kSharedFields[k];
+    v.resize(dim);
+    std::memcpy(v.data(), src.data(), src.size());
+  }
+  Reader in{bytes.data(), bytes.data() + bytes.size(), dim};
   w.last_loss = in.scalar();
   constexpr std::size_t kAccs = std::size(fl::kIntervalAccumulators);
   bool zero_acc[kAccs];  // decoded from a zero tag
@@ -430,6 +461,10 @@ void CohortStore::publish_gauges() {
   reg.gauge("pop.slab.bytes").set(static_cast<double>(slab_.bytes()));
   reg.gauge("pop.slab.peak_bytes")
       .set_max(static_cast<double>(slab_.peak_bytes()));
+  reg.gauge("pop.slab.shared_vectors")
+      .set(static_cast<double>(slab_.num_shared()));
+  reg.gauge("pop.slab.shared_bytes")
+      .set(static_cast<double>(slab_.shared_bytes()));
 }
 
 }  // namespace hfl::pop

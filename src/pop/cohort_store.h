@@ -8,7 +8,7 @@
 // worker once per run. Three lifecycle paths:
 //
 //   * first materialization — Algorithm 1's shared start: descriptor
-//     weights (src/pop/population.h), x = y = x0, zero gradient and
+//     weights (src/pop/population.h), x = y = x0, zero loss and
 //     accumulators (fl::kIntervalAccumulators; Σv left empty: only the
 //     algorithm that reads it sizes it, in init_worker), and worker i's
 //     batch streams forked statelessly off the run root with
@@ -16,10 +16,12 @@
 //     stream), so a worker's streams do not depend on which workers were
 //     materialized before it.
 //   * spill — a worker leaving the cohort encodes its fl::WorkerSlice (x,
-//     y, grad, last loss, accumulators) and both batch-stream positions —
-//     every mutable field — straight from its live state into a record in
-//     the slab. Workers keep no per-algorithm vectors, so nothing else
-//     travels.
+//     y, last loss, accumulators) and both batch-stream positions — every
+//     mutable field — straight from its live state into a record in the
+//     slab, with x and y interned in the slab's shared store (workers that
+//     leave after the same broadcast hold the same bytes). Workers keep no
+//     per-algorithm vectors, and the mini-batch gradient is per-step
+//     scratch (fl::WorkerState::grad), so nothing else travels.
 //   * restore — byte-exact resurrection: the worker resumes mid-run as if
 //     it had stayed materialized the whole time (asserted by the
 //     tests/pop_test.cpp round-trip; tests/pop_parity_test.cpp checks a
@@ -33,18 +35,30 @@
 // (WorkerState::plan) onto the cohort after every set_cohort.
 //
 // Spill record (host byte order, never outlives the run, so unversioned):
+//   record   f64 last_loss; vec sum_grad, sum_y, sum_v
+//            (fl::kIntervalAccumulators' order); batcher main, aux;
+//            u64 interval stamp
 //   vec      u64 n, u8 tag; tag 0 = raw (n scalars follow), tag 1 = every
 //            element is +0.0 (nothing follows; −0.0 stays raw; only for
 //            n ≤ model dimension, since a tag claims no bytes)
-//   record   vec x, y, grad; f64 last_loss; vec sum_grad, sum_y, sum_v
-//            (fl::kIntervalAccumulators' order); batcher main, aux;
-//            u64 interval stamp
 //   batcher  u64 cursor, 5 × u64 RNG state, u64 n, n × u32 sample index
-// The interval accumulators are zero whenever a worker spills after an
-// edge sync, so they cost a tag each; sum_v is empty (n = 0, tag 1) unless
-// the run uses HierAdMo's kVelocity signal. The decoder checks every length
-// against the bytes left before it sizes anything: a corrupt record raises
-// hfl::Error.
+// x and y are not in the record: they are its two references into the
+// slab's shared-vector store (src/pop/slab.h), x first, each a model-sized
+// dim × f64 string stored once however many records hold the same bytes.
+// That is their one encoding. Encoding runs on the host pool; set_cohort's
+// serial ingest interns x and y in ascending departure order and hands the
+// references to the slab with the record. The interval accumulators are
+// zero whenever a worker spills after an edge sync, so they cost a tag
+// each; sum_v is empty (n = 0, tag 1) unless the run uses HierAdMo's
+// kVelocity signal. The decoder checks every length against the bytes left
+// before it sizes anything, and that x and y are model-sized: a corrupt
+// record raises hfl::Error.
+//
+// Shared-store lifetime: a re-spill releases the worker's previous
+// references (kept in the slab index, so the old record is not read), and a
+// vector with no reference left frees its storage for the next new one. A
+// restore leaves the record and its references in place until the worker's
+// next spill.
 //
 // Cohort selection: exact weighted sampling by data mass D_i —
 // without-replacement via the Fenwick sampler, or with-replacement via the
@@ -56,7 +70,11 @@
 //
 // Telemetry (obs gauges/counters): pop.population, pop.cohort_size,
 // pop.materialized_workers, pop.materialized_peak, pop.spills, pop.restores,
-// pop.spill_bytes, pop.restore_bytes, pop.slab.bytes, pop.slab.peak_bytes.
+// pop.spill_bytes and pop.restore_bytes (bytes into / out of the slab,
+// shared vectors included), pop.slab.bytes and pop.slab.peak_bytes (the
+// whole slab: records and shared vectors), pop.slab.shared_vectors and
+// pop.slab.shared_bytes (live shared vectors), pop.spill.shared_hits
+// (spilled x/y vectors that found an equal one stored).
 #pragma once
 
 #include <optional>
@@ -137,7 +155,7 @@ class CohortStore final : public fl::CohortProvider {
   void materialize_fresh(fl::WorkerState& w, fl::WorkerId id) const;
   void encode(const fl::WorkerState& w, std::vector<char>& record) const;
   void decode(fl::WorkerState& w, fl::WorkerId id,
-              std::span<const char> record) const;
+              const Slab::Record& record) const;
   void set_descriptors(fl::WorkerState& w, fl::WorkerId id) const;
   // Run fn(i) for i in [0, n) on the host pool when one is attached, else
   // inline. Tasks must be per-index independent.
@@ -174,7 +192,7 @@ class CohortStore final : public fl::CohortProvider {
   // encode buffers, and the file backend's read buffers.
   std::vector<std::uint32_t> departing_;
   std::vector<std::uint8_t> kind_;
-  std::vector<std::span<const char>> records_;
+  std::vector<Slab::Record> records_;
   std::vector<std::vector<char>> spill_bufs_;
   std::vector<std::vector<char>> restore_bufs_;
 };

@@ -16,6 +16,7 @@ constexpr std::uint64_t kChunkBytes = std::uint64_t{4} << 20;
 }  // namespace
 
 Slab::Slab(SlabConfig cfg) : cfg_(std::move(cfg)) {
+  recent_.fill(kNoShared);
   if (cfg_.backend == SlabConfig::Backend::kFile) {
     HFL_CHECK(!cfg_.path.empty(), "file slab needs a path");
     open_file();
@@ -32,6 +33,9 @@ void Slab::open_file() {
 
 void Slab::clear() {
   index_.clear();
+  shared_.clear();
+  free_shared_.clear();
+  recent_.fill(kNoShared);
   chunks_.clear();
   chunk_used_ = 0;
   chunk_size_ = 0;
@@ -39,6 +43,8 @@ void Slab::clear() {
   bytes_ = 0;
   bytes_written_ = 0;
   bytes_read_ = 0;
+  shared_bytes_ = 0;
+  shared_hits_ = 0;
 }
 
 Slab::Extent Slab::reserve(std::size_t n) {
@@ -60,35 +66,121 @@ Slab::Extent Slab::reserve(std::size_t n) {
   return e;
 }
 
-void Slab::put(std::uint32_t id, std::span<const char> record) {
-  bytes_written_ += record.size();
-  auto [it, added] = index_.try_emplace(id);
-  Extent& e = it->second;
-  if (added || e.capacity < record.size()) e = reserve(record.size());
-  e.length = record.size();
+void Slab::store(Extent& e, std::span<const char> data) {
+  bytes_written_ += data.size();
+  if (e.capacity < data.size()) e = reserve(data.size());
+  e.length = data.size();
   if (cfg_.backend == SlabConfig::Backend::kMemory) {
-    if (!record.empty()) std::memcpy(at(e), record.data(), record.size());
+    if (!data.empty()) std::memcpy(at(e), data.data(), data.size());
   } else {
     file_.seekp(static_cast<std::streamoff>(e.offset));
-    file_.write(record.data(), static_cast<std::streamsize>(record.size()));
+    file_.write(data.data(), static_cast<std::streamsize>(data.size()));
     HFL_CHECK(file_.good(), "slab spill write failed: " + cfg_.path);
   }
 }
 
-std::span<const char> Slab::get(std::uint32_t id, std::vector<char>& buf) {
+std::span<const char> Slab::load(const Extent& e, std::vector<char>& buf,
+                                 std::size_t pos) {
+  const auto n = static_cast<std::size_t>(e.length);
+  if (n == 0) return {};  // an empty record may have no storage behind it
+  if (cfg_.backend == SlabConfig::Backend::kMemory) return {at(e), n};
+  file_.seekg(static_cast<std::streamoff>(e.offset));
+  file_.read(buf.data() + pos, static_cast<std::streamsize>(n));
+  HFL_CHECK(file_.good(), "slab spill read failed: " + cfg_.path);
+  return {buf.data() + pos, n};
+}
+
+bool Slab::holds(const Shared& s, std::span<const char> blob) {
+  if (s.extent.length != blob.size()) return false;
+  if (cfg_.backend == SlabConfig::Backend::kFile) {
+    compare_buf_.resize(blob.size());
+  }
+  const std::span<const char> stored = load(s.extent, compare_buf_, 0);
+  return std::memcmp(stored.data(), blob.data(), blob.size()) == 0;
+}
+
+std::uint32_t Slab::share(std::span<const char> blob) {
+  std::uint32_t sid = kNoShared;
+  for (const std::uint32_t r : recent_) {
+    if (r != kNoShared && shared_[r].refs > 0 && holds(shared_[r], blob)) {
+      sid = r;
+      break;
+    }
+  }
+  if (sid != kNoShared) {
+    ++shared_[sid].refs;
+    ++shared_hits_;
+  } else {
+    if (free_shared_.empty()) {
+      HFL_CHECK(shared_.size() < kNoShared,
+                "slab shared-vector ids exhausted");
+      sid = static_cast<std::uint32_t>(shared_.size());
+      shared_.emplace_back();
+    } else {
+      sid = free_shared_.back();
+      free_shared_.pop_back();
+    }
+    Shared& s = shared_[sid];
+    store(s.extent, blob);  // reuses the freed string's storage when it fits
+    s.refs = 1;
+    shared_bytes_ += blob.size();
+  }
+  // Move to the front of the strings shared last.
+  const auto pos = std::find(recent_.begin(), recent_.end() - 1, sid);
+  std::copy_backward(recent_.begin(), pos, pos + 1);
+  recent_[0] = sid;
+  return sid;
+}
+
+void Slab::release(std::uint32_t sid) {
+  Shared& s = shared_[sid];
+  if (--s.refs > 0) return;
+  free_shared_.push_back(sid);
+  shared_bytes_ -= s.extent.length;
+}
+
+void Slab::put(std::uint32_t id, std::span<const char> record,
+               std::span<const std::uint32_t> refs) {
+  HFL_CHECK(refs.size() <= kMaxRefs, "too many shared references");
+  std::array<std::uint32_t, kMaxRefs> taken;
+  taken.fill(kNoShared);
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    HFL_CHECK(refs[k] < shared_.size() && shared_[refs[k]].refs > 0,
+              "record references a shared vector it was not given");
+    taken[k] = refs[k];
+  }
+  auto [it, added] = index_.try_emplace(id);
+  Entry& e = it->second;
+  if (added) e.refs.fill(kNoShared);
+  store(e.extent, record);
+  std::swap(e.refs, taken);  // `taken` now holds the previous references
+  for (const std::uint32_t sid : taken) {
+    if (sid != kNoShared) release(sid);
+  }
+}
+
+Slab::Record Slab::get(std::uint32_t id, std::vector<char>& buf) {
   const auto it = index_.find(id);
   HFL_CHECK(it != index_.end(),
             "worker " + std::to_string(id) + " has no spilled state");
-  const Extent& e = it->second;
-  bytes_read_ += e.length;
-  if (cfg_.backend == SlabConfig::Backend::kMemory) {
-    return {at(e), static_cast<std::size_t>(e.length)};
+  const Entry& e = it->second;
+  Record r;
+  // kFile reads the record and its shared strings back to back into `buf`,
+  // sized once up front so the views stay valid.
+  std::size_t total = e.extent.length;
+  for (const std::uint32_t sid : e.refs) {
+    if (sid != kNoShared) total += shared_[sid].extent.length;
   }
-  buf.resize(e.length);
-  file_.seekg(static_cast<std::streamoff>(e.offset));
-  file_.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  HFL_CHECK(file_.good(), "slab spill read failed: " + cfg_.path);
-  return {buf.data(), buf.size()};
+  bytes_read_ += total;
+  if (cfg_.backend == SlabConfig::Backend::kFile) buf.resize(total);
+  r.bytes = load(e.extent, buf, 0);
+  std::size_t at = e.extent.length;
+  for (std::size_t k = 0; k < kMaxRefs; ++k) {
+    if (e.refs[k] == kNoShared) continue;
+    r.shared[k] = load(shared_[e.refs[k]].extent, buf, at);
+    at += r.shared[k].size();
+  }
+  return r;
 }
 
 }  // namespace hfl::pop

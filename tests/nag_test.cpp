@@ -47,7 +47,6 @@ struct FixedWorker {
     const std::size_t n = x0.size();
     w.x = x0;
     w.y = x0;
-    w.grad.assign(n, 0.0);
     w.sum_grad.assign(n, 0.0);
     w.sum_y.assign(n, 0.0);
     w.sum_v.assign(n, 0.0);
@@ -82,7 +81,7 @@ TEST(NagStepTest, MatchesHandComputedUpdate) {
     EXPECT_NEAR(f.w.y[i], y_new, 1e-12);
     // Line 6: x = y + γ(y − y_prev), the velocity never stored.
     EXPECT_NEAR(f.w.x[i], f.w.y[i] + gamma * (f.w.y[i] - y_prev[i]), 1e-12);
-    EXPECT_NEAR(f.w.grad[i], g[i], 1e-12);
+    EXPECT_NEAR(f.w.grad()[i], g[i], 1e-12);
   }
 }
 

@@ -23,10 +23,15 @@
 //     same-size rotation runs on recycled states and no state builds a
 //     model, a
 //     slab that stops growing once every worker of a fixed rotation has
-//     spilled, and corrupt record lengths rejected with hfl::Error.
+//     spilled, and corrupt record lengths and non-model-sized shared
+//     vectors rejected with hfl::Error.
+//   * The slab's shared-vector store: bitwise-identical x/y stored once,
+//     −0.0 never shared with +0.0, released storage reused over many
+//     turnovers, both backends, 1 vs 4 host threads, and its telemetry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,9 +44,11 @@
 
 #include "src/common/errors.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
 #include "src/nn/models.h"
+#include "src/obs/registry.h"
 #include "src/pop/cohort_store.h"
 #include "src/pop/population.h"
 #include "src/pop/sampler.h"
@@ -223,7 +230,7 @@ void slab_round_trip(pop::SlabConfig cfg) {
   const std::vector<char> b(1000, 'x');
   std::vector<char> buf;
   const auto get = [&](std::uint32_t id) {
-    const std::span<const char> rec = slab.get(id, buf);
+    const std::span<const char> rec = slab.get(id, buf).bytes;
     return std::vector<char>(rec.begin(), rec.end());
   };
   slab.put(7, a);
@@ -392,7 +399,8 @@ bool same_stream(const data::Batcher& a, const data::Batcher& b) {
 // Bitwise equality: tells −0.0 from +0.0, unlike Vec's operator==.
 bool same_bits(const Vec& a, const Vec& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
+         (a.empty() ||  // an empty Vec's data() may be null
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0);
 }
 
 TEST(CohortStoreTest, CohortDrawsDeterministicPerRound) {
@@ -480,10 +488,9 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
       w.sum_grad[i] = -0.125 * static_cast<Scalar>(i);
     }
     w.last_loss = 0.625;
-    // Signed zeros stay raw and come back with their sign; a partly-zero
-    // accumulator comes back bit-exactly.
+    // A signed zero comes back with its sign; a partly-zero accumulator
+    // comes back bit-exactly.
     w.y[1] = -0.0;
-    std::fill(w.grad.begin(), w.grad.end(), -0.0);
     w.sum_y[3] = 2.5;
   };
   mutate(rotated.workers()[0]);
@@ -500,8 +507,6 @@ TEST(CohortStoreTest, SpillRestoreRoundTripsEveryMutableField) {
   EXPECT_TRUE(same_bits(a.x, b.x));
   EXPECT_TRUE(same_bits(a.y, b.y));
   EXPECT_TRUE(std::signbit(a.y[1]));
-  EXPECT_TRUE(same_bits(a.grad, b.grad));
-  EXPECT_TRUE(std::signbit(a.grad[0]));
   EXPECT_EQ(a.last_loss, b.last_loss);
   EXPECT_TRUE(same_bits(a.sum_grad, b.sum_grad));
   EXPECT_TRUE(same_bits(a.sum_y, b.sum_y));
@@ -576,8 +581,12 @@ TEST(CohortStoreTest, SameSizeRotationNeverCallsTheFactory) {
   EXPECT_EQ(calls, 0u);
 }
 
-// Turnover contract: a re-spill rewrites the worker's extent in place, so
-// once every worker of a fixed rotation has spilled the slab stops growing.
+// Turnover contract: a re-spill rewrites the worker's extent in place and
+// releases its old shared vectors, so once every worker of a fixed rotation
+// has spilled the slab grows by at most one vector. Every worker moves x by
+// the same step, so after the first pass all eight records share one x;
+// the next pass's x is one new vector while the old one is still held, and
+// from then on each new x takes the storage the previous one freed.
 void slab_stays_flat(pop::SlabConfig slab) {
   PopFixture f;
   auto store = make_store(f, 2, false, slab);
@@ -602,9 +611,12 @@ void slab_stays_flat(pop::SlabConfig slab) {
   store.set_cohort({0, 1});  // workers 6 and 7 spill: all eight have once
   const std::uint64_t settled = store.slab().bytes();
   EXPECT_GT(settled, 0u);
+  cycle();
+  EXPECT_EQ(store.slab().bytes(), settled + 8 * sizeof(Scalar));
+  const std::uint64_t flat = store.slab().bytes();
   for (int c = 0; c < 3; ++c) {
     cycle();
-    EXPECT_EQ(store.slab().bytes(), settled) << "cycle " << c;
+    EXPECT_EQ(store.slab().bytes(), flat) << "cycle " << c;
   }
   EXPECT_EQ(store.slab().num_entries(), 8u);
 }
@@ -620,13 +632,17 @@ TEST(CohortStoreTest, FileSlabStaysFlatUnderRotation) {
 }
 
 // A default-signal worker's spill record, byte for byte, in the layout
-// src/pop/cohort_store.h documents: x, y and grad raw, the interval
-// accumulators zero-tagged, Σv an empty vector (HierAdMo sizes it only under
-// kVelocity), and no velocity vector anywhere.
+// src/pop/cohort_store.h documents: x and y not in the record but in the
+// slab's shared vectors, the interval accumulators zero-tagged, Σv an
+// empty vector (HierAdMo sizes it only under kVelocity), and no gradient
+// or velocity vector anywhere. The file backend appends in spill order, so the spill
+// file holds the two shared vectors the record is the first to reference,
+// then the record.
 TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
   PopFixture f;
   const pop::SlabConfig slab = file_slab("hfl_pop_layout_test.bin");
   constexpr std::size_t kDim = 8;
+  constexpr std::size_t kVecBytes = kDim * sizeof(Scalar);
   struct StreamPos {
     std::size_t cursor = 0;
     RngState rng;
@@ -635,7 +651,7 @@ TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
   const auto position = [](const data::Batcher& b) {
     return StreamPos{b.cursor(), b.rng_state(), b.indices()};
   };
-  Vec x, y, grad;
+  Vec x, y;
   StreamPos main_stream, aux_stream;
   std::uint64_t length = 0;
   {
@@ -651,24 +667,34 @@ TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
     for (std::size_t i = 0; i < kDim; ++i) {
       w.x[i] = 0.5 + static_cast<Scalar>(i);
       w.y[i] = -0.25 * static_cast<Scalar>(i + 1);
-      w.grad[i] = 0.125 * static_cast<Scalar>(i + 1);
     }
     w.last_loss = 0.75;
     x = w.x;
     y = w.y;
-    grad = w.grad;
     main_stream = position(*w.batcher);
     aux_stream = position(*w.aux_batcher);
     store.set_cohort({1});  // spill worker 0: the slab's only record
+    EXPECT_EQ(store.slab().num_shared(), 2u);
+    EXPECT_EQ(store.slab().shared_bytes(), 2 * kVecBytes);
     length = store.slab().bytes_written();
   }  // closing the store flushes the spill file
 
   std::ifstream file(slab.path, std::ios::binary);
   ASSERT_TRUE(file.is_open());
-  std::vector<char> record(length);
-  file.read(record.data(), static_cast<std::streamsize>(length));
+  std::vector<char> spilled(length);
+  file.read(spilled.data(), static_cast<std::streamsize>(length));
   ASSERT_TRUE(file.good());
   std::remove(slab.path.c_str());
+  ASSERT_GT(length, 2 * kVecBytes);
+  const auto shared_vec = [&](std::size_t sid) {
+    Vec v(kDim);
+    std::memcpy(v.data(), spilled.data() + sid * kVecBytes, kVecBytes);
+    return v;
+  };
+  EXPECT_TRUE(same_bits(shared_vec(0), x));
+  EXPECT_TRUE(same_bits(shared_vec(1), y));
+  const std::vector<char> record(spilled.begin() + 2 * kVecBytes,
+                                 spilled.end());
 
   std::size_t at = 0;
   const auto take = [&](void* out, std::size_t n) {
@@ -685,14 +711,6 @@ TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
     std::uint8_t t = 0xFF;
     take(&t, 1);
     return t;
-  };
-  const auto raw_vec = [&](const Vec& want, const char* name) {
-    SCOPED_TRACE(name);
-    EXPECT_EQ(u64(), want.size());
-    EXPECT_EQ(tag(), 0);  // raw
-    Vec got(want.size());
-    take(got.data(), got.size() * sizeof(Scalar));
-    EXPECT_TRUE(same_bits(got, want));
   };
   const auto zero_vec = [&](std::uint64_t n, const char* name) {
     SCOPED_TRACE(name);
@@ -712,9 +730,6 @@ TEST(CohortStoreTest, DefaultSignalSpillRecordHasDocumentedLayout) {
     }
   };
 
-  raw_vec(x, "x");
-  raw_vec(y, "y");
-  raw_vec(grad, "grad");
   Scalar loss = 0;
   take(&loss, sizeof loss);
   EXPECT_EQ(loss, 0.75);
@@ -732,21 +747,25 @@ constexpr std::size_t kCorruptDim = 8;
 // A spill record's lengths are checked against the bytes left before
 // anything is sized: a corrupt length raises hfl::Error, not
 // std::length_error or std::bad_alloc. Overwrites the u64 at byte `offset`
-// of worker 0's record (the spill file's first) with `length`.
+// of worker 0's record with `length`. A fresh worker's x and y are both x0,
+// so the spill file opens with that one shared vector, then worker 0's
+// record.
 void expect_corrupt_length_rejected(std::size_t offset, std::uint64_t length) {
   PopFixture f;
   const pop::SlabConfig slab = file_slab("hfl_pop_corrupt_test.bin");
+  constexpr std::size_t kRecordStart = kCorruptDim * sizeof(Scalar);
   {
     auto store = make_store(f, 2, false, slab);
     store.begin_run(Vec(kCorruptDim, 0.25));
     store.set_cohort({0, 1});
-    store.set_cohort({2});     // worker 0's record opens the file
+    store.set_cohort({2});     // x0, then worker 0's record, open the file
+    ASSERT_EQ(store.slab().num_shared(), 1u);
     store.set_cohort({1, 2});  // restoring worker 1 flushes the writes
     {
       std::fstream file(slab.path,
                         std::ios::binary | std::ios::in | std::ios::out);
       ASSERT_TRUE(file.is_open());
-      file.seekp(static_cast<std::streamoff>(offset));
+      file.seekp(static_cast<std::streamoff>(kRecordStart + offset));
       file.write(reinterpret_cast<const char*>(&length), sizeof length);
       ASSERT_TRUE(file.good());
     }
@@ -756,8 +775,9 @@ void expect_corrupt_length_rejected(std::size_t offset, std::uint64_t length) {
 }
 
 // The byte offset of every length word in that record, from the layout
-// src/pop/cohort_store.h documents: a fresh worker's x and y are raw, its
-// grad and interval accumulators zero-tagged, and Σv is empty.
+// src/pop/cohort_store.h documents: x and y are shared vectors, not record
+// bytes, a fresh worker's interval accumulators are zero-tagged, and Σv is
+// empty.
 std::vector<std::pair<std::string, std::size_t>> record_length_offsets() {
   PopFixture f;
   auto store = make_store(f, 2);
@@ -775,9 +795,6 @@ std::vector<std::pair<std::string, std::size_t>> record_length_offsets() {
     offsets.emplace_back(name, at);
     at += sizeof(std::uint64_t) + b.indices().size() * sizeof(std::uint32_t);
   };
-  vec("x", kCorruptDim);
-  vec("y", kCorruptDim);
-  vec("grad", 0);
   at += sizeof(Scalar);  // last_loss
   vec("sum_grad", 0);
   vec("sum_y", 0);
@@ -793,6 +810,183 @@ TEST(CohortStoreTest, CorruptRecordLengthRaisesError) {
     expect_corrupt_length_rejected(offset, ~std::uint64_t{0});
     expect_corrupt_length_rejected(offset, std::uint64_t{1} << 48);
   }
+}
+
+// x and y are model-sized by contract; a record whose shared vector is not
+// raises hfl::Error on restore instead of resizing the worker.
+TEST(CohortStoreTest, NonModelSizedSharedVectorRaisesError) {
+  PopFixture f;
+  auto store = make_store(f, 2);
+  store.begin_run(Vec(kCorruptDim, 0.25));
+  store.set_cohort({0, 1});
+  store.workers()[0].x.resize(kCorruptDim / 2);
+  store.set_cohort({1});  // spill worker 0
+  EXPECT_THROW(store.set_cohort({0, 1}), Error);
+}
+
+// ---- the slab's shared-vector store --------------------------------------
+
+// Every mutable field of a materialized worker, byte for byte.
+void expect_same_state(const fl::WorkerState& a, const fl::WorkerState& b) {
+  EXPECT_TRUE(same_bits(a.x, b.x));
+  EXPECT_TRUE(same_bits(a.y, b.y));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.last_loss),
+            std::bit_cast<std::uint64_t>(b.last_loss));
+  EXPECT_TRUE(same_bits(a.sum_grad, b.sum_grad));
+  EXPECT_TRUE(same_bits(a.sum_y, b.sum_y));
+  EXPECT_TRUE(same_bits(a.sum_v, b.sum_v));
+  EXPECT_TRUE(same_stream(*a.batcher, *b.batcher));
+  EXPECT_TRUE(same_stream(*a.aux_batcher, *b.aux_batcher));
+}
+
+// Two departing workers with bitwise-identical x and y add one stored copy
+// of each: the second spill grows the slab by its record only. Vectors
+// equal under == but not bitwise (−0.0 vs +0.0) are not shared, and the
+// sign comes back on restore.
+void shared_store_round_trip(pop::SlabConfig slab) {
+  PopFixture f;
+  constexpr std::size_t kDim = 8;
+  constexpr std::size_t kVecBytes = kDim * sizeof(Scalar);
+  auto store = make_store(f, 4, false, slab);
+  store.begin_run(Vec(kDim, 0.25));
+  store.set_cohort({0, 1, 2, 3});
+  for (fl::WorkerState& w : store.workers()) {
+    for (Scalar& v : w.x) v = 1.5;  // the same broadcast x for everyone
+  }
+  store.workers()[2].y[0] = 0.0;   // +0.0
+  store.workers()[3].y[0] = -0.0;  // == +0.0, other bits
+  std::vector<fl::WorkerState> want(4);
+  for (std::size_t id = 0; id < 4; ++id) {
+    const fl::WorkerState& w = store.workers()[id];
+    want[id].x = w.x;
+    want[id].y = w.y;
+  }
+
+  store.set_cohort({1, 2, 3});  // spill worker 0
+  const pop::Slab& s = store.slab();
+  EXPECT_EQ(s.num_shared(), 2u);  // x = 1.5, y = x0
+  EXPECT_EQ(s.shared_bytes(), 2 * kVecBytes);
+  const std::uint64_t one = s.bytes();
+  store.set_cohort({2, 3});  // spill worker 1: identical x and y
+  EXPECT_EQ(s.num_shared(), 2u);
+  EXPECT_EQ(s.shared_hits(), 2u);
+  const std::uint64_t record = s.bytes() - one;
+  EXPECT_EQ(one, record + 2 * kVecBytes);
+  store.set_cohort({0});  // spill workers 2 and 3: two new y vectors
+  EXPECT_EQ(s.num_shared(), 4u);
+  EXPECT_EQ(s.shared_hits(), 4u);
+
+  store.set_cohort({0, 1, 2, 3});  // restore all four
+  for (std::size_t id = 0; id < 4; ++id) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(same_bits(store.workers()[id].x, want[id].x));
+    EXPECT_TRUE(same_bits(store.workers()[id].y, want[id].y));
+  }
+  EXPECT_FALSE(std::signbit(store.workers()[2].y[0]));
+  EXPECT_TRUE(std::signbit(store.workers()[3].y[0]));
+}
+
+TEST(SharedVectorStoreTest, MemoryBackendSharesOnlyIdenticalBytes) {
+  shared_store_round_trip(pop::SlabConfig{});
+}
+
+TEST(SharedVectorStoreTest, FileBackendSharesOnlyIdenticalBytes) {
+  const pop::SlabConfig slab = file_slab("hfl_pop_shared_test.bin");
+  shared_store_round_trip(slab);
+  std::remove(slab.path.c_str());
+}
+
+// A rotating cohort whose broadcast changes every round: the workers that
+// spill hold vectors no earlier round held, yet once every record has been
+// rewritten the slab stops growing, because released vectors hand their
+// storage to new ones.
+TEST(SharedVectorStoreTest, ReleasedStorageIsReusedAcrossTurnovers) {
+  PopFixture f;
+  constexpr std::size_t kDim = 8;
+  auto store = make_store(f, 2);
+  store.begin_run(Vec(kDim, 0.25));
+  const std::vector<std::vector<fl::WorkerId>> rotation = {
+      {0, 1}, {2, 3}, {4, 5}, {6, 7}};
+  std::uint64_t settled = 0;
+  for (std::size_t k = 1; k <= 60; ++k) {
+    store.begin_interval(k);
+    store.set_cohort(rotation[k % rotation.size()]);
+    for (fl::WorkerState& w : store.workers()) {
+      for (Scalar& v : w.x) v = static_cast<Scalar>(k);  // round k's model
+      w.y = w.x;
+    }
+    // Live vectors after a turnover: one per pair, the broadcast of the
+    // round that pair last spilled in (x and y are the same bytes).
+    EXPECT_LE(store.slab().num_shared(), rotation.size());
+    if (k == 12) settled = store.slab().bytes();
+    if (k > 12) {
+      EXPECT_EQ(store.slab().bytes(), settled) << "turnover " << k;
+    }
+  }
+  EXPECT_EQ(store.slab().num_entries(), 8u);
+}
+
+// Interning runs serially in ascending departure order, so the slab's
+// contents do not depend on the host pool: 1 and 4 threads give the same
+// slab bytes, the same shared set and byte-identical restored states.
+TEST(SharedVectorStoreTest, HostPoolSizeDoesNotChangeTheSlab) {
+  PopFixture f;
+  constexpr std::size_t kDim = 8;
+  ThreadPool one(1), four(4);
+  auto a = make_store(f, 4);
+  auto b = make_store(f, 4);
+  a.attach_pool(&one);
+  b.attach_pool(&four);
+  const std::vector<std::vector<fl::WorkerId>> rotation = {
+      {0, 1, 2, 3}, {2, 3, 4, 5}, {4, 5, 6, 7}, {0, 1, 6, 7}, {1, 3, 5, 7}};
+  for (pop::CohortStore* store : {&a, &b}) {
+    store->begin_run(Vec(kDim, 0.25));
+    for (std::size_t k = 0; k < 3 * rotation.size(); ++k) {
+      store->begin_interval(k + 1);
+      store->set_cohort(rotation[k % rotation.size()]);
+      for (fl::WorkerState& w : store->workers()) {
+        const Tensor* bx = nullptr;
+        const std::vector<std::size_t>* by = nullptr;
+        w.draw_batch(bx, by);
+        // Round k's broadcast x for everyone, a per-worker y every other
+        // round.
+        for (Scalar& v : w.x) v = static_cast<Scalar>(k / 2);
+        if (k % 2 == 1) w.y[w.id % kDim] += 1.0;
+      }
+    }
+  }
+  EXPECT_EQ(a.slab().bytes(), b.slab().bytes());
+  EXPECT_EQ(a.slab().bytes_written(), b.slab().bytes_written());
+  EXPECT_EQ(a.slab().num_shared(), b.slab().num_shared());
+  EXPECT_EQ(a.slab().shared_hits(), b.slab().shared_hits());
+  a.set_cohort({0, 1, 2, 3, 4, 5, 6, 7});
+  b.set_cohort({0, 1, 2, 3, 4, 5, 6, 7});
+  for (std::size_t id = 0; id < 8; ++id) {
+    SCOPED_TRACE(id);
+    expect_same_state(a.workers()[id], b.workers()[id]);
+  }
+}
+
+// The shared store's telemetry: live vectors and bytes as gauges, spills
+// that found an equal vector stored as a counter.
+TEST(SharedVectorStoreTest, PublishesSharedStoreTelemetry) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  obs::set_enabled(true);
+  PopFixture f;
+  constexpr std::size_t kDim = 8;
+  auto store = make_store(f, 2);
+  store.begin_run(Vec(kDim, 0.25));
+  store.set_cohort({0, 1});
+  store.set_cohort({2, 3});  // spill two fresh workers: x = y = x0
+  obs::set_enabled(false);
+  EXPECT_EQ(reg.gauge("pop.slab.shared_vectors").value(), 1.0);
+  EXPECT_EQ(reg.gauge("pop.slab.shared_bytes").value(),
+            static_cast<double>(kDim * sizeof(Scalar)));
+  EXPECT_EQ(reg.counter("pop.spill.shared_hits").value(), 3u);
+  EXPECT_EQ(reg.gauge("pop.slab.peak_bytes").value(),
+            static_cast<double>(store.slab().bytes()));
+  reg.reset();
 }
 
 }  // namespace
