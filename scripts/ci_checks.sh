@@ -8,8 +8,9 @@
 #      fl::WorkerSlice — x, y, the loss and the interval accumulators; the
 #      mini-batch gradient is per-step scratch outside it — whose size a
 #      static_assert beside the spill codec pins, and the cloud's algorithm
-#      vectors are index-addressed slots) — then Release build + full ctest
-#      suite (tier-1): unit, parity and golden
+#      vectors are index-addressed slots) — then the src/ line count
+#      (ROADMAP aim 2's size metric; printed, not gated), then Release
+#      build + full ctest suite (tier-1): unit, parity and golden
 #      tests, among them every GEMM entry point ≡ the per-element FMA chain
 #      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
 #      roster ≡ closed form (param_plane_test), compiled plan ≡ the
@@ -78,6 +79,8 @@ if git grep -nE 'std::map<std::string, *Vec>' -- src; then
     "(extend fl::WorkerSlice or use index slots)" >&2
   exit 1
 fi
+# The size metric ROADMAP aim 2 tracks: lines in the tracked src/ files.
+echo "src/ lines: $(git ls-files src | xargs cat | wc -l)"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -27,4 +27,11 @@ using Vec = std::vector<Scalar>;
 inline constexpr std::size_t kNeverIndex = static_cast<std::size_t>(-1);
 inline constexpr Scalar kNeverTime = -1.0;
 
+// Heap bytes a vector holds (its capacity): the unit of the per-owner
+// live-byte gauges (fl.participation.bytes, pop.descriptors.bytes).
+template <class T>
+std::size_t heap_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 }  // namespace hfl

@@ -17,6 +17,8 @@
 //     materializes the surviving roster and the renormalized data-size
 //     weights (absent workers' mass is redistributed over the survivors,
 //     per edge and globally; absent edges' mass over the surviving edges).
+//     Its per-worker state is roster-aligned: one population-sized u32
+//     id → roster-position table, everything else sized by the roster.
 //
 // A null `Participation*` everywhere means full participation and reduces
 // every helper to the exact pre-fault code path — the engine guarantees
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/fl/config.h"
@@ -87,15 +90,28 @@ class AvailabilityOracle {
 // online; everyone outside the cohort is absent. Full-cohort runs pass the
 // whole population as the cohort, sampled runs the drawn cohort, the event
 // engine the admitted arrivals — all through set_cohort_roster.
+//
+// Layout: the view pays for the roster, not the population. The only
+// population-sized array is a u32 id → roster-position table (kNone = off
+// the roster); the active bits, effective masses and both weights live in
+// arrays aligned with the roster, so every per-worker query is one table
+// read plus one roster-array read. Per-edge arrays are O(edges). A new
+// roster resets only the previous roster's table entries. Data masses are
+// not copied: the view reads D_i through the caller's MassFn, for roster
+// members and, once in the constructor, for the static per-edge masses.
 class Participation {
  public:
-  // `base_weights` supplies each worker's data-size mass D_i to
+  // Worker i's data-size mass D_i (must stay callable for the view's
+  // lifetime).
+  using MassFn = std::function<Scalar(std::size_t worker)>;
+
+  // `base_weight` supplies each worker's data-size mass D_i to
   // renormalize. When `edge_faults` is false (two-tier runs, where workers
   // talk straight to the cloud), edge outages are ignored. Starts with every
   // worker and edge absent; the absent policy defaults to kHold until
-  // set_absent_policy().
-  Participation(const Topology& topo, std::vector<Scalar> base_weights,
-                bool edge_faults);
+  // set_absent_policy(). Sums each edge's static mass once (its workers in
+  // ascending id order) for set_edge_roster.
+  Participation(const Topology& topo, MassFn base_weight, bool edge_faults);
 
   // Materialize a roster: exactly `cohort_ids` (ascending, unique) may be up
   // — cohort member i is up iff cohort_up[i] and (three-tier) its edge is
@@ -120,14 +136,17 @@ class Participation {
   // weight exactly 1. The event-driven engine folds an edge's upload into
   // the cloud through this view without touching the edge's (possibly
   // in-flight) workers — the causal fix for the retroactive subtree
-  // refresh.
+  // refresh. Costs O(previous roster + edges).
   void set_edge_roster(const std::vector<std::uint8_t>& edge_up);
 
   // Absent-momentum policy reported to absent_sync.
   void set_absent_policy(AbsentPolicy policy, Scalar decay);
 
   // Worker i survives this interval AND (three-tier) its edge is reachable.
-  bool worker_active(std::size_t worker) const { return active_[worker] != 0; }
+  bool worker_active(std::size_t worker) const {
+    const std::uint32_t p = pos_[worker];
+    return p != kNone && active_[p] != 0;
+  }
   // Edge is online and has at least one surviving worker.
   bool edge_active(std::size_t edge) const { return edge_active_[edge] != 0; }
 
@@ -138,10 +157,12 @@ class Participation {
 
   // Renormalized weights (zero for absent workers/edges).
   Scalar weight_in_edge(std::size_t worker) const {
-    return weight_in_edge_[worker];
+    const std::uint32_t p = pos_[worker];
+    return p != kNone ? weight_in_edge_[p] : 0.0;
   }
   Scalar weight_global(std::size_t worker) const {
-    return weight_global_[worker];
+    const std::uint32_t p = pos_[worker];
+    return p != kNone ? weight_global_[p] : 0.0;
   }
   Scalar edge_weight_global(std::size_t edge) const {
     return edge_weight_[edge];
@@ -152,27 +173,35 @@ class Participation {
   AbsentPolicy absent_policy() const { return policy_; }
   Scalar absent_decay() const { return decay_; }
 
+  // Heap bytes the view holds (the fl.participation.bytes gauge):
+  // 4 B per worker for the position table plus O(roster + edges).
+  std::size_t bytes() const;
+
  private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
   // Return the previous roster's members to the all-absent baseline.
   void clear_roster();
 
   const Topology* topo_;
+  MassFn base_weight_;
   bool edge_faults_;
   AbsentPolicy policy_ = AbsentPolicy::kHold;
   Scalar decay_ = 0.5;
 
-  std::vector<Scalar> base_weight_;  // per-worker sample mass D_i
-  std::vector<Scalar> mass_;         // effective mass this roster (D_i·scale)
+  std::vector<std::uint32_t> pos_;  // id → roster position, kNone = absent
+  // Aligned with the roster: member p is worker roster_ids_[p].
+  std::vector<WorkerId> roster_ids_;
   std::vector<std::uint8_t> active_;
-  std::vector<std::uint8_t> edge_active_;
-  std::vector<std::vector<WorkerId>> active_of_edge_;
+  std::vector<Scalar> mass_;  // effective mass this roster (D_i·scale)
   std::vector<Scalar> weight_in_edge_;
   std::vector<Scalar> weight_global_;
+  // Per edge.
+  std::vector<Scalar> static_edge_mass_;  // Σ D_i, ascending ids
+  std::vector<std::uint8_t> edge_active_;
+  std::vector<std::vector<WorkerId>> active_of_edge_;
   std::vector<Scalar> edge_weight_;
   std::size_t num_active_ = 0;
-  // The current roster's members: the only workers whose active bits and
-  // weights may differ from the all-absent baseline.
-  std::vector<WorkerId> roster_ids_;
 };
 
 // ---- Null-tolerant helpers (part == nullptr ⇒ full participation). ----

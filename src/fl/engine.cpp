@@ -51,6 +51,12 @@ CohortProvider& Engine::provider() {
   return *own_store_;
 }
 
+Participation::MassFn Engine::data_mass() const {
+  return [this](std::size_t w) {
+    return static_cast<Scalar>(partition_[w].size());
+  };
+}
+
 void Engine::prefetch_cohort_gradients(Algorithm& alg, Context& ctx,
                                        WorkerSet& workers) {
   cohort_items_.clear();
@@ -265,7 +271,7 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
   // whole population; neither active → part stays null and the run is the
   // exact full-participation path.
   if (sampling || oracle != nullptr) {
-    rs.part = std::make_unique<Participation>(topo_, cohort.base_weights(),
+    rs.part = std::make_unique<Participation>(topo_, data_mass(),
                                               /*edge_faults=*/alg.three_tier());
     if (oracle != nullptr) {
       rs.part->set_absent_policy(oracle->absent_policy(),
@@ -278,12 +284,17 @@ void Engine::prepare_run(Algorithm& alg, const AvailabilityOracle* oracle,
 
   rs.result.algorithm = alg.name();
   if (rs.part) {
+    // Holds participation hits until finalize_run turns them into misses.
     rs.result.worker_miss_counts.assign(rs.workers.size(), 0);
-    rs.participation_counts.assign(rs.workers.size(), 0);
     rs.num_part_intervals = 0;
   }
 
   begin_interval(alg, rs, 1, oracle);
+  if (obs::enabled()) {
+    obs::Registry::global()
+        .gauge("fl.participation.bytes")
+        .set(rs.part ? static_cast<double>(rs.part->bytes()) : 0.0);
+  }
 }
 
 void Engine::begin_interval(Algorithm& alg, RunState& rs, std::size_t k,
@@ -459,12 +470,13 @@ void Engine::finish_interval(Algorithm& alg, RunState& rs, std::size_t k) {
       alg.absent_sync(rs.ctx, w, k);
     }
     // Miss counts cover the whole population, materialized or not. Count
-    // participation (misses fall out at finalize as intervals − hits): the
-    // participants are enumerable in O(cohort) for sampled runs, where the
-    // old per-interval O(population) absence sweep dominated at N = 1M.
+    // participation hits into the miss tallies (finalize_run turns them
+    // into intervals − hits): the participants are enumerable in
+    // O(cohort) for sampled runs, where a per-interval O(population)
+    // absence sweep would dominate at N = 1M.
     ++rs.num_part_intervals;
     for (const WorkerId id : rs.cohort_ids) {
-      if (part->worker_active(id)) ++rs.participation_counts[id];
+      if (part->worker_active(id)) ++rs.result.worker_miss_counts[id];
     }
     rs.result.participation.push_back(
         {k, part->num_active(), rs.workers.size(), active_edges,
@@ -476,13 +488,12 @@ void Engine::finish_interval(Algorithm& alg, RunState& rs, std::size_t k) {
 
 void Engine::finalize_run(Algorithm& alg, RunState& rs) {
   RunResult& result = rs.result;
-  // Derive miss counts from the per-interval participation tallies
-  // (finish_interval). Empty tallies mean another accounting path owns the
-  // counts (evt's event-driven clock increments them per missed event).
-  if (!rs.participation_counts.empty()) {
-    for (std::size_t w = 0; w < result.worker_miss_counts.size(); ++w) {
-      result.worker_miss_counts[w] =
-          rs.num_part_intervals - rs.participation_counts[w];
+  // Turn the participation hits finish_interval counted into misses, in
+  // place. Without rs.part another accounting path owns the counts (evt's
+  // event-driven clock increments them per missed event).
+  if (rs.part) {
+    for (std::size_t& count : result.worker_miss_counts) {
+      count = rs.num_part_intervals - count;
     }
   }
   if (!result.participation.empty()) {

@@ -75,7 +75,10 @@ class CohortProvider {
   // then requires evaluation points to be cloud-aligned — a mid-interval
   // virtual-global-model eval would need every worker materialized).
   virtual bool sampling() const = 0;
-  // Per-worker data masses D_i for Participation renormalization.
+  // Per-worker data masses D_i as one population-sized vector. The engines
+  // do not call it: their Participation reads D_i off the engine's own
+  // partition (Engine::data_mass), which a provider must describe. It stays
+  // while benchmark/probes.h forwards it (ROADMAP item 1).
   virtual std::vector<Scalar> base_weights() const = 0;
 
   // Reset per-run state; `x0` is the run's shared initial point.
@@ -147,10 +150,10 @@ struct RunState {
   std::vector<Scalar> cohort_mult;
   std::vector<std::uint8_t> cohort_up;
   std::vector<std::uint8_t> edge_up;
-  // Per-run participation accounting: miss counts are derived at finalize
-  // as (intervals seen) − (intervals participated), so no per-interval
-  // O(population) sweep is needed.
-  std::vector<std::uint32_t> participation_counts;
+  // Intervals with a participation view. While the run is live,
+  // result.worker_miss_counts holds each worker's participation hits;
+  // finalize_run turns them into misses (intervals − hits), so no
+  // per-interval O(population) sweep is needed.
   std::size_t num_part_intervals = 0;
 };
 
@@ -200,6 +203,10 @@ class Engine {
   // on first use, so an engine whose runs all use an attached provider
   // never pays for it).
   CohortProvider& provider();
+
+  // Worker i's data mass D_i = |partition[i]|, the masses every
+  // Participation renormalizes (valid while the engine lives).
+  Participation::MassFn data_mass() const;
 
   void build_states(RunState& rs);
 

@@ -156,7 +156,8 @@ CohortStore::CohortStore(nn::ModelFactory /*factory*/,
   if (cfg_.with_replacement) {
     alias_.emplace(pop_.base_weights());
   } else if (sampling()) {
-    fenwick_.emplace(pop_.base_weights());
+    fenwick_.emplace(pop_.num_workers(),
+                     [this](std::size_t i) { return pop_.base_weight(i); });
   }
 }
 
@@ -465,6 +466,10 @@ void CohortStore::publish_gauges() {
       .set(static_cast<double>(slab_.num_shared()));
   reg.gauge("pop.slab.shared_bytes")
       .set(static_cast<double>(slab_.shared_bytes()));
+  const std::size_t descriptors =
+      pop_.bytes() + (alias_ ? alias_->bytes() : 0) +
+      (fenwick_ ? fenwick_->bytes() : 0) + heap_bytes(slot_of_id_);
+  reg.gauge("pop.descriptors.bytes").set(static_cast<double>(descriptors));
 }
 
 }  // namespace hfl::pop

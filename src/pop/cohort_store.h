@@ -74,7 +74,9 @@
 // shared vectors included), pop.slab.bytes and pop.slab.peak_bytes (the
 // whole slab: records and shared vectors), pop.slab.shared_vectors and
 // pop.slab.shared_bytes (live shared vectors), pop.spill.shared_hits
-// (spilled x/y vectors that found an equal one stored).
+// (spilled x/y vectors that found an equal one stored),
+// pop.descriptors.bytes (heap bytes of the per-worker descriptors, the
+// sampler and the id → slot table).
 #pragma once
 
 #include <optional>

@@ -1,6 +1,8 @@
 #include "src/pop/sampler.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/errors.h"
 
@@ -57,15 +59,21 @@ AliasSampler::AliasSampler(const std::vector<Scalar>& weights) {
   for (const std::uint32_t i : small) prob_[i] = 1.0;
 }
 
-FenwickSampler::FenwickSampler(const std::vector<Scalar>& weights)
-    : weight_(weights) {
-  const std::size_t n = weights.size();
+FenwickSampler::FenwickSampler(std::size_t n, WeightFn weight)
+    : weight_(std::move(weight)) {
+  HFL_CHECK(n > 0, "sampler needs at least one weight");
   HFL_CHECK(n < 0xFFFFFFFFull, "sampler indices are 32-bit");
-  checked_total(weights);
-  for (const Scalar w : weights) num_positive_ += w > 0.0 ? 1 : 0;
-
   tree_.assign(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) add(i, weight_[i]);
+  Scalar sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Scalar w = weight_(i);
+    HFL_CHECK(std::isfinite(w) && w >= 0.0,
+              "sampler weights must be finite and non-negative");
+    sum += w;
+    num_positive_ += w > 0.0 ? 1 : 0;
+    add(i, w);
+  }
+  HFL_CHECK(sum > 0.0, "sampler weights must not all be zero");
 
   mask_ = 1;
   while ((mask_ << 1) <= n) mask_ <<= 1;
@@ -83,8 +91,14 @@ Scalar FenwickSampler::total() const {
   return t;
 }
 
+bool FenwickSampler::live(std::size_t i) const {
+  return weight_(i) > 0.0 &&
+         !std::binary_search(drawn_.begin(), drawn_.end(),
+                             static_cast<std::uint32_t>(i));
+}
+
 std::size_t FenwickSampler::find(Scalar target) const {
-  const std::size_t n = weight_.size();
+  const std::size_t n = size();
   std::size_t pos = 0;
   for (std::size_t step = mask_; step > 0; step >>= 1) {
     const std::size_t next = pos + step;
@@ -97,8 +111,8 @@ std::size_t FenwickSampler::find(Scalar target) const {
   // 0-based winner — except when floating-point roundoff pushes the target
   // past the live total; clamp back onto the last live index.
   std::size_t i = pos < n ? pos : n - 1;
-  while (i > 0 && weight_[i] <= 0.0) --i;
-  while (i < n - 1 && weight_[i] <= 0.0) ++i;
+  while (i > 0 && !live(i)) --i;
+  while (i < n - 1 && !live(i)) ++i;
   return i;
 }
 
@@ -109,17 +123,15 @@ std::vector<std::uint32_t> FenwickSampler::sample(std::size_t k, Rng& rng) {
                 std::to_string(num_positive_) + " positive weights");
   std::vector<std::uint32_t> out;
   out.reserve(k);
+  drawn_.clear();
   for (std::size_t d = 0; d < k; ++d) {
-    const Scalar live = total();
-    const std::size_t i = find(rng.uniform() * live);
-    out.push_back(static_cast<std::uint32_t>(i));
-    add(i, -weight_[i]);
-    weight_[i] = -weight_[i];  // negated = tombstone, restored below
+    const Scalar mass = total();
+    const auto i = static_cast<std::uint32_t>(find(rng.uniform() * mass));
+    out.push_back(i);
+    add(i, -weight_(i));
+    drawn_.insert(std::upper_bound(drawn_.begin(), drawn_.end(), i), i);
   }
-  for (const std::uint32_t i : out) {
-    weight_[i] = -weight_[i];
-    add(i, weight_[i]);
-  }
+  for (const std::uint32_t i : out) add(i, weight_(i));
   return out;
 }
 

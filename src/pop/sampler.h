@@ -16,7 +16,10 @@
 //     O(k log n) per cohort; successive draws WITHOUT replacement (each
 //     draw removes the winner's mass before the next), the standard
 //     sequential weighted-WOR scheme. The removed mass is restored after
-//     every cohort, so one sampler serves the whole run.
+//     every cohort, so one sampler serves the whole run. It keeps no copy
+//     of the weights: it reads them through the caller's accessor (the
+//     cohort store's is the population's 32-bit sample counts), and the
+//     cohort's draws sit in a k-sized set, not in the weights.
 //
 // Both consume draws from a caller-supplied `Rng` and touch no global state;
 // the cohort store forks one child stream per round (Rng::fork_nth keyed on
@@ -25,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -39,6 +43,9 @@ class AliasSampler {
   explicit AliasSampler(const std::vector<Scalar>& weights);
 
   std::size_t size() const { return prob_.size(); }
+
+  // Heap bytes the table holds (part of pop.descriptors.bytes).
+  std::size_t bytes() const { return heap_bytes(prob_) + heap_bytes(alias_); }
 
   // One exact draw: P(i) = weights[i] / Σ weights. Consumes one
   // uniform_index and one uniform from `rng` (fixed draw shape, so streams
@@ -59,26 +66,36 @@ class AliasSampler {
 // returning.
 class FenwickSampler {
  public:
-  // `weights` must be non-empty and non-negative with a positive sum.
-  explicit FenwickSampler(const std::vector<Scalar>& weights);
+  // Weight of index i: non-negative, and the same bits on every call for
+  // the sampler's lifetime (the accessor must stay callable that long).
+  using WeightFn = std::function<Scalar(std::size_t)>;
 
-  std::size_t size() const { return weight_.size(); }
+  // `n` weights, non-empty and non-negative with a positive sum.
+  FenwickSampler(std::size_t n, WeightFn weight);
+
+  std::size_t size() const { return tree_.size() - 1; }
 
   // Draw `k` distinct indices by successive weighted draws without
   // replacement (k ≤ the number of positive-weight entries). The result is
   // in DRAW order, not sorted; consumes exactly k uniforms from `rng`.
   std::vector<std::uint32_t> sample(std::size_t k, Rng& rng);
 
+  // Heap bytes the sampler holds (part of pop.descriptors.bytes).
+  std::size_t bytes() const { return heap_bytes(tree_) + heap_bytes(drawn_); }
+
  private:
   void add(std::size_t i, Scalar delta);  // 0-based point update
   Scalar total() const;                   // current sum of live weights
+  // Positive weight and not drawn yet in the current cohort.
+  bool live(std::size_t i) const;
   // Largest index whose prefix-sum (exclusive) is <= target; the classic
   // Fenwick descend, O(log n).
   std::size_t find(Scalar target) const;
 
-  std::vector<Scalar> weight_;  // current per-index weights
-  std::vector<Scalar> tree_;    // 1-based Fenwick partial sums
-  std::size_t mask_ = 0;        // highest power of two <= size
+  WeightFn weight_;
+  std::vector<Scalar> tree_;          // 1-based Fenwick partial sums
+  std::vector<std::uint32_t> drawn_;  // this cohort's draws, ascending
+  std::size_t mask_ = 0;              // highest power of two <= size
   std::size_t num_positive_ = 0;
 };
 

@@ -438,8 +438,9 @@ struct SweepFixture {
     cloud.x = random_vec();
     cloud.y = random_vec();
     if (with_participation) {
-      part = std::make_unique<fl::Participation>(topo, mass,
-                                                 /*edge_faults=*/true);
+      part = std::make_unique<fl::Participation>(
+          topo, [mass](std::size_t i) { return mass[i]; },
+          /*edge_faults=*/true);
       std::vector<fl::WorkerId> cohort(num_workers);
       std::vector<std::uint8_t> up(num_workers, 1);
       for (std::size_t i = 0; i < num_workers; ++i) {

@@ -19,6 +19,7 @@
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
+#include "src/pop/cohort_store.h"
 #include "src/sim/fault_plan.h"
 
 namespace hfl {
@@ -370,6 +371,65 @@ TEST_F(ObsTest, EnabledAndDisabledRunsAreBitIdentical) {
   }
   EXPECT_EQ(on.worker_miss_counts, off.worker_miss_counts);
   EXPECT_EQ(on.mean_participation_rate, off.mean_participation_rate);
+}
+
+// The per-owner live-byte gauges: fl.participation.bytes (the engine's
+// participation view, set once the first roster is in) and
+// pop.descriptors.bytes (the cohort store's descriptors, sampler and
+// id → slot table). Both are telemetry only: a disabled run leaves them 0.
+TEST_F(ObsTest, PerOwnerByteGaugesMeasureTheRosterAndTheDescriptors) {
+  EngineFixture f;
+  f.topo = fl::Topology::uniform(4, 16);
+  Rng rng(5);
+  data::SyntheticSpec spec;
+  spec.sample_shape = {1, 2, 2};
+  spec.num_classes = 2;
+  spec.train_size = 256;
+  spec.test_size = 20;
+  f.dataset = data::make_synthetic(rng, spec);
+  f.partition = data::partition_iid(f.dataset.train, 64, rng);
+  const std::size_t n = 64, edges = 4, cohort = 8;
+  obs::Registry& reg = obs::Registry::global();
+
+  // A fault-free run on the engine's own full-cohort store has no
+  // participation view, and its store no sampler: the descriptors are the
+  // 32-bit sample counts, the per-edge sums and the id → slot table.
+  {
+    fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, f.cfg);
+    core::HierAdMo alg;
+    engine.run(alg);
+    EXPECT_EQ(reg.gauge("fl.participation.bytes").value(), 0.0);
+    EXPECT_EQ(reg.gauge("pop.descriptors.bytes").value(),
+              static_cast<double>(4 * n + 8 * edges + 4 * n));
+  }
+
+  // A sampled run: the view is the u32 position table plus O(cohort +
+  // edges), and the descriptors gain the Fenwick tree and its drawn set.
+  fl::Engine engine(f.factory, f.dataset, f.partition, f.topo, f.cfg);
+  pop::VirtConfig virt;
+  virt.cohort_size = cohort;
+  pop::CohortStore store(f.factory, f.dataset, f.partition, f.topo, f.cfg,
+                         virt);
+  engine.set_cohort_provider(&store);
+  core::HierAdMo alg;
+  engine.run(alg);
+  const double part_bytes = reg.gauge("fl.participation.bytes").value();
+  EXPECT_GE(part_bytes, static_cast<double>(4 * n));
+  EXPECT_LE(part_bytes, static_cast<double>(4 * n + 64 * (cohort + edges)));
+  const double base = static_cast<double>(store.descriptors().bytes() +
+                                          8 * (n + 1) + 4 * n);
+  EXPECT_EQ(store.descriptors().bytes(), 4 * n + 8 * edges);
+  EXPECT_GE(reg.gauge("pop.descriptors.bytes").value(), base);
+  EXPECT_LE(reg.gauge("pop.descriptors.bytes").value(),
+            base + static_cast<double>(4 * 2 * cohort));
+
+  // Telemetry off: nothing is measured.
+  reg.reset();
+  obs::set_enabled(false);
+  core::HierAdMo alg_off;
+  engine.run(alg_off);
+  EXPECT_EQ(reg.gauge("fl.participation.bytes").value(), 0.0);
+  EXPECT_EQ(reg.gauge("pop.descriptors.bytes").value(), 0.0);
 }
 
 TEST_F(ObsTest, CommAccountantWritesCsvAndRendersTable) {

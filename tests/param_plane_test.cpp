@@ -14,11 +14,15 @@
 //   * Participation::set_cohort_roster must equal a naive whole-population
 //     renormalization written out in this file, bitwise — every weight
 //     visits the same members in the same order — and an interleaved
-//     edge-only roster must leave the all-absent baseline behind.
+//     edge-only roster must leave the all-absent baseline behind. Its
+//     roster-aligned layout keeps only a 4-byte position per worker:
+//     successive overlapping and disjoint rosters read back hand-computed
+//     weights, off-roster ids read inactive with weight 0, and a 512-id
+//     roster over a million workers holds 4 B·N plus O(roster + edges).
 //
-//   * The engine's miss accounting is derived at finalize from per-interval
-//     participation tallies; counting absences straight off the fault
-//     plan's answers is the oracle it must match exactly.
+//   * The engine's miss accounting counts participation hits and turns
+//     them into misses at finalize; counting absences straight off the
+//     fault plan's answers is the oracle it must match exactly.
 //
 //   * Sampled virtualized runs with kReset/kDecay absent policies replay the
 //     policy per missed interval at restore (src/pop/cohort_store.h); a
@@ -418,7 +422,9 @@ TEST(SparseRosterTest, MatchesNaiveReferenceBitwise) {
   Rng rng(77);
   for (Scalar& w : weights) w = 1.0 + 10.0 * rng.uniform();
 
-  Participation part(topo, weights, /*edge_faults=*/true);
+  Participation part(
+      topo, [&weights](std::size_t w) { return weights[w]; },
+      /*edge_faults=*/true);
 
   std::vector<WorkerId> cohort;
   std::vector<std::uint8_t> cohort_up, worker_up(N), edge_up(topo.num_edges());
@@ -480,6 +486,103 @@ TEST(SparseRosterTest, MatchesNaiveReferenceBitwise) {
                   edge_up[e] ? edge_mass[e] / up_mass : 0.0);
       }
     }
+  }
+}
+
+// Off-roster (and down) workers: inactive, both weights exactly 0.
+void expect_absent(const Participation& p, WorkerId w) {
+  EXPECT_FALSE(p.worker_active(w)) << "worker " << w;
+  EXPECT_EQ(p.weight_in_edge(w), 0.0) << "worker " << w;
+  EXPECT_EQ(p.weight_global(w), 0.0) << "worker " << w;
+}
+
+TEST(RosterLayoutTest, SuccessiveRostersMatchHandRenormalization) {
+  // Edge 0 serves workers {0, 1, 2}, edge 1 {3, 4, 5}; D_i = i + 1. Every
+  // mass below is a small integer, so each sum is exact and the expected
+  // weights are the written quotients, bit for bit.
+  const Topology topo = Topology::uniform(2, 3);
+  const std::vector<Scalar> mass = {1, 2, 3, 4, 5, 6};
+  Participation part(
+      topo, [&mass](std::size_t w) { return mass[w]; }, /*edge_faults=*/true);
+  for (WorkerId w = 0; w < 6; ++w) expect_absent(part, w);
+
+  // Roster A = {0, 2, 4}, everyone up.
+  part.set_cohort_roster({0, 2, 4}, {1, 1, 1}, {1, 1});
+  EXPECT_EQ(part.num_active(), 3u);
+  EXPECT_EQ(part.weight_in_edge(0), 1.0 / 4.0);
+  EXPECT_EQ(part.weight_in_edge(2), 3.0 / 4.0);
+  EXPECT_EQ(part.weight_in_edge(4), 5.0 / 5.0);
+  EXPECT_EQ(part.weight_global(0), 1.0 / 9.0);
+  EXPECT_EQ(part.weight_global(2), 3.0 / 9.0);
+  EXPECT_EQ(part.weight_global(4), 5.0 / 9.0);
+  EXPECT_EQ(part.edge_weight_global(0), 4.0 / 9.0);
+  EXPECT_EQ(part.edge_weight_global(1), 5.0 / 9.0);
+  EXPECT_EQ(part.active_workers_of_edge(0), (std::vector<WorkerId>{0, 2}));
+  EXPECT_EQ(part.active_workers_of_edge(1), (std::vector<WorkerId>{4}));
+  for (const WorkerId w : {1u, 3u, 5u}) expect_absent(part, w);
+
+  // Roster B = {2, 3, 4} overlaps A in 2 and 4; worker 3 is down, and the
+  // scales make the effective masses 3·2, 4·1 and 5·3.
+  const std::vector<Scalar> scale = {2.0, 1.0, 3.0};
+  part.set_cohort_roster({2, 3, 4}, {1, 0, 1}, {1, 1}, &scale);
+  EXPECT_EQ(part.num_active(), 2u);
+  EXPECT_EQ(part.weight_in_edge(2), 6.0 / 6.0);
+  EXPECT_EQ(part.weight_in_edge(4), 15.0 / 15.0);
+  EXPECT_EQ(part.weight_global(2), 6.0 / 21.0);
+  EXPECT_EQ(part.weight_global(4), 15.0 / 21.0);
+  EXPECT_EQ(part.edge_weight_global(0), 6.0 / 21.0);
+  EXPECT_EQ(part.edge_weight_global(1), 15.0 / 21.0);
+  for (const WorkerId w : {0u, 1u, 3u, 5u}) expect_absent(part, w);
+
+  // Roster C = {0, 1, 5} is disjoint from B, and edge 1 is down: worker 5
+  // is on the roster but inactive, and the edge gets no weight.
+  part.set_cohort_roster({0, 1, 5}, {1, 1, 1}, {1, 0});
+  EXPECT_EQ(part.num_active(), 2u);
+  EXPECT_EQ(part.weight_in_edge(0), 1.0 / 3.0);
+  EXPECT_EQ(part.weight_in_edge(1), 2.0 / 3.0);
+  EXPECT_EQ(part.weight_global(0), 1.0 / 3.0);
+  EXPECT_EQ(part.weight_global(1), 2.0 / 3.0);
+  EXPECT_TRUE(part.edge_active(0));
+  EXPECT_FALSE(part.edge_active(1));
+  EXPECT_EQ(part.edge_weight_global(0), 3.0 / 3.0);
+  EXPECT_EQ(part.edge_weight_global(1), 0.0);
+  EXPECT_TRUE(part.active_workers_of_edge(1).empty());
+  for (const WorkerId w : {2u, 3u, 4u, 5u}) expect_absent(part, w);
+
+  // An edge-only roster weighs the edges by their static masses 6 and 15.
+  part.set_edge_roster({1, 1});
+  EXPECT_EQ(part.num_active(), 0u);
+  EXPECT_EQ(part.edge_weight_global(0), 6.0 / 21.0);
+  EXPECT_EQ(part.edge_weight_global(1), 15.0 / 21.0);
+  for (WorkerId w = 0; w < 6; ++w) expect_absent(part, w);
+}
+
+TEST(RosterLayoutTest, BytesAreThePositionTablePlusTheRoster) {
+  const Topology topo = Topology::uniform(1000, 1000);
+  const std::size_t n = topo.num_workers();
+  const std::size_t edges = topo.num_edges();
+  Participation part(
+      topo, [](std::size_t w) { return 1.0 + static_cast<Scalar>(w % 7); },
+      /*edge_faults=*/true);
+  const std::vector<std::uint8_t> edge_up(edges, 1);
+  // Two 512-id rosters spread over the population, the second shifted so
+  // the two are disjoint.
+  for (const WorkerId shift : {0u, 1u}) {
+    std::vector<WorkerId> roster;
+    for (WorkerId i = 0; i < 512; ++i) roster.push_back(i * 1953 + shift);
+    part.set_cohort_roster(roster, std::vector<std::uint8_t>(512, 1),
+                           edge_up);
+    ASSERT_EQ(part.num_active(), 512u);
+    for (const WorkerId w : roster) {
+      EXPECT_TRUE(part.worker_active(w));
+      // The other roster's id: not yet drawn, then left behind.
+      expect_absent(part, shift == 0 ? w + 1 : w - 1);
+    }
+    // The u32 position table is the only population-sized array; the rest
+    // is O(roster) (id, up bit, mass, two weights) plus O(edges) (static
+    // mass, flag, weight, surviving-worker list).
+    EXPECT_GE(part.bytes(), 4 * n);
+    EXPECT_LE(part.bytes(), 4 * n + 64 * roster.size() + 64 * edges);
   }
 }
 

@@ -29,6 +29,14 @@
 //     are bit-identical — this is the HierAdMo momentum spill/restore
 //     bit-identity test, since revisited workers cross the slab with live
 //     momentum and accumulator state.
+//
+//   * Miss tallies: the engine counts each interval's participation hits
+//     into RunResult::worker_miss_counts and turns them into misses at
+//     finalize. On a sampled 10 %-dropout run the hits add up to the
+//     participation trace, every count matches the replayed cohorts and
+//     fault plan, and a never-sampled worker misses every interval. The
+//     event engine counts misses per missed event instead; its counts are
+//     pinned to recorded values.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -39,6 +47,7 @@
 #include "src/algs/registry.h"
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
+#include "src/evt/async_engine.h"
 #include "src/nn/models.h"
 #include "src/obs/comm.h"
 #include "src/obs/registry.h"
@@ -393,6 +402,87 @@ TEST(SampledDeterminismTest, MaterializationStaysCohortBounded) {
   EXPECT_GT(store.slab().num_entries(), 0u);  // rotation actually spilled
   // The telemetry gauge reports the store's own peak.
   EXPECT_EQ(gauge_peak, static_cast<double>(store.peak_materialized()));
+}
+
+sim::FaultConfig dropout_10() {
+  sim::FaultConfig fc;
+  fc.seed = 9;
+  fc.dropout.prob = 0.1;
+  return fc;
+}
+
+TEST(MissTallyTest, SampledDropoutRunFoldsHitsIntoMisses) {
+  Fixture f;
+  const RunConfig& cfg = f.cfg3;
+  const std::size_t intervals = cfg.total_iterations / cfg.tau;
+  const std::size_t n = f.topo.num_workers();
+  pop::VirtConfig virt;
+  virt.cohort_size = 16;
+  const sim::FaultPlan plan(f.topo, cfg, dropout_10());
+  auto alg = algs::make_algorithm("HierAdMo");
+  const RunResult r = run_once(f, *alg, 2, &virt, &plan, nullptr);
+  ASSERT_EQ(r.worker_miss_counts.size(), n);
+  ASSERT_EQ(r.participation.size(), intervals);
+
+  // Σ_w (intervals − miss[w]) = Σ_k num_active_k.
+  std::size_t hits = 0, active = 0;
+  for (const std::size_t miss : r.worker_miss_counts) {
+    ASSERT_LE(miss, intervals);
+    hits += intervals - miss;
+  }
+  for (const ParticipationPoint& p : r.participation) {
+    active += p.active_workers;
+  }
+  EXPECT_EQ(hits, active);
+  EXPECT_LT(active, intervals * virt.cohort_size);  // dropout struck
+
+  // Each count, from the replayed cohorts and a fresh copy of the plan: a
+  // hit is a cohort member that is up with its edge up.
+  const sim::FaultPlan replay(f.topo, cfg, dropout_10());
+  pop::CohortStore replica(f.factory, f.dataset, f.partition, f.topo, cfg,
+                           virt);
+  std::vector<std::size_t> expected(n, intervals);
+  std::vector<std::uint8_t> sampled(n, 0);
+  std::vector<WorkerId> ids;
+  std::vector<Scalar> mult;
+  for (std::size_t k = 1; k <= intervals; ++k) {
+    replica.sample_cohort(k, ids, mult);
+    for (const WorkerId id : ids) {
+      sampled[id] = 1;
+      if (replay.worker_available(k, id) &&
+          replay.edge_available(k, f.topo.edge_of_worker(id))) {
+        --expected[id];
+      }
+    }
+  }
+  EXPECT_EQ(r.worker_miss_counts, expected);
+  std::size_t never = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    if (sampled[w]) continue;
+    ++never;
+    EXPECT_EQ(r.worker_miss_counts[w], intervals) << "worker " << w;
+  }
+  EXPECT_GT(never, 0u);  // some workers were never drawn
+}
+
+TEST(MissTallyTest, EventEngineMissCountsAreUnchanged) {
+  Fixture f;
+  RunConfig cfg = f.cfg3;
+  cfg.policy = ExecPolicy::kAsync;
+  cfg.batched = false;
+  const sim::FaultPlan plan(f.topo, cfg, dropout_10());
+  evt::AsyncEngine engine(f.factory, f.dataset, f.partition, f.topo, cfg,
+                          net::TimeSimConfig{});
+  auto alg = algs::make_algorithm("HierAdMo");
+  const RunResult r = engine.run(*alg, &plan);
+  // Pinned: the event engine counts a miss per missed event, apart from
+  // the barrier engine's hit tallies, and must keep these counts.
+  const std::vector<std::size_t> recorded = {
+      0, 2, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1,  //
+      1, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
+      1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0,  //
+      0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1};
+  EXPECT_EQ(r.worker_miss_counts, recorded);
 }
 
 TEST(ProviderLifecycleTest, ReusedPlanMatchesFreshPlan) {

@@ -158,6 +158,11 @@ std::vector<std::uint32_t> naive_wor(std::vector<Scalar> w, std::size_t k,
   return out;
 }
 
+// A sampler reading `w`, which must outlive it.
+pop::FenwickSampler fenwick_over(const std::vector<Scalar>& w) {
+  return pop::FenwickSampler(w.size(), [&w](std::size_t i) { return w[i]; });
+}
+
 TEST(FenwickSamplerTest, MatchesNaiveReferenceDrawForDraw) {
   Rng meta(21);
   for (int trial = 0; trial < 50; ++trial) {
@@ -173,7 +178,7 @@ TEST(FenwickSamplerTest, MatchesNaiveReferenceDrawForDraw) {
       positive = 1;
     }
     const std::size_t k = 1 + meta.uniform_index(positive);
-    pop::FenwickSampler sampler(weights);
+    pop::FenwickSampler sampler = fenwick_over(weights);
     Rng a(1000 + trial), b(1000 + trial);
     EXPECT_EQ(sampler.sample(k, a), naive_wor(weights, k, b))
         << "trial " << trial << " n=" << n << " k=" << k;
@@ -181,7 +186,8 @@ TEST(FenwickSamplerTest, MatchesNaiveReferenceDrawForDraw) {
 }
 
 TEST(FenwickSamplerTest, RestoresWeightsBetweenCohorts) {
-  pop::FenwickSampler sampler({1.0, 2.0, 3.0, 4.0, 5.0});
+  const std::vector<Scalar> w = {1.0, 2.0, 3.0, 4.0, 5.0};
+  pop::FenwickSampler sampler = fenwick_over(w);
   Rng a(3), b(3);
   const auto first = sampler.sample(3, a);
   const auto second = sampler.sample(3, b);  // same stream → same cohort
@@ -200,7 +206,7 @@ TEST(FenwickSamplerTest, SetFrequenciesMatchEnumeration) {
       exact[key] += (w[a] / total) * (w[b] / (total - w[a]));
     }
   }
-  pop::FenwickSampler sampler(w);
+  pop::FenwickSampler sampler = fenwick_over(w);
   Rng rng(17);
   const std::size_t trials = 60000;
   std::map<std::pair<int, int>, std::size_t> count;
@@ -218,7 +224,8 @@ TEST(FenwickSamplerTest, SetFrequenciesMatchEnumeration) {
 }
 
 TEST(FenwickSamplerTest, RejectsOversizedCohort) {
-  pop::FenwickSampler sampler({1.0, 0.0, 2.0});
+  const std::vector<Scalar> w = {1.0, 0.0, 2.0};
+  pop::FenwickSampler sampler = fenwick_over(w);
   Rng rng(1);
   EXPECT_NO_THROW(sampler.sample(2, rng));
   EXPECT_THROW(sampler.sample(3, rng), Error);  // only 2 positive weights
