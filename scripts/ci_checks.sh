@@ -1,21 +1,24 @@
 #!/usr/bin/env bash
 # One-command CI gate: the checks a change must pass before merging.
 #
-#   1. Two lints — layering (src/fl, src/net, src/evt and src/pop include
+#   1. Three lints — layering (src/fl, src/net, src/evt and src/pop include
 #      no src/sim header: they read fault plans through
-#      fl::AvailabilityOracle) and per-tier state (no file under src/
+#      fl::AvailabilityOracle), per-tier state (no file under src/
 #      declares a string-keyed Vec map: worker state is one fixed
 #      fl::WorkerSlice — x, y, the loss and the interval accumulators; the
 #      mini-batch gradient is per-step scratch outside it — whose size a
 #      static_assert beside the spill codec pins, and the cloud's algorithm
-#      vectors are index-addressed slots) — then the src/ line count
+#      vectors are index-addressed slots) and one model path (no file under
+#      src/ declares a Tensor-valued forward or backward: the compiled
+#      cohort plan is the only one) — then the src/ line count
 #      (ROADMAP aim 2's size metric; printed, not gated), then Release
 #      build + full ctest suite (tier-1): unit, parity and golden
 #      tests, among them every GEMM entry point ≡ the per-element FMA chain
 #      (gemm_contract_test), the fused kernel ≡ fma reference and cohort
-#      roster ≡ closed form (param_plane_test), compiled plan ≡ the
-#      nn::Model layers (batched_parity_test) and the pool-parallel
-#      reduction ≡ serial
+#      roster ≡ closed form (param_plane_test), the compiled plan's
+#      invariances — batched ≡ singleton ≡ 1 vs 4 threads ≡ row chunks —
+#      and its finite-difference checks (batched_parity_test) and the
+#      pool-parallel reduction ≡ serial
 #      (parallel_sync_test) — then the concurrency tests 20 times over
 #      (batched_parity_test among them: unbatched local steps and eval
 #      blocks share the plan's scratch across pool threads).
@@ -25,9 +28,9 @@
 #      store — bitwise-only sharing, storage reuse, both backends, 1 vs 4
 #      host threads — absent-policy replay, attached store ≡ the engine's
 #      own store, sampled ≡ full cohort on the induced schedule), the
-#      compiled-plan parity suite (plan ≡ model
-#      gradients and predictions, Engine::evaluate ≡ per-batch
-#      Model::evaluate) and the tile-swept HierAdMo rounds (one-pass cosine
+#      compiled-plan invariance suite (batched ≡ singleton gradients,
+#      predict ≡ predict row by row, Engine::evaluate ≡ a serial per-batch
+#      reference) and the tile-swept HierAdMo rounds (one-pass cosine
 #      ≡ three-pass reference, edge/cloud sweep ≡ the composed passes) on
 #      the portable kernels and their contraction choices, the GEMM
 #      contract on the portable 4×4 scalar tile, the implicit-GEMM
@@ -36,7 +39,7 @@
 #      cosine kernels ≡ their scalar references (nag_test, vec_ops_test),
 #      which without -march run only their scalar loops.
 #   3. AVX2-only build (-mavx2 -mfma, no -march=native): the GEMM suites,
-#      the implicit-GEMM convolutions, the compiled-plan parity suite and
+#      the implicit-GEMM convolutions, the compiled-plan invariance suite and
 #      the event engine's AVX2 golden digests on the 6×8 ymm tile. On an AVX-512 host gate 1 runs only the
 #      8×16 zmm tile, so without this gate the ymm instantiation would go
 #      untested.
@@ -79,6 +82,14 @@ if git grep -nE 'std::map<std::string, *Vec>' -- src; then
     "(extend fl::WorkerSlice or use index slots)" >&2
   exit 1
 fi
+# One model path: every forward and backward pass is a stage of the compiled
+# nn::CohortModel plan. A Tensor-valued forward/backward would be a second
+# implementation of the same math, held to the plan only by parity tests.
+if git grep -nE 'Tensor (forward|backward)\(' -- src; then
+  echo "model path: src/ must not declare a Tensor forward/backward" \
+    "(add a stage to the compiled plan in src/nn/cohort.cpp)" >&2
+  exit 1
+fi
 # The size metric ROADMAP aim 2 tracks: lines in the tracked src/ files.
 echo "src/ lines: $(git ls-files src | xargs cat | wc -l)"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DHFL_WERROR=ON
@@ -104,15 +115,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # With FMA enabled the compiler's contraction choices move bits between
 # optimization levels, so the digests are authoritative on this build. The
 # population suites run here too: the spill-record codec and the restore
-# replay must hold on both kernel configs. So does plan ≡ model
-# bit-identity (batched_parity_test): the plan's native stages and the
-# layers must agree under this build's contraction choices as well. So must
-# HierAdMo's tile-swept edge and cloud rounds and the one-pass cosine
-# (hieradmo_test, param_plane_test) on the scalar kernel path, the GEMM
-# contract on the scalar tile (gemm_contract_test), the implicit-GEMM
-# convolutions against the explicit lowering on it (conv_lowering_test), and
-# the fused NAG step and clearing cosine pass, whose scalar loops are the
-# whole kernel here (nag_test, vec_ops_test).
+# replay must hold on both kernel configs. So do the compiled plan's
+# invariances (batched_parity_test): batched ≡ singleton gradients and
+# predict ≡ predict row by row under this build's contraction choices as
+# well. So must HierAdMo's tile-swept edge and cloud rounds and the
+# one-pass cosine (hieradmo_test, param_plane_test) on the scalar kernel
+# path, the GEMM contract on the scalar tile (gemm_contract_test), the
+# implicit-GEMM convolutions against the explicit lowering on it
+# (conv_lowering_test), and the fused NAG step and clearing cosine pass,
+# whose scalar loops are the whole kernel here (nag_test, vec_ops_test).
 cmake -B "$PORTABLE_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DHFL_WERROR=ON
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" \
@@ -125,7 +136,7 @@ ctest --test-dir "$PORTABLE_DIR" --output-on-failure \
 # --- gate 3: AVX2-only kernels ---------------------------------------------
 # The GEMM picks its register tile from the target ISA: 8×16 zmm with
 # AVX-512F, 6×8 ymm with AVX2+FMA. This tree pins the AVX2 target so the ymm
-# tile keeps its bit contract and its parity with the layers on any CI host;
+# tile keeps its bit contract and the plan its invariances on any CI host;
 # async_engine_test checks its AVX2 golden table here.
 cmake -B "$AVX2_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DHFL_MARCH_NATIVE=OFF -DCMAKE_CXX_FLAGS="-mavx2 -mfma" -DHFL_WERROR=ON

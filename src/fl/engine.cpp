@@ -33,7 +33,7 @@ Engine::Engine(nn::ModelFactory factory, const data::TrainTest& data,
   pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
   // One compiled plan serves the batched prefetch, every unbatched worker
   // gradient and evaluation.
-  plan_ = nn::CohortModel::create(factory_);
+  plan_ = nn::CohortModel::create(*factory_());
   HFL_CHECK(data_->train.sample_size() == plan_->sample_elems() &&
                 data_->test.sample_size() == plan_->sample_elems(),
             "dataset sample size does not match the model input");
@@ -176,7 +176,6 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
     if (blo >= bhi) return;
     // The forward pass reads each batch's test rows in place (no
     // set_params, no gather) and the model's own loss scores the logits.
-    const nn::LossPtr loss = plan_->loss_fn().clone();
     Tensor x;
     std::vector<std::size_t> y;
     std::vector<Scalar> local_loss(bhi - blo), local_correct(bhi - blo);
@@ -187,7 +186,7 @@ nn::EvalResult Engine::evaluate(const Vec& params) {
       plan_->predict(params.data(), test.features(lo).data(), hi - lo, x);
       y.resize(hi - lo);
       for (std::size_t i = lo; i < hi; ++i) y[i - lo] = test.label(i);
-      const nn::EvalResult r = nn::evaluate_predictions(*loss, x, y);
+      const nn::EvalResult r = nn::evaluate_predictions(plan_->loss(), x, y);
       // Partials are stored, then merged below: fusing the scale into the
       // merge (total += r.loss * n) would let the compiler contract it into
       // an FMA and move the last bit of the curve.

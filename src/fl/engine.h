@@ -187,9 +187,9 @@ class Engine {
   const data::Partition& partition() const { return partition_; }
 
   // Evaluate arbitrary parameters on the test set: 128-sample batches,
-  // parallel over contiguous batch blocks, forward passes through the plan,
-  // per-batch partials merged in batch-index order — bit-identical to
-  // per-batch Model::evaluate calls at any thread count.
+  // parallel over contiguous batch blocks, forward passes through the plan
+  // scored by nn::evaluate_predictions, per-batch partials merged in
+  // batch-index order — the same bits at any thread count.
   nn::EvalResult evaluate(const Vec& params);
 
  private:

@@ -1,6 +1,5 @@
-// Elementwise activation layers: ReLU, Tanh, Sigmoid.
-//
-// Stateless apart from the forward cache needed by backward.
+// ReLU activation: max(x, 0) elementwise, gradient masked where x ≤ 0.
+// Stateless; the cohort plan runs it (src/nn/cohort.cpp).
 #pragma once
 
 #include "src/nn/layer.h"
@@ -10,31 +9,6 @@ namespace hfl::nn {
 class ReLU final : public Layer {
  public:
   std::string kind() const override { return "relu"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor input_;
-};
-
-class Tanh final : public Layer {
- public:
-  std::string kind() const override { return "tanh"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor output_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  std::string kind() const override { return "sigmoid"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor output_;
 };
 
 }  // namespace hfl::nn

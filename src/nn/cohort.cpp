@@ -1,13 +1,14 @@
 #include "src/nn/cohort.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "src/common/errors.h"
 #include "src/common/thread_pool.h"
+#include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/flatten.h"
 #include "src/nn/pool2d.h"
 #include "src/nn/residual.h"
 #include "src/tensor/gemm.h"
@@ -29,26 +30,50 @@ T* grow(std::vector<T>& v, std::size_t n) {
   return v.data();
 }
 
-std::vector<std::size_t> with_rows(std::size_t rows,
-                                   const std::vector<std::size_t>& shape) {
-  std::vector<std::size_t> out{rows};
-  out.insert(out.end(), shape.begin(), shape.end());
-  return out;
+// Average pooling of `planes` consecutive (H, W) planes, kernel == stride:
+// each window summed in (kh, kw) order, then scaled by 1/window².
+void avg_pool_forward(std::size_t window, std::size_t planes, std::size_t H,
+                      std::size_t W, const Scalar* x, Scalar* out) {
+  const std::size_t OH = H / window, OW = W / window;
+  const Scalar inv = 1.0 / static_cast<Scalar>(window * window);
+  std::size_t o = 0;
+  for (std::size_t bc = 0; bc < planes; ++bc) {
+    const Scalar* plane = x + bc * H * W;
+    for (std::size_t oh = 0; oh < OH; ++oh) {
+      for (std::size_t ow = 0; ow < OW; ++ow, ++o) {
+        Scalar acc = 0;
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            acc += plane[(oh * window + kh) * W + ow * window + kw];
+          }
+        }
+        out[o] = acc * inv;
+      }
+    }
+  }
 }
 
-// The leaf layers of `layer` in compilation order: a Sequential's layers in
-// turn, a Residual's inner branch and then its shortcut. A fallback stage
-// finds its layer instance in a scratch model by this order.
-void collect_leaves(Layer& layer, std::vector<Layer*>& out) {
-  if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
-    for (std::size_t i = 0; i < seq->num_layers(); ++i) {
-      collect_leaves(seq->layer(i), out);
+// Its backward: a zeroed input gradient, each output's gradient scaled by
+// 1/window² and added onto its window (added, not stored: a −0 gradient
+// lands as +0).
+void avg_pool_backward(std::size_t window, std::size_t planes, std::size_t H,
+                       std::size_t W, const Scalar* gout, Scalar* gin) {
+  const std::size_t OH = H / window, OW = W / window;
+  const Scalar inv = 1.0 / static_cast<Scalar>(window * window);
+  std::fill(gin, gin + planes * H * W, 0.0);
+  std::size_t o = 0;
+  for (std::size_t bc = 0; bc < planes; ++bc) {
+    Scalar* plane = gin + bc * H * W;
+    for (std::size_t oh = 0; oh < OH; ++oh) {
+      for (std::size_t ow = 0; ow < OW; ++ow, ++o) {
+        const Scalar g = gout[o] * inv;
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            plane[(oh * window + kh) * W + ow * window + kw] += g;
+          }
+        }
+      }
     }
-  } else if (auto* res = dynamic_cast<Residual*>(&layer)) {
-    collect_leaves(res->inner(), out);
-    if (res->shortcut() != nullptr) collect_leaves(*res->shortcut(), out);
-  } else {
-    out.push_back(&layer);
   }
 }
 
@@ -56,9 +81,9 @@ void collect_leaves(Layer& layer, std::vector<Layer*>& out) {
 
 struct CohortModel::Stage {
   enum class Kind {
-    kDense, kConv, kRelu, kMaxPool, kFlatten, kLayer, kResidual
+    kDense, kConv, kRelu, kMaxPool, kAvgPool, kFlatten, kResidual
   };
-  Kind kind = Kind::kLayer;
+  Kind kind = Kind::kFlatten;
   // Activation buffers read and written; equal for the in-place stages
   // (ReLU, Flatten).
   std::size_t in_slot = 0, out_slot = 0;
@@ -66,8 +91,8 @@ struct CohortModel::Stage {
   std::vector<std::size_t> in_shape, out_shape;
   std::size_t in_row = 0, out_row = 0;
   Conv2d::Spec conv;                 // kConv
-  std::size_t window = 0, pool = 0;  // kMaxPool: window, argmax buffer
-  std::size_t layer = 0;             // kLayer: index into Scratch::leaves
+  std::size_t window = 0;            // kMaxPool, kAvgPool
+  std::size_t pool = 0;              // kMaxPool: argmax buffer
   std::size_t w_off = 0, b_off = 0;  // offsets into the flat param/grad vecs
   // kResidual: the inner branch and the shortcut (empty = identity), both
   // reading in_slot, the slots holding their outputs, and the index of the
@@ -86,18 +111,13 @@ struct CohortModel::Tile {
 
 // One caller's buffers. Activation slots, the two backward ping-pong
 // buffers, each residual block's skip-path pair and the argmax tables are
-// sized by the largest tile seen and reused; `model` owns the fallback
-// stages' layer instances (which cache forward state for backward), indexed
-// by `leaves`, and exists only for plans that have any.
+// sized by the largest tile seen and reused.
 struct CohortModel::Scratch {
   std::vector<Vec> acts;
   Vec g, gin;
   std::vector<Vec> skip_g, skip_gin;
   std::vector<std::vector<std::size_t>> argmax;
-  Vec db;
   std::vector<std::size_t> row_off;
-  std::unique_ptr<Model> model;
-  std::vector<Layer*> leaves;
 };
 
 // Compiles layers into stages. The counters run across nesting levels in
@@ -105,10 +125,9 @@ struct CohortModel::Scratch {
 // branch before its shortcut — which is also Residual::params()' order, so
 // parameter offsets follow the model's flat layout.
 struct CohortModel::Compiler {
-  std::size_t num_slots = 1, num_pools = 0, num_blocks = 0, num_leaves = 0;
+  std::size_t num_slots = 1, num_pools = 0, num_blocks = 0;
   std::size_t off = 0;
   std::size_t max_row_elems = 1;
-  bool has_layer_stages = false;
   // Input slots of the enclosing residual blocks: their skip paths read
   // them after the inner stages ran, so no stage may write them in place.
   std::vector<std::size_t> guarded;
@@ -116,9 +135,9 @@ struct CohortModel::Compiler {
   // Appends the stages of `layer` (a Sequential's layers, or the layer
   // itself) reading activation `slot` of per-sample `shape`, and advances
   // both to the output of the chain.
-  void chain(Layer& layer, std::vector<std::size_t>& shape, std::size_t& slot,
-             std::vector<Stage>& out) {
-    if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
+  void chain(const Layer& layer, std::vector<std::size_t>& shape,
+             std::size_t& slot, std::vector<Stage>& out) {
+    if (auto* seq = dynamic_cast<const Sequential*>(&layer)) {
       for (std::size_t i = 0; i < seq->num_layers(); ++i) {
         chain(seq->layer(i), shape, slot, out);
       }
@@ -129,9 +148,9 @@ struct CohortModel::Compiler {
     slot = out.back().out_slot;
   }
 
-  Stage stage(Layer& layer, const std::vector<std::size_t>& shape,
+  Stage stage(const Layer& layer, const std::vector<std::size_t>& shape,
               std::size_t slot);
-  Stage residual(Residual& res, Stage st);
+  Stage residual(const Residual& res, Stage st);
 
   static bool has_params(const Stage& st) {
     const auto any = [](const std::vector<Stage>& chain) {
@@ -143,13 +162,13 @@ struct CohortModel::Compiler {
 };
 
 CohortModel::Stage CohortModel::Compiler::stage(
-    Layer& layer, const std::vector<std::size_t>& in_shape,
+    const Layer& layer, const std::vector<std::size_t>& in_shape,
     std::size_t slot) {
   Stage st;
   st.in_shape = in_shape;
   st.in_row = Tensor::shape_size(in_shape);
   st.in_slot = slot;
-  if (auto* r = dynamic_cast<Residual*>(&layer)) {
+  if (auto* r = dynamic_cast<const Residual*>(&layer)) {
     return residual(*r, std::move(st));
   }
   const std::string kind = layer.kind();
@@ -157,17 +176,16 @@ CohortModel::Stage CohortModel::Compiler::stage(
     HFL_CHECK(ok, "nn::CohortModel: " + kind +
                       " layer does not fit its input shape");
   };
-  st.layer = num_leaves++;
   std::vector<std::size_t> shape = in_shape;
   bool in_place = false;
-  if (auto* d = dynamic_cast<Dense*>(&layer)) {
+  if (auto* d = dynamic_cast<const Dense*>(&layer)) {
     fits(shape.size() == 1 && shape[0] == d->in_features());
     st.kind = Stage::Kind::kDense;
     st.w_off = off;
     st.b_off = off + d->out_features() * d->in_features();
     off = st.b_off + d->out_features();
     shape = {d->out_features()};
-  } else if (auto* c = dynamic_cast<Conv2d*>(&layer)) {
+  } else if (auto* c = dynamic_cast<const Conv2d*>(&layer)) {
     st.kind = Stage::Kind::kConv;
     st.conv = {c->in_channels(), c->out_channels(), c->kernel(),
                c->padding()};
@@ -179,32 +197,29 @@ CohortModel::Stage CohortModel::Compiler::stage(
     off = st.b_off + s.out_ch;
     shape = {s.out_ch, shape[1] + 2 * s.pad - s.k + 1,
              shape[2] + 2 * s.pad - s.k + 1};
-  } else if (auto* p = dynamic_cast<MaxPool2d*>(&layer)) {
+  } else if (auto* p = dynamic_cast<const MaxPool2d*>(&layer)) {
     fits(shape.size() == 3 && shape[1] % p->window() == 0 &&
          shape[2] % p->window() == 0);
     st.kind = Stage::Kind::kMaxPool;
     st.window = p->window();
     st.pool = num_pools++;
     shape = {shape[0], shape[1] / st.window, shape[2] / st.window};
-  } else if (kind == "relu") {
+  } else if (auto* a = dynamic_cast<const AvgPool2d*>(&layer)) {
+    fits(shape.size() == 3 && shape[1] % a->window() == 0 &&
+         shape[2] % a->window() == 0);
+    st.kind = Stage::Kind::kAvgPool;
+    st.window = a->window();
+    shape = {shape[0], shape[1] / st.window, shape[2] / st.window};
+  } else if (dynamic_cast<const ReLU*>(&layer) != nullptr) {
     // In place, unless a skip path still reads the slot.
     st.kind = Stage::Kind::kRelu;
     in_place = std::find(guarded.begin(), guarded.end(), slot) == guarded.end();
-  } else if (kind == "flatten") {
+  } else if (dynamic_cast<const Flatten*>(&layer) != nullptr) {
     st.kind = Stage::Kind::kFlatten;  // a reshape: never writes its slot
     in_place = true;
     shape = {st.in_row};
   } else {
-    // Fallback stages run the layer itself; they treat batch rows (or
-    // NCHW planes) independently, so a tile's row segments come out
-    // bit-identical to per-model calls. A one-sample dry forward gives
-    // the output shape.
-    HFL_CHECK(kind == "tanh" || kind == "sigmoid" || kind == "avgpool2d",
-              "nn::CohortModel: unsupported layer '" + kind + "'");
-    st.kind = Stage::Kind::kLayer;
-    has_layer_stages = true;
-    const Tensor y = layer.forward(Tensor(with_rows(1, shape)), false);
-    shape.assign(y.shape().begin() + 1, y.shape().end());
+    throw Error("nn::CohortModel: unsupported layer '" + kind + "'");
   }
   st.out_shape = shape;
   st.out_row = Tensor::shape_size(shape);
@@ -213,7 +228,8 @@ CohortModel::Stage CohortModel::Compiler::stage(
   return st;
 }
 
-CohortModel::Stage CohortModel::Compiler::residual(Residual& res, Stage st) {
+CohortModel::Stage CohortModel::Compiler::residual(const Residual& res,
+                                                   Stage st) {
   st.kind = Stage::Kind::kResidual;
   st.block = num_blocks++;
   guarded.push_back(st.in_slot);
@@ -265,11 +281,6 @@ std::unique_ptr<CohortModel::Scratch> CohortModel::acquire() {
   sc->skip_g.resize(num_blocks_);
   sc->skip_gin.resize(num_blocks_);
   sc->argmax.resize(num_pools_);
-  // Under the lock: model factories are not required to be thread-safe.
-  if (has_layer_stages_) {
-    sc->model = factory_();
-    collect_leaves(sc->model->net(), sc->leaves);
-  }
   return sc;
 }
 
@@ -282,20 +293,16 @@ bool CohortModel::supports_row_gather() const {
   return direct_input_ && stages_[first_param_].kind == Stage::Kind::kDense;
 }
 
-std::unique_ptr<CohortModel> CohortModel::create(const ModelFactory& factory) {
-  auto probe = factory();
+std::unique_ptr<CohortModel> CohortModel::create(const Model& model) {
   Compiler c;
-  std::vector<std::size_t> shape = probe->sample_shape();
+  std::vector<std::size_t> shape = model.sample_shape();
   std::size_t slot = 0;
   c.max_row_elems = Tensor::shape_size(shape);
   std::vector<Stage> stages;
-  c.chain(probe->net(), shape, slot, stages);
-  HFL_CHECK(c.off == probe->num_params(),
+  c.chain(model.net(), shape, slot, stages);
+  HFL_CHECK(c.off == model.num_params(),
             "nn::CohortModel: unexpected parameter layout");
   HFL_CHECK(shape.size() == 1, "nn::CohortModel: the loss needs (B, K) logits");
-  const std::string loss_kind = probe->loss_fn().kind();
-  HFL_CHECK(loss_kind == "softmax_ce" || loss_kind == "mse_onehot",
-            "nn::CohortModel: unsupported loss '" + loss_kind + "'");
 
   // First parametric stage: its input gradient has no consumer (the stages
   // before it are parameter-free), so the backward pass stops there. When
@@ -315,26 +322,22 @@ std::unique_ptr<CohortModel> CohortModel::create(const ModelFactory& factory) {
   }
 
   auto plan = std::unique_ptr<CohortModel>(new CohortModel());
-  plan->factory_ = factory;
-  plan->loss_ = probe->loss_fn().clone();
+  plan->loss_ = model.loss();
   plan->stages_ = std::move(stages);
-  plan->num_params_ = probe->num_params();
+  plan->num_params_ = model.num_params();
   plan->num_slots_ = c.num_slots;
   plan->num_pools_ = c.num_pools;
   plan->num_blocks_ = c.num_blocks;
-  plan->has_layer_stages_ = c.has_layer_stages;
-  plan->softmax_loss_ = loss_kind == "softmax_ce";
   plan->first_param_ = first_param;
   plan->direct_input_ = direct_input;
-  plan->sample_elems_ = Tensor::shape_size(probe->sample_shape());
+  plan->sample_elems_ = Tensor::shape_size(model.sample_shape());
   plan->max_row_elems_ = c.max_row_elems;
   return plan;
 }
 
-// Dense forward: per item, y_seg = x_seg · W_iᵀ + b_i — the exact
-// matmul_transpose_b + add_row_bias sequence of Dense::forward, evaluated on
-// the item's row segment and reading the worker's parameters in place.
-// (Conv stages are different: within one worker the weight operand is
+// Dense forward: per item, y_seg = x_seg · W_iᵀ, then b_i added to every
+// row, on the item's row segment and reading the worker's parameters in
+// place. (Conv stages are different: within one worker the weight operand is
 // shared across samples, and the conv spans batch those products — see
 // conv2d.h.)
 void CohortModel::dense_forward(const Stage& st, const Scalar* in,
@@ -356,7 +359,6 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
       ops::gemm(false, true, b, nout, nin, a, nin, items[i].params + st.w_off,
                 nin, 0.0, py, nout);
     }
-    // Bias rows, replicating ops::add_row_bias on the segment.
     const Scalar* pb = items[i].params + st.b_off;
     for (std::size_t r = 0; r < b; ++r) {
       for (std::size_t j = 0; j < nout; ++j) py[r * nout + j] += pb[j];
@@ -364,31 +366,24 @@ void CohortModel::dense_forward(const Stage& st, const Scalar* in,
   }
 }
 
-// Dense backward, replicating Dense::backward per item: dW accumulated by
-// the GEMM with β = 1 straight into the (zeroed) flat grad, db via the
-// sum_rows loop, and grad_in = g_seg · W_i. Dense::backward computes dW into
-// a scratch tensor and adds it to the zeroed gradient; β = 1 has the same
-// bits: the GEMM folds β = 1 as a no-op and accumulates every k panel into
-// C, so each element is the same chain started from the +0.0 already there,
-// which is also how a β = 0 product starts. A nonzero sum is unchanged by
-// the extra +0.0, and a zero sum started from +0.0 is +0.0, as the add into
-// the zeroed gradient makes it. `gin == nullptr` skips the grad_in product (first
-// parametric stage: dX is dead); `in == nullptr` is direct-input mode as in
-// dense_forward.
-void CohortModel::dense_backward(Scratch& sc, const Stage& st,
-                                 const Scalar* in, const Scalar* gout,
-                                 Scalar* gin, const Tile& t) const {
+// Dense backward per item, into the item's zeroed flat gradient: dW by the
+// GEMM with β = 1 (each element one chain started from the +0.0 already
+// there), db as row sums of g_seg in row order, and grad_in = g_seg · W_i.
+// `gin == nullptr` skips the grad_in product (first parametric stage: dX is
+// dead); `in == nullptr` is direct-input mode as in dense_forward.
+void CohortModel::dense_backward(const Stage& st, const Scalar* in,
+                                 const Scalar* gout, Scalar* gin,
+                                 const Tile& t) const {
   const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t nin = st.in_row, nout = st.out_row;
   const std::size_t base = row_off[ilo];
-  Scalar* db = grow(sc.db, nout);
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t row = row_off[i] - base;
     const std::size_t b = row_off[i + 1] - row_off[i];
     const Scalar* pg = gout + row * nout;
-    // dW_i = g_segᵀ · x_seg (matmul_transpose_a shape conventions). In
-    // row-gather mode the B operand (the mini-batch) is read row-by-row from
-    // the dataset — bit-identical to the gathered-tensor product.
+    // dW_i = g_segᵀ · x_seg. In row-gather mode the B operand (the
+    // mini-batch) is read row-by-row from the dataset — bit-identical to the
+    // gathered-tensor product.
     Scalar* gw = items[i].grad + st.w_off;
     if (in == nullptr && items[i].x_rows != nullptr) {
       ops::gemm_rows_b(/*trans_a=*/true, nout, nin, b, pg, nout,
@@ -398,13 +393,10 @@ void CohortModel::dense_backward(Scratch& sc, const Stage& st,
       ops::gemm(true, false, nout, nin, b, pg, nout, a, nin, 1.0, gw, nin);
     }
 
-    // db: sum_rows into scratch, then += — same loops, same order.
-    std::fill(db, db + nout, 0.0);
-    for (std::size_t r = 0; r < b; ++r) {
-      for (std::size_t j = 0; j < nout; ++j) db[j] += pg[r * nout + j];
-    }
     Scalar* gb = items[i].grad + st.b_off;
-    for (std::size_t j = 0; j < nout; ++j) gb[j] += db[j];
+    for (std::size_t r = 0; r < b; ++r) {
+      for (std::size_t j = 0; j < nout; ++j) gb[j] += pg[r * nout + j];
+    }
 
     // grad_in = g_seg · W_i, reading the worker's weights in place.
     if (gin != nullptr) {
@@ -453,16 +445,15 @@ void CohortModel::conv_backward(const Stage& st, const Scalar* in,
   }
 }
 
-// Loss forward + backward fused per item, replicating loss.cpp on each row
-// segment with the item's own batch size in the 1/B mean. `grad` receives
-// the gradient w.r.t. the logits.
+// Loss forward + backward per item: Loss::add_row on each row of the item's
+// segment, the mean over the item's own batch size, then the gradient with
+// respect to the logits, (v − onehot(label)) / B. `grad` receives it.
 void CohortModel::loss_stage(const Scalar* logits, Scalar* grad,
                              const Tile& t) const {
   const auto& [items, row_off, ilo, ihi] = t;
   const std::size_t K = stages_.back().out_row;
   const std::size_t base = row_off[ilo];
   std::copy(logits, logits + (row_off[ihi] - base) * K, grad);
-  const bool softmax = softmax_loss_;
 
   for (std::size_t i = ilo; i < ihi; ++i) {
     const std::size_t b = row_off[i + 1] - row_off[i];
@@ -472,34 +463,11 @@ void CohortModel::loss_stage(const Scalar* logits, Scalar* grad,
     }
     Scalar* pp = grad + (row_off[i] - base) * K;
     Scalar total = 0;
-    if (softmax) {
-      for (std::size_t r = 0; r < b; ++r) {
-        Scalar* row = pp + r * K;
-        Scalar mx = row[0];
-        for (std::size_t j = 1; j < K; ++j) mx = std::max(mx, row[j]);
-        Scalar denom = 0;
-        for (std::size_t j = 0; j < K; ++j) {
-          row[j] = std::exp(row[j] - mx);
-          denom += row[j];
-        }
-        const Scalar inv = 1.0 / denom;
-        for (std::size_t j = 0; j < K; ++j) row[j] *= inv;
-        // Clamp to avoid -inf when a probability underflows to zero.
-        total += -std::log(std::max(row[labels[r]], Scalar{1e-300}));
-      }
-    } else {
-      for (std::size_t r = 0; r < b; ++r) {
-        for (std::size_t j = 0; j < K; ++j) {
-          const Scalar target = (j == labels[r]) ? 1.0 : 0.0;
-          const Scalar d = pp[r * K + j] - target;
-          total += 0.5 * d * d;
-        }
-      }
+    for (std::size_t r = 0; r < b; ++r) {
+      loss_->add_row(pp + r * K, K, labels[r], total);
     }
     items[i].loss = total / static_cast<Scalar>(b);
 
-    // Backward: grad rows are the (softmax probs | predictions) with 1
-    // subtracted at the label, scaled by the item's 1/B.
     const Scalar inv_b = 1.0 / static_cast<Scalar>(b);
     for (std::size_t r = 0; r < b; ++r) {
       pp[r * K + labels[r]] -= 1.0;
@@ -556,15 +524,12 @@ void CohortModel::forward_stage(Scratch& sc, const Stage& st, const Tile& t,
           in, out,
           train ? grow(sc.argmax[st.pool], rows * st.out_row) : nullptr);
       break;
-    case Stage::Kind::kLayer: {
-      Tensor x(with_rows(rows, st.in_shape));
-      std::copy(in, in + rows * st.in_row, x.raw());
-      const Tensor y = sc.leaves[st.layer]->forward(x, train);
-      std::copy(y.raw(), y.raw() + rows * st.out_row, out);
+    case Stage::Kind::kAvgPool:
+      avg_pool_forward(st.window, rows * st.in_shape[0], st.in_shape[1],
+                       st.in_shape[2], in, out);
       break;
-    }
     case Stage::Kind::kResidual: {
-      // Residual::forward: branch + skip, both read from the block input.
+      // Branch + skip, both read from the block input.
       for (const Stage& s : st.inner) forward_stage(sc, s, t, false, train);
       for (const Stage& s : st.shortcut) forward_stage(sc, s, t, false, train);
       const Scalar* branch = sc.acts[st.branch_slot].data();
@@ -588,8 +553,7 @@ void CohortModel::run_tile(Scratch& sc, const Tile& t) {
   loss_stage(logits, grow(*g, t.rows() * stages_.back().out_row), t);
 
   // Backward stops at the first parametric stage: everything before it is
-  // parameter-free, so its input gradient is dead work (nn::Model's
-  // generic layer chain cannot know this and computes it anyway).
+  // parameter-free, so its input gradient is dead work.
   for (std::size_t s = stages_.size(); s-- > first_param_;) {
     const bool last = s == first_param_;
     backward_stage(sc, stages_[s], t, direct_input_ && last, last, g, gin);
@@ -604,7 +568,7 @@ void CohortModel::backward_stage(Scratch& sc, const Stage& st, const Tile& t,
   Scalar* gout = g->data();
   switch (st.kind) {
     case Stage::Kind::kDense:
-      dense_backward(sc, st, in, gout,
+      dense_backward(st, in, gout,
                      dead ? nullptr : grow(*gin, rows * st.in_row), t);
       break;
     case Stage::Kind::kConv:
@@ -622,8 +586,7 @@ void CohortModel::backward_stage(Scratch& sc, const Stage& st, const Tile& t,
     case Stage::Kind::kFlatten:
       return;
     case Stage::Kind::kMaxPool: {
-      // MaxPool2d::backward: a zeroed input gradient, scatter-added
-      // through the argmax table.
+      // A zeroed input gradient, scatter-added through the argmax table.
       Scalar* pgi = grow(*gin, rows * st.in_row);
       std::fill(pgi, pgi + rows * st.in_row, 0.0);
       const std::size_t* argmax = sc.argmax[st.pool].data();
@@ -632,19 +595,15 @@ void CohortModel::backward_stage(Scratch& sc, const Stage& st, const Tile& t,
       }
       break;
     }
-    case Stage::Kind::kLayer: {
-      Tensor go(with_rows(rows, st.out_shape));
-      std::copy(gout, gout + rows * st.out_row, go.raw());
-      const Tensor gi = sc.leaves[st.layer]->backward(go);
-      std::copy(gi.raw(), gi.raw() + rows * st.in_row,
-                grow(*gin, rows * st.in_row));
+    case Stage::Kind::kAvgPool:
+      avg_pool_backward(st.window, rows * st.in_shape[0], st.in_shape[1],
+                        st.in_shape[2], gout, grow(*gin, rows * st.in_row));
       break;
-    }
     case Stage::Kind::kResidual: {
-      // Residual::backward: grad_branch + grad_skip, each path fed the
-      // incoming gradient. The skip path runs on the block's own buffer
-      // pair, since the inner stages consume g's. A `dead` block (the
-      // model's first parametric stage) still forms its input gradient.
+      // grad_branch + grad_skip, each path fed the incoming gradient. The
+      // skip path runs on the block's own buffer pair, since the inner
+      // stages consume g's. A `dead` block (the model's first parametric
+      // stage) still forms its input gradient.
       Vec* skip = &sc.skip_g[st.block];
       Vec* skip_in = &sc.skip_gin[st.block];
       std::copy(gout, gout + rows * st.out_row, grow(*skip, rows * st.out_row));

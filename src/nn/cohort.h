@@ -1,13 +1,9 @@
-// Cohort executor: the one compiled execution path for every architecture —
-// worker gradients, batched or one at a time, and evaluation.
-//
-// The generic path evaluates a gradient through a Model instance: set_params
-// copies the flat vector into layer tensors, zero_grads clears them,
-// forward/backward run through layer-owned tensors (ReLU and Flatten copy
-// their whole input, Dense caches a copy of its input), get_grads copies the
-// result back out. A compiled plan does the same arithmetic with none of the
-// staging: dense/conv products read parameters straight from the caller's
-// flat vector and accumulate straight into its flat gradient.
+// Cohort executor: the one forward/backward path for every architecture —
+// worker gradients, batched or one at a time, and evaluation. Layers
+// (src/nn/layer.h) only describe the architecture; this plan compiles them
+// into a stage list once and runs every pass. Dense and conv products read
+// parameters straight from the caller's flat vector and accumulate straight
+// into its flat gradient, so nothing is staged through layer tensors.
 //
 // Three entry points share one plan:
 //   * run      — the batched cohort pass. Worker i's mini-batch occupies the
@@ -32,28 +28,29 @@
 //                sample rows (an evaluation batch read in place from the
 //                dataset), run in cache-sized row chunks. No loss, no backward,
 //                no gradient buffers; the caller scores the logits with the
-//                model's own loss (nn::evaluate_predictions).
+//                plan's loss (nn::evaluate_predictions).
 //
 // Stages. Dense and Conv2d read their parameters by offset into the flat
-// vector. ReLU, MaxPool2d and Flatten are native stages over the plan's
-// reused activation and gradient buffers: ReLU runs in place and masks its
-// backward by its own output (out ≤ 0 ⇔ in ≤ 0, NaN passing both ways, so
-// the mask is the layer's); MaxPool records its argmax only when training;
-// Flatten is a reshape that moves no data. A Residual block is one native
-// stage holding two compiled stage lists, the inner branch and the shortcut
-// (empty for the identity), with its parameters laid out as
-// Residual::params() does: inner, then shortcut. Forward runs both lists on
-// the block input and writes branch + skip into a fresh slot; backward feeds
-// the incoming gradient down both lists (the skip path on the block's own
-// buffer pair) and sums grad_branch + grad_skip, Residual::backward's order.
-// No stage writes a block's input slot in place, since its skip path still
-// reads it: a ReLU there gets a fresh slot. Nested Sequentials are flattened
-// into the list that holds them. Tanh, Sigmoid and AvgPool2d are fallback
-// stages that call the layer's own forward/backward on a copy of the tile's
-// rows. Any other layer kind or loss makes `create` throw hfl::Error naming
-// it.
+// vector. ReLU, MaxPool2d, AvgPool2d and Flatten run over the plan's reused
+// activation and gradient buffers: ReLU runs in place and masks its backward
+// by its own output (out ≤ 0 ⇔ in ≤ 0, NaN passing both ways); MaxPool
+// records its argmax only when training and routes each window's gradient to
+// its first maximum; AvgPool sums each window in (kh, kw) order and spreads
+// gradient/window² back over it; Flatten is a reshape that moves no data. A
+// Residual block is one stage holding two compiled stage lists, the inner
+// branch and the shortcut (empty for the identity), with its parameters laid
+// out as Residual::params() does: inner, then shortcut. Forward runs both
+// lists on the block input and writes branch + skip into a fresh slot;
+// backward feeds the incoming gradient down both lists (the skip path on the
+// block's own buffer pair) and sums grad_branch + grad_skip. No stage writes
+// a block's input slot in place, since its skip path still reads it: a ReLU
+// there gets a fresh slot. Nested Sequentials are flattened into the list
+// that holds them. Any other layer kind makes `create` throw hfl::Error
+// naming it. The loss stage runs the model's Loss::add_row on every row
+// (src/nn/loss.h) — the routine evaluate_predictions scores with — and forms
+// the logit gradient from what it leaves.
 //
-// The plan also skips work the generic layer chain cannot see:
+// The plan also skips work a layer-by-layer pass would do:
 //   * Dead input gradients — backward stops at the model's FIRST parametric
 //     stage: every stage before it is parameter-free, so that stage's dX has
 //     no consumer. For a logistic/MLP front layer this removes the widest
@@ -70,17 +67,16 @@
 // concurrently from pool threads (parallel local steps, parallel eval
 // blocks). Which scratch a call gets never shows in its results.
 //
-// FP contract: every item's loss and gradient are bit-identical to Model::loss_and_gradient on the same (params, batch), and
-// predict's logits to Model::predict on the same rows, at any thread count,
-// tiling and row chunking: work is partitioned by item (gradients) or by
-// sample row (predict), every product's per-element accumulation order is
-// independent of its row count, and the native stages run the layers'
-// arithmetic in the layers' order. ReLU, MaxPool and Flatten only compare
-// and move values, a residual sum is one addition per element (and addition
-// commutes exactly), and the loss stage repeats loss.cpp expression for
-// expression, so the compiler's FMA contraction treats plan and layer code
-// alike: the identity holds on the native (FMA) and the portable build
-// (scripts/ci_checks.sh runs tests/batched_parity_test.cpp on both).
+// FP contract: every item's loss and gradient, and every row of predict's
+// logits, are the same bits at any thread count, tiling and row chunking,
+// whether an item runs alone, paired or in a batched run, and whether its
+// input is contiguous or row-gathered. Work is partitioned by item
+// (gradients) or by sample row (predict), and every product's per-element
+// accumulation order is independent of its row count
+// (tests/gemm_contract_test.cpp). tests/batched_parity_test.cpp pins these
+// invariances on the native and the portable build (scripts/ci_checks.sh);
+// finite differences (nn::check_gradients) and direct reference
+// convolutions pin the math; the golden digests pin whole runs.
 #pragma once
 
 #include <memory>
@@ -117,17 +113,18 @@ struct CohortItem {
 
 class CohortModel {
  public:
-  // Compiles an execution plan for the factory's architecture. Throws
-  // hfl::Error naming the first unsupported layer or loss.
-  static std::unique_ptr<CohortModel> create(const ModelFactory& factory);
+  // Compiles an execution plan for `model`'s architecture (its layers,
+  // sample shape and loss; its parameter values are not read). Throws
+  // hfl::Error naming the first unsupported layer.
+  static std::unique_ptr<CohortModel> create(const Model& model);
 
   ~CohortModel();
 
   std::size_t num_params() const { return num_params_; }
   // Scalars per input sample (the product of the model's sample shape).
   std::size_t sample_elems() const { return sample_elems_; }
-  // The model's loss; clone it to score predict's logits.
-  const Loss& loss_fn() const { return *loss_; }
+  // The model's loss, to score predict's logits (nn::evaluate_predictions).
+  const Loss& loss() const { return *loss_; }
 
   // True when items may carry `x_rows` instead of contiguous `x`: the plan
   // is direct-input (flatten-only prefix) and its first parametric stage is
@@ -182,23 +179,20 @@ class CohortModel {
   // gradient of the first parametric stage.
   void dense_forward(const Stage& st, const Scalar* in, Scalar* out,
                      const Tile& t) const;
-  void dense_backward(Scratch& sc, const Stage& st, const Scalar* in,
-                      const Scalar* gout, Scalar* gin, const Tile& t) const;
+  void dense_backward(const Stage& st, const Scalar* in, const Scalar* gout,
+                      Scalar* gin, const Tile& t) const;
   void conv_forward(const Stage& st, const Scalar* in, Scalar* out,
                     const Tile& t) const;
   void conv_backward(const Stage& st, const Scalar* in, const Scalar* gout,
                      Scalar* gin, const Tile& t) const;
   void loss_stage(const Scalar* logits, Scalar* grad, const Tile& t) const;
 
-  ModelFactory factory_;  // builds fallback-stage layer instances
   LossPtr loss_;
   std::vector<Stage> stages_;
   std::size_t num_params_ = 0;
   std::size_t num_slots_ = 1;      // activation buffers (slot 0 = input)
   std::size_t num_pools_ = 0;      // MaxPool argmax buffers
   std::size_t num_blocks_ = 0;     // Residual blocks (skip-path buffers)
-  bool has_layer_stages_ = false;  // any fallback stage
-  bool softmax_loss_ = false;
   std::size_t first_param_ = 0;    // backward stops here (dead dX above)
   bool direct_input_ = false;      // read items' inputs in place
   std::size_t sample_elems_ = 1;   // elements per sample (flattened)

@@ -69,9 +69,7 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
       k_(kernel),
       pad_(padding),
       weight_({out_ch_, in_ch_, k_, k_}),
-      bias_({out_ch_}),
-      grad_weight_({out_ch_, in_ch_, k_, k_}),
-      grad_bias_({out_ch_}) {
+      bias_({out_ch_}) {
   HFL_CHECK(in_ch_ > 0 && out_ch_ > 0 && k_ > 0, "conv2d dims must be positive");
 }
 
@@ -176,38 +174,6 @@ void Conv2d::backward_span(const Spec& s, std::size_t H, std::size_t W,
       }
     }
   }
-}
-
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
-  HFL_CHECK(x.rank() == 4 && x.dim(1) == in_ch_,
-            "conv2d forward expects NCHW with C=" + std::to_string(in_ch_) +
-                ", got " + x.shape_string());
-  input_ = x;
-  const std::size_t B = x.dim(0), H = x.dim(2), W = x.dim(3);
-  HFL_CHECK(H + 2 * pad_ >= k_ && W + 2 * pad_ >= k_,
-            "conv2d kernel larger than padded input");
-  const std::size_t OH = H + 2 * pad_ - k_ + 1;
-  const std::size_t OW = W + 2 * pad_ - k_ + 1;
-
-  Tensor out({B, out_ch_, OH, OW});
-  forward_span(spec(), H, W, weight_.raw(), bias_.raw(), x.raw(), B,
-               out.raw());
-  return out;
-}
-
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  const std::size_t B = input_.dim(0), H = input_.dim(2), W = input_.dim(3);
-  const std::size_t OH = H + 2 * pad_ - k_ + 1;
-  const std::size_t OW = W + 2 * pad_ - k_ + 1;
-  HFL_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == B &&
-                grad_out.dim(1) == out_ch_ && grad_out.dim(2) == OH &&
-                grad_out.dim(3) == OW,
-            "conv2d backward shape mismatch");
-
-  Tensor grad_in(input_.shape());
-  backward_span(spec(), H, W, weight_.raw(), input_.raw(), B, grad_out.raw(),
-                grad_weight_.raw(), grad_bias_.raw(), grad_in.raw());
-  return grad_in;
 }
 
 }  // namespace hfl::nn

@@ -11,13 +11,12 @@
 // buffer that col2im scatters back. Weight layout is (out_ch, in_ch, kh,
 // kw), one bias per output channel.
 //
-// The heavy lifting lives in static `forward_span` / `backward_span` helpers
-// that take raw parameter/gradient pointers and a sample range, so the cohort
-// executor (src/nn/cohort.cpp) can run many workers' convolutions over one
-// concatenated activation tensor without staging parameters through layer
-// tensors. The layer methods call the same spans — one code path, one FP
-// behaviour. Span results are bit-identical to the explicit im2col +
-// ops::gemm_batched lowering (tests/conv_lowering_test.cpp).
+// The arithmetic lives in static `forward_span` / `backward_span` helpers
+// that take raw parameter/gradient pointers and a sample range; the cohort
+// plan (src/nn/cohort.cpp) calls them on its concatenated activation tensors,
+// reading each worker's parameters in place. Span results are bit-identical
+// to the explicit im2col + ops::gemm_batched lowering
+// (tests/conv_lowering_test.cpp).
 //
 // The padded-plane and dcol scratch is thread-local and
 // shared by every Conv2d instance on a thread, so peak scratch memory scales
@@ -41,10 +40,7 @@ class Conv2d final : public Layer {
          std::size_t kernel, std::size_t padding);
 
   std::string kind() const override { return "conv2d"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   void init_params(Rng& rng) override;
 
   std::size_t in_channels() const { return in_ch_; }
@@ -60,7 +56,7 @@ class Conv2d final : public Layer {
   //
   // Both spans bump the conv telemetry (conv.fwd_calls / conv.bwd_calls /
   // conv.im2col_bytes, the bytes the lowering writes: padded planes and
-  // dcol), so the layer methods and the cohort plan are counted alike.
+  // dcol).
   static void forward_span(const Spec& s, std::size_t H, std::size_t W,
                            const Scalar* weight, const Scalar* bias,
                            const Scalar* x0, std::size_t bn, Scalar* out0);
@@ -80,12 +76,8 @@ class Conv2d final : public Layer {
                             Scalar* grad_in0);
 
  private:
-  Spec spec() const { return {in_ch_, out_ch_, k_, pad_}; }
-
   std::size_t in_ch_, out_ch_, k_, pad_;
   Tensor weight_, bias_;
-  Tensor grad_weight_, grad_bias_;
-  Tensor input_;
 };
 
 }  // namespace hfl::nn

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/tensor/tensor_ops.h"
-
 namespace hfl::nn {
 
 Dense::Dense(std::size_t in_features, std::size_t out_features,
@@ -12,9 +10,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
       out_(out_features),
       init_(init),
       weight_({out_, in_}),
-      bias_({out_}),
-      grad_weight_({out_, in_}),
-      grad_bias_({out_}) {
+      bias_({out_}) {
   HFL_CHECK(in_ > 0 && out_ > 0, "dense layer dims must be positive");
 }
 
@@ -29,33 +25,6 @@ void Dense::init_params(Rng& rng) {
                             : std::sqrt(1.0 / static_cast<Scalar>(in_));
   for (auto& v : weight_.data()) v = rng.normal(0.0, stddev);
   bias_.fill(0.0);
-}
-
-Tensor Dense::forward(const Tensor& x, bool /*train*/) {
-  HFL_CHECK(x.rank() == 2 && x.dim(1) == in_,
-            "dense forward expects (B, " + std::to_string(in_) + "), got " +
-                x.shape_string());
-  input_ = x;
-  Tensor out;
-  ops::matmul_transpose_b(x, weight_, out);  // (B,in) * (out,in)^T -> (B,out)
-  ops::add_row_bias(out, bias_);
-  return out;
-}
-
-Tensor Dense::backward(const Tensor& grad_out) {
-  HFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
-            "dense backward shape mismatch");
-  // dW += grad_out^T * x : (out,B)*(B,in) -> (out,in)
-  Tensor dw;
-  ops::matmul_transpose_a(grad_out, input_, dw);
-  for (std::size_t i = 0; i < dw.size(); ++i) grad_weight_[i] += dw[i];
-  // db += column sums of grad_out
-  ops::sum_rows(grad_out, scratch_bias_);
-  for (std::size_t i = 0; i < out_; ++i) grad_bias_[i] += scratch_bias_[i];
-  // dx = grad_out * W : (B,out)*(out,in) -> (B,in)
-  Tensor grad_in;
-  ops::matmul(grad_out, weight_, grad_in);
-  return grad_in;
 }
 
 }  // namespace hfl::nn

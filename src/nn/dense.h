@@ -23,10 +23,7 @@ class Dense final : public Layer {
         InitScheme init = InitScheme::kHe);
 
   std::string kind() const override { return "dense"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   void init_params(Rng& rng) override;
 
   std::size_t in_features() const { return in_; }
@@ -36,9 +33,6 @@ class Dense final : public Layer {
   std::size_t in_, out_;
   InitScheme init_;
   Tensor weight_, bias_;
-  Tensor grad_weight_, grad_bias_;
-  Tensor input_;         // cached forward input
-  Tensor scratch_bias_;  // reused in backward
 };
 
 }  // namespace hfl::nn

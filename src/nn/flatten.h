@@ -1,4 +1,5 @@
-// Flatten: (B, d1, d2, ...) -> (B, d1*d2*...). Backward restores the shape.
+// Flatten: (B, d1, d2, ...) -> (B, d1*d2*...). A reshape; the cohort plan
+// moves no data for it.
 #pragma once
 
 #include "src/nn/layer.h"
@@ -8,11 +9,6 @@ namespace hfl::nn {
 class Flatten final : public Layer {
  public:
   std::string kind() const override { return "flatten"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  std::vector<std::size_t> in_shape_;
 };
 
 }  // namespace hfl::nn

@@ -3,14 +3,33 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/cohort.h"
+
 namespace hfl::nn {
 
-GradCheckResult check_gradients(Model& model, const Vec& params,
+GradCheckResult check_gradients(const Model& model, const Vec& params,
                                 const Tensor& x,
                                 const std::vector<std::size_t>& labels,
                                 Scalar step, std::size_t max_coords) {
-  Vec analytic;
-  model.loss_and_gradient(params, x, labels, analytic);
+  const auto plan = CohortModel::create(model);
+  HFL_CHECK(params.size() == plan->num_params(),
+            "gradcheck: parameter count does not match the model");
+  HFL_CHECK(!labels.empty() && x.size() == labels.size() * plan->sample_elems(),
+            "gradcheck: the batch does not match the model input");
+
+  Vec analytic(params.size());
+  CohortItem item;
+  item.params = params.data();
+  item.x = x.raw();
+  item.y = &labels;
+  item.grad = analytic.data();
+  plan->gradient({&item, 1});
+
+  Tensor pred;
+  const auto loss_at = [&](const Vec& p) {
+    plan->predict(p.data(), x.raw(), labels.size(), pred);
+    return evaluate_predictions(plan->loss(), pred, labels).loss;
+  };
 
   const std::size_t n = params.size();
   const std::size_t stride = std::max<std::size_t>(1, n / max_coords);
@@ -18,15 +37,10 @@ GradCheckResult check_gradients(Model& model, const Vec& params,
   GradCheckResult result;
   Vec perturbed = params;
   for (std::size_t i = 0; i < n; i += stride) {
-    // Numeric probes use eval-mode forwards; models under grad-check must be
-    // free of train-only stochastic layers (dropout), which the tests honour.
     perturbed[i] = params[i] + step;
-    model.set_params(perturbed);
-    const Scalar loss_plus = model.evaluate(x, labels).loss;
-
+    const Scalar loss_plus = loss_at(perturbed);
     perturbed[i] = params[i] - step;
-    model.set_params(perturbed);
-    const Scalar loss_minus = model.evaluate(x, labels).loss;
+    const Scalar loss_minus = loss_at(perturbed);
     perturbed[i] = params[i];
 
     const Scalar numeric = (loss_plus - loss_minus) / (2 * step);

@@ -1,8 +1,9 @@
 // Numerical gradient checking.
 //
-// Verifies a Model's analytic gradient against central finite differences.
-// Used by the test suite on every layer type; kept in the library (not the
-// tests) so downstream users can validate custom layers the same way.
+// Verifies the compiled cohort plan's analytic gradient (src/nn/cohort.h) for
+// a model's architecture against central finite differences of its loss.
+// Used by the test suite on every stage kind; kept in the library (not the
+// tests) so downstream users can validate custom architectures the same way.
 #pragma once
 
 #include "src/nn/model.h"
@@ -15,10 +16,11 @@ struct GradCheckResult {
   std::size_t checked = 0;     // number of coordinates compared
 };
 
-// Compares analytic and numeric gradients at `params` on the given batch.
+// Compares analytic and numeric gradients of `model`'s architecture at
+// `params` on the batch (x, labels); x holds labels.size() samples.
 // `max_coords` bounds how many (deterministically strided) coordinates are
 // probed, keeping checks on conv models fast.
-GradCheckResult check_gradients(Model& model, const Vec& params,
+GradCheckResult check_gradients(const Model& model, const Vec& params,
                                 const Tensor& x,
                                 const std::vector<std::size_t>& labels,
                                 Scalar step = 1e-5,

@@ -2,10 +2,6 @@
 
 namespace hfl::nn {
 
-void Layer::zero_grads() {
-  for (Tensor* g : grads()) g->fill(0.0);
-}
-
 std::size_t Layer::num_params() {
   std::size_t n = 0;
   for (Tensor* p : params()) n += p->size();

@@ -1,14 +1,13 @@
-// Layer interface for the manual-backprop neural-network substrate.
+// Layer: one node of a model architecture.
 //
-// Each layer is a stateful node: `forward` caches whatever it needs for the
-// matching `backward` call, and `backward` both returns the gradient with
-// respect to the layer input and accumulates gradients into the layer's
-// parameter-gradient tensors. Layers expose their parameters and gradients as
-// parallel lists of tensors so `Model` can flatten them into the single `Vec`
-// that the federated-learning algorithms operate on.
-//
-// Thread-safety: a layer instance is owned by exactly one simulated worker;
-// no cross-thread sharing.
+// A layer is what the compiled cohort plan (src/nn/cohort.h) reads when it
+// builds its stage list: the layer's kind, its geometry (each concrete
+// layer's accessors), its parameter tensors and their initialization, and —
+// for Sequential and Residual — the structure it nests. Layers run no
+// arithmetic of their own: every forward and backward pass is a plan stage.
+// They hold their parameters only so `Model` can initialize them and
+// round-trip them through the single flat `Vec` that the federated-learning
+// algorithms operate on.
 #pragma once
 
 #include <memory>
@@ -24,26 +23,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // Human-readable layer kind ("dense", "conv2d", ...), for diagnostics.
+  // Layer kind ("dense", "conv2d", ...); plan diagnostics name it.
   virtual std::string kind() const = 0;
 
-  // Forward pass. `train` enables training-only behaviour (dropout masks).
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
-
-  // Backward pass for the most recent forward. Accumulates parameter
-  // gradients and returns d(loss)/d(input).
-  virtual Tensor backward(const Tensor& grad_out) = 0;
-
-  // Parameter tensors (empty for stateless layers). The grads list is
-  // index-aligned with params.
+  // Parameter tensors in flat-vector order (empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
-  virtual std::vector<Tensor*> grads() { return {}; }
 
   // (Re-)initialize parameters. Stateless layers ignore this.
   virtual void init_params(Rng& rng) { (void)rng; }
-
-  // Set all parameter gradients to zero.
-  void zero_grads();
 
   // Total number of scalar parameters.
   std::size_t num_params();

@@ -1,86 +1,32 @@
 #include "src/nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace hfl::nn {
 
-namespace {
-void check_pred(const Tensor& pred, const std::vector<std::size_t>& labels) {
-  HFL_CHECK(pred.rank() == 2, "loss expects (B, K) predictions");
-  HFL_CHECK(pred.dim(0) == labels.size(), "label count must match batch size");
-  for (const std::size_t y : labels) {
-    HFL_CHECK(y < pred.dim(1), "label out of class range");
+void SoftmaxCrossEntropy::add_row(Scalar* row, std::size_t K,
+                                  std::size_t label, Scalar& total) const {
+  Scalar mx = row[0];
+  for (std::size_t j = 1; j < K; ++j) mx = std::max(mx, row[j]);
+  Scalar denom = 0;
+  for (std::size_t j = 0; j < K; ++j) {
+    row[j] = std::exp(row[j] - mx);
+    denom += row[j];
   }
-}
-}  // namespace
-
-Scalar SoftmaxCrossEntropy::forward(const Tensor& pred,
-                                    const std::vector<std::size_t>& labels) {
-  check_pred(pred, labels);
-  const std::size_t B = pred.dim(0), K = pred.dim(1);
-  probs_ = pred;
-  labels_ = labels;
-  Scalar total = 0;
-  Scalar* pp = probs_.raw();
-  for (std::size_t i = 0; i < B; ++i) {
-    Scalar* row = pp + i * K;
-    Scalar mx = row[0];
-    for (std::size_t j = 1; j < K; ++j) mx = std::max(mx, row[j]);
-    Scalar denom = 0;
-    for (std::size_t j = 0; j < K; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const Scalar inv = 1.0 / denom;
-    for (std::size_t j = 0; j < K; ++j) row[j] *= inv;
-    // Clamp to avoid -inf when a probability underflows to zero.
-    total += -std::log(std::max(row[labels[i]], Scalar{1e-300}));
-  }
-  return total / static_cast<Scalar>(B);
+  const Scalar inv = 1.0 / denom;
+  for (std::size_t j = 0; j < K; ++j) row[j] *= inv;
+  // Clamp to avoid -inf when a probability underflows to zero.
+  total += -std::log(std::max(row[label], Scalar{1e-300}));
 }
 
-Tensor SoftmaxCrossEntropy::backward() {
-  HFL_CHECK(!labels_.empty(), "loss backward before forward");
-  const std::size_t B = probs_.dim(0), K = probs_.dim(1);
-  Tensor grad = probs_;
-  const Scalar inv_b = 1.0 / static_cast<Scalar>(B);
-  Scalar* pg = grad.raw();
-  for (std::size_t i = 0; i < B; ++i) {
-    pg[i * K + labels_[i]] -= 1.0;
-    for (std::size_t j = 0; j < K; ++j) pg[i * K + j] *= inv_b;
+void MseOnOneHot::add_row(Scalar* row, std::size_t K, std::size_t label,
+                          Scalar& total) const {
+  for (std::size_t j = 0; j < K; ++j) {
+    const Scalar target = (j == label) ? 1.0 : 0.0;
+    const Scalar d = row[j] - target;
+    total += 0.5 * d * d;
   }
-  return grad;
-}
-
-Scalar MseOnOneHot::forward(const Tensor& pred,
-                            const std::vector<std::size_t>& labels) {
-  check_pred(pred, labels);
-  pred_ = pred;
-  labels_ = labels;
-  const std::size_t B = pred.dim(0), K = pred.dim(1);
-  Scalar total = 0;
-  const Scalar* pp = pred.raw();
-  for (std::size_t i = 0; i < B; ++i) {
-    for (std::size_t j = 0; j < K; ++j) {
-      const Scalar target = (j == labels[i]) ? 1.0 : 0.0;
-      const Scalar d = pp[i * K + j] - target;
-      total += 0.5 * d * d;
-    }
-  }
-  return total / static_cast<Scalar>(B);
-}
-
-Tensor MseOnOneHot::backward() {
-  HFL_CHECK(!labels_.empty(), "loss backward before forward");
-  const std::size_t B = pred_.dim(0), K = pred_.dim(1);
-  Tensor grad = pred_;
-  const Scalar inv_b = 1.0 / static_cast<Scalar>(B);
-  Scalar* pg = grad.raw();
-  for (std::size_t i = 0; i < B; ++i) {
-    pg[i * K + labels_[i]] -= 1.0;
-    for (std::size_t j = 0; j < K; ++j) pg[i * K + j] *= inv_b;
-  }
-  return grad;
 }
 
 }  // namespace hfl::nn

@@ -1,7 +1,11 @@
 // Loss functions.
 //
-// Both losses consume a (B, K) prediction tensor and integer class labels and
-// report the mean per-sample loss; `backward` returns d(mean loss)/d(pred).
+// Both losses score (B, K) logits against integer class labels; the batch
+// loss is the mean per-sample loss. Each loss is one per-sample routine,
+// `add_row`, that both consumers run: the cohort plan's loss stage
+// (src/nn/cohort.cpp), which turns its output into the gradient with respect
+// to the logits, and nn::evaluate_predictions (src/nn/model.h), which scores
+// held-out logits. Losses are stateless, so one instance serves every thread.
 //
 // * SoftmaxCrossEntropy — used by logistic regression, CNN, MiniVGG and
 //   MiniResNet (the paper's classification models).
@@ -11,56 +15,34 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "src/tensor/tensor.h"
+#include "src/common/types.h"
 
 namespace hfl::nn {
 
 class Loss {
  public:
   virtual ~Loss() = default;
-  virtual std::string kind() const = 0;
-  // Mean loss over the batch. Caches what backward needs.
-  virtual Scalar forward(const Tensor& pred,
-                         const std::vector<std::size_t>& labels) = 0;
-  // Gradient of the mean loss with respect to `pred`.
-  virtual Tensor backward() = 0;
-  // A new instance of the same loss with no cached state (one per thread
-  // when several threads score predictions concurrently).
-  virtual std::unique_ptr<Loss> clone() const = 0;
+  // One sample: adds its loss to `total`, the batch's running sum in sample
+  // order, and leaves in `row` (its K logits on entry) the values v with
+  // d(sample loss)/d(logits) = v − onehot(label): the softmax probabilities,
+  // or the logits themselves for the MSE. `label` must be < K.
+  virtual void add_row(Scalar* row, std::size_t K, std::size_t label,
+                       Scalar& total) const = 0;
 };
 
-using LossPtr = std::unique_ptr<Loss>;
+using LossPtr = std::shared_ptr<const Loss>;
 
 class SoftmaxCrossEntropy final : public Loss {
  public:
-  std::string kind() const override { return "softmax_ce"; }
-  Scalar forward(const Tensor& pred,
-                 const std::vector<std::size_t>& labels) override;
-  Tensor backward() override;
-  std::unique_ptr<Loss> clone() const override {
-    return std::make_unique<SoftmaxCrossEntropy>();
-  }
-
- private:
-  Tensor probs_;
-  std::vector<std::size_t> labels_;
+  void add_row(Scalar* row, std::size_t K, std::size_t label,
+               Scalar& total) const override;
 };
 
 class MseOnOneHot final : public Loss {
  public:
-  std::string kind() const override { return "mse_onehot"; }
-  Scalar forward(const Tensor& pred,
-                 const std::vector<std::size_t>& labels) override;
-  Tensor backward() override;
-  std::unique_ptr<Loss> clone() const override {
-    return std::make_unique<MseOnOneHot>();
-  }
-
- private:
-  Tensor pred_;
-  std::vector<std::size_t> labels_;
+  void add_row(Scalar* row, std::size_t K, std::size_t label,
+               Scalar& total) const override;
 };
 
 }  // namespace hfl::nn

@@ -1,7 +1,5 @@
 #include "src/nn/model.h"
 
-#include "src/tensor/tensor_ops.h"
-
 namespace hfl::nn {
 
 Model::Model(std::unique_ptr<Sequential> net, LossPtr loss,
@@ -12,9 +10,6 @@ Model::Model(std::unique_ptr<Sequential> net, LossPtr loss,
   HFL_CHECK(net_ != nullptr, "model network must not be null");
   HFL_CHECK(loss_ != nullptr, "model loss must not be null");
   param_tensors_ = net_->params();
-  grad_tensors_ = net_->grads();
-  HFL_CHECK(param_tensors_.size() == grad_tensors_.size(),
-            "param/grad tensor lists must align");
   for (const Tensor* p : param_tensors_) total_params_ += p->size();
 }
 
@@ -48,57 +43,28 @@ void Model::set_params(std::span<const Scalar> params) {
   }
 }
 
-void Model::zero_grads() {
-  for (Tensor* g : grad_tensors_) g->fill(0.0);
-}
-
-void Model::get_grads(Vec& out) const {
-  out.resize(total_params_);
-  std::size_t off = 0;
-  for (const Tensor* g : grad_tensors_) {
-    std::copy(g->data().begin(), g->data().end(), out.begin() + off);
-    off += g->size();
-  }
-}
-
-Scalar Model::forward_backward(const Tensor& x,
-                               const std::vector<std::size_t>& labels) {
-  Tensor pred = net_->forward(x, /*train=*/true);
-  const Scalar loss = loss_->forward(pred, labels);
-  net_->backward(loss_->backward());
-  return loss;
-}
-
-Scalar Model::loss_and_gradient(std::span<const Scalar> params,
-                                const Tensor& x,
-                                const std::vector<std::size_t>& labels,
-                                Vec& grad) {
-  set_params(params);
-  zero_grads();
-  const Scalar loss = forward_backward(x, labels);
-  get_grads(grad);
-  return loss;
-}
-
-Tensor Model::predict(const Tensor& x) {
-  return net_->forward(x, /*train=*/false);
-}
-
-EvalResult Model::evaluate(const Tensor& x,
-                           const std::vector<std::size_t>& labels) {
-  return evaluate_predictions(*loss_, predict(x), labels);
-}
-
-EvalResult evaluate_predictions(Loss& loss, const Tensor& pred,
+EvalResult evaluate_predictions(const Loss& loss, const Tensor& pred,
                                 const std::vector<std::size_t>& labels) {
-  EvalResult result;
-  result.loss = loss.forward(pred, labels);
-  std::vector<std::size_t> argmax;
-  ops::argmax_rows(pred, argmax);
+  HFL_CHECK(pred.rank() == 2, "loss expects (B, K) predictions");
+  HFL_CHECK(pred.dim(0) == labels.size(), "label count must match batch size");
+  const std::size_t B = pred.dim(0), K = pred.dim(1);
+  HFL_CHECK(K > 0, "predictions need at least one class");
+  Vec row(K);
+  Scalar total = 0;
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (argmax[i] == labels[i]) ++correct;
+  for (std::size_t i = 0; i < B; ++i) {
+    const Scalar* logits = pred.raw() + i * K;
+    HFL_CHECK(labels[i] < K, "label out of class range");
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < K; ++j) {
+      if (logits[j] > logits[best]) best = j;
+    }
+    if (best == labels[i]) ++correct;
+    std::copy(logits, logits + K, row.begin());
+    loss.add_row(row.data(), K, labels[i], total);
   }
+  EvalResult result;
+  result.loss = total / static_cast<Scalar>(B);
   result.accuracy =
       labels.empty() ? 0.0
                      : static_cast<Scalar>(correct) /

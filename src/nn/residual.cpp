@@ -1,7 +1,5 @@
 #include "src/nn/residual.h"
 
-#include "src/tensor/tensor_ops.h"
-
 namespace hfl::nn {
 
 Residual::Residual(LayerPtr inner) : inner_(std::move(inner)) {
@@ -13,37 +11,10 @@ Residual::Residual(LayerPtr inner, LayerPtr shortcut)
   HFL_CHECK(inner_ != nullptr, "residual inner branch must not be null");
 }
 
-Tensor Residual::forward(const Tensor& x, bool train) {
-  Tensor branch = inner_->forward(x, train);
-  Tensor skip = shortcut_ ? shortcut_->forward(x, train) : x;
-  HFL_CHECK(branch.same_shape(skip),
-            "residual branch/shortcut shape mismatch: " +
-                branch.shape_string() + " vs " + skip.shape_string());
-  Tensor out;
-  ops::add(branch, skip, out);
-  return out;
-}
-
-Tensor Residual::backward(const Tensor& grad_out) {
-  Tensor grad_branch = inner_->backward(grad_out);
-  Tensor grad_skip = shortcut_ ? shortcut_->backward(grad_out) : grad_out;
-  Tensor grad_in;
-  ops::add(grad_branch, grad_skip, grad_in);
-  return grad_in;
-}
-
 std::vector<Tensor*> Residual::params() {
   std::vector<Tensor*> out = inner_->params();
   if (shortcut_) {
     for (Tensor* p : shortcut_->params()) out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Tensor*> Residual::grads() {
-  std::vector<Tensor*> out = inner_->grads();
-  if (shortcut_) {
-    for (Tensor* g : shortcut_->grads()) out.push_back(g);
   }
   return out;
 }

@@ -3,7 +3,8 @@
 // The shortcut is the identity when the inner branch preserves the shape, or
 // a caller-supplied projection layer (e.g. 1×1 convolution) when it does not.
 // This is the structural core of the MiniResNet model standing in for the
-// paper's ResNet18.
+// paper's ResNet18. The cohort plan (src/nn/cohort.cpp) compiles both paths
+// into one stage; parameters are the inner branch's, then the shortcut's.
 #pragma once
 
 #include "src/nn/sequential.h"
@@ -18,16 +19,11 @@ class Residual final : public Layer {
   Residual(LayerPtr inner, LayerPtr shortcut);
 
   std::string kind() const override { return "residual"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override;
-  std::vector<Tensor*> grads() override;
   void init_params(Rng& rng) override;
 
-  // Structural access for the cohort executor (src/nn/cohort.cpp), which
-  // compiles both paths into its execution plan.
-  Layer& inner() { return *inner_; }
-  Layer* shortcut() { return shortcut_.get(); }  // nullptr => identity
+  const Layer& inner() const { return *inner_; }
+  const Layer* shortcut() const { return shortcut_.get(); }  // null: identity
 
  private:
   LayerPtr inner_;

@@ -7,37 +7,15 @@ void Sequential::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
 }
 
-Layer& Sequential::layer(std::size_t i) {
+const Layer& Sequential::layer(std::size_t i) const {
   HFL_CHECK(i < layers_.size(), "layer index out of range");
   return *layers_[i];
-}
-
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, train);
-  return cur;
-}
-
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
-  }
-  return cur;
 }
 
 std::vector<Tensor*> Sequential::params() {
   std::vector<Tensor*> out;
   for (auto& l : layers_) {
     for (Tensor* p : l->params()) out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Tensor*> Sequential::grads() {
-  std::vector<Tensor*> out;
-  for (auto& l : layers_) {
-    for (Tensor* g : l->grads()) out.push_back(g);
   }
   return out;
 }

@@ -25,13 +25,10 @@ class Sequential final : public Layer {
   }
 
   std::size_t num_layers() const { return layers_.size(); }
-  Layer& layer(std::size_t i);
+  const Layer& layer(std::size_t i) const;
 
   std::string kind() const override { return "sequential"; }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override;
-  std::vector<Tensor*> grads() override;
   void init_params(Rng& rng) override;
 
  private:

@@ -30,6 +30,15 @@ Vec load_params(const std::string& path) {
   std::uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
   HFL_CHECK(in.good(), "truncated checkpoint header: " + path);
+  // Check the header's count against the bytes the file holds before
+  // allocating for it (divided, so no product can overflow).
+  const std::streampos payload = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - payload;
+  in.seekg(payload);
+  HFL_CHECK(in.good() && left >= 0 &&
+                n <= static_cast<std::uint64_t>(left) / sizeof(Scalar),
+            "truncated checkpoint payload: " + path);
   Vec params(n);
   in.read(reinterpret_cast<char*>(params.data()),
           static_cast<std::streamsize>(n * sizeof(Scalar)));

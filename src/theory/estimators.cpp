@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/vec_ops.h"
+#include "src/nn/cohort.h"
 
 namespace hfl::theory {
 
@@ -10,15 +11,20 @@ namespace {
 
 // Batch gradient of worker w's local loss at `params`, using (up to)
 // batch_size deterministic samples from its partition.
-Scalar worker_gradient(nn::Model& model, const data::Dataset& train,
-                       const std::vector<std::size_t>& part,
-                       std::size_t batch_size, const Vec& params, Vec& grad) {
+void worker_gradient(nn::CohortModel& plan, const data::Dataset& train,
+                     const std::vector<std::size_t>& part,
+                     std::size_t batch_size, const Vec& params, Vec& grad) {
   const std::size_t n = std::min(batch_size, part.size());
   std::vector<std::size_t> idx(part.begin(), part.begin() + n);
   Tensor x;
   std::vector<std::size_t> y;
   train.gather(idx, x, y);
-  return model.loss_and_gradient(params, x, y, grad);
+  nn::CohortItem item;
+  item.params = params.data();
+  item.x = x.raw();
+  item.y = &y;
+  item.grad = grad.data();
+  plan.gradient({&item, 1});
 }
 
 }  // namespace
@@ -37,6 +43,7 @@ AssumptionEstimates estimate_assumptions(const nn::ModelFactory& factory,
   model->init_params(rng);
   const Vec x0 = model->get_params();
   const std::size_t dim = x0.size();
+  const auto plan = nn::CohortModel::create(*model);
 
   // Data weights.
   std::size_t total = 0;
@@ -67,7 +74,7 @@ AssumptionEstimates estimate_assumptions(const nn::ModelFactory& factory,
   for (std::size_t p = 0; p < points.size(); ++p) {
     // Per-worker gradients at the shared point.
     for (std::size_t w = 0; w < topo.num_workers(); ++w) {
-      worker_gradient(*model, train, partition[w], options.batch_size,
+      worker_gradient(*plan, train, partition[w], options.batch_size,
                       points[p], worker_grads[w]);
       est.rho = std::max(est.rho, vec::norm(worker_grads[w]));
     }

@@ -1,18 +1,22 @@
-// Compiled cohort plan vs the per-model path: bit-identity.
+// The compiled cohort plan's invariances: bit-identity across the ways one
+// result can be computed.
 //
-// Every worker gradient and every evaluation of a plan-supported
-// architecture runs through nn::CohortModel (src/nn/cohort.h): the batched
-// prefetch when RunConfig::batched is on, the singleton/paired gradient
-// otherwise, and the forward-only predict in Engine::evaluate. The contract
-// is that nothing observable changes in FP64:
+// Every worker gradient and every evaluation runs through nn::CohortModel
+// (src/nn/cohort.h): the batched prefetch when RunConfig::batched is on, the
+// singleton/paired gradient otherwise, and the forward-only predict in
+// Engine::evaluate. The contract is that how the work is grouped never
+// shows in FP64:
 //   * engine level — for every registry algorithm (plus both Mime variants),
 //     with and without a fault schedule, at 1 and 4 threads, a batched run
 //     reproduces an unbatched one exactly (curve and final parameters,
 //     EXPECT_EQ not NEAR), and Engine::evaluate equals per-batch
-//     Model::evaluate merged in batch order;
-//   * plan level — gradient/run ≡ Model::loss_and_gradient and predict ≡
-//     Model::predict bit for bit, for every registry architecture and for
-//     hand-built chains of native, fallback and residual stages.
+//     predictions scored by nn::evaluate_predictions and merged in batch
+//     order, at 1 and 4 threads;
+//   * plan level — run (serial and on 4 threads, so tiled differently) ≡
+//     paired gradient ≡ singleton gradient ≡ row-gathered input, predict ≡
+//     predict row by row, and predict's scored loss ≡ the gradient pass's
+//     loss, bit for bit, for every registry architecture and for hand-built
+//     chains of every stage kind, which also pass a finite-difference check.
 // Also covered: an unsupported layer failing plan compilation and engine
 // construction loudly, and the fused-gradient and conv telemetry counters.
 #include <gtest/gtest.h>
@@ -31,8 +35,8 @@
 #include "src/nn/cohort.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/dropout.h"
 #include "src/nn/flatten.h"
+#include "src/nn/gradcheck.h"
 #include "src/nn/models.h"
 #include "src/nn/pool2d.h"
 #include "src/nn/residual.h"
@@ -191,12 +195,18 @@ TEST(BatchedParityModelTest, ResidualBitIdentical) {
   expect_identical(ref, fused);
 }
 
-nn::ModelFactory dropout_net() {
+// A layer kind the plan has no stage for.
+class Softsign final : public nn::Layer {
+ public:
+  std::string kind() const override { return "softsign"; }
+};
+
+nn::ModelFactory softsign_net() {
   return [] {
     auto net = std::make_unique<nn::Sequential>();
     net->emplace<nn::Flatten>();
     net->emplace<nn::Dense>(64, 3, nn::InitScheme::kXavier);
-    net->emplace<nn::Dropout>(0.5);
+    net->emplace<Softsign>();
     return std::make_unique<nn::Model>(
         std::move(net), std::make_unique<nn::SoftmaxCrossEntropy>(),
         std::vector<std::size_t>{1, 8, 8});
@@ -206,10 +216,10 @@ nn::ModelFactory dropout_net() {
 // A layer the plan cannot compile fails loudly, naming the layer.
 TEST(CohortPlanCompileTest, UnsupportedLayerThrowsNamingIt) {
   try {
-    nn::CohortModel::create(dropout_net());
-    ADD_FAILURE() << "create accepted a Dropout layer";
+    nn::CohortModel::create(*softsign_net()());
+    ADD_FAILURE() << "create accepted a Softsign layer";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("'dropout'"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("'softsign'"), std::string::npos)
         << e.what();
   }
 }
@@ -217,7 +227,7 @@ TEST(CohortPlanCompileTest, UnsupportedLayerThrowsNamingIt) {
 // ...and so does an engine built on that architecture, before it runs.
 TEST(CohortPlanCompileTest, EngineRejectsUnsupportedArchitecture) {
   Fixture f;
-  EXPECT_THROW(Engine(dropout_net(), f.dataset, f.partition, f.topo, f.cfg3),
+  EXPECT_THROW(Engine(softsign_net(), f.dataset, f.partition, f.topo, f.cfg3),
                Error);
 }
 
@@ -307,37 +317,60 @@ nn::CohortItem item_for(const Vec& params, const Batch& batch, Vec& grad,
   return item;
 }
 
-// Every entry point of the plan against the per-model path on `factory`:
-// singleton and paired gradients (contiguous and, where supported,
-// row-gathered input), predict, and a tile-parallel batched run over items
-// of mixed batch sizes.
-void expect_plan_matches_model(const nn::ModelFactory& factory,
-                               const std::vector<std::size_t>& sample_shape,
-                               std::uint64_t seed) {
-  auto plan = nn::CohortModel::create(factory);
-  auto model = factory();
+// Every entry point of the plan on `factory` against its own singleton
+// gradient: paired gradients and, where supported, row-gathered input; a
+// tile-parallel batched run over items of mixed batch sizes, serially and on
+// 4 threads; predict over a batch against predict row by row, and its scored
+// loss against the gradient pass's.
+void expect_plan_invariant(const nn::ModelFactory& factory,
+                           const std::vector<std::size_t>& sample_shape,
+                           std::uint64_t seed) {
+  auto plan = nn::CohortModel::create(*factory());
   Rng rng(seed);
   const Vec p0 = random_params(factory, rng);
   const Vec p1 = random_params(factory, rng);
   const std::size_t np = p0.size();
   ThreadPool pool(4);
 
+  // The reference: one item alone, contiguous input, into a zeroed buffer.
+  const auto single = [&](const Vec& p, const Batch& batch, Vec& grad) {
+    grad.assign(np, 0.0);
+    nn::CohortItem item = item_for(p, batch, grad, false);
+    plan->gradient({&item, 1});
+    return item.loss;
+  };
+  // predict over all of `batch` ≡ one predict call per row.
+  const auto expect_rows_match = [&](const Vec& p, const Batch& batch,
+                                     Tensor& pred) {
+    const std::size_t n = batch.y.size();
+    plan->predict(p.data(), batch.x.raw(), n, pred);
+    const std::size_t K = pred.dim(1);
+    Tensor row_pred;
+    for (std::size_t r = 0; r < n; ++r) {
+      plan->predict(p.data(), batch.rows[r], 1, row_pred);
+      ASSERT_EQ(std::memcmp(row_pred.raw(), pred.raw() + r * K,
+                            K * sizeof(Scalar)),
+                0)
+          << "row " << r;
+    }
+  };
+
   for (const std::size_t b : {std::size_t{1}, std::size_t{4}, std::size_t{128}}) {
     SCOPED_TRACE("batch " + std::to_string(b));
     const Batch batch = random_batch(sample_shape, b, rng);
     const Tensor x_before = batch.x;
     Vec ref0, ref1;
-    const Scalar loss0 = model->loss_and_gradient(p0, batch.x, batch.y, ref0);
-    const Scalar loss1 = model->loss_and_gradient(p1, batch.x, batch.y, ref1);
+    const Scalar loss0 = single(p0, batch, ref0);
+    const Scalar loss1 = single(p1, batch, ref1);
 
     std::vector<bool> forms{false};
     if (plan->supports_row_gather()) forms.push_back(true);
     for (const bool rows : forms) {
       SCOPED_TRACE(rows ? "row-gathered input" : "contiguous input");
       Vec g0(np, 7.0), g1(np, 7.0);  // stale contents must be overwritten
-      nn::CohortItem single = item_for(p0, batch, g0, rows);
-      plan->gradient({&single, 1});
-      EXPECT_EQ(single.loss, loss0);
+      nn::CohortItem one = item_for(p0, batch, g0, rows);
+      plan->gradient({&one, 1});
+      EXPECT_EQ(one.loss, loss0);
       EXPECT_TRUE(same_bits(g0, ref0));
 
       nn::CohortItem pair[2] = {item_for(p1, batch, g1, rows),
@@ -352,11 +385,19 @@ void expect_plan_matches_model(const nn::ModelFactory& factory,
     // the plan's own buffers).
     EXPECT_TRUE(same_bits(batch.x, x_before));
 
-    model->set_params(p1);
-    const Tensor ref_pred = model->predict(batch.x);
+    // The training forward and predict's agree: scoring predict's logits
+    // reproduces the gradient pass's loss.
     Tensor pred;
-    plan->predict(p1.data(), batch.x.raw(), b, pred);
-    EXPECT_TRUE(same_bits(pred, ref_pred));
+    expect_rows_match(p1, batch, pred);
+    EXPECT_EQ(nn::evaluate_predictions(plan->loss(), pred, batch.y).loss,
+              loss1);
+  }
+
+  // More rows than one predict chunk for the conv models (512 rows).
+  {
+    SCOPED_TRACE("predict in chunks");
+    Tensor pred;
+    expect_rows_match(p0, random_batch(sample_shape, 600, rng), pred);
   }
 
   // Batched run: items of batch 1..7 at alternating parameter points, on a
@@ -375,12 +416,26 @@ void expect_plan_matches_model(const nn::ModelFactory& factory,
     plan->run(items, tp);
     for (std::size_t i = 0; i < batches.size(); ++i) {
       Vec ref;
-      const Scalar loss = model->loss_and_gradient(
-          i % 2 ? p1 : p0, batches[i].x, batches[i].y, ref);
+      const Scalar loss = single(i % 2 ? p1 : p0, batches[i], ref);
       EXPECT_EQ(items[i].loss, loss) << "item " << i;
       EXPECT_TRUE(same_bits(grads[i], ref)) << "item " << i;
     }
   }
+}
+
+// The plan's gradient of `factory`'s architecture against finite
+// differences at random parameters. The bound is absolute: some entries are
+// ~1e-6, where finite-difference rounding alone gives a relative error
+// above 1e-4, while a wrong stage errs by the size of the gradient.
+void expect_gradcheck(const nn::ModelFactory& factory,
+                      const std::vector<std::size_t>& sample_shape,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  const Vec params = random_params(factory, rng);
+  const Batch batch = random_batch(sample_shape, 3, rng);
+  const nn::GradCheckResult r =
+      nn::check_gradients(*factory(), params, batch.x, batch.y, 1e-5, 150);
+  EXPECT_LT(r.max_abs_error, 1e-7) << "rel " << r.max_rel_error;
 }
 
 const std::vector<std::size_t> kImage = {1, 8, 8};
@@ -391,21 +446,21 @@ TEST(CohortPlanParityTest, RegistryArchitectures) {
         nn::ModelKind::kMlp, nn::ModelKind::kCnn, nn::ModelKind::kMiniVgg,
         nn::ModelKind::kMiniResNet}) {
     SCOPED_TRACE(nn::to_string(kind));
-    expect_plan_matches_model(nn::make_model_factory(kind, kImage, kClasses),
-                              kImage, 11 + static_cast<std::uint64_t>(kind));
+    expect_plan_invariant(nn::make_model_factory(kind, kImage, kClasses),
+                          kImage, 11 + static_cast<std::uint64_t>(kind));
   }
 }
 
 // Stage chains no registry model has, where in-place buffers alias: ReLU
 // behind MaxPool and behind ReLU, a ReLU → Flatten → Dense run, an input-side
-// ReLU on the plan's own input copy, all around the fallback stages (Tanh,
-// Sigmoid, AvgPool2d) that call the layers themselves. The residual chains
-// open and close a block's inner branch with a ReLU (the first must not
-// overwrite the block input the skip path reads, the last masks its
-// backward by its own output, which the block sum must not overwrite), add
-// a projection block, follow a block with ReLU, MaxPool and AvgPool, and —
-// at the model input — nest a parameter-free block inside a block that is
-// the first parametric stage.
+// ReLU on the plan's own input copy, AvgPool windows of 1 and 2 between
+// them. The residual chains open and close a block's inner branch with a
+// ReLU (the first must not overwrite the block input the skip path reads,
+// the last masks its backward by its own output, which the block sum must
+// not overwrite), add a projection block, follow a block with ReLU, MaxPool
+// and AvgPool, and — at the model input — nest a parameter-free block
+// inside a block that is the first parametric stage. Each chain passes the
+// invariance checks and a finite-difference check of its gradient.
 TEST(CohortPlanParityTest, HandBuiltStageChains) {
   const std::vector<std::size_t> shape = {2, 8, 8};
   const nn::ModelFactory conv_chain = [shape] {
@@ -413,11 +468,11 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
     net->emplace<nn::Conv2d>(2, 4, 3, 1);
     net->emplace<nn::MaxPool2d>(2);
     net->emplace<nn::ReLU>();
-    net->emplace<nn::Tanh>();
     net->emplace<nn::ReLU>();
+    net->emplace<nn::AvgPool2d>(1);
     net->emplace<nn::ReLU>();
     net->emplace<nn::AvgPool2d>(2);
-    net->emplace<nn::Sigmoid>();
+    net->emplace<nn::AvgPool2d>(1);
     net->emplace<nn::ReLU>();
     net->emplace<nn::Flatten>();
     net->emplace<nn::Dense>(4 * 2 * 2, 8, nn::InitScheme::kHe);
@@ -431,7 +486,7 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
     net->emplace<nn::ReLU>();
     net->emplace<nn::Flatten>();
     net->emplace<nn::Dense>(2 * 8 * 8, 6, nn::InitScheme::kHe);
-    net->emplace<nn::Sigmoid>();
+    net->emplace<nn::ReLU>();
     net->emplace<nn::Dense>(6, kClasses, nn::InitScheme::kXavier);
     return std::make_unique<nn::Model>(
         std::move(net), std::make_unique<nn::MseOnOneHot>(), shape);
@@ -449,7 +504,7 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
     {
       auto inner = std::make_unique<nn::Sequential>();
       inner->emplace<nn::Conv2d>(4, 6, 3, 1);
-      inner->emplace<nn::Tanh>();
+      inner->emplace<nn::AvgPool2d>(1);
       inner->emplace<nn::Conv2d>(6, 6, 3, 1);
       net->add(std::make_unique<nn::Residual>(
           std::move(inner), std::make_unique<nn::Conv2d>(4, 6, 1, 0)));
@@ -465,7 +520,7 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
   const nn::ModelFactory input_residual = [shape] {
     auto nested = std::make_unique<nn::Sequential>();
     nested->emplace<nn::ReLU>();
-    nested->emplace<nn::Sigmoid>();
+    nested->emplace<nn::AvgPool2d>(1);
     auto inner = std::make_unique<nn::Sequential>();
     inner->emplace<nn::ReLU>();
     inner->emplace<nn::Conv2d>(2, 2, 3, 1);
@@ -479,47 +534,57 @@ TEST(CohortPlanParityTest, HandBuiltStageChains) {
   };
   {
     SCOPED_TRACE("conv chain");
-    expect_plan_matches_model(conv_chain, shape, 21);
+    expect_plan_invariant(conv_chain, shape, 21);
+    expect_gradcheck(conv_chain, shape, 31);
   }
   {
     SCOPED_TRACE("residual chain");
-    expect_plan_matches_model(residual_chain, shape, 23);
+    expect_plan_invariant(residual_chain, shape, 23);
+    expect_gradcheck(residual_chain, shape, 33);
   }
   {
     SCOPED_TRACE("input-side residual");
-    EXPECT_FALSE(nn::CohortModel::create(input_residual)->supports_row_gather());
-    expect_plan_matches_model(input_residual, shape, 24);
+    EXPECT_FALSE(
+        nn::CohortModel::create(*input_residual())->supports_row_gather());
+    expect_plan_invariant(input_residual, shape, 24);
+    expect_gradcheck(input_residual, shape, 34);
   }
   {
     SCOPED_TRACE("input-side relu");
-    EXPECT_FALSE(nn::CohortModel::create(input_relu)->supports_row_gather());
-    expect_plan_matches_model(input_relu, shape, 22);
+    EXPECT_FALSE(nn::CohortModel::create(*input_relu())->supports_row_gather());
+    expect_plan_invariant(input_relu, shape, 22);
+    expect_gradcheck(input_relu, shape, 32);
   }
 }
 
 // The geometry of every Conv2d in `factory`'s model, in layer order, for
-// (in_ch, h, w) = `shape` samples.
+// (in_ch, h, w) = `shape` samples (a chain of convolutions and max pools).
 std::vector<ops::ConvShape> conv_shapes(const nn::ModelFactory& factory,
                                         const std::vector<std::size_t>& shape) {
   auto model = factory();
-  nn::Sequential& net = model->net();
-  Tensor x({1, shape[0], shape[1], shape[2]});
+  const nn::Sequential& net = model->net();
+  std::size_t h = shape[1], w = shape[2];
   std::vector<ops::ConvShape> convs;
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
     if (const auto* c = dynamic_cast<const nn::Conv2d*>(&net.layer(l))) {
       convs.push_back({c->in_channels(), c->out_channels(), c->kernel(),
-                       c->padding(), x.dim(2), x.dim(3)});
+                       c->padding(), h, w});
+      h = h + 2 * c->padding() - c->kernel() + 1;
+      w = w + 2 * c->padding() - c->kernel() + 1;
+    } else if (const auto* p =
+                   dynamic_cast<const nn::MaxPool2d*>(&net.layer(l))) {
+      h /= p->window();
+      w /= p->window();
     }
-    x = net.layer(l).forward(x, /*train=*/false);
   }
   return convs;
 }
 
 // A traced plan run on the CNN counts its convolutions: the conv counters
-// live in the spans both the layer and the plan call.
+// live in the spans the plan calls.
 TEST(CohortPlanParityTest, ConvCountersSeePlanConvs) {
   const nn::ModelFactory factory = nn::cnn(kImage, kClasses);
-  auto plan = nn::CohortModel::create(factory);
+  auto plan = nn::CohortModel::create(*factory());
   Rng rng(31);
   const Vec params = random_params(factory, rng);
   constexpr std::size_t kSamples = 4;
@@ -556,26 +621,27 @@ TEST(CohortPlanParityTest, ConvCountersSeePlanConvs) {
 
 // ---- evaluation ----------------------------------------------------------
 
-// Engine::evaluate ≡ the per-model reference: per-128-sample batch
-// Model::evaluate, partials (mean × count) stored, then summed in batch
-// order. Fusing the scale into the merge (total += r.loss * n) lets the
-// compiler contract it into an FMA and moves the last bit, so this pins the
-// merge as well as the plan's forward.
+// Engine::evaluate ≡ a serial reference: per-128-sample batches gathered
+// from the test set, predicted on one thread, scored by
+// nn::evaluate_predictions, partials (mean × count) stored, then summed in
+// batch order. Fusing the scale into the merge (total += r.loss * n) lets
+// the compiler contract it into an FMA and moves the last bit, so this pins
+// the merge as well as the engine's in-place, pool-parallel forward.
 nn::EvalResult reference_evaluate(const nn::ModelFactory& factory,
                                   const data::Dataset& test, std::size_t n,
                                   const Vec& params) {
-  auto model = factory();
-  model->set_params(params);
+  const auto plan = nn::CohortModel::create(*factory());
   std::vector<Scalar> losses, correct;
   std::vector<std::size_t> counts;
-  Tensor x;
+  Tensor x, pred;
   std::vector<std::size_t> y, idx;
   for (std::size_t lo = 0; lo < n; lo += 128) {
     const std::size_t hi = std::min(n, lo + 128);
     idx.clear();
     for (std::size_t i = lo; i < hi; ++i) idx.push_back(i);
     test.gather(idx, x, y);
-    const nn::EvalResult r = model->evaluate(x, y);
+    plan->predict(params.data(), x.raw(), hi - lo, pred);
+    const nn::EvalResult r = nn::evaluate_predictions(plan->loss(), pred, y);
     losses.push_back(r.loss * static_cast<Scalar>(hi - lo));
     correct.push_back(r.accuracy * static_cast<Scalar>(hi - lo));
     counts.push_back(hi - lo);
@@ -592,7 +658,7 @@ nn::EvalResult reference_evaluate(const nn::ModelFactory& factory,
   return total;
 }
 
-TEST(EvalParityTest, EvaluateMatchesPerBatchModelReference) {
+TEST(EvalParityTest, EvaluateMatchesSerialPerBatchReference) {
   Rng rng(41);
   data::SyntheticSpec spec;
   spec.sample_shape = kImage;

@@ -10,6 +10,7 @@
 #include "src/data/partitioner.h"
 #include "src/data/synthetic.h"
 #include "src/fl/engine.h"
+#include "src/nn/cohort.h"
 #include "src/nn/models.h"
 
 namespace hfl::fl {
@@ -220,7 +221,9 @@ TEST(EngineTest, IterationsToAccuracyMonotoneLookup) {
   EXPECT_DOUBLE_EQ(r.best_accuracy(), 0.9);
 }
 
-TEST(EngineTest, EvaluateMatchesModelEvaluate) {
+// The engine's pool-parallel, 128-sample-batch evaluation against one
+// prediction over the whole test set, scored in one piece.
+TEST(EngineTest, EvaluateMatchesWholeSetEvaluation) {
   EngineFixture f;
   Engine engine(f.factory, f.dataset, f.partition, f.topo, f.config());
   auto model = f.factory();
@@ -236,8 +239,11 @@ TEST(EngineTest, EvaluateMatchesModelEvaluate) {
   Tensor x;
   std::vector<std::size_t> y;
   f.dataset.test.gather(idx, x, y);
-  model->set_params(params);
-  const nn::EvalResult direct = model->evaluate(x, y);
+  const auto plan = nn::CohortModel::create(*model);
+  Tensor pred;
+  plan->predict(params.data(), x.raw(), y.size(), pred);
+  const nn::EvalResult direct =
+      nn::evaluate_predictions(plan->loss(), pred, y);
 
   EXPECT_NEAR(via_engine.accuracy, direct.accuracy, 1e-12);
   EXPECT_NEAR(via_engine.loss, direct.loss, 1e-9);

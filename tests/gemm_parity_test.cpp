@@ -1,5 +1,5 @@
-// Parity tests for the blocked GEMM kernel and the GEMM-backed Conv2d
-// against straightforward reference implementations.
+// Parity tests for the blocked GEMM kernel and the compiled plan's GEMM-backed
+// convolutions against straightforward reference implementations.
 //
 // The blocked kernel has many shape-dependent code paths (register-tile
 // remainders, narrow final A strips, ragged-right direct-B tiles, packed vs
@@ -15,10 +15,11 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/nn/cohort.h"
 #include "src/nn/conv2d.h"
+#include "src/nn/flatten.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/tensor.h"
-#include "src/tensor/tensor_ops.h"
 
 namespace hfl {
 namespace {
@@ -123,29 +124,8 @@ TEST(GemmParityTest, ZeroTimesNonFiniteFollowsIEEE) {
   EXPECT_TRUE(std::isnan(c[0]));
 }
 
-TEST(GemmParityTest, TensorMatmulWrappersAgree) {
-  Rng rng(99);
-  const std::size_t m = 21, n = 43, k = 30;
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  Tensor at({k, m});
-  Tensor bt({n, k});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
-  }
-  for (std::size_t p = 0; p < k; ++p) {
-    for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
-  }
-  Tensor c0({m, n}), c1({m, n}), c2({m, n});
-  ops::matmul(a, b, c0);
-  ops::matmul_transpose_a(at, b, c1);
-  ops::matmul_transpose_b(a, bt, c2);
-  EXPECT_LE(max_abs_diff(c0.data(), c1.data()), 1e-10);
-  EXPECT_LE(max_abs_diff(c0.data(), c2.data()), 1e-10);
-}
-
 // ---------------------------------------------------------------------------
-// Conv2d vs a direct (quadruple-loop) convolution.
+// The plan's convolutions vs a direct (quadruple-loop) convolution.
 
 struct ConvCase {
   std::size_t batch, in_ch, out_ch, k, pad, h, w;
@@ -160,16 +140,19 @@ const ConvCase kConvCases[] = {
     {2, 2, 3, 5, 2, 1, 7},   // H=1 with a 5×5 kernel: rows fully padded out
 };
 
-// Direct convolution and its gradients, elementwise from the definition.
-void reference_conv(const ConvCase& cc, const Tensor& x, const Tensor& w,
-                    const Tensor& bias, Tensor& y) {
-  const std::size_t oh = cc.h + 2 * cc.pad - cc.k + 1;
-  const std::size_t ow = cc.w + 2 * cc.pad - cc.k + 1;
+std::size_t out_h(const ConvCase& cc) { return cc.h + 2 * cc.pad - cc.k + 1; }
+std::size_t out_w(const ConvCase& cc) { return cc.w + 2 * cc.pad - cc.k + 1; }
+
+// Calls f(b, oc, i, j, ic, kh, kw, xi, wi) for every term of the direct
+// convolution whose input tap lies inside the (unpadded) input: xi indexes
+// the (batch, in_ch, h, w) input, wi the (out_ch, in_ch, k, k) weight.
+template <typename F>
+void for_each_tap(const ConvCase& cc, F f) {
+  const std::size_t oh = out_h(cc), ow = out_w(cc);
   for (std::size_t b = 0; b < cc.batch; ++b) {
     for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
       for (std::size_t i = 0; i < oh; ++i) {
         for (std::size_t j = 0; j < ow; ++j) {
-          Scalar acc = bias[oc];
           for (std::size_t ic = 0; ic < cc.in_ch; ++ic) {
             for (std::size_t kh = 0; kh < cc.k; ++kh) {
               for (std::size_t kw = 0; kw < cc.k; ++kw) {
@@ -184,112 +167,156 @@ void reference_conv(const ConvCase& cc, const Tensor& x, const Tensor& w,
                     iw >= static_cast<std::ptrdiff_t>(cc.w)) {
                   continue;
                 }
-                acc += w[((oc * cc.in_ch + ic) * cc.k + kh) * cc.k + kw] *
-                       x[((b * cc.in_ch + ic) * cc.h +
-                          static_cast<std::size_t>(ih)) *
-                             cc.w +
-                         static_cast<std::size_t>(iw)];
+                const std::size_t xi = ((b * cc.in_ch + ic) * cc.h +
+                                        static_cast<std::size_t>(ih)) *
+                                           cc.w +
+                                       static_cast<std::size_t>(iw);
+                const std::size_t wi = ((oc * cc.in_ch + ic) * cc.k + kh) *
+                                           cc.k +
+                                       kw;
+                f(b, oc, i, j, xi, wi);
               }
             }
           }
-          y[((b * cc.out_ch + oc) * oh + i) * ow + j] = acc;
         }
       }
     }
   }
+}
+
+// Direct convolution: y = bias + Σ w·x over the in-bounds taps.
+Vec reference_conv(const ConvCase& cc, const Vec& x, const Scalar* w,
+                   const Scalar* bias) {
+  const std::size_t oh = out_h(cc), ow = out_w(cc);
+  Vec y(cc.batch * cc.out_ch * oh * ow);
+  for (std::size_t b = 0; b < cc.batch; ++b) {
+    for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
+      for (std::size_t c = 0; c < oh * ow; ++c) {
+        y[(b * cc.out_ch + oc) * oh * ow + c] = bias[oc];
+      }
+    }
+  }
+  for_each_tap(cc, [&](std::size_t b, std::size_t oc, std::size_t i,
+                       std::size_t j, std::size_t xi, std::size_t wi) {
+    y[((b * cc.out_ch + oc) * oh + i) * ow + j] += w[wi] * x[xi];
+  });
+  return y;
+}
+
+// Its gradients for upstream gradient g: dW, db and dX from the definition.
+struct ConvGrads {
+  Vec w, b, x;
+};
+
+ConvGrads reference_conv_grads(const ConvCase& cc, const Vec& x,
+                               const Scalar* w, const Vec& g) {
+  const std::size_t oh = out_h(cc), ow = out_w(cc);
+  ConvGrads d{Vec(cc.out_ch * cc.in_ch * cc.k * cc.k), Vec(cc.out_ch),
+              Vec(x.size())};
+  for (std::size_t b = 0; b < cc.batch; ++b) {
+    for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
+      for (std::size_t c = 0; c < oh * ow; ++c) {
+        d.b[oc] += g[(b * cc.out_ch + oc) * oh * ow + c];
+      }
+    }
+  }
+  for_each_tap(cc, [&](std::size_t b, std::size_t oc, std::size_t i,
+                       std::size_t j, std::size_t xi, std::size_t wi) {
+    const Scalar gv = g[((b * cc.out_ch + oc) * oh + i) * ow + j];
+    d.w[wi] += gv * x[xi];
+    d.x[xi] += gv * w[wi];
+  });
+  return d;
+}
+
+// A model of convolutions followed by a Flatten under the MSE loss, whose
+// logit gradient is (logits − onehot(label)) / B.
+nn::Model conv_model(std::vector<nn::LayerPtr> convs,
+                     std::vector<std::size_t> sample_shape) {
+  auto net = std::make_unique<nn::Sequential>();
+  for (auto& c : convs) net->add(std::move(c));
+  net->emplace<nn::Flatten>();
+  return nn::Model(std::move(net), std::make_unique<nn::MseOnOneHot>(),
+                   std::move(sample_shape));
 }
 
 TEST(Conv2dParityTest, ForwardMatchesDirectConvolution) {
   Rng rng(11);
   for (const auto& cc : kConvCases) {
-    nn::Conv2d conv(cc.in_ch, cc.out_ch, cc.k, cc.pad);
-    Rng init = rng.fork(1);
-    conv.init_params(init);
-    // Give the bias nonzero values so its path is exercised too.
-    for (auto& v : conv.params()[1]->data()) v = rng.uniform(-0.5, 0.5);
-    Tensor x = Tensor::randn({cc.batch, cc.in_ch, cc.h, cc.w}, rng);
+    std::vector<nn::LayerPtr> convs;
+    convs.push_back(
+        std::make_unique<nn::Conv2d>(cc.in_ch, cc.out_ch, cc.k, cc.pad));
+    const nn::Model model =
+        conv_model(std::move(convs), {cc.in_ch, cc.h, cc.w});
+    // Nonzero biases so their path is exercised too.
+    const Vec params = random_vec(model.num_params(), rng);
+    const Vec x = random_vec(cc.batch * cc.in_ch * cc.h * cc.w, rng);
 
-    const std::size_t oh = cc.h + 2 * cc.pad - cc.k + 1;
-    const std::size_t ow = cc.w + 2 * cc.pad - cc.k + 1;
-    Tensor y_ref({cc.batch, cc.out_ch, oh, ow});
-    reference_conv(cc, x, *conv.params()[0], *conv.params()[1], y_ref);
-    const Tensor y = conv.forward(x, /*train=*/true);
-    ASSERT_EQ(y.shape(), y_ref.shape());
-    EXPECT_LE(max_abs_diff(y.data(), y_ref.data()), 1e-10)
+    const Vec y_ref = reference_conv(cc, x, params.data(),
+                                     params.data() + cc.out_ch * cc.in_ch *
+                                                         cc.k * cc.k);
+    Tensor y;
+    nn::CohortModel::create(model)->predict(params.data(), x.data(), cc.batch,
+                                            y);
+    EXPECT_LE(max_abs_diff(y.data(), y_ref), 1e-10)
         << "in_ch=" << cc.in_ch << " out_ch=" << cc.out_ch << " k=" << cc.k
         << " pad=" << cc.pad;
   }
 }
 
+// The case's convolution runs second, behind a 3×3 same-padding front
+// convolution from 2 channels: the plan's dW and db of the case convolution
+// check its weight and bias gradients, and the front convolution's dW and
+// db check its input gradient, which the plan forms only because a
+// parametric stage sits before it.
 TEST(Conv2dParityTest, BackwardMatchesDirectGradients) {
   Rng rng(23);
   for (const auto& cc : kConvCases) {
-    nn::Conv2d conv(cc.in_ch, cc.out_ch, cc.k, cc.pad);
-    Rng init = rng.fork(2);
-    conv.init_params(init);
-    Tensor x = Tensor::randn({cc.batch, cc.in_ch, cc.h, cc.w}, rng);
-    const Tensor y = conv.forward(x, /*train=*/true);
-    Tensor g(y.shape());
-    for (auto& v : g.data()) v = rng.uniform(-1.0, 1.0);
+    SCOPED_TRACE("in_ch=" + std::to_string(cc.in_ch) + " out_ch=" +
+                 std::to_string(cc.out_ch) + " k=" + std::to_string(cc.k) +
+                 " pad=" + std::to_string(cc.pad));
+    const ConvCase front{cc.batch, 2, cc.in_ch, 3, 1, cc.h, cc.w};
+    std::vector<nn::LayerPtr> convs;
+    convs.push_back(std::make_unique<nn::Conv2d>(2, cc.in_ch, 3, 1));
+    convs.push_back(
+        std::make_unique<nn::Conv2d>(cc.in_ch, cc.out_ch, cc.k, cc.pad));
+    const nn::Model model = conv_model(std::move(convs), {2, cc.h, cc.w});
+    const Vec params = random_vec(model.num_params(), rng);
+    const Scalar* w1 = params.data();
+    const Scalar* b1 = w1 + cc.in_ch * 2 * 9;
+    const Scalar* w2 = b1 + cc.in_ch;
+    const Scalar* b2 = w2 + cc.out_ch * cc.in_ch * cc.k * cc.k;
+    const Vec x = random_vec(cc.batch * 2 * cc.h * cc.w, rng);
+    std::vector<std::size_t> labels(cc.batch);
+    const std::size_t K = cc.out_ch * out_h(cc) * out_w(cc);
+    for (auto& l : labels) l = rng.uniform_index(K);
 
-    const Tensor grad_in = conv.backward(g);
+    Vec grad(params.size());
+    nn::CohortItem item;
+    item.params = params.data();
+    item.x = x.data();
+    item.y = &labels;
+    item.grad = grad.data();
+    nn::CohortModel::create(model)->gradient({&item, 1});
 
-    const std::size_t oh = cc.h + 2 * cc.pad - cc.k + 1;
-    const std::size_t ow = cc.w + 2 * cc.pad - cc.k + 1;
-    const Tensor& w = *conv.params()[0];
-
-    // grad_bias[oc] = Σ_{b,i,j} g(b, oc, i, j)
-    Tensor gb_ref({cc.out_ch});
+    // Reference chain: both forwards, the MSE logit gradient, both
+    // backwards.
+    const Vec h = reference_conv(front, x, w1, b1);
+    Vec g = reference_conv(cc, h, w2, b2);
     for (std::size_t b = 0; b < cc.batch; ++b) {
-      for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
-        for (std::size_t c = 0; c < oh * ow; ++c) {
-          gb_ref[oc] += g[(b * cc.out_ch + oc) * oh * ow + c];
-        }
+      g[b * K + labels[b]] -= 1.0;
+      for (std::size_t j = 0; j < K; ++j) {
+        g[b * K + j] /= static_cast<Scalar>(cc.batch);
       }
     }
+    const ConvGrads d2 = reference_conv_grads(cc, h, w2, g);
+    const ConvGrads d1 = reference_conv_grads(front, x, w1, d2.x);
 
-    // grad_weight and grad_in from the definition.
-    Tensor gw_ref({cc.out_ch, cc.in_ch, cc.k, cc.k});
-    Tensor gx_ref(x.shape());
-    for (std::size_t b = 0; b < cc.batch; ++b) {
-      for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
-        for (std::size_t i = 0; i < oh; ++i) {
-          for (std::size_t j = 0; j < ow; ++j) {
-            const Scalar gv = g[((b * cc.out_ch + oc) * oh + i) * ow + j];
-            for (std::size_t ic = 0; ic < cc.in_ch; ++ic) {
-              for (std::size_t kh = 0; kh < cc.k; ++kh) {
-                for (std::size_t kw = 0; kw < cc.k; ++kw) {
-                  const std::ptrdiff_t ih =
-                      static_cast<std::ptrdiff_t>(i + kh) -
-                      static_cast<std::ptrdiff_t>(cc.pad);
-                  const std::ptrdiff_t iw =
-                      static_cast<std::ptrdiff_t>(j + kw) -
-                      static_cast<std::ptrdiff_t>(cc.pad);
-                  if (ih < 0 || iw < 0 ||
-                      ih >= static_cast<std::ptrdiff_t>(cc.h) ||
-                      iw >= static_cast<std::ptrdiff_t>(cc.w)) {
-                    continue;
-                  }
-                  const std::size_t xi =
-                      ((b * cc.in_ch + ic) * cc.h +
-                       static_cast<std::size_t>(ih)) *
-                          cc.w +
-                      static_cast<std::size_t>(iw);
-                  gw_ref[((oc * cc.in_ch + ic) * cc.k + kh) * cc.k + kw] +=
-                      gv * x[xi];
-                  gx_ref[xi] +=
-                      gv * w[((oc * cc.in_ch + ic) * cc.k + kh) * cc.k + kw];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-
-    EXPECT_LE(max_abs_diff(conv.grads()[1]->data(), gb_ref.data()), 1e-10);
-    EXPECT_LE(max_abs_diff(conv.grads()[0]->data(), gw_ref.data()), 1e-10);
-    EXPECT_LE(max_abs_diff(grad_in.data(), gx_ref.data()), 1e-10);
+    Vec want = d1.w;
+    want.insert(want.end(), d1.b.begin(), d1.b.end());
+    want.insert(want.end(), d2.w.begin(), d2.w.end());
+    want.insert(want.end(), d2.b.begin(), d2.b.end());
+    EXPECT_LE(max_abs_diff(grad, want), 1e-10);
   }
 }
 

@@ -26,7 +26,6 @@ struct FixedWorker {
   data::TrainTest data;
   std::unique_ptr<nn::CohortModel> plan;
   fl::WorkerState w;
-  std::unique_ptr<nn::Model> reference;
 
   FixedWorker() {
     Rng rng(3);
@@ -37,13 +36,12 @@ struct FixedWorker {
     spec.test_size = 1;
     data = data::make_synthetic(rng, spec);
 
-    auto factory = nn::logistic_regression({1, 2, 2}, 2);
-    plan = nn::CohortModel::create(factory);
+    auto model = nn::logistic_regression({1, 2, 2}, 2)();
+    plan = nn::CohortModel::create(*model);
     w.plan = plan.get();
-    reference = factory();
     Rng init(5);
-    reference->init_params(init);
-    const Vec x0 = reference->get_params();
+    model->init_params(init);
+    const Vec x0 = model->get_params();
     const std::size_t n = x0.size();
     w.x = x0;
     w.y = x0;
@@ -61,8 +59,13 @@ struct FixedWorker {
     Tensor x;
     std::vector<std::size_t> y;
     data.train.gather(std::vector<std::size_t>{0}, x, y);
-    Vec g;
-    reference->loss_and_gradient(params, x, y, g);
+    Vec g(params.size());
+    nn::CohortItem item;
+    item.params = params.data();
+    item.x = x.raw();
+    item.y = &y;
+    item.grad = g.data();
+    plan->gradient({&item, 1});
     return g;
   }
 };

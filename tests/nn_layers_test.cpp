@@ -1,6 +1,12 @@
-// Tests for the individual NN layers: shapes, known values, backward-pass
-// correctness against numerical differentiation (per-layer, via a one-layer
-// model), and stateless-layer behaviours.
+// Tests for the NN layers as the compiled plan runs them: hand-computed
+// forward and backward values through small plans, shape checks at plan
+// compilation, and every stage kind against numerical differentiation.
+//
+// The plan exposes a stage's input gradient only through a parametric stage
+// before it, so backward cases put one in front — often a 1×1 convolution
+// with weight 1 and bias 0, which passes its input through unchanged and
+// whose weight gradient Σ g·x and bias gradient Σ g read the routed
+// gradient back out.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +16,9 @@
 
 #include "src/common/rng.h"
 #include "src/nn/activations.h"
+#include "src/nn/cohort.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/dropout.h"
 #include "src/nn/flatten.h"
 #include "src/nn/gradcheck.h"
 #include "src/nn/loss.h"
@@ -23,90 +29,98 @@
 namespace hfl::nn {
 namespace {
 
-TEST(DenseTest, ForwardKnownValues) {
-  Dense d(2, 2);
-  // W = [[1, 2], [3, 4]], b = [10, 20].
-  d.params()[0]->data() = {1, 2, 3, 4};
-  d.params()[1]->data() = {10, 20};
-  Tensor x({1, 2}, Vec{5, 6});
-  Tensor y = d.forward(x, true);
-  // y = x W^T + b = [5+12+10, 15+24+20].
-  EXPECT_DOUBLE_EQ(y[0], 27.0);
-  EXPECT_DOUBLE_EQ(y[1], 59.0);
+// A model of `net` over samples of `shape` under the MSE loss, whose logit
+// gradient is (logits − onehot) / B: hand-computable.
+Model mse_model(std::unique_ptr<Sequential> net,
+                std::vector<std::size_t> shape) {
+  return Model(std::move(net), std::make_unique<MseOnOneHot>(),
+               std::move(shape));
 }
 
-TEST(DenseTest, BackwardShapes) {
-  Dense d(3, 4);
-  Rng rng(1);
-  d.init_params(rng);
-  Tensor x = Tensor::randn({5, 3}, rng);
-  Tensor y = d.forward(x, true);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{5, 4}));
-  Tensor gin = d.backward(Tensor::randn({5, 4}, rng));
-  EXPECT_EQ(gin.shape(), x.shape());
+// Logits of the samples at `x` under `params`.
+Tensor predict(const Model& model, const Vec& params, const Vec& x) {
+  const auto plan = CohortModel::create(model);
+  Tensor out;
+  plan->predict(params.data(), x.data(), x.size() / plan->sample_elems(),
+                out);
+  return out;
+}
+
+// Flat gradient of the mean loss over the samples at `x`.
+Vec gradient(const Model& model, const Vec& params, const Vec& x,
+             const std::vector<std::size_t>& labels) {
+  const auto plan = CohortModel::create(model);
+  Vec grad(params.size());
+  CohortItem item;
+  item.params = params.data();
+  item.x = x.data();
+  item.y = &labels;
+  item.grad = grad.data();
+  plan->gradient({&item, 1});
+  return grad;
+}
+
+std::unique_ptr<Sequential> chain() { return std::make_unique<Sequential>(); }
+
+TEST(DenseTest, ForwardKnownValues) {
+  auto net = chain();
+  net->emplace<Dense>(2, 2);
+  const Model model = mse_model(std::move(net), {2});
+  // W = [[1, 2], [3, 4]], b = [10, 20]; y = x W^T + b = [5+12+10, 15+24+20].
+  const Tensor y = predict(model, {1, 2, 3, 4, 10, 20}, {5, 6});
+  EXPECT_EQ(y.data(), (Vec{27, 59}));
+}
+
+TEST(DenseTest, BackwardKnownValues) {
+  auto net = chain();
+  net->emplace<Dense>(2, 2);
+  const Model model = mse_model(std::move(net), {2});
+  // Logits [27, 59], label 0: g = [26, 59]; dW = gᵀ x, db = g.
+  const Vec grad = gradient(model, {1, 2, 3, 4, 10, 20}, {5, 6}, {0});
+  EXPECT_EQ(grad, (Vec{130, 156, 295, 354, 26, 59}));
 }
 
 TEST(DenseTest, RejectsWrongInputWidth) {
-  Dense d(3, 4);
-  Tensor x({2, 5});
-  EXPECT_THROW(d.forward(x, true), Error);
+  auto net = chain();
+  net->emplace<Dense>(3, 4);
+  EXPECT_THROW(CohortModel::create(mse_model(std::move(net), {5})), Error);
 }
 
-TEST(DenseTest, GradAccumulatesAcrossCalls) {
-  Dense d(2, 2);
-  Rng rng(2);
-  d.init_params(rng);
-  Tensor x = Tensor::randn({1, 2}, rng);
-  Tensor g = Tensor::randn({1, 2}, rng);
-  d.forward(x, true);
-  d.backward(g);
-  const Vec once = d.grads()[0]->data();
-  d.forward(x, true);
-  d.backward(g);
-  for (std::size_t i = 0; i < once.size(); ++i) {
-    EXPECT_NEAR(d.grads()[0]->data()[i], 2 * once[i], 1e-12);
-  }
-  d.zero_grads();
-  for (const Scalar v : d.grads()[0]->data()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
+// ReLU inputs [-1, 0, 2, -3] (a Dense(1, 4) of x = 1): the forward clamps
+// them at 0, and the backward masks every input ≤ 0 — the 0 included.
 TEST(ReLUTest, ForwardAndBackwardMask) {
-  ReLU r;
-  Tensor x({1, 4}, Vec{-1, 0, 2, -3});
-  Tensor y = r.forward(x, true);
-  EXPECT_EQ(y.data(), (Vec{0, 0, 2, 0}));
-  Tensor g({1, 4}, Vec{1, 1, 1, 1});
-  Tensor gin = r.backward(g);
-  EXPECT_EQ(gin.data(), (Vec{0, 0, 1, 0}));
+  auto net = chain();
+  net->emplace<Dense>(1, 4);
+  net->emplace<ReLU>();
+  const Model model = mse_model(std::move(net), {1});
+  const Vec params{-1, 0, 2, -3, 0, 0, 0, 0};
+  EXPECT_EQ(predict(model, params, {1}).data(), (Vec{0, 0, 2, 0}));
+  // Two samples of x = 1, labels 0 and 1: the logit gradients are
+  // [-0.5, 0, 1, 0] and [0, -0.5, 1, 0]; only the input 2 passes.
+  const Vec grad = gradient(model, params, {1, 1}, {0, 1});
+  EXPECT_EQ(grad, (Vec{0, 0, 2, 0, 0, 0, 2, 0}));
 }
 
-TEST(TanhTest, ForwardMatchesStdTanh) {
-  Tanh t;
-  Tensor x({1, 3}, Vec{-1, 0, 1});
-  Tensor y = t.forward(x, true);
-  EXPECT_NEAR(y[0], std::tanh(-1.0), 1e-12);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-  EXPECT_NEAR(y[2], std::tanh(1.0), 1e-12);
-}
-
-TEST(SigmoidTest, ForwardRange) {
-  Sigmoid s;
-  Tensor x({1, 3}, Vec{-100, 0, 100});
-  Tensor y = s.forward(x, true);
-  EXPECT_NEAR(y[0], 0.0, 1e-12);
-  EXPECT_DOUBLE_EQ(y[1], 0.5);
-  EXPECT_NEAR(y[2], 1.0, 1e-12);
-}
-
-TEST(MaxPoolTest, ForwardPicksMaxAndRoutesGradient) {
-  MaxPool2d p(2);
-  Tensor x({1, 1, 2, 2}, Vec{1, 5, 3, 2});
-  Tensor y = p.forward(x, true);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 1, 1}));
-  EXPECT_DOUBLE_EQ(y[0], 5.0);
-  Tensor g({1, 1, 1, 1}, Vec{7});
-  Tensor gin = p.backward(g);
-  EXPECT_EQ(gin.data(), (Vec{0, 7, 0, 0}));
+// A 2×4 plane, two 2×2 windows. Channel 0 carries the values, channel 1 a
+// position tag 1..8; the front 1×1 convolution keeps channel 0 (weights
+// [1, 0]), so its channel-1 weight gradient Σ g·tag names the inputs the
+// pool routed the gradient to.
+TEST(MaxPoolTest, ForwardPicksMaxAndRoutesGradientToFirstMaximum) {
+  auto net = chain();
+  net->emplace<Conv2d>(2, 1, 1, 0);
+  net->emplace<MaxPool2d>(2);
+  net->emplace<Flatten>();
+  const Model model = mse_model(std::move(net), {2, 2, 4});
+  const Vec params{1, 0, 0};
+  // Window A (columns 0-1) peaks at tag 2; window B (columns 2-3) ties at 3
+  // on tags 3, 4 and 8, and keeps the first in scan order, tag 3.
+  const Vec x{1, 5, 3, 3,   //
+              3, 2, 1, 3,   //
+              1, 2, 3, 4,   //
+              5, 6, 7, 8};
+  EXPECT_EQ(predict(model, params, x).data(), (Vec{5, 3}));
+  // Label 0: g = [4, 3]. dW = [4·5 + 3·3, 4·2 + 3·3], db = 4 + 3.
+  EXPECT_EQ(gradient(model, params, x, {0}), (Vec{29, 17, 7}));
 }
 
 // forward_planes scans each window in (kh, kw) order with `>`, so a tie
@@ -153,104 +167,99 @@ TEST(MaxPoolTest, PlanesKeepFirstMaximumInScanOrder) {
 }
 
 TEST(MaxPoolTest, RejectsIndivisibleInput) {
-  MaxPool2d p(2);
-  Tensor x({1, 1, 3, 4});
-  EXPECT_THROW(p.forward(x, true), Error);
+  auto net = chain();
+  net->emplace<MaxPool2d>(2);
+  net->emplace<Flatten>();
+  net->emplace<Dense>(2, 2);
+  EXPECT_THROW(CohortModel::create(mse_model(std::move(net), {1, 3, 4})),
+               Error);
 }
 
 TEST(AvgPoolTest, ForwardAveragesAndSpreadsGradient) {
-  AvgPool2d p(2);
-  Tensor x({1, 1, 2, 2}, Vec{1, 2, 3, 6});
-  Tensor y = p.forward(x, true);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  Tensor g({1, 1, 1, 1}, Vec{8});
-  Tensor gin = p.backward(g);
-  EXPECT_EQ(gin.data(), (Vec{2, 2, 2, 2}));
+  auto net = chain();
+  net->emplace<Conv2d>(1, 1, 1, 0);
+  net->emplace<AvgPool2d>(2);
+  net->emplace<Flatten>();
+  const Model model = mse_model(std::move(net), {1, 2, 2});
+  const Vec params{1, 0};
+  const Vec x{1, 2, 3, 6};
+  EXPECT_EQ(predict(model, params, x).data(), (Vec{3}));
+  // Label 0: g = 2, spread as 0.5 over the window. dW = 0.5·(1+2+3+6).
+  EXPECT_EQ(gradient(model, params, x, {0}), (Vec{6, 2}));
 }
 
-TEST(FlattenTest, RoundTripsShape) {
-  Flatten f;
-  Rng rng(3);
-  Tensor x = Tensor::randn({2, 3, 4, 5}, rng);
-  Tensor y = f.forward(x, true);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{2, 60}));
-  Tensor gin = f.backward(y);
-  EXPECT_EQ(gin.shape(), x.shape());
+TEST(AvgPoolTest, RejectsIndivisibleInput) {
+  auto net = chain();
+  net->emplace<AvgPool2d>(3);
+  net->emplace<Flatten>();
+  net->emplace<Dense>(4, 2);
+  EXPECT_THROW(CohortModel::create(mse_model(std::move(net), {1, 6, 4})),
+               Error);
 }
 
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Dropout d(0.5);
-  Rng rng(4);
-  d.init_params(rng);
-  Tensor x = Tensor::randn({2, 10}, rng);
-  Tensor y = d.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
-}
-
-TEST(DropoutTest, TrainModeZeroesAndRescales) {
-  Dropout d(0.5);
-  Rng rng(5);
-  d.init_params(rng);
-  Tensor x = Tensor::full({1, 1000}, 1.0);
-  Tensor y = d.forward(x, /*train=*/true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0) ++zeros;
-    else EXPECT_DOUBLE_EQ(y[i], 2.0);  // 1/(1-0.5)
-  }
-  EXPECT_NEAR(static_cast<double>(zeros), 500.0, 80.0);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout d(0.3);
-  Rng rng(6);
-  d.init_params(rng);
-  Tensor x = Tensor::full({1, 100}, 1.0);
-  Tensor y = d.forward(x, true);
-  Tensor g = Tensor::full({1, 100}, 1.0);
-  Tensor gin = d.backward(g);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_DOUBLE_EQ(gin[i], y[i]);  // mask * 1 == forward of all-ones
-  }
-}
-
-TEST(DropoutTest, InvalidRateThrows) {
-  EXPECT_THROW(Dropout(1.0), Error);
-  EXPECT_THROW(Dropout(-0.1), Error);
+// A Flatten hands the next stage the product of its input shape.
+TEST(FlattenTest, FeedsTheProductOfItsInputShape) {
+  auto fits = chain();
+  fits->emplace<Flatten>();
+  fits->emplace<Dense>(60, 3);
+  EXPECT_NO_THROW(CohortModel::create(mse_model(std::move(fits), {3, 4, 5})));
+  auto wrong = chain();
+  wrong->emplace<Flatten>();
+  wrong->emplace<Dense>(20, 3);
+  EXPECT_THROW(CohortModel::create(mse_model(std::move(wrong), {3, 4, 5})),
+               Error);
 }
 
 TEST(ResidualTest, IdentityShortcutAddsInput) {
   // Inner branch = Dense(2,2) with zero weights -> output equals input.
-  auto inner = std::make_unique<Dense>(2, 2);
-  inner->params()[0]->fill(0.0);
-  inner->params()[1]->fill(0.0);
-  Residual res(std::move(inner));
-  Tensor x({1, 2}, Vec{3, 4});
-  Tensor y = res.forward(x, true);
-  EXPECT_EQ(y.data(), (Vec{3, 4}));
+  auto net = chain();
+  net->add(std::make_unique<Residual>(std::make_unique<Dense>(2, 2)));
+  const Model model = mse_model(std::move(net), {2});
+  EXPECT_EQ(predict(model, Vec(6, 0.0), {3, 4}).data(), (Vec{3, 4}));
 }
 
+// An identity Dense in front, then a block whose inner branch is an
+// identity Dense: the block doubles its input, and its input gradient is
+// grad(branch) + grad(skip) = Wᵀg + g = 2g.
 TEST(ResidualTest, BackwardSumsBranchAndSkip) {
-  // Inner = identity-weight dense => grad_in = grad(branch) + grad(skip)
-  //       = W^T g + g = 2g.
-  auto inner = std::make_unique<Dense>(2, 2);
-  inner->params()[0]->data() = {1, 0, 0, 1};
-  inner->params()[1]->fill(0.0);
-  Residual res(std::move(inner));
-  Tensor x({1, 2}, Vec{1, 1});
-  res.forward(x, true);
-  Tensor g({1, 2}, Vec{5, 7});
-  Tensor gin = res.backward(g);
-  EXPECT_EQ(gin.data(), (Vec{10, 14}));
+  auto net = chain();
+  net->emplace<Dense>(2, 2);
+  net->add(std::make_unique<Residual>(std::make_unique<Dense>(2, 2)));
+  const Model model = mse_model(std::move(net), {2});
+  const Vec params{1, 0, 0, 1, 0, 0,   // front Dense
+                   1, 0, 0, 1, 0, 0};  // inner Dense
+  EXPECT_EQ(predict(model, params, {1, 1}).data(), (Vec{2, 2}));
+  // Label 0: g = [1, 2]. Inner: dW = g hᵀ with h = [1, 1], db = g. Front:
+  // its output gradient is 2g = [2, 4], so dW = 2g xᵀ, db = 2g.
+  EXPECT_EQ(gradient(model, params, {1, 1}, {0}),
+            (Vec{2, 2, 4, 4, 2, 4, 1, 1, 2, 2, 1, 2}));
+}
+
+// A projection block's parameters are laid out as Residual::params() gives
+// them, inner branch first: inner A then ReLU, shortcut S, x = [1, 2].
+TEST(ResidualTest, ProjectionParamsFollowInnerThenShortcut) {
+  auto inner = chain();
+  inner->emplace<Dense>(2, 2);
+  inner->emplace<ReLU>();
+  auto net = chain();
+  net->add(std::make_unique<Residual>(std::move(inner),
+                                      std::make_unique<Dense>(2, 2)));
+  const Model model = mse_model(std::move(net), {2});
+  const Vec params{1, 0, 0, -1, 0, 0,   // A = [[1, 0], [0, -1]], b = 0
+                   0, 1, 1, 0, 0, 0};   // S = [[0, 1], [1, 0]], b = 0
+  // relu(Ax) + Sx = [1, 0] + [2, 1].
+  EXPECT_EQ(predict(model, params, {1, 2}).data(), (Vec{3, 1}));
+  // Label 0: g = [2, 1]. The ReLU passes only A's first row: dA = [2, 0]ᵀx,
+  // db_A = [2, 0]; dS = g xᵀ, db_S = g.
+  EXPECT_EQ(gradient(model, params, {1, 2}, {0}),
+            (Vec{2, 4, 0, 0, 2, 0, 2, 4, 1, 2, 2, 1}));
 }
 
 TEST(ResidualTest, MismatchedShapesThrow) {
-  auto inner = std::make_unique<Dense>(2, 3);  // changes width, no shortcut
-  Rng rng(7);
-  inner->init_params(rng);
-  Residual res(std::move(inner));
-  Tensor x({1, 2}, Vec{1, 1});
-  EXPECT_THROW(res.forward(x, true), Error);
+  auto net = chain();
+  // Changes the width, with no shortcut to match it.
+  net->add(std::make_unique<Residual>(std::make_unique<Dense>(2, 3)));
+  EXPECT_THROW(CohortModel::create(mse_model(std::move(net), {2})), Error);
 }
 
 TEST(SequentialTest, ParamsAggregateAcrossLayers) {
@@ -263,55 +272,60 @@ TEST(SequentialTest, ParamsAggregateAcrossLayers) {
   EXPECT_EQ(seq.num_params(), 4u * 3 + 3 + 3 * 2 + 2);
 }
 
-TEST(Conv2dTest, OutputShapeSamePadding) {
-  Conv2d c(1, 2, 3, 1);
+// A convolution followed by a Flatten: predict's row width is the
+// convolution's output size.
+std::size_t conv_logits(std::size_t pad) {
+  auto net = chain();
+  net->emplace<Conv2d>(1, 2, 3, pad);
+  net->emplace<Flatten>();
+  const Model model = mse_model(std::move(net), {1, 8, 8});
   Rng rng(8);
-  c.init_params(rng);
-  Tensor x = Tensor::randn({2, 1, 8, 8}, rng);
-  Tensor y = c.forward(x, true);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{2, 2, 8, 8}));
+  Vec x(2 * 64), params(model.num_params());
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  for (auto& v : params) v = rng.normal(0.0, 1.0);
+  const Tensor y = predict(model, params, x);
+  EXPECT_EQ(y.dim(0), 2u);
+  return y.dim(1);
+}
+
+TEST(Conv2dTest, OutputShapeSamePadding) {
+  EXPECT_EQ(conv_logits(1), 2u * 8 * 8);
 }
 
 TEST(Conv2dTest, OutputShapeValidPadding) {
-  Conv2d c(1, 1, 3, 0);
-  Rng rng(9);
-  c.init_params(rng);
-  Tensor x = Tensor::randn({1, 1, 8, 8}, rng);
-  Tensor y = c.forward(x, true);
-  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 6, 6}));
+  EXPECT_EQ(conv_logits(0), 2u * 6 * 6);
 }
 
 TEST(Conv2dTest, KnownConvolution) {
   // 1x1 input channel, 1 output channel, 3x3 kernel of all ones, pad 1,
   // constant input => interior outputs = 9, corners = 4, edges = 6.
-  Conv2d c(1, 1, 3, 1);
-  c.params()[0]->fill(1.0);
-  c.params()[1]->fill(0.0);
-  Tensor x = Tensor::full({1, 1, 3, 3}, 1.0);
-  Tensor y = c.forward(x, true);
-  EXPECT_DOUBLE_EQ(y.at({0, 0, 1, 1}), 9.0);
-  EXPECT_DOUBLE_EQ(y.at({0, 0, 0, 0}), 4.0);
-  EXPECT_DOUBLE_EQ(y.at({0, 0, 0, 1}), 6.0);
+  auto net = chain();
+  net->emplace<Conv2d>(1, 1, 3, 1);
+  net->emplace<Flatten>();
+  const Model model = mse_model(std::move(net), {1, 3, 3});
+  Vec params(10, 1.0);
+  params[9] = 0.0;  // bias
+  EXPECT_EQ(predict(model, params, Vec(9, 1.0)).data(),
+            (Vec{4, 6, 4, 6, 9, 6, 4, 6, 4}));
 }
 
 TEST(Conv2dTest, BiasIsAddedPerChannel) {
-  Conv2d c(1, 2, 1, 0);
-  c.params()[0]->fill(0.0);
-  c.params()[1]->data() = {2.5, -1.5};
-  Tensor x = Tensor::full({1, 1, 2, 2}, 1.0);
-  Tensor y = c.forward(x, true);
+  auto net = chain();
+  net->emplace<Conv2d>(1, 2, 1, 0);
+  net->emplace<Flatten>();
+  const Model model = mse_model(std::move(net), {1, 2, 2});
+  const Tensor y = predict(model, {0, 0, 2.5, -1.5}, Vec(4, 1.0));
   for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], 2.5);
   for (std::size_t i = 4; i < 8; ++i) EXPECT_DOUBLE_EQ(y[i], -1.5);
 }
 
-// Gradient checks: build a one-layer (plus loss) model and compare analytic
-// and numeric gradients.
-GradCheckResult gradcheck_model(std::unique_ptr<Sequential> net,
-                                std::vector<std::size_t> sample_shape,
-                                std::size_t classes, std::size_t batch,
-                                std::uint64_t seed) {
-  Model model(std::move(net), std::make_unique<SoftmaxCrossEntropy>(),
-              sample_shape);
+// Gradient checks: the plan's gradient of a small model (plus loss)
+// against central finite differences, for every stage kind and both losses.
+GradCheckResult gradcheck_model(
+    std::unique_ptr<Sequential> net, std::vector<std::size_t> sample_shape,
+    std::size_t classes, std::size_t batch, std::uint64_t seed,
+    LossPtr loss = std::make_shared<SoftmaxCrossEntropy>()) {
+  Model model(std::move(net), std::move(loss), sample_shape);
   Rng rng(seed);
   model.init_params(rng);
   std::vector<std::size_t> bshape{batch};
@@ -340,15 +354,14 @@ TEST(GradCheckTest, DenseReluStack) {
   EXPECT_LT(r.max_rel_error, 1e-4);
 }
 
-TEST(GradCheckTest, TanhAndSigmoid) {
+TEST(GradCheckTest, MseOnOneHotLoss) {
   auto net = std::make_unique<Sequential>();
   net->emplace<Flatten>();
   net->emplace<Dense>(6, 6);
-  net->emplace<Tanh>();
-  net->emplace<Dense>(6, 6);
-  net->emplace<Sigmoid>();
+  net->emplace<ReLU>();
   net->emplace<Dense>(6, 3);
-  const auto r = gradcheck_model(std::move(net), {6}, 3, 3, 13);
+  const auto r = gradcheck_model(std::move(net), {6}, 3, 3, 13,
+                                 std::make_shared<MseOnOneHot>());
   EXPECT_LT(r.max_rel_error, 1e-4);
 }
 
@@ -389,6 +402,29 @@ TEST(GradCheckTest, AvgPoolStack) {
   net->emplace<Dense>(2 * 2 * 2, 3);
   const auto r = gradcheck_model(std::move(net), {1, 8, 8}, 3, 2, 17);
   EXPECT_LT(r.max_rel_error, 1e-4);
+}
+
+// The pooling's input gradient is only formed when a parametric stage sits
+// before it: conv → pool → conv reads it through the first conv's gradient.
+// The softmax saturates on this batch, so some entries are ~1e-9, where a
+// relative error measures finite-difference rounding; the absolute error
+// bounds misrouted gradient, which would be the size of the gradient.
+TEST(GradCheckTest, PoolInputGradients) {
+  for (const bool max : {true, false}) {
+    SCOPED_TRACE(max ? "maxpool" : "avgpool");
+    auto net = std::make_unique<Sequential>();
+    net->emplace<Conv2d>(1, 2, 3, 1);
+    if (max) {
+      net->emplace<MaxPool2d>(2);
+    } else {
+      net->emplace<AvgPool2d>(2);
+    }
+    net->emplace<Conv2d>(2, 2, 3, 1);
+    net->emplace<Flatten>();
+    net->emplace<Dense>(2 * 4 * 4, 3);
+    const auto r = gradcheck_model(std::move(net), {1, 8, 8}, 3, 2, 20);
+    EXPECT_LT(r.max_abs_error, 1e-7);
+  }
 }
 
 TEST(GradCheckTest, ResidualIdentity) {

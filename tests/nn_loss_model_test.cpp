@@ -1,8 +1,13 @@
-// Tests for losses, the Model flat-parameter interface, and the model zoo.
+// Tests for losses, evaluate_predictions, the Model flat-parameter
+// interface, and the model zoo. Loss values are read through
+// nn::evaluate_predictions; loss gradients through the compiled plan, where
+// a one-sample batch's logit gradient is the bias gradient of a layer that
+// passes the logits through.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/nn/cohort.h"
 #include "src/nn/dense.h"
 #include "src/nn/flatten.h"
 #include "src/nn/gradcheck.h"
@@ -11,87 +16,136 @@
 namespace hfl::nn {
 namespace {
 
+Scalar mean_loss(const Loss& loss, const Tensor& pred,
+                 const std::vector<std::size_t>& labels) {
+  return evaluate_predictions(loss, pred, labels).loss;
+}
+
+// d(loss)/d(logits) of one sample with these K logits, from the plan: a
+// Dense(K, K) with identity weights and zero bias passes the logits
+// through unchanged, and for a batch of one its bias gradient is the
+// gradient with respect to the logits.
+Vec logit_gradient(LossPtr loss, const Vec& logits, std::size_t label) {
+  const std::size_t K = logits.size();
+  auto net = std::make_unique<Sequential>();
+  net->emplace<Dense>(K, K);
+  const Model model(std::move(net), std::move(loss), {K});
+  const auto plan = CohortModel::create(model);
+  Vec params(model.num_params(), 0.0);
+  for (std::size_t j = 0; j < K; ++j) params[j * K + j] = 1.0;
+  const std::vector<std::size_t> y{label};
+  Vec grad(params.size());
+  CohortItem item;
+  item.params = params.data();
+  item.x = logits.data();
+  item.y = &y;
+  item.grad = grad.data();
+  plan->gradient({&item, 1});
+  return Vec(grad.end() - static_cast<std::ptrdiff_t>(K), grad.end());
+}
+
+// Central differences of the evaluated loss against the plan's gradient.
+void expect_numerical_logit_gradient(LossPtr loss, const Vec& logits,
+                                     std::size_t label) {
+  const Vec g = logit_gradient(loss, logits, label);
+  const Scalar eps = 1e-6;
+  for (std::size_t j = 0; j < logits.size(); ++j) {
+    Tensor p({1, logits.size()}, logits);
+    p[j] += eps;
+    const Scalar up = mean_loss(*loss, p, {label});
+    p[j] -= 2 * eps;
+    const Scalar down = mean_loss(*loss, p, {label});
+    EXPECT_NEAR((up - down) / (2 * eps), g[j], 1e-6) << "logit " << j;
+  }
+}
+
 TEST(SoftmaxCrossEntropyTest, UniformLogitsGiveLogK) {
   SoftmaxCrossEntropy loss;
   Tensor pred({2, 4});  // all-zero logits -> uniform softmax
-  const Scalar l = loss.forward(pred, {0, 3});
-  EXPECT_NEAR(l, std::log(4.0), 1e-12);
+  EXPECT_NEAR(mean_loss(loss, pred, {0, 3}), std::log(4.0), 1e-12);
 }
 
 TEST(SoftmaxCrossEntropyTest, ConfidentCorrectPredictionLowLoss) {
   SoftmaxCrossEntropy loss;
   Tensor pred({1, 3}, Vec{20, 0, 0});
-  EXPECT_LT(loss.forward(pred, {0}), 1e-6);
-  Tensor pred_wrong({1, 3}, Vec{20, 0, 0});
-  EXPECT_GT(loss.forward(pred_wrong, {1}), 10.0);
+  EXPECT_LT(mean_loss(loss, pred, {0}), 1e-6);
+  EXPECT_GT(mean_loss(loss, pred, {1}), 10.0);
 }
 
-TEST(SoftmaxCrossEntropyTest, GradientSumsToZeroPerRow) {
-  SoftmaxCrossEntropy loss;
-  Rng rng(1);
-  Tensor pred = Tensor::randn({3, 5}, rng);
-  loss.forward(pred, {0, 2, 4});
-  Tensor g = loss.backward();
-  for (std::size_t i = 0; i < 3; ++i) {
-    Scalar row_sum = 0;
-    for (std::size_t j = 0; j < 5; ++j) row_sum += g.at({i, j});
-    EXPECT_NEAR(row_sum, 0.0, 1e-12);  // softmax-CE grad rows sum to zero
+TEST(SoftmaxCrossEntropyTest, GradientIsProbabilitiesMinusOneHot) {
+  const Vec logits{0.3, -1.2, 2.0, 0.5, -0.1};
+  const Vec g =
+      logit_gradient(std::make_shared<SoftmaxCrossEntropy>(), logits, 2);
+  Scalar denom = 0;
+  for (const Scalar v : logits) denom += std::exp(v);
+  Scalar row_sum = 0;
+  for (std::size_t j = 0; j < logits.size(); ++j) {
+    const Scalar want = std::exp(logits[j]) / denom - (j == 2 ? 1.0 : 0.0);
+    EXPECT_NEAR(g[j], want, 1e-12) << "logit " << j;
+    row_sum += g[j];
   }
+  EXPECT_NEAR(row_sum, 0.0, 1e-12);  // softmax-CE grad rows sum to zero
 }
 
 TEST(SoftmaxCrossEntropyTest, NumericalGradient) {
-  SoftmaxCrossEntropy loss;
-  Rng rng(2);
-  Tensor pred = Tensor::randn({2, 4}, rng);
-  const std::vector<std::size_t> labels{1, 3};
-  loss.forward(pred, labels);
-  Tensor g = loss.backward();
-  const Scalar eps = 1e-6;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    Tensor p = pred;
-    p[i] += eps;
-    const Scalar up = loss.forward(p, labels);
-    p[i] -= 2 * eps;
-    const Scalar down = loss.forward(p, labels);
-    EXPECT_NEAR((up - down) / (2 * eps), g[i], 1e-6);
-  }
+  expect_numerical_logit_gradient(std::make_shared<SoftmaxCrossEntropy>(),
+                                  {0.4, -0.7, 1.1, 0.2}, 1);
+  expect_numerical_logit_gradient(std::make_shared<SoftmaxCrossEntropy>(),
+                                  {-0.3, 0.9, -1.5, 0.6}, 3);
 }
 
 TEST(MseOnOneHotTest, PerfectPredictionZeroLoss) {
   MseOnOneHot loss;
   Tensor pred({2, 3}, Vec{1, 0, 0, 0, 0, 1});
-  EXPECT_DOUBLE_EQ(loss.forward(pred, {0, 2}), 0.0);
+  EXPECT_DOUBLE_EQ(mean_loss(loss, pred, {0, 2}), 0.0);
 }
 
 TEST(MseOnOneHotTest, KnownValue) {
   MseOnOneHot loss;
   Tensor pred({1, 2}, Vec{0, 0});
   // 0.5 * ((0-1)^2 + 0^2) = 0.5
-  EXPECT_DOUBLE_EQ(loss.forward(pred, {0}), 0.5);
+  EXPECT_DOUBLE_EQ(mean_loss(loss, pred, {0}), 0.5);
+}
+
+TEST(MseOnOneHotTest, GradientIsPredictionMinusOneHot) {
+  const Vec g =
+      logit_gradient(std::make_shared<MseOnOneHot>(), {0.5, -2.0, 3.0}, 0);
+  EXPECT_EQ(g, (Vec{-0.5, -2.0, 3.0}));
 }
 
 TEST(MseOnOneHotTest, NumericalGradient) {
-  MseOnOneHot loss;
-  Rng rng(3);
-  Tensor pred = Tensor::randn({2, 3}, rng);
-  const std::vector<std::size_t> labels{2, 0};
-  loss.forward(pred, labels);
-  Tensor g = loss.backward();
-  const Scalar eps = 1e-6;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    Tensor p = pred;
-    p[i] += eps;
-    const Scalar up = loss.forward(p, labels);
-    p[i] -= 2 * eps;
-    const Scalar down = loss.forward(p, labels);
-    EXPECT_NEAR((up - down) / (2 * eps), g[i], 1e-6);
-  }
+  expect_numerical_logit_gradient(std::make_shared<MseOnOneHot>(),
+                                  {0.8, -0.4, 0.1}, 2);
+  expect_numerical_logit_gradient(std::make_shared<MseOnOneHot>(),
+                                  {-1.3, 0.2, 0.7}, 0);
 }
 
 TEST(LossTest, LabelOutOfRangeThrows) {
   SoftmaxCrossEntropy loss;
   Tensor pred({1, 3});
-  EXPECT_THROW(loss.forward(pred, {3}), Error);
+  EXPECT_THROW(evaluate_predictions(loss, pred, {3}), Error);
+  EXPECT_THROW(evaluate_predictions(loss, pred, {0, 1}), Error);
+  EXPECT_THROW(
+      logit_gradient(std::make_shared<SoftmaxCrossEntropy>(), {0, 0, 0}, 3),
+      Error);
+}
+
+TEST(EvaluatePredictionsTest, AccuracyReadsRowArgmax) {
+  SoftmaxCrossEntropy loss;
+  Tensor pred({2, 3}, Vec{0.1, 0.9, 0.5, 2.0, -1.0, 1.5});
+  EXPECT_DOUBLE_EQ(evaluate_predictions(loss, pred, {1, 0}).accuracy, 1.0);
+  EXPECT_DOUBLE_EQ(evaluate_predictions(loss, pred, {1, 2}).accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(evaluate_predictions(loss, pred, {2, 1}).accuracy, 0.0);
+}
+
+// Ties go to the lowest class index: a row of equal logits is correct only
+// for label 0.
+TEST(EvaluatePredictionsTest, ArgmaxTieBreaksToFirst) {
+  SoftmaxCrossEntropy loss;
+  Tensor pred({3, 3}, Vec{1, 1, 1, 1, 1, 1, 0, 2, 2});
+  EXPECT_DOUBLE_EQ(evaluate_predictions(loss, pred, {0, 1, 1}).accuracy,
+                   2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(evaluate_predictions(loss, pred, {2, 2, 2}).accuracy, 0.0);
 }
 
 std::unique_ptr<Model> tiny_model() {
@@ -124,42 +178,39 @@ TEST(ModelTest, GradientIsDeterministic) {
   auto model = tiny_model();
   Rng rng(5);
   model->init_params(rng);
+  const auto plan = CohortModel::create(*model);
   const Vec p = model->get_params();
   Tensor x = Tensor::randn({4, 4}, rng);
-  std::vector<std::size_t> y{0, 1, 2, 0};
-  Vec g1, g2;
-  model->loss_and_gradient(p, x, y, g1);
-  model->loss_and_gradient(p, x, y, g2);
+  const std::vector<std::size_t> y{0, 1, 2, 0};
+  Vec g1(p.size()), g2(p.size(), 3.0);
+  for (Vec* g : {&g1, &g2}) {
+    CohortItem item;
+    item.params = p.data();
+    item.x = x.raw();
+    item.y = &y;
+    item.grad = g->data();
+    plan->gradient({&item, 1});
+  }
   EXPECT_EQ(g1, g2);
 }
 
 TEST(ModelTest, EvaluatePerfectAndChance) {
   auto model = tiny_model();
+  const auto plan = CohortModel::create(*model);
   // Weights that copy feature i to logit i (features 0..2).
   Vec p(model->num_params(), 0.0);
   p[0] = 10;   // W(0,0)
   p[5] = 10;   // W(1,1)
   p[10] = 10;  // W(2,2)
-  model->set_params(p);
   Tensor x({3, 4});
   x.at({0, 0}) = 1;
   x.at({1, 1}) = 1;
   x.at({2, 2}) = 1;
-  const EvalResult r = model->evaluate(x, {0, 1, 2});
+  Tensor pred;
+  plan->predict(p.data(), x.raw(), 3, pred);
+  const EvalResult r = evaluate_predictions(plan->loss(), pred, {0, 1, 2});
   EXPECT_DOUBLE_EQ(r.accuracy, 1.0);
   EXPECT_LT(r.loss, 1e-3);
-}
-
-TEST(ModelTest, ZeroGradsClearsAccumulation) {
-  auto model = tiny_model();
-  Rng rng(6);
-  model->init_params(rng);
-  Tensor x = Tensor::randn({2, 4}, rng);
-  model->forward_backward(x, {0, 1});
-  model->zero_grads();
-  Vec g;
-  model->get_grads(g);
-  for (const Scalar v : g) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 class ModelZooTest : public ::testing::TestWithParam<ModelKind> {};
@@ -179,12 +230,16 @@ TEST_P(ModelZooTest, BuildsRunsAndRoundTrips) {
   std::vector<std::size_t> bshape{2};
   bshape.insert(bshape.end(), shape.begin(), shape.end());
   Tensor x = Tensor::randn(bshape, rng);
-  std::vector<std::size_t> labels{0, 3};
-  Vec grad;
-  const Scalar loss =
-      model->loss_and_gradient(model->get_params(), x, labels, grad);
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_EQ(grad.size(), model->num_params());
+  const std::vector<std::size_t> labels{0, 3};
+  const Vec params = model->get_params();
+  Vec grad(model->num_params());
+  CohortItem item;
+  item.params = params.data();
+  item.x = x.raw();
+  item.y = &labels;
+  item.grad = grad.data();
+  CohortModel::create(*model)->gradient({&item, 1});
+  EXPECT_TRUE(std::isfinite(item.loss));
   Scalar norm = 0;
   for (const Scalar g : grad) norm += g * g;
   EXPECT_GT(norm, 0.0);

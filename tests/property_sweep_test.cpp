@@ -10,6 +10,7 @@
 #include "src/common/errors.h"
 #include "src/common/vec_ops.h"
 #include "src/fl/compression.h"
+#include "src/nn/cohort.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
 #include "src/nn/flatten.h"
@@ -207,35 +208,81 @@ INSTANTIATE_TEST_SUITE_P(FleetSizes, AggregationInvariantTest,
 
 // ---------------- Pooling round-trip over window sizes ----------------
 
+// A 1×1 convolution with weight 1 and bias 0 in front of the pool passes
+// the input through, and its weight and bias gradients, Σ g·x and Σ g, read
+// back the gradient the pool routed to its input. Under the MSE loss on one
+// sample the pool's output gradient is known: logits − onehot(0).
+struct PoolProbe {
+  std::vector<Scalar> logits;
+  Scalar dw = 0, db = 0;  // the front convolution's gradients
+  Scalar sum_g = 0;       // Σ of the pool's output gradient
+};
+
+template <typename Pool>
+PoolProbe probe_pool(std::size_t w, std::size_t h_in, std::size_t w_in,
+                     const Vec& x) {
+  auto net = std::make_unique<nn::Sequential>();
+  net->emplace<nn::Conv2d>(1, 1, 1, 0);
+  net->emplace<Pool>(w);
+  net->emplace<nn::Flatten>();
+  const nn::Model model(std::move(net), std::make_unique<nn::MseOnOneHot>(),
+                        {1, h_in, w_in});
+  const auto plan = nn::CohortModel::create(model);
+  const Vec params{1, 0};
+  const std::vector<std::size_t> label{0};
+  Vec grad(2);
+  nn::CohortItem item;
+  item.params = params.data();
+  item.x = x.data();
+  item.y = &label;
+  item.grad = grad.data();
+  plan->gradient({&item, 1});
+  Tensor pred;
+  plan->predict(params.data(), x.data(), 1, pred);
+  PoolProbe p;
+  p.logits = pred.data();
+  p.dw = grad[0];
+  p.db = grad[1];
+  for (std::size_t o = 0; o < p.logits.size(); ++o) {
+    p.sum_g += p.logits[o] - (o == 0 ? 1.0 : 0.0);
+  }
+  return p;
+}
+
 class PoolWindowTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PoolWindowTest, AvgPoolGradientIsUniformPartition) {
   const std::size_t w = GetParam();
-  nn::AvgPool2d pool(w);
   Rng rng(w);
-  Tensor x = Tensor::randn({1, 2, w * 3, w * 2}, rng);
-  pool.forward(x, true);
-  Tensor g = Tensor::full({1, 2, 3, 2}, 1.0);
-  Tensor gin = pool.backward(g);
+  Vec x(w * 3 * w * 2);
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  const PoolProbe p = probe_pool<nn::AvgPool2d>(w, w * 3, w * 2, x);
   // Gradient mass is conserved: sum(grad_in) == sum(grad_out).
-  Scalar total = 0;
-  for (std::size_t i = 0; i < gin.size(); ++i) total += gin[i];
-  EXPECT_NEAR(total, 12.0, 1e-9);
+  EXPECT_NEAR(p.db, p.sum_g, 1e-9);
+  // Each window's gradient is spread evenly, so Σ g·x = Σ_o g_o · mean_o,
+  // and mean_o is the window's own logit.
+  Scalar want = 0;
+  for (std::size_t o = 0; o < p.logits.size(); ++o) {
+    want += (p.logits[o] - (o == 0 ? 1.0 : 0.0)) * p.logits[o];
+  }
+  EXPECT_NEAR(p.dw, want, 1e-9);
 }
 
-TEST_P(PoolWindowTest, MaxPoolGradientIsSparse) {
+TEST_P(PoolWindowTest, MaxPoolGradientGoesToOneWinnerPerWindow) {
   const std::size_t w = GetParam();
-  nn::MaxPool2d pool(w);
   Rng rng(10 + w);
-  Tensor x = Tensor::randn({1, 1, w * 2, w * 2}, rng);
-  pool.forward(x, true);
-  Tensor g = Tensor::full({1, 1, 2, 2}, 1.0);
-  Tensor gin = pool.backward(g);
-  std::size_t nonzero = 0;
-  for (std::size_t i = 0; i < gin.size(); ++i) {
-    if (gin[i] != 0) ++nonzero;
+  Vec x(w * 2 * w * 2);
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  const PoolProbe p = probe_pool<nn::MaxPool2d>(w, w * 2, w * 2, x);
+  ASSERT_EQ(p.logits.size(), 4u);
+  // All of each window's gradient lands on one input, the window's maximum
+  // (its logit): Σ g == Σ g_o and Σ g·x == Σ g_o · max_o.
+  EXPECT_NEAR(p.db, p.sum_g, 1e-12);
+  Scalar want = 0;
+  for (std::size_t o = 0; o < 4; ++o) {
+    want += (p.logits[o] - (o == 0 ? 1.0 : 0.0)) * p.logits[o];
   }
-  EXPECT_EQ(nonzero, 4u);  // exactly one winner per window
+  EXPECT_NEAR(p.dw, want, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Windows, PoolWindowTest,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -74,6 +75,18 @@ TEST_F(SerializeTest, RejectsTruncatedPayload) {
   std::ofstream rewrite(path_, std::ios::binary | std::ios::trunc);
   rewrite << content;
   rewrite.close();
+  EXPECT_THROW(load_params(path_), Error);
+}
+
+// A corrupt header claiming 2^62 scalars in a 16-byte file is reported as a
+// truncated checkpoint before anything is allocated for it.
+TEST_F(SerializeTest, RejectsHeaderCountBeyondFileSize) {
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out.write("HFLCKPT1", 8);
+    const std::uint64_t n = std::uint64_t{1} << 62;
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  }
   EXPECT_THROW(load_params(path_), Error);
 }
 
